@@ -12,15 +12,16 @@ import sys
 
 import numpy as np
 
-from .controller import solve_ocp
+from .controller import mode_of, solve_ocp
 from .errors import AtesError, ControllerFault, ScenarioError, SolverError
 from .harness import (demand_window, power_form_study, replay_observer,
                       run_closed_loop)
 from .plant import init_truth, restrict_to_coarse, truth_step
 from .power import EnergyLedger, power_bilinear, power_linear, update_balance
 from .pwa import build_pwa, pwa_step
-from .scenario import (gen_synthetic_demand, load_scenario, read_results,
-                       write_demand_csv, write_results)
+from .scenario import (_DEFAULTS, _config_values, gen_synthetic_demand,
+                       read_results, scenario_from_values, write_demand_csv,
+                       write_results)
 
 logger = logging.getLogger(__name__)
 
@@ -36,12 +37,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _load(args) -> "Scenario":
-    scenario = load_scenario(args.scenario)
+    values = _config_values(args.scenario)
     if args.seed is not None:
-        from dataclasses import replace
-        truth = replace(scenario.truth, seed=args.seed)
-        scenario = replace(scenario, truth=truth, seed=args.seed)
-    return scenario
+        values["seed"] = args.seed  # before the synthetic demand is drawn
+    return scenario_from_values(values)
 
 
 def _cmd_run(args) -> int:
@@ -91,7 +90,7 @@ def _cmd_sim(args) -> int:
                        (k + 1) * scenario.ocp.dt)
         records.append({
             "t": k * scenario.ocp.dt, "u_applied": u,
-            "mode": "heating" if u > 0 else ("cooling" if u < 0 else "storing"),
+            "mode": mode_of(u),
             "P_bilinear": p, "D": float(scenario.demand[k]),
             "B_past": ledger.b_past,
             "warm_borehole_truth": float(x[0]),
@@ -126,8 +125,7 @@ def _cmd_observe(args) -> int:
 
 
 def _cmd_gen_demand(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    demand = gen_synthetic_demand(seed, args.hours,
+    demand = gen_synthetic_demand(args.seed, args.hours,
                                   args.heat_mwh * 3.6e9, args.cold_mwh * 3.6e9)
     out = args.out or "demand.csv"
     write_demand_csv(out, demand)
@@ -198,10 +196,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-demand", help="write a synthetic hourly demand CSV")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--hours", type=int, default=8760)
-    p.add_argument("--heat-mwh", type=float, default=3416.67)
-    p.add_argument("--cold-mwh", type=float, default=2722.22)
+    p.add_argument("--heat-mwh", type=float,
+                   default=_DEFAULTS["demand_heat_total_mwh"])
+    p.add_argument("--cold-mwh", type=float,
+                   default=_DEFAULTS["demand_cold_total_mwh"])
     p.set_defaults(func=_cmd_gen_demand)
 
     p = sub.add_parser("validate-power",

@@ -35,6 +35,17 @@ MODES = ("heating", "storing", "cooling")
 MODE_SIGN = {"heating": 1.0, "storing": 0.0, "cooling": -1.0}
 
 
+def mode_of(u: float) -> str:
+    """Operating mode of a flow, by its sign."""
+    return "heating" if u > 0 else ("cooling" if u < 0 else "storing")
+
+
+def _flow_interval(mode: str, cfg: OcpConfig) -> tuple[float, float]:
+    """Block-flow interval of a mode: its sign region of [u_min, u_max]."""
+    sign = MODE_SIGN[mode]
+    return (cfg.u_min if sign < 0 else 0.0, cfg.u_max if sign > 0 else 0.0)
+
+
 @dataclass(frozen=True)
 class OcpConfig:
     horizon: int = 12
@@ -76,10 +87,7 @@ class OcpConfig:
         return x_min, x_max
 
     def block_of_step(self) -> list[int]:
-        out = []
-        for j, length in enumerate(self.blocks):
-            out.extend([j] * length)
-        return out
+        return [j for j, length in enumerate(self.blocks) for _ in range(length)]
 
 
 @dataclass(frozen=True)
@@ -149,9 +157,7 @@ def condense(model: PwaModel, mode_sequence: tuple[str, ...], cfg: OcpConfig,
     p_gain = np.zeros((cfg.horizon, nb))
     for k in range(cfg.horizon):
         j = block_of_step[k]
-        branch = {"heating": model.branch_heating,
-                  "storing": model.branch_storing,
-                  "cooling": model.branch_cooling}[mode_sequence[j]]
+        branch = model.branch(MODE_SIGN[mode_sequence[j]])
         c_next = branch.A @ offsets[k] + branch.f
         m_next = branch.A @ gains[k]
         m_next[:, j] += branch.b
@@ -198,15 +204,15 @@ def build_cost(pred: PredictionMap, demand: np.ndarray, b_past: float,
     for j, mode in enumerate(pred.mode_sequence):
         e_j = np.zeros(nv)
         e_j[j] = 1.0
-        if mode == "heating":
+        lo, hi = _flow_interval(mode, cfg)
+        # u_j <= hi and -u_j <= -lo, the bound at zero first (ties in the QP
+        # go to the lowest row).
+        if MODE_SIGN[mode] > 0:
             rows += [-e_j, e_j]
-            rhs += [0.0, cfg.u_max]
-        elif mode == "cooling":
-            rows += [e_j, -e_j]
-            rhs += [0.0, -cfg.u_min]
+            rhs += [-lo, hi]
         else:
             rows += [e_j, -e_j]
-            rhs += [0.0, 0.0]
+            rhs += [hi, -lo]
     e_s = np.zeros(nv)
     e_s[nb] = 1.0
     rows.append(-e_s)
@@ -236,14 +242,10 @@ def build_cost(pred: PredictionMap, demand: np.ndarray, b_past: float,
     h = np.concatenate([np.asarray(rhs), soft_h[keep]])
 
     # z = 0 with slack covering the worst open-loop violation is always feasible.
-    s0 = max(0.0, float(np.max(-np.concatenate(soft_rhs)))) + 1e-9
+    s0 = max(0.0, float(np.max(-soft_h))) + 1e-9
     z0 = np.zeros(nv)
     z0[nb] = s0
     return Qp(H, g, G, h), const, z0
-
-
-def _storing_blocks(modes: tuple[str, ...]) -> int:
-    return sum(1 for m in modes if m == "storing")
 
 
 def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
@@ -261,12 +263,12 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
             # A stalled candidate drops out; the remaining sequences compete.
             result = QpResult(np.full(qp.m, np.nan), np.inf, "stalled",
                               np.inf, ())
-        total = result.value + const if result.status == "optimal" else np.inf
-        slack = float(result.z_star[nb]) if result.status == "optimal" else np.nan
+        # A failed result carries value inf and NaN z_star.
+        total = result.value + const
         records.append(CandidateRecord(modes, result.status, total,
-                                       result.z_star[:nb].copy()
-                                       if result.status == "optimal" else np.full(nb, np.nan),
-                                       slack, result.kkt_residual))
+                                       result.z_star[:nb].copy(),
+                                       float(result.z_star[nb]),
+                                       result.kkt_residual))
         if result.status == "optimal":
             candidates.append((modes, result, total, pred))
 
@@ -276,20 +278,13 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
     best_cost = min(c[2] for c in candidates)
     tol = 1e-9 * max(1.0, abs(best_cost))
     near = [c for c in candidates if c[2] <= best_cost + tol]
-    near.sort(key=lambda c: (-_storing_blocks(c[0]),
+    near.sort(key=lambda c: (-c[0].count("storing"),
                              float(np.linalg.norm(c[1].z_star[:nb])),
                              c[0]))
     modes, result, total, pred = near[0]
 
-    u_blocks = result.z_star[:nb].copy()
-    for j, mode in enumerate(modes):
-        sign = MODE_SIGN[mode]
-        if sign == 0.0:
-            u_blocks[j] = 0.0
-        elif sign > 0.0:
-            u_blocks[j] = min(max(u_blocks[j], 0.0), cfg.u_max)
-        else:
-            u_blocks[j] = max(min(u_blocks[j], 0.0), cfg.u_min)
+    lo, hi = np.array([_flow_interval(mode, cfg) for mode in modes]).T
+    u_blocks = np.clip(result.z_star[:nb], lo, hi)
 
     # Exact rollout of the selected candidate.
     block_of_step = cfg.block_of_step()
@@ -300,9 +295,7 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
     p_pred = np.zeros(cfg.horizon)
     for k in range(cfg.horizon):
         j = block_of_step[k]
-        branch = {"heating": model.branch_heating,
-                  "storing": model.branch_storing,
-                  "cooling": model.branch_cooling}[modes[j]]
+        branch = model.branch(MODE_SIGN[modes[j]])
         x_pred[k + 1] = branch.step(x_pred[k], u_blocks[j])
         p_pred[k] = r_now @ x_pred[k] + r_next @ x_pred[k + 1] + p_const
 

@@ -34,7 +34,6 @@ class AffineSubsystem:
     b: np.ndarray = field(repr=False)
     f: np.ndarray = field(repr=False)
     regime: Regime
-    built_at: float = 0.0
 
     @property
     def rows(self) -> int:
@@ -113,7 +112,7 @@ def _frozen_gradient(grid: RadialGrid, x_ref: np.ndarray, t_amb: float,
 
 
 def _build(grid: RadialGrid, params: AquiferParams, x_ref: np.ndarray,
-           flow_sign: int, dt: float, regime: Regime, built_at: float) -> AffineSubsystem:
+           flow_sign: int, dt: float, regime: Regime) -> AffineSubsystem:
     x_ref = np.asarray(x_ref, dtype=float)
     if x_ref.shape != (grid.nu + 1,):
         raise ParameterError(
@@ -130,31 +129,31 @@ def _build(grid: RadialGrid, params: AquiferParams, x_ref: np.ndarray,
         params.c_a * 2.0 * np.pi * grid.midpoints * grid.l)
 
     if regime == "injection":
-        return AffineSubsystem(A_cells, b_cells, f_cells, regime, built_at)
+        return AffineSubsystem(A_cells, b_cells, f_cells, regime)
 
     # Extraction/storage keeps the borehole entry, which follows cell 1.
     A = np.vstack([A_cells[:1], A_cells])
     b = np.concatenate([b_cells[:1], b_cells])
     f = np.concatenate([f_cells[:1], f_cells])
-    return AffineSubsystem(A, b, f, regime, built_at)
+    return AffineSubsystem(A, b, f, regime)
 
 
 def build_extraction_system(grid: RadialGrid, params: AquiferParams,
                             x_ref: np.ndarray, flow_sign: int,
-                            dt: float, built_at: float = 0.0) -> AffineSubsystem:
+                            dt: float) -> AffineSubsystem:
     """Affine step of one aquifer while fluid is extracted or stored.
 
     Produces nu+1 rows covering the borehole entry and all cells; q = flow_sign * u.
     """
-    return _build(grid, params, x_ref, flow_sign, dt, "extraction_or_storage", built_at)
+    return _build(grid, params, x_ref, flow_sign, dt, "extraction_or_storage")
 
 
 def build_injection_system(grid: RadialGrid, params: AquiferParams,
                            x_ref: np.ndarray, flow_sign: int,
-                           dt: float, built_at: float = 0.0) -> AffineSubsystem:
+                           dt: float) -> AffineSubsystem:
     """Affine step of one aquifer while fluid is injected.
 
     Produces only the nu cell rows; the borehole entry is supplied by the heat
     exchanger and appears as a regular column of A.
     """
-    return _build(grid, params, x_ref, flow_sign, dt, "injection", built_at)
+    return _build(grid, params, x_ref, flow_sign, dt, "injection")

@@ -18,7 +18,7 @@ class StabilityError(AtesError):
 
 
 class AssemblyError(AtesError):
-    """Subsystems with mismatched dimensions or build instants."""
+    """Subsystems with mismatched dimensions."""
 
 
 class SolverError(AtesError):

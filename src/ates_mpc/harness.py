@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import receding_step, solve_ocp
+from .controller import mode_of, receding_step, solve_ocp
 from .errors import ControllerFault
 from .observer import GaussianEstimate, predict, project, update
 from .plant import init_truth, measure, restrict_to_coarse, truth_step
@@ -54,22 +54,41 @@ def demand_window(demand: np.ndarray, k: int, horizon: int) -> np.ndarray:
     return np.asarray(window, dtype=float)
 
 
+class _Estimator:
+    """UKF estimate from the ambient prior and the PWA model rebuilt at it."""
+
+    def __init__(self, scenario: Scenario):
+        n = scenario.grid.n_states
+        self.scenario = scenario
+        self.bounds = scenario.ocp.state_bounds(scenario.grid.nu)
+        self.est = GaussianEstimate(np.full(n, scenario.params.t_amb), np.eye(n))
+        self.model = self._build(0.0)
+
+    def _build(self, u_prev: float):
+        sc = self.scenario
+        return build_pwa(sc.grid, sc.params, sc.hx, sc.ocp.dt, self.est.mean, u_prev)
+
+    def step(self, y: np.ndarray, u_prev: float) -> None:
+        """Predict under the applied flow, update on y, project, rebuild."""
+        predicted = predict(self.est, lambda x: pwa_step(self.model, x, u_prev),
+                            self.scenario.ukf)
+        self.est = project(update(predicted, y), *self.bounds)
+        self.model = self._build(u_prev)
+
+
 def run_closed_loop(scenario: Scenario, steps: int | None = None,
                     out_path: str | None = None,
                     log_every: int = 0) -> RunReport:
-    grid = scenario.grid
-    params = scenario.params
-    ocp = scenario.ocp
+    grid, params, ocp = scenario.grid, scenario.params, scenario.ocp
     nu = grid.nu
     n = grid.n_states
     steps = scenario.duration if steps is None else steps
 
     truth = init_truth(scenario.truth, grid, params)
-    x_min, x_max = ocp.state_bounds(nu)
-    est = GaussianEstimate(np.full(n, params.t_amb), np.eye(n))
+    estimator = _Estimator(scenario)
+    x_min, x_max = estimator.bounds
     ledger = EnergyLedger(dt=ocp.dt)
     u_prev = 0.0
-    model = build_pwa(grid, params, scenario.hx, ocp.dt, est.mean, u_prev)
 
     abs_err_sum = np.zeros(n)
     abs_err_max = np.zeros(n)
@@ -81,11 +100,8 @@ def run_closed_loop(scenario: Scenario, steps: int | None = None,
 
     for k in range(steps):
         y = measure(truth)
-        predicted = predict(est, lambda x: pwa_step(model, x, u_prev), scenario.ukf)
-        est = project(update(predicted, y), x_min, x_max)
-
-        model = build_pwa(grid, params, scenario.hx, ocp.dt, est.mean, u_prev,
-                          built_at=k * ocp.dt)
+        estimator.step(y, u_prev)
+        est, model = estimator.est, estimator.model
         window = demand_window(scenario.demand, k, ocp.horizon)
         t0 = time.perf_counter()
         try:
@@ -123,7 +139,7 @@ def run_closed_loop(scenario: Scenario, steps: int | None = None,
         records.append({
             "t": k * ocp.dt,
             "u_applied": u,
-            "mode": "heating" if u > 0 else ("cooling" if u < 0 else "storing"),
+            "mode": mode_of(u),
             "P_bilinear": p_bil,
             "P_linear": p_lin,
             "D": float(scenario.demand[k]),
@@ -216,9 +232,7 @@ def power_form_study(scenario: Scenario, steps: int = 720
     closure of the two formulas rather than the start-up transient of filling
     an ambient store with grid-thin injection plumes.
     """
-    grid = scenario.grid
-    params = scenario.params
-    ocp = scenario.ocp
+    grid, params, ocp = scenario.grid, scenario.params, scenario.ocp
     warm = _charged_store_profile(grid, params.t_amb, 6.0)
     cold = _charged_store_profile(grid, params.t_amb, -7.0)
     x = np.concatenate([[warm[0]], warm, [cold[0]], cold])
@@ -229,8 +243,7 @@ def power_form_study(scenario: Scenario, steps: int = 720
     for k in range(steps):
         u = float(np.clip(scenario.demand[k] / (params.c_w * 5.0),
                           ocp.u_min, ocp.u_max))
-        model = build_pwa(grid, params, scenario.hx, ocp.dt, x, u_prev,
-                          built_at=k * ocp.dt)
+        model = build_pwa(grid, params, scenario.hx, ocp.dt, x, u_prev)
         x_next = pwa_step(model, x, u)
         flows[k] = u
         p_bil[k] = power_bilinear(x, u, params.c_w)
@@ -245,22 +258,13 @@ def replay_observer(scenario: Scenario, records: list[dict]) -> list[np.ndarray]
     Deterministic given the recorded (y, u) sequence, so replays reproduce the
     logged estimates exactly.
     """
-    grid = scenario.grid
-    params = scenario.params
-    ocp = scenario.ocp
-    n = grid.n_states
-    x_min, x_max = ocp.state_bounds(grid.nu)
-    est = GaussianEstimate(np.full(n, params.t_amb), np.eye(n))
+    estimator = _Estimator(scenario)
     u_prev = 0.0
-    model = build_pwa(grid, params, scenario.hx, ocp.dt, est.mean, u_prev)
     means = []
-    for k, rec in enumerate(records):
+    for rec in records:
         y = np.array([rec["y_warm_r0"], rec["y_warm_far"],
                       rec["y_cold_r0"], rec["y_cold_far"]])
-        predicted = predict(est, lambda x: pwa_step(model, x, u_prev), scenario.ukf)
-        est = project(update(predicted, y), x_min, x_max)
-        model = build_pwa(grid, params, scenario.hx, ocp.dt, est.mean, u_prev,
-                          built_at=k * ocp.dt)
-        means.append(est.mean.copy())
+        estimator.step(y, u_prev)
+        means.append(estimator.est.mean.copy())
         u_prev = float(rec["u_applied"])
     return means

@@ -203,7 +203,10 @@ def truth_step(state: TruthState, u: float, hx: HxParams, dt: float = 3600.0,
             if audit:
                 excess = _audit_dmp(field_vals[1:], t_new, field_vals[0], t_far)
                 state.dmp_violation = max(state.dmp_violation, excess)
-            enthalpy = p.c_w * q * (field_vals[0] - t_far)
+            # Enthalpy crosses each boundary face at its upwind temperature:
+            # the borehole entry, and the last cell or t_far at the far face.
+            t_out = field_vals[-1] if q > 0.0 else t_far
+            enthalpy = p.c_w * q * (field_vals[0] - t_out)
             state.boundary_energy += dt_sub * (enthalpy + cond_far + cond_bh)
             field_vals[1:] = t_new
 
@@ -234,14 +237,11 @@ def measure(state: TruthState, noise_stream: np.random.Generator | None = None
 
 def _overlap_weights(fine: RadialGrid, coarse: RadialGrid) -> np.ndarray:
     """Shell-volume overlap matrix W (coarse cells x fine cells), rows sum to 1."""
-    W = np.zeros((coarse.nu, fine.nu))
-    for i in range(coarse.nu):
-        a = np.maximum(coarse.edges[i], fine.edges[:-1])
-        b = np.minimum(coarse.edges[i + 1], fine.edges[1:])
-        overlap = np.clip(b, a, None) ** 2 - a**2  # ∝ shell volume of overlap
-        W[i] = np.where(b > a, overlap, 0.0)
-        W[i] /= W[i].sum()
-    return W
+    a = np.maximum(coarse.edges[:-1, None], fine.edges[None, :-1])
+    b = np.minimum(coarse.edges[1:, None], fine.edges[None, 1:])
+    overlap = np.clip(b, a, None) ** 2 - a**2  # ∝ shell volume of overlap
+    W = np.where(b > a, overlap, 0.0)
+    return W / W.sum(axis=1, keepdims=True)
 
 
 def restrict_to_coarse(state: TruthState, coarse: RadialGrid) -> np.ndarray:

@@ -35,7 +35,6 @@ class PwaModel:
     branch_storing: AffineBranch
     branch_cooling: AffineBranch
     nu: int
-    built_at: float = 0.0
 
     @property
     def n(self) -> int:
@@ -60,10 +59,6 @@ def assemble_pwa(warm_ex: AffineSubsystem, warm_inj: AffineSubsystem,
         raise AssemblyError(
             f"inconsistent subsystem dimensions: warm_ex {warm_ex.rows}, "
             f"cold_ex {cold_ex.rows}, warm_inj {warm_inj.rows}, cold_inj {cold_inj.rows}")
-    instants = {s.built_at for s in (warm_ex, warm_inj, cold_ex, cold_inj)}
-    if len(instants) != 1:
-        raise AssemblyError(f"subsystems built at different instants: {sorted(instants)}")
-    built_at = instants.pop()
 
     w = slice(0, m)
     c = slice(m, n)
@@ -107,7 +102,7 @@ def assemble_pwa(warm_ex: AffineSubsystem, warm_inj: AffineSubsystem,
     f3[m:] = cold_ex.f
 
     return PwaModel(AffineBranch(A1, b1, f1), AffineBranch(A2, np.zeros(n), f2),
-                    AffineBranch(A3, b3, f3), nu=nu, built_at=built_at)
+                    AffineBranch(A3, b3, f3), nu=nu)
 
 
 def pwa_step(model: PwaModel, x: np.ndarray, u: float) -> np.ndarray:
@@ -119,7 +114,7 @@ def pwa_step(model: PwaModel, x: np.ndarray, u: float) -> np.ndarray:
 
 
 def build_pwa(grid: RadialGrid, params: AquiferParams, hx: HxParams, dt: float,
-              x_ref: np.ndarray, u_ref: float = 0.0, built_at: float = 0.0) -> PwaModel:
+              x_ref: np.ndarray, u_ref: float = 0.0) -> PwaModel:
     """Rebuild the full PWA model at a prediction instant.
 
     Frozen convection gradients come from the current state estimate x_ref;
@@ -130,10 +125,10 @@ def build_pwa(grid: RadialGrid, params: AquiferParams, hx: HxParams, dt: float,
     x_ref = validate_state(x_ref, grid.nu)
     warm_ref, cold_ref = x_ref[:grid.nu + 1], x_ref[grid.nu + 1:]
     # Flow into the cold aquifer is q = u, into the warm one q = -u.
-    warm_ex = build_extraction_system(grid, params, warm_ref, -1, dt, built_at)
-    warm_inj = build_injection_system(grid, params, warm_ref, -1, dt, built_at)
-    cold_ex = build_extraction_system(grid, params, cold_ref, 1, dt, built_at)
-    cold_inj = build_injection_system(grid, params, cold_ref, 1, dt, built_at)
+    warm_ex = build_extraction_system(grid, params, warm_ref, -1, dt)
+    warm_inj = build_injection_system(grid, params, warm_ref, -1, dt)
+    cold_ex = build_extraction_system(grid, params, cold_ref, 1, dt)
+    cold_inj = build_injection_system(grid, params, cold_ref, 1, dt)
     hx_heat = linearize_hx(float(warm_ref[0]), max(u_ref, 0.0), hx, "heating")
     hx_cool = linearize_hx(float(cold_ref[0]), min(u_ref, 0.0), hx, "cooling")
     return assemble_pwa(warm_ex, warm_inj, cold_ex, cold_inj, hx_heat, hx_cool)

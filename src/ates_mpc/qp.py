@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import ParameterError, SolverError
 
@@ -56,17 +55,26 @@ def _regularize(H: np.ndarray) -> np.ndarray:
 
 
 def _feasible_point(G: np.ndarray, h: np.ndarray, m: int) -> np.ndarray | None:
-    """Phase-1: minimize the largest violation with a bounded LP."""
-    p = G.shape[0]
-    # variables (z, s): minimize s subject to Gz - s <= h, s >= 0
-    c = np.zeros(m + 1)
-    c[-1] = 1.0
-    A_ub = np.hstack([G, -np.ones((p, 1))])
-    res = linprog(c, A_ub=A_ub, b_ub=h, bounds=[(None, None)] * m + [(0, None)],
-                  method="highs")
-    if not res.success or res.x[-1] > 1e-7:
+    """Phase-1 on this solver: minimize the largest violation s over (z, s).
+
+    Subject to G z - s <= h and -s <= 0; z = 0 with s above the worst
+    violation of z = 0 is a feasible start.
+    """
+    G1 = np.zeros((G.shape[0] + 1, m + 1))
+    G1[:-1, :m] = G
+    G1[:, m] = -1.0
+    e_s = np.eye(m + 1)[m]
+    z0 = (max(0.0, float(np.max(-h))) + 1.0) * e_s
+    try:
+        z = solve_qp(Qp(np.zeros((m + 1, m + 1)), e_s, G1, np.append(h, 0.0)),
+                     z0).z_star
+    except SolverError:
+        # At a stationary point with s > 0 the working set need not pin z,
+        # and along the free directions the 1e-10 regularization leaves steps
+        # at rounding level, so the iteration can stall there.  An LP's
+        # stationary points are optimal, so such a stall means infeasible.
         return None
-    return res.x[:m]
+    return None if z[m] > 1e-7 else z[:m]
 
 
 def _kkt_residual(qp: Qp, z: np.ndarray, lam: np.ndarray) -> float:
@@ -82,7 +90,7 @@ def _kkt_residual(qp: Qp, z: np.ndarray, lam: np.ndarray) -> float:
 def solve_qp(qp: Qp, z0: np.ndarray | None = None) -> QpResult:
     """Primal active-set solve; returns status 'infeasible' instead of raising.
 
-    ``z0`` is an optional feasible warm start; otherwise a phase-1 LP finds one.
+    ``z0`` is an optional feasible warm start; otherwise a phase-1 solve finds one.
     """
     H = _regularize(np.asarray(qp.H, dtype=float))
     g = np.asarray(qp.g, dtype=float)
@@ -93,16 +101,13 @@ def solve_qp(qp: Qp, z0: np.ndarray | None = None) -> QpResult:
 
     if z0 is not None and np.all(G @ z0 <= h + _FEAS_TOL):
         z = np.asarray(z0, dtype=float).copy()
+    elif p == 0:
+        z = np.zeros(m)
     else:
-        if p == 0:
-            z = np.zeros(m)
-        else:
-            z_feas = _feasible_point(G, h, m)
-            if z_feas is None:
-                return QpResult(np.full(m, np.nan), np.inf, "infeasible", np.inf, ())
-            z = z_feas
-    work: list[int] = (
-        np.nonzero(np.abs(G @ z - h) <= _FEAS_TOL)[0].tolist() if p else [])
+        z = _feasible_point(G, h, m)
+        if z is None:
+            return QpResult(np.full(m, np.nan), np.inf, "infeasible", np.inf, ())
+    work: list[int] = np.nonzero(np.abs(G @ z - h) <= _FEAS_TOL)[0].tolist()
     # Keep at most m linearly independent rows in the working set.
     work = _prune_dependent(G, work, m)
 
@@ -110,36 +115,21 @@ def solve_qp(qp: Qp, z0: np.ndarray | None = None) -> QpResult:
     # a degenerate stall cheap (callers treat the raised error as a failed
     # candidate).
     max_iter = 100 + 10 * m + 2 * p
-    lam_full = np.zeros(p)
     stall = 0  # consecutive iterations without primal progress
     for _ in range(max_iter):
-        Gw = G[work] if work else np.zeros((0, m))
-        nw = len(work)
-        K = np.zeros((m + nw, m + nw))
-        K[:m, :m] = H
-        K[:m, m:] = Gw.T
-        K[m:, :m] = Gw
-        rhs = np.concatenate([-(H @ z + g), np.zeros(nw)])
         try:
-            sol = np.linalg.solve(K, rhs)
+            sol = np.linalg.solve(*_kkt_system(H, g, G, z, work))
         except np.linalg.LinAlgError:
             work = _prune_dependent(G, work, m)
-            Gw = G[work] if work else np.zeros((0, m))
-            nw = len(work)
-            K = np.zeros((m + nw, m + nw))
-            K[:m, :m] = H
-            K[:m, m:] = Gw.T
-            K[m:, :m] = Gw
-            rhs = np.concatenate([-(H @ z + g), np.zeros(nw)])
-            sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
+            sol = np.linalg.lstsq(*_kkt_system(H, g, G, z, work), rcond=None)[0]
+        nw = len(work)
         step = sol[:m]
         lam_w = sol[m:]
 
         if float(np.abs(step).max(initial=0.0)) <= 1e-11 * max(1.0, float(np.abs(z).max())):
             if nw == 0 or lam_w.min(initial=0.0) >= -1e-9:
-                lam_full[:] = 0.0
-                for i, lam in zip(work, lam_w):
-                    lam_full[i] = max(lam, 0.0)
+                lam_full = np.zeros(p)
+                lam_full[work] = np.maximum(lam_w, 0.0)
                 value = 0.5 * float(z @ qp.H @ z) + float(qp.g @ z)
                 res = _kkt_residual(qp, z, lam_full)
                 return QpResult(z, value, "optimal", res, tuple(sorted(work)),
@@ -163,8 +153,7 @@ def solve_qp(qp: Qp, z0: np.ndarray | None = None) -> QpResult:
         if p:
             g_step = G @ step
             mask = g_step > 1e-14
-            if work:
-                mask[np.asarray(work)] = False
+            mask[work] = False
             if mask.any():
                 idx = np.nonzero(mask)[0]
                 ratios = (h[idx] - G[idx] @ z) / g_step[idx]
@@ -179,6 +168,19 @@ def solve_qp(qp: Qp, z0: np.ndarray | None = None) -> QpResult:
             work = _prune_dependent(G, sorted(work), m)
 
     raise SolverError(f"active-set iteration cap {max_iter} exceeded")
+
+
+def _kkt_system(H: np.ndarray, g: np.ndarray, G: np.ndarray, z: np.ndarray,
+                work: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """KKT matrix and right-hand side of the step with the working set held."""
+    m = H.shape[0]
+    nw = len(work)
+    Gw = G[work]
+    K = np.zeros((m + nw, m + nw))
+    K[:m, :m] = H
+    K[:m, m:] = Gw.T
+    K[m:, :m] = Gw
+    return K, np.concatenate([-(H @ z + g), np.zeros(nw)])
 
 
 def _prune_dependent(G: np.ndarray, rows: list[int], m: int) -> list[int]:

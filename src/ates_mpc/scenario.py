@@ -35,7 +35,6 @@ class Scenario:
     ukf: UkfConfig
     truth: TruthConfig
     demand: np.ndarray = field(repr=False)          # W, hourly
-    timestamps: np.ndarray = field(repr=False)      # seconds since start
     start: _dt.datetime = _dt.datetime(2004, 10, 1, tzinfo=_dt.timezone.utc)
     duration: int = HOURS_PER_YEAR
     seed: int = 0
@@ -150,21 +149,25 @@ def scenario_from_values(values: dict) -> Scenario:
             values["seed"], max(HOURS_PER_YEAR, duration),
             values["demand_heat_total_mwh"] * _J_PER_MWH,
             values["demand_cold_total_mwh"] * _J_PER_MWH)
-    timestamps = np.arange(demand.size) * values["dt_s"]
-    return Scenario(grid, params, hx, ocp, ukf, truth, demand, timestamps,
+    return Scenario(grid, params, hx, ocp, ukf, truth, demand,
                     duration=duration, seed=values["seed"])
 
 
-def load_scenario(path: str | None = None) -> Scenario:
-    """Parse a config file (or build the all-defaults scenario for None)."""
+def _config_values(path: str | None) -> dict:
+    """Values of a config file, or the defaults for None."""
     if path is None:
-        return scenario_from_values(_parse_config_text(""))
+        return _parse_config_text("")
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario config {path!r}: {exc}") from exc
-    return scenario_from_values(_parse_config_text(text))
+    return _parse_config_text(text)
+
+
+def load_scenario(path: str | None = None) -> Scenario:
+    """Parse a config file (or build the all-defaults scenario for None)."""
+    return scenario_from_values(_config_values(path))
 
 
 def _parse_timestamp(text: str) -> _dt.datetime:
@@ -283,12 +286,12 @@ def write_results(path: str, records: list[dict], summary: dict | None = None) -
             writer.writerow(RESULT_COLUMNS)
             for rec in records:
                 writer.writerow([_format_cell(rec.get(col)) for col in RESULT_COLUMNS])
+        if summary is not None:
+            with open(path + ".summary.txt", "w", encoding="utf-8") as fh:
+                for key, value in summary.items():
+                    fh.write(f"{key}: {value}\n")
     except OSError as exc:
         raise ScenarioError(f"cannot write results to {path!r}: {exc}") from exc
-    if summary is not None:
-        with open(path + ".summary.txt", "w", encoding="utf-8") as fh:
-            for key, value in summary.items():
-                fh.write(f"{key}: {value}\n")
 
 
 def _format_cell(value) -> str:

@@ -68,3 +68,32 @@ def test_observe_replays_run(tmp_path, capsys):
 def test_validate_power(capsys):
     assert main(["validate-power", "--steps", "200"]) == 0
     assert "mean |linear - bilinear|" in capsys.readouterr().out
+
+
+def test_seed_flag_reseeds_demand(tmp_path, capsys):
+    flag = tmp_path / "flag.csv"
+    assert main(["run", "--steps", "3", "--seed", "7", "--out", str(flag)]) == 0
+    config = tmp_path / "seed7.cfg"
+    config.write_text("seed = 7\n")
+    cfg = tmp_path / "cfg.csv"
+    assert main(["run", "--steps", "3", "--scenario", str(config),
+                 "--out", str(cfg)]) == 0
+    assert [r["D"] for r in read_results(str(flag))] == \
+        [r["D"] for r in read_results(str(cfg))]
+
+
+def test_gen_demand_defaults_match_scenario(tmp_path, capsys):
+    out = tmp_path / "demand.csv"
+    assert main(["gen-demand", "--out", str(out)]) == 0
+    series = load_demand_csv(str(out))
+    heat_mwh = series.clip(0.0, None).sum() * 3600.0 / 3.6e9
+    cold_mwh = -series.clip(None, 0.0).sum() * 3600.0 / 3.6e9
+    assert heat_mwh == pytest.approx(3800.0)
+    assert cold_mwh == pytest.approx(2200.0)
+
+
+def test_unwritable_summary_is_error(tmp_path, capsys):
+    out = tmp_path / "results.csv"
+    (tmp_path / "results.csv.summary.txt").mkdir()
+    assert main(["run", "--steps", "1", "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err

@@ -121,13 +121,14 @@ def test_rollout_with_precharged_warm_store_stays_in_bounds(grid, params, hx):
     assert np.all(x[21:] <= 284.85 + 1e-6)
 
 
-def test_assembly_rejects_mismatched_instants(grid, params, hx, ambient_state):
+def test_assembly_rejects_mismatched_dimensions(grid, params, hx, ambient_state):
     warm = ambient_state[:21]
     cold = ambient_state[21:]
-    warm_ex = build_extraction_system(grid, params, warm, -1, DT, built_at=0.0)
-    warm_inj = build_injection_system(grid, params, warm, -1, DT, built_at=0.0)
-    cold_ex = build_extraction_system(grid, params, cold, 1, DT, built_at=0.0)
-    cold_inj = build_injection_system(grid, params, cold, 1, DT, built_at=7200.0)
+    warm_ex = build_extraction_system(grid, params, warm, -1, DT)
+    cold_ex = build_extraction_system(grid, params, cold, 1, DT)
+    cold_inj = build_injection_system(grid, params, cold, 1, DT)
+    # An extraction system (borehole row included) in the injection slot.
+    warm_inj = build_extraction_system(grid, params, warm, -1, DT)
     hx_heat = linearize_hx(float(warm[0]), 0.0, hx, "heating")
     hx_cool = linearize_hx(float(cold[0]), 0.0, hx, "cooling")
     with pytest.raises(AssemblyError):

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+import ates_mpc
 from ates_mpc import Qp, solve_qp
 from ates_mpc.errors import ParameterError
 
@@ -32,6 +37,39 @@ def test_infeasible_returns_status():
     res = solve_qp(qp)
     assert res.status == "infeasible"
     assert res.value == np.inf
+
+
+def test_infeasible_in_several_dimensions():
+    # Two parallel rows cannot both hold; the others leave z free along the
+    # face where phase-1 stops, so that stop must still read as infeasible.
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        a = rng.standard_normal(3)
+        G = np.vstack([rng.standard_normal((6, 3)), a, -a])
+        h = np.concatenate([rng.uniform(0.0, 1.0, 6), [-1.0, -0.5]])
+        res = solve_qp(Qp(H=np.eye(3), g=np.zeros(3), G=G, h=h))
+        assert res.status == "infeasible"
+
+
+def test_feasible_set_far_from_origin():
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        qp, _ = random_box_qp(rng, 3, 5)
+        shift = rng.uniform(-1e3, 1e3, 3)
+        far = Qp(H=qp.H, g=qp.g, G=qp.G, h=qp.h + qp.G @ shift)
+        res = solve_qp(far)
+        assert res.status == "optimal"
+        assert np.all(far.G @ res.z_star <= far.h + 1e-9)
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(ates_mpc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, ates_mpc; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_asymmetric_hessian_rejected():
