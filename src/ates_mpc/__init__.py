@@ -8,8 +8,7 @@ from .errors import (AssemblyError, AtesError, ControllerFault, GeometryError,
                      ParameterError, ScenarioError, SolverError,
                      StabilityError)
 from .grid import (AquiferParams, RadialGrid, build_grid,
-                   effective_heat_capacity, radial_velocity, split_state,
-                   stack_state, validate_state)
+                   effective_heat_capacity, validate_state)
 from .harness import RunReport, demand_window, replay_observer, run_closed_loop
 from .heat_exchanger import (HxLinearization, HxParams, hx_outlet_temp,
                              linearize_hx)
@@ -17,9 +16,8 @@ from .observer import (GaussianEstimate, UkfConfig, predict, project,
                        sigma_points, update)
 from .plant import (TruthConfig, TruthState, init_truth, measure,
                     restrict_to_coarse, truth_step)
-from .power import (EnergyLedger, LedgerRecord, delivered_energy,
-                    power_bilinear, power_linear, storage_weights,
-                    update_balance)
+from .power import (EnergyLedger, LedgerRecord, power_bilinear,
+                    power_linear, storage_weights, update_balance)
 from .pwa import AffineBranch, PwaModel, assemble_pwa, build_pwa, pwa_step
 from .qp import Qp, QpResult, solve_qp
 from .scenario import (Scenario, gen_synthetic_demand, load_demand_csv,
@@ -36,14 +34,13 @@ __all__ = [
     "QpResult", "RadialGrid", "RunReport", "Scenario", "ScenarioError",
     "SolverError", "StabilityError", "TruthConfig", "TruthState",
     "assemble_pwa", "build_extraction_system", "build_grid",
-    "build_injection_system", "build_pwa", "condense", "delivered_energy",
-    "demand_window", "effective_heat_capacity", "gen_synthetic_demand",
-    "hx_outlet_temp", "init_truth", "linearize_hx", "load_demand_csv",
-    "load_scenario", "measure", "power_bilinear", "power_linear",
-    "power_linear_rows", "predict", "project", "pwa_step", "radial_velocity",
-    "read_results", "receding_step", "replay_observer", "restrict_to_coarse",
-    "run_closed_loop", "scenario_from_values", "sigma_points", "solve_ocp",
-    "solve_qp", "split_state", "stack_state", "storage_weights",
-    "truth_step", "update", "update_balance", "validate_state",
-    "write_demand_csv", "write_results",
+    "build_injection_system", "build_pwa", "condense", "demand_window",
+    "effective_heat_capacity", "gen_synthetic_demand", "hx_outlet_temp",
+    "init_truth", "linearize_hx", "load_demand_csv", "load_scenario",
+    "measure", "power_bilinear", "power_linear", "power_linear_rows",
+    "predict", "project", "pwa_step", "read_results", "receding_step",
+    "replay_observer", "restrict_to_coarse", "run_closed_loop",
+    "scenario_from_values", "sigma_points", "solve_ocp", "solve_qp",
+    "storage_weights", "truth_step", "update", "update_balance",
+    "validate_state", "write_demand_csv", "write_results",
 ]

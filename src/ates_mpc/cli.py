@@ -29,11 +29,8 @@ logger = logging.getLogger(__name__)
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", default=None,
                         help="scenario config file (defaults apply when omitted)")
-    parser.add_argument("--out", default=None, help="results CSV path")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the scenario seed")
-    parser.add_argument("--steps", type=int, default=None,
-                        help="number of hourly steps (default: scenario duration)")
 
 
 def _load(args) -> "Scenario":
@@ -177,12 +174,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="closed-loop MPC run against the truth plant")
     _add_common(p)
+    p.add_argument("--out", default=None, help="results CSV path")
+    p.add_argument("--steps", type=int, default=None,
+                   help="number of hourly steps (default: scenario duration)")
     p.add_argument("--log-every", type=int, default=0,
                    help="log progress every N steps")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("sim", help="open-loop plant rollout with a flow schedule")
     _add_common(p)
+    p.add_argument("--out", default=None, help="results CSV path")
+    p.add_argument("--steps", type=int, default=None,
+                   help="number of hourly steps (default: scenario duration)")
     p.add_argument("--schedule", default=None,
                    help="comma-separated flows or CSV (second column)")
     p.add_argument("--audit", action="store_true",
@@ -191,6 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("observe", help="replay the estimator on logged results")
     _add_common(p)
+    p.add_argument("--steps", type=int, default=None,
+                   help="replay only the first N records (default: all)")
     p.add_argument("results", help="results CSV from a previous run")
     p.set_defaults(func=_cmd_observe)
 
@@ -207,6 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate-power",
                        help="compare bilinear and linear power forms")
     _add_common(p)
+    p.add_argument("--steps", type=int, default=None,
+                   help="number of model steps (default: 720)")
     p.set_defaults(func=_cmd_validate_power)
 
     p = sub.add_parser("solve-once", help="solve one OCP and print the plan")

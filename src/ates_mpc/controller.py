@@ -95,8 +95,8 @@ class PredictionMap:
     """Affine map from the blocked inputs to predicted states and powers."""
 
     mode_sequence: tuple[str, ...]
-    state_offsets: list[np.ndarray]      # N+1 vectors of length n
-    state_gains: list[np.ndarray]        # N+1 matrices n x n_blocks
+    state_offsets: np.ndarray            # (N+1) x n
+    state_gains: np.ndarray              # (N+1) x n x n_blocks
     power_offset: np.ndarray             # N, watts
     power_gain: np.ndarray               # N x n_blocks, watts per (m^3/s)
 
@@ -140,31 +140,32 @@ def power_linear_rows(grid: RadialGrid, params: AquiferParams, dt: float
 
 
 def condense(model: PwaModel, mode_sequence: tuple[str, ...], cfg: OcpConfig,
-             x0: np.ndarray, grid: RadialGrid, params: AquiferParams) -> PredictionMap:
-    """Forward-substitute the branch dynamics into an affine map of the block inputs."""
+             x0: np.ndarray, power_rows: tuple[np.ndarray, np.ndarray, float]
+             ) -> PredictionMap:
+    """Forward-substitute the branch dynamics into an affine map of the block inputs.
+
+    ``power_rows`` is ``power_linear_rows(grid, params, cfg.dt)``.
+    """
     x0 = validate_state(x0, model.nu)
-    n = model.n
     nb = len(cfg.blocks)
     if len(mode_sequence) != nb:
         raise ParameterError("mode sequence must have one mode per block")
-    block_of_step = cfg.block_of_step()
+    r_now, r_next, p_const = power_rows
 
-    r_now, r_next, p_const = power_linear_rows(grid, params, cfg.dt)
-
-    offsets = [x0.copy()]
-    gains = [np.zeros((n, nb))]
+    offsets = np.empty((cfg.horizon + 1, model.n))
+    gains = np.zeros((cfg.horizon + 1, model.n, nb))
+    offsets[0] = x0
     p_off = np.zeros(cfg.horizon)
     p_gain = np.zeros((cfg.horizon, nb))
-    for k in range(cfg.horizon):
-        j = block_of_step[k]
+    for k, j in enumerate(cfg.block_of_step()):
         branch = model.branch(MODE_SIGN[mode_sequence[j]])
-        c_next = branch.A @ offsets[k] + branch.f
-        m_next = branch.A @ gains[k]
-        m_next[:, j] += branch.b
-        offsets.append(c_next)
-        gains.append(m_next)
-        p_off[k] = r_now @ offsets[k] + r_next @ c_next + p_const
-        p_gain[k] = r_now @ gains[k] + r_next @ m_next
+        offsets[k + 1] = branch.A @ offsets[k] + branch.f
+        gains[k + 1] = branch.A @ gains[k]
+        gains[k + 1, :, j] += branch.b
+        # Kept as per-step dot products: one matrix product over all steps
+        # rounds differently and shifts the QP data.
+        p_off[k] = r_now @ offsets[k] + r_next @ offsets[k + 1] + p_const
+        p_gain[k] = r_now @ gains[k] + r_next @ gains[k + 1]
     return PredictionMap(tuple(mode_sequence), offsets, gains, p_off, p_gain)
 
 
@@ -218,20 +219,18 @@ def build_cost(pred: PredictionMap, demand: np.ndarray, b_past: float,
     rows.append(-e_s)
     rhs.append(0.0)
 
+    # Soft box rows, per predicted step k = 1..N: the n upper rows
+    # [gain_k, -1] z <= x_max - off_k, then the n lower rows
+    # [-gain_k, -1] z <= off_k - x_min.
     x_min, x_max = cfg.state_bounds(nu)
-    soft_rows = []
-    soft_rhs = []
-    for k in range(1, cfg.horizon + 1):
-        gain = pred.state_gains[k]
-        off = pred.state_offsets[k]
-        upper = np.hstack([gain, -np.ones((gain.shape[0], 1))])
-        lower = np.hstack([-gain, -np.ones((gain.shape[0], 1))])
-        soft_rows.append(upper)
-        soft_rhs.append(x_max - off)
-        soft_rows.append(lower)
-        soft_rhs.append(off - x_min)
-    soft_G = np.vstack(soft_rows)
-    soft_h = np.concatenate(soft_rhs)
+    gains = pred.state_gains[1:]
+    offsets = pred.state_offsets[1:]
+    soft_G = np.empty((cfg.horizon, 2, gains.shape[1], nv))
+    soft_G[:, 0, :, :nb] = gains
+    soft_G[:, 1, :, :nb] = -gains
+    soft_G[..., nb] = -1.0
+    soft_G = soft_G.reshape(-1, nv)
+    soft_h = np.stack([x_max - offsets, offsets - x_min], axis=1).ravel()
     # Drop soft rows that no feasible input can activate: with |u_j| bounded
     # by the input box and slack >= 0, the left-hand side never exceeds the
     # reachable bound, so provably slack rows cannot change the optimum.
@@ -254,8 +253,9 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
     nb = len(cfg.blocks)
     candidates: list[tuple[tuple[str, ...], QpResult, float, PredictionMap]] = []
     records: list[CandidateRecord] = []
+    power_rows = power_linear_rows(grid, params, cfg.dt)
     for modes in itertools.product(MODES, repeat=nb):
-        pred = condense(model, modes, cfg, x0, grid, params)
+        pred = condense(model, modes, cfg, x0, power_rows)
         qp, const, z0 = build_cost(pred, demand, b_past, cfg, model.nu)
         try:
             result = solve_qp(qp, z0=z0)
@@ -286,18 +286,8 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
     lo, hi = np.array([_flow_interval(mode, cfg) for mode in modes]).T
     u_blocks = np.clip(result.z_star[:nb], lo, hi)
 
-    # Exact rollout of the selected candidate.
-    block_of_step = cfg.block_of_step()
-    n = model.n
-    x_pred = np.zeros((cfg.horizon + 1, n))
-    x_pred[0] = validate_state(x0, model.nu)
-    r_now, r_next, p_const = power_linear_rows(grid, params, cfg.dt)
-    p_pred = np.zeros(cfg.horizon)
-    for k in range(cfg.horizon):
-        j = block_of_step[k]
-        branch = model.branch(MODE_SIGN[modes[j]])
-        x_pred[k + 1] = branch.step(x_pred[k], u_blocks[j])
-        p_pred[k] = r_now @ x_pred[k] + r_next @ x_pred[k + 1] + p_const
+    x_pred = pred.state_offsets + pred.state_gains @ u_blocks
+    p_pred = pred.power_offset + pred.power_gain @ u_blocks
 
     demand = np.asarray(demand, dtype=float)
     x_min, x_max = cfg.state_bounds(model.nu)

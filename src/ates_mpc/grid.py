@@ -83,33 +83,6 @@ def effective_heat_capacity(phi: float, c_w: float, c_r: float) -> float:
     return phi * c_w + (1.0 - phi) * c_r
 
 
-def radial_velocity(q: float, r: float, l: float) -> float:
-    """Radial flow velocity at radius r induced by volume flow q through the filter."""
-    if r <= 0.0:
-        raise GeometryError(f"radius must be positive, got {r}")
-    if l <= 0.0:
-        raise GeometryError(f"filter length must be positive, got {l}")
-    return q / (2.0 * math.pi * r * l)
-
-
-def stack_state(warm: np.ndarray, cold: np.ndarray) -> np.ndarray:
-    """Concatenate per-aquifer profiles into the stacked state."""
-    warm = np.asarray(warm, dtype=float)
-    cold = np.asarray(cold, dtype=float)
-    if warm.shape != cold.shape or warm.ndim != 1:
-        raise ParameterError("warm and cold profiles must be 1-D and equally sized")
-    return np.concatenate([warm, cold])
-
-
-def split_state(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a stacked state into (warm, cold) profiles."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size % 2 != 0:
-        raise ParameterError(f"stacked state must be 1-D with even length, got shape {x.shape}")
-    half = x.size // 2
-    return x[:half], x[half:]
-
-
 def validate_state(x: np.ndarray, nu: int) -> np.ndarray:
     """Check length 2*(nu+1) and finiteness; returns the array as float."""
     x = np.asarray(x, dtype=float)

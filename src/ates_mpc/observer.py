@@ -136,16 +136,21 @@ def project(est: GaussianEstimate, x_min: np.ndarray, x_max: np.ndarray,
         raise ParameterError("state bounds must be ordered")
     mean = est.mean.copy()
     cov = est.cov.copy()
+    moved = False
     for _ in range(max_passes):
         below = mean < x_min - 1e-12
         above = mean > x_max + 1e-12
         if not (below.any() or above.any()):
-            return GaussianEstimate(mean, cov)
+            break
+        moved = True
         targets = np.where(below, x_min, x_max)
         for j in np.nonzero(below | above)[0]:
             s = cov[j, j] + _PERFECT_MEAS_VAR
             k = cov[:, j] / s
             mean = mean + k * (targets[j] - mean[j])
-            cov = repair_psd(cov - np.outer(k, cov[j, :]), jitter=0.0)
-    mean = np.clip(mean, x_min, x_max)
-    return GaussianEstimate(mean, cov)
+            cov = cov - np.outer(k, cov[j, :])
+            cov = 0.5 * (cov + cov.T)
+    else:
+        mean = np.clip(mean, x_min, x_max)
+    # Each update keeps cov symmetric; one PSD repair after the last.
+    return GaussianEstimate(mean, repair_psd(cov, jitter=0.0) if moved else cov)

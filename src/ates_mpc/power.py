@@ -50,11 +50,6 @@ def power_linear(x_now: np.ndarray, x_next: np.ndarray, grid: RadialGrid,
     return loss - storage
 
 
-def delivered_energy(powers, dt: float) -> float:
-    """Sum of powers times the sampling time, in joules."""
-    return dt * float(np.sum(np.asarray(powers, dtype=float))) if len(powers) else 0.0
-
-
 @dataclass
 class LedgerRecord:
     t: float

@@ -8,6 +8,7 @@ are broken by lowest row index.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,8 +165,9 @@ def solve_qp(qp: Qp, z0: np.ndarray | None = None) -> QpResult:
         stall = stall + 1 if alpha <= 1e-14 else 0
         z = z + alpha * step
         if blocking >= 0:
-            work.append(blocking)
-            work = _prune_dependent(G, sorted(work), m)
+            # G_blocking . step > 0 while G_w . step = 0 on the working set,
+            # so the blocking row is independent of it: no prune needed.
+            bisect.insort(work, blocking)
 
     raise SolverError(f"active-set iteration cap {max_iter} exceeded")
 

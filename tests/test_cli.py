@@ -54,6 +54,13 @@ def test_solve_once_prints_sorted_candidates(capsys):
     assert costs == sorted(costs)
 
 
+def test_solve_once_rejects_out_flag(tmp_path, capsys):
+    # solve-once writes no file, so --out (and --steps) are usage errors.
+    assert main(["solve-once", "--out", str(tmp_path / "x.csv")]) == 1
+    assert main(["solve-once", "--steps", "3"]) == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_observe_replays_run(tmp_path, capsys):
     out = tmp_path / "results.csv"
     assert main(["run", "--steps", "3", "--out", str(out)]) == 0

@@ -48,7 +48,7 @@ def test_state_bounds_layout(cfg):
 def test_condense_dimensions(grid, params, hx, cfg, ambient_state):
     model = build_pwa(grid, params, hx, DT, ambient_state, 0.0)
     pred = condense(model, ("heating", "storing", "cooling"), cfg,
-                    ambient_state, grid, params)
+                    ambient_state, power_linear_rows(grid, params, DT))
     assert len(pred.state_offsets) == 13
     assert all(o.shape == (42,) for o in pred.state_offsets)
     assert all(g.shape == (42, 3) for g in pred.state_gains)
@@ -60,7 +60,7 @@ def test_condense_dimensions(grid, params, hx, cfg, ambient_state):
 def test_condense_storing_has_zero_gain(grid, params, hx, cfg, ambient_state):
     model = build_pwa(grid, params, hx, DT, ambient_state, 0.0)
     pred = condense(model, ("storing", "storing", "storing"), cfg,
-                    ambient_state, grid, params)
+                    ambient_state, power_linear_rows(grid, params, DT))
     assert all(np.all(g == 0.0) for g in pred.state_gains)
     # Offsets reproduce the storing rollout.
     x = ambient_state.copy()
@@ -73,7 +73,7 @@ def test_condense_matches_direct_rollout(grid, params, hx, cfg):
     x0 = charged_state(grid, params)
     model = build_pwa(grid, params, hx, DT, x0, 0.01)
     modes = ("heating", "storing", "cooling")
-    pred = condense(model, modes, cfg, x0, grid, params)
+    pred = condense(model, modes, cfg, x0, power_linear_rows(grid, params, DT))
     u_blocks = np.array([0.02, 0.0, -0.015])
     block_of_step = cfg.block_of_step()
     x = x0.copy()
@@ -87,6 +87,29 @@ def test_condense_matches_direct_rollout(grid, params, hx, cfg):
         p_cond = pred.power_offset[k] + pred.power_gain[k] @ u_blocks
         assert p_cond == pytest.approx(p_direct, abs=1e-3)
         x = x_next_direct
+
+
+def test_soft_rows_match_per_step_reference(grid, params, hx, cfg):
+    # Reference: the soft box rows assembled one predicted step at a time.
+    x0 = charged_state(grid, params)
+    model = build_pwa(grid, params, hx, DT, x0, 0.01)
+    pred = condense(model, ("heating", "storing", "cooling"), cfg, x0,
+                    power_linear_rows(grid, params, DT))
+    qp, _, z0 = build_cost(pred, np.full(12, 1e6), 0.0, cfg, grid.nu)
+    x_min, x_max = cfg.state_bounds(grid.nu)
+    rows, rhs = [], []
+    for k in range(1, 13):
+        gain, off = pred.state_gains[k], pred.state_offsets[k]
+        minus_one = -np.ones((gain.shape[0], 1))
+        rows += [np.hstack([gain, minus_one]), np.hstack([-gain, minus_one])]
+        rhs += [x_max - off, off - x_min]
+    soft_G, soft_h = np.vstack(rows), np.concatenate(rhs)
+    keep = np.abs(soft_G[:, :3]).sum(axis=1) * U_MAX >= soft_h - 1e-9
+    assert 0 < keep.sum() < keep.size
+    # 7 input-box and slack rows come first.
+    assert np.array_equal(qp.G[7:], soft_G[keep])
+    assert np.array_equal(qp.h[7:], soft_h[keep])
+    assert z0[3] == max(0.0, float(np.max(-soft_h))) + 1e-9
 
 
 def test_pure_input_penalty_prefers_zero_flow(grid, params, hx):
@@ -173,7 +196,8 @@ def test_determinism(grid, params, hx, cfg):
 def test_build_cost_feasible_start(grid, params, hx, cfg):
     x0 = charged_state(grid, params)
     model = build_pwa(grid, params, hx, DT, x0, 0.0)
-    pred = condense(model, ("heating", "heating", "heating"), cfg, x0, grid, params)
+    pred = condense(model, ("heating", "heating", "heating"), cfg, x0,
+                    power_linear_rows(grid, params, DT))
     qp, const, z0 = build_cost(pred, np.full(12, 1e6), 0.0, cfg, 20)
     assert np.all(qp.G @ z0 <= qp.h + 1e-9)
     assert np.isfinite(const)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from ates_mpc import (GeometryError, ParameterError, build_grid,
-                      effective_heat_capacity, radial_velocity, split_state,
-                      stack_state, validate_state)
+                      effective_heat_capacity, validate_state)
 
 
 def test_standard_grid_spacing_and_cells():
@@ -58,36 +57,6 @@ def test_effective_heat_capacity_limits():
 def test_effective_heat_capacity_bad_porosity():
     with pytest.raises(ParameterError):
         effective_heat_capacity(1.5, 4.2e6, 4.575e6)
-
-
-def test_radial_velocity_value():
-    assert radial_velocity(0.0277, 0.4, 38.0) == pytest.approx(2.9004e-4, rel=1e-4)
-
-
-def test_radial_velocity_zero_and_odd():
-    assert radial_velocity(0.0, 3.0, 38.0) == 0.0
-    assert radial_velocity(-0.0277, 0.4, 38.0) == pytest.approx(-2.9004e-4, rel=1e-4)
-    assert radial_velocity(-0.0277, 0.4, 38.0) == -radial_velocity(0.0277, 0.4, 38.0)
-
-
-def test_radial_velocity_decreasing_in_r():
-    radii = np.linspace(0.4, 60.0, 50)
-    v = [radial_velocity(0.0277, r, 38.0) for r in radii]
-    assert np.all(np.diff(v) < 0)
-
-
-def test_radial_velocity_singularity():
-    with pytest.raises(GeometryError):
-        radial_velocity(0.1, 0.0, 38.0)
-
-
-def test_stack_split_round_trip():
-    warm = np.linspace(285.0, 290.0, 21)
-    cold = np.linspace(280.0, 284.0, 21)
-    x = stack_state(warm, cold)
-    w, c = split_state(x)
-    assert np.array_equal(w, warm)
-    assert np.array_equal(c, cold)
 
 
 def test_validate_state():

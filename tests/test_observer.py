@@ -155,6 +155,27 @@ def test_project_correlated_shifts_neighbors():
     assert eig.min() >= -1e-10
 
 
+def test_project_many_correlated_violations():
+    # The ambient start: warm_min = cold_max = t_amb, and a filtered mean a
+    # little below ambient in the warm aquifer and above it in the cold one
+    # violates most components at once, under a strongly correlated
+    # covariance.
+    t_amb, m = 284.85, 21
+    x_min = np.concatenate([np.full(m, t_amb), np.full(m, 273.15)])
+    x_max = np.concatenate([np.full(m, 293.15), np.full(m, t_amb)])
+    r = np.arange(m, dtype=float)
+    kernel = 0.04 * np.exp(-0.5 * ((r[:, None] - r[None, :]) / 4.0) ** 2)
+    cov = np.kron(np.array([[1.0, 0.5], [0.5, 1.0]]), kernel) + 1e-4 * np.eye(2 * m)
+    offset = 0.02 * np.sin(0.3 * r) - 0.01
+    mean = np.concatenate([t_amb + offset, t_amb - offset])
+    assert (np.sum(mean < x_min) + np.sum(mean > x_max)) >= 20
+    out = project(GaussianEstimate(mean, cov), x_min, x_max)
+    assert np.all(out.mean >= x_min - 1e-9)
+    assert np.all(out.mean <= x_max + 1e-9)
+    assert np.array_equal(out.cov, out.cov.T)
+    assert np.linalg.eigvalsh(out.cov).min() >= -1e-12
+
+
 def test_project_bad_bounds():
     est = GaussianEstimate(np.zeros(2), np.eye(2))
     with pytest.raises(ParameterError):

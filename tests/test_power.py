@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from ates_mpc import (EnergyLedger, ParameterError, build_pwa,
-                      delivered_energy, power_bilinear, power_linear,
-                      pwa_step, storage_weights, update_balance)
+from ates_mpc import (EnergyLedger, ParameterError, build_pwa, power_bilinear,
+                      power_linear, pwa_step, storage_weights, update_balance)
 
 DT = 3600.0
 
@@ -65,15 +64,6 @@ def test_storing_step_gap_is_conduction_loss(grid, params, hx):
     assert power_bilinear(x, 0.0, params.c_w) == 0.0
     assert np.isfinite(p_lin)
     assert abs(p_lin) < 50e3  # pure relaxation, far below delivery scale
-
-
-def test_delivered_energy():
-    assert delivered_energy([], DT) == 0.0
-    assert delivered_energy([1e6] * 12, DT) == pytest.approx(4.32e10)
-    a = [1e5, -2e5, 3e5]
-    b = [4e5, 5e5]
-    assert delivered_energy(a + b, DT) == pytest.approx(
-        delivered_energy(a, DT) + delivered_energy(b, DT))
 
 
 def test_update_balance_accumulates():

@@ -156,3 +156,21 @@ def test_random_qps_against_grid_oracle():
         assert abs(res.value - oracle_val) <= 1e-4 * max(1.0, abs(oracle_val))
         checked += 1
     assert checked >= 40
+
+
+def test_working_set_stays_independent():
+    # The problems of acceptance criterion [5]: the final active set is a
+    # linearly independent set of rows even though rows entering the working
+    # set are no longer re-pruned.
+    rng = np.random.default_rng(5)
+    optimal = 0
+    for _ in range(250):
+        m = int(rng.integers(1, 4))
+        qp, _ = random_box_qp(rng, m, int(rng.integers(0, 31)))
+        res = solve_qp(qp)
+        if res.status != "optimal":
+            continue
+        active = list(res.active_set)
+        assert np.linalg.matrix_rank(qp.G[active]) == len(active)
+        optimal += 1
+    assert optimal >= 200
