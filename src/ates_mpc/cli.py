@@ -158,10 +158,12 @@ def _cmd_solve_once(args) -> int:
     print(f"cost: {solution.cost:.6f}  (slack used: {solution.slack_used:.3e} K)")
     for name, value in solution.cost_terms.items():
         print(f"  {name}: {value:.6f}")
+    # A pruned candidate's QP was not solved; its cost is its lower bound.
     print("candidates (sorted by cost):")
     for rec in sorted(solution.per_candidate, key=lambda r: r.cost):
+        label = "bound" if rec.status == "pruned" else "cost"
         print(f"  {' '.join(m[:4] for m in rec.mode_sequence):<16} "
-              f"{rec.status:<10} cost {rec.cost:.6f}")
+              f"{rec.status:<10} {label} {rec.cost:.6f}")
     return 0
 
 

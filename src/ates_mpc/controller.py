@@ -2,9 +2,13 @@
 
 Move blocking fixes the input to one value per horizon segment, so each of the
 3^3 = 27 blocked mode sequences yields a small dense QP after condensing the
-piecewise-affine dynamics.  All candidates are solved and the cheapest
-feasible one wins; state box constraints are softened with a single quadratic
-slack so the controller always emits an input.
+piecewise-affine dynamics; all 27 are condensed in one batch.  The search is
+an exact bound-and-prune: each sequence's unconstrained minimum bounds its QP
+from below, QPs are solved in ascending bound order, and a sequence whose
+bound exceeds the best cost so far by more than the near-tie tolerance is
+pruned unsolved.  The cheapest feasible sequence wins, exactly as if all 27
+were solved; state box constraints are softened with a single quadratic slack
+so the controller always emits an input.
 
 The objective is evaluated with powers in MW throughout: the tracking term
 compares predicted and demanded power in MW, and the energy-balance term
@@ -92,13 +96,17 @@ class OcpConfig:
 
 @dataclass(frozen=True)
 class PredictionMap:
-    """Affine map from the blocked inputs to predicted states and powers."""
+    """Affine maps from the blocked inputs to predicted states and powers.
 
-    mode_sequence: tuple[str, ...]
-    state_offsets: np.ndarray            # (N+1) x n
-    state_gains: np.ndarray              # (N+1) x n x n_blocks
-    power_offset: np.ndarray             # N, watts
-    power_gain: np.ndarray               # N x n_blocks, watts per (m^3/s)
+    One map per mode sequence, stacked along the leading axis in
+    ``itertools.product(MODES, repeat=n_blocks)`` order.
+    """
+
+    mode_sequences: tuple[tuple[str, ...], ...]
+    state_offsets: np.ndarray            # S x (N+1) x n
+    state_gains: np.ndarray              # S x (N+1) x n x n_blocks
+    power_offset: np.ndarray             # S x N, watts
+    power_gain: np.ndarray               # S x N x n_blocks, watts per (m^3/s)
 
 
 @dataclass(frozen=True)
@@ -139,47 +147,61 @@ def power_linear_rows(grid: RadialGrid, params: AquiferParams, dt: float
     return r_now, r_next, const
 
 
-def condense(model: PwaModel, mode_sequence: tuple[str, ...], cfg: OcpConfig,
-             x0: np.ndarray, power_rows: tuple[np.ndarray, np.ndarray, float]
-             ) -> PredictionMap:
-    """Forward-substitute the branch dynamics into an affine map of the block inputs.
+def condense(model: PwaModel, cfg: OcpConfig, x0: np.ndarray,
+             power_rows: tuple[np.ndarray, np.ndarray, float]) -> PredictionMap:
+    """Forward-substitute the branch dynamics of every mode sequence at once.
 
+    The sequences are held on a (3,) * n_blocks grid, one axis per block.  At
+    a step of block j the three branches are stacked along axis j, so one
+    broadcast product applies each branch to the sequences in its mode.
     ``power_rows`` is ``power_linear_rows(grid, params, cfg.dt)``.
     """
     x0 = validate_state(x0, model.nu)
     nb = len(cfg.blocks)
-    if len(mode_sequence) != nb:
-        raise ParameterError("mode sequence must have one mode per block")
+    n_steps = cfg.horizon + 1
     r_now, r_next, p_const = power_rows
+    branches = [model.branch(MODE_SIGN[mode]) for mode in MODES]
+    A = np.stack([branch.A for branch in branches])
+    b = np.stack([branch.b for branch in branches])
+    f = np.stack([branch.f for branch in branches])
 
-    offsets = np.empty((cfg.horizon + 1, model.n))
-    gains = np.zeros((cfg.horizon + 1, model.n, nb))
-    offsets[0] = x0
-    p_off = np.zeros(cfg.horizon)
-    p_gain = np.zeros((cfg.horizon, nb))
+    grid_shape = (len(MODES),) * nb
+    offsets = np.empty(grid_shape + (n_steps, model.n))
+    gains = np.zeros(grid_shape + (n_steps, model.n, nb))
+    offsets[..., 0, :] = x0
     for k, j in enumerate(cfg.block_of_step()):
-        branch = model.branch(MODE_SIGN[mode_sequence[j]])
-        offsets[k + 1] = branch.A @ offsets[k] + branch.f
-        gains[k + 1] = branch.A @ gains[k]
-        gains[k + 1, :, j] += branch.b
-        # Kept as per-step dot products: one matrix product over all steps
-        # rounds differently and shifts the QP data.
-        p_off[k] = r_now @ offsets[k] + r_next @ offsets[k + 1] + p_const
-        p_gain[k] = r_now @ gains[k] + r_next @ gains[k + 1]
-    return PredictionMap(tuple(mode_sequence), offsets, gains, p_off, p_gain)
+        on_axis_j = (1,) * j + (len(MODES),) + (1,) * (nb - 1 - j)
+        A_j = A.reshape(on_axis_j + A.shape[1:])
+        # Stacked forms that round like the one-sequence products A @ x.
+        offsets[..., k + 1, :] = (np.matmul(A_j, offsets[..., k, :, None])[..., 0]
+                                  + f.reshape(on_axis_j + f.shape[1:]))
+        gains[..., k + 1, :, :] = A_j @ gains[..., k, :, :]
+        gains[..., k + 1, :, j] += b.reshape(on_axis_j + b.shape[1:])
+    # The grid flattened in C order is itertools.product order.
+    offsets = offsets.reshape(-1, n_steps, model.n)
+    gains = gains.reshape(-1, n_steps, model.n, nb)
+    # Per-step dot products r . x(k): one matrix product over all steps
+    # rounds differently and shifts the QP data.
+    p_off = ((offsets[:, :-1, None, :] @ r_now)[..., 0]
+             + (offsets[:, 1:, None, :] @ r_next)[..., 0] + p_const)
+    p_gain = r_now @ gains[:, :-1] + r_next @ gains[:, 1:]
+    return PredictionMap(tuple(itertools.product(MODES, repeat=nb)),
+                         offsets, gains, p_off, p_gain)
 
 
 def build_cost(pred: PredictionMap, demand: np.ndarray, b_past: float,
-               cfg: OcpConfig, nu: int) -> tuple[Qp, float, np.ndarray]:
-    """Quadratic cost and constraints over (block inputs, shared slack).
+               cfg: OcpConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Quadratic cost of every sequence over (block inputs, shared slack).
 
-    Returns the Qp, the constant cost offset, and a feasible starting point.
+    Returns the stacked Hessians (S x nv x nv), gradients (S x nv) and
+    constant offsets (S,).
     """
     demand = np.asarray(demand, dtype=float)
     if demand.size != cfg.horizon:
         raise ParameterError(f"demand must have {cfg.horizon} entries, got {demand.size}")
     nb = len(cfg.blocks)
     nv = nb + 1  # blocks + slack
+    n_seq = len(pred.mode_sequences)
 
     p_gain_mw = pred.power_gain / W_PER_MW
     p_err_mw = (pred.power_offset - demand) / W_PER_MW
@@ -187,22 +209,35 @@ def build_cost(pred: PredictionMap, demand: np.ndarray, b_past: float,
     # average power in MW over the balance window, so it shares the tracking
     # term's scale.
     balance_s = cfg.balance_hours * 3600.0
-    e_gain = cfg.dt * p_gain_mw.sum(axis=0) / balance_s
-    e_off = (cfg.dt * pred.power_offset.sum() + b_past) / (balance_s * W_PER_MW)
+    e_gain = cfg.dt * p_gain_mw.sum(axis=1) / balance_s
+    e_off = (cfg.dt * pred.power_offset.sum(axis=1) + b_past) / (balance_s * W_PER_MW)
     block_len = np.asarray(cfg.blocks, dtype=float)
 
-    H = np.zeros((nv, nv))
-    g = np.zeros(nv)
-    H[:nb, :nb] = 2.0 * (cfg.q_d * p_gain_mw.T @ p_gain_mw
-                         + np.diag(cfg.q_u * block_len)
-                         + cfg.q_e * np.outer(e_gain, e_gain))
-    g[:nb] = 2.0 * (cfg.q_d * p_gain_mw.T @ p_err_mw + cfg.q_e * e_off * e_gain)
-    H[nb, nb] = 2.0 * cfg.slack_weight
-    const = cfg.q_d * float(p_err_mw @ p_err_mw) + cfg.q_e * e_off**2
+    weighted_t = cfg.q_d * p_gain_mw.transpose(0, 2, 1)
+    H = np.zeros((n_seq, nv, nv))
+    g = np.zeros((n_seq, nv))
+    H[:, :nb, :nb] = 2.0 * (weighted_t @ p_gain_mw
+                            + np.diag(cfg.q_u * block_len)
+                            + cfg.q_e * (e_gain[:, :, None] * e_gain[:, None, :]))
+    g[:, :nb] = 2.0 * (np.matmul(weighted_t, p_err_mw[:, :, None])[..., 0]
+                       + cfg.q_e * e_off[:, None] * e_gain)
+    H[:, nb, nb] = 2.0 * cfg.slack_weight
+    # float_power rounds like the one-sequence scalar e_off**2; the array
+    # square x*x differs in the last bit about once in a thousand.
+    const = (cfg.q_d * np.vecdot(p_err_mw, p_err_mw)
+             + cfg.q_e * np.float_power(e_off, 2))
+    return H, g, const
 
+
+def candidate_qp(pred: PredictionMap, s: int, H: np.ndarray, g: np.ndarray,
+                 cfg: OcpConfig, nu: int) -> tuple[Qp, np.ndarray]:
+    """QP of sequence ``s``: its cost ``H, g`` with the input box, slack and
+    soft state rows.  Returns the Qp and a feasible starting point."""
+    nb = len(cfg.blocks)
+    nv = nb + 1
     rows: list[np.ndarray] = []
     rhs: list[float] = []
-    for j, mode in enumerate(pred.mode_sequence):
+    for j, mode in enumerate(pred.mode_sequences[s]):
         e_j = np.zeros(nv)
         e_j[j] = 1.0
         lo, hi = _flow_interval(mode, cfg)
@@ -223,8 +258,8 @@ def build_cost(pred: PredictionMap, demand: np.ndarray, b_past: float,
     # [gain_k, -1] z <= x_max - off_k, then the n lower rows
     # [-gain_k, -1] z <= off_k - x_min.
     x_min, x_max = cfg.state_bounds(nu)
-    gains = pred.state_gains[1:]
-    offsets = pred.state_offsets[1:]
+    gains = pred.state_gains[s, 1:]
+    offsets = pred.state_offsets[s, 1:]
     soft_G = np.empty((cfg.horizon, 2, gains.shape[1], nv))
     soft_G[:, 0, :, :nb] = gains
     soft_G[:, 1, :, :nb] = -gains
@@ -244,19 +279,53 @@ def build_cost(pred: PredictionMap, demand: np.ndarray, b_past: float,
     s0 = max(0.0, float(np.max(-soft_h))) + 1e-9
     z0 = np.zeros(nv)
     z0[nb] = s0
-    return Qp(H, g, G, h), const, z0
+    return Qp(H, g, G, h), z0
+
+
+def _lower_bounds(H: np.ndarray, g: np.ndarray, const: np.ndarray) -> np.ndarray:
+    """Unconstrained minimum ``const - g'H^-1 g / 2`` of each sequence's cost.
+
+    It bounds the QP optimum from below; the slack has no linear term, so its
+    minimum is at zero and only the block inputs enter.  A storing block has
+    a zero gain column and a zero gradient entry, so it contributes nothing.
+    """
+    nb = H.shape[1] - 1
+    g_u = g[:, :nb]
+    try:
+        step = np.linalg.solve(H[:, :nb, :nb], g_u[:, :, None])[..., 0]
+    except np.linalg.LinAlgError:
+        # A singular block Hessian (zero input weight): bound nothing.
+        return np.full(const.shape, -np.inf)
+    return const - 0.5 * np.sum(g_u * step, axis=1)
 
 
 def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
               model: PwaModel, grid: RadialGrid, params: AquiferParams) -> OcpSolution:
-    """Enumerate all blocked mode sequences, solve each QP, return the best."""
+    """Exact bound-and-prune over all blocked mode sequences; returns the best.
+
+    Sequences are solved in ascending order of their unconstrained lower
+    bound.  One whose bound exceeds the incumbent by more than the near-tie
+    tolerance cannot win nor tie, so its QP is skipped and it is recorded as
+    ``"pruned"`` with its bound as cost.
+    """
     nb = len(cfg.blocks)
-    candidates: list[tuple[tuple[str, ...], QpResult, float, PredictionMap]] = []
-    records: list[CandidateRecord] = []
-    power_rows = power_linear_rows(grid, params, cfg.dt)
-    for modes in itertools.product(MODES, repeat=nb):
-        pred = condense(model, modes, cfg, x0, power_rows)
-        qp, const, z0 = build_cost(pred, demand, b_past, cfg, model.nu)
+    pred = condense(model, cfg, x0, power_linear_rows(grid, params, cfg.dt))
+    H, g, const = build_cost(pred, demand, b_past, cfg)
+    bounds = _lower_bounds(H, g, const)
+    candidates: list[tuple[tuple[str, ...], QpResult, float, int]] = []
+    records: list[CandidateRecord | None] = [None] * len(bounds)
+    incumbent = np.inf
+    for s in np.argsort(bounds, kind="stable"):
+        modes = pred.mode_sequences[s]
+        # The incumbent only falls and costs are >= 0, so its tolerance is at
+        # least the final one: a pruned sequence never enters the near-tie
+        # set.  The margin covers rounding in the bound itself.
+        margin = 1e-12 * max(abs(bounds[s]), const[s])
+        if bounds[s] - margin > incumbent + 1e-9 * max(1.0, abs(incumbent)):
+            records[s] = CandidateRecord(modes, "pruned", float(bounds[s]),
+                                         np.full(nb, np.nan), np.nan, np.nan)
+            continue
+        qp, z0 = candidate_qp(pred, s, H[s], g[s], cfg, model.nu)
         try:
             result = solve_qp(qp, z0=z0)
         except SolverError:
@@ -264,13 +333,14 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
             result = QpResult(np.full(qp.m, np.nan), np.inf, "stalled",
                               np.inf, ())
         # A failed result carries value inf and NaN z_star.
-        total = result.value + const
-        records.append(CandidateRecord(modes, result.status, total,
-                                       result.z_star[:nb].copy(),
-                                       float(result.z_star[nb]),
-                                       result.kkt_residual))
+        total = result.value + const[s]
+        records[s] = CandidateRecord(modes, result.status, total,
+                                     result.z_star[:nb].copy(),
+                                     float(result.z_star[nb]),
+                                     result.kkt_residual)
         if result.status == "optimal":
-            candidates.append((modes, result, total, pred))
+            candidates.append((modes, result, total, s))
+            incumbent = min(incumbent, total)
 
     if not candidates:
         raise ControllerFault("all candidate mode sequences infeasible")
@@ -281,13 +351,13 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
     near.sort(key=lambda c: (-c[0].count("storing"),
                              float(np.linalg.norm(c[1].z_star[:nb])),
                              c[0]))
-    modes, result, total, pred = near[0]
+    modes, result, total, s = near[0]
 
     lo, hi = np.array([_flow_interval(mode, cfg) for mode in modes]).T
     u_blocks = np.clip(result.z_star[:nb], lo, hi)
 
-    x_pred = pred.state_offsets + pred.state_gains @ u_blocks
-    p_pred = pred.power_offset + pred.power_gain @ u_blocks
+    x_pred = pred.state_offsets[s] + pred.state_gains[s] @ u_blocks
+    p_pred = pred.power_offset[s] + pred.power_gain[s] @ u_blocks
 
     demand = np.asarray(demand, dtype=float)
     x_min, x_max = cfg.state_bounds(model.nu)

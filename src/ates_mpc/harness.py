@@ -41,6 +41,11 @@ class RunReport:
     steps: int
     est_bound_violation_k: float = 0.0  # worst estimate excursion past the box [K]
     u_abs_max: float = 0.0
+    # Over the run: steps whose OCP faulted and fell back to storing, and
+    # the candidate QPs solved and stalled at the steps that returned a plan.
+    controller_faults: int = 0
+    qps_solved: int = 0
+    stalled_candidates: int = 0
     error_series: np.ndarray = field(repr=False, default=None)  # spatial-mean |err| per step
     records: list[dict] = field(repr=False, default_factory=list)
 
@@ -96,6 +101,7 @@ def run_closed_loop(scenario: Scenario, steps: int | None = None,
     power_errors = np.zeros(steps)
     solve_ms = np.zeros(steps)
     est_violation = 0.0
+    faults = qps_solved = stalled = 0
     records: list[dict] = []
 
     for k in range(steps):
@@ -108,10 +114,14 @@ def run_closed_loop(scenario: Scenario, steps: int | None = None,
             solution = solve_ocp(est.mean, window, ledger.b_past, ocp, model,
                                  grid, params)
             u = receding_step(solution)
+            statuses = [rec.status for rec in solution.per_candidate]
+            qps_solved += len(statuses) - statuses.count("pruned")
+            stalled += statuses.count("stalled")
         except ControllerFault:
             logger.warning("controller fault at step %d, storing fallback", k)
             solution = None
             u = 0.0
+            faults += 1
         solve_ms[k] = (time.perf_counter() - t0) * 1e3
 
         # Error statistics compare the filtered estimate against the truth at
@@ -179,6 +189,9 @@ def run_closed_loop(scenario: Scenario, steps: int | None = None,
         steps=steps,
         est_bound_violation_k=est_violation,
         u_abs_max=float(max((abs(r["u_applied"]) for r in records), default=0.0)),
+        controller_faults=faults,
+        qps_solved=qps_solved,
+        stalled_candidates=stalled,
         error_series=err_series,
         records=records,
     )
@@ -202,6 +215,9 @@ def report_summary(report: RunReport) -> dict:
         "solve_ms_max": report.solve_ms_max,
         "est_bound_violation_k": report.est_bound_violation_k,
         "u_abs_max": report.u_abs_max,
+        "controller_faults": report.controller_faults,
+        "qps_solved": report.qps_solved,
+        "stalled_candidates": report.stalled_candidates,
     }
 
 

@@ -46,6 +46,7 @@ class QpResult:
     kkt_residual: float
     active_set: tuple[int, ...]
     duals: np.ndarray | None = None
+    iterations: int = 0  # active-set iterations, phase-1 included
 
 
 def _regularize(H: np.ndarray) -> np.ndarray:
@@ -55,11 +56,20 @@ def _regularize(H: np.ndarray) -> np.ndarray:
     return H
 
 
-def _feasible_point(G: np.ndarray, h: np.ndarray, m: int) -> np.ndarray | None:
+def _iteration_cap(m: int, p: int) -> int:
+    # Active-set iterations scale with the constraint count; a tight cap keeps
+    # a degenerate stall cheap (callers treat the raised error as a failed
+    # candidate).
+    return 100 + 10 * m + 2 * p
+
+
+def _feasible_point(G: np.ndarray, h: np.ndarray, m: int
+                    ) -> tuple[np.ndarray | None, int]:
     """Phase-1 on this solver: minimize the largest violation s over (z, s).
 
     Subject to G z - s <= h and -s <= 0; z = 0 with s above the worst
-    violation of z = 0 is a feasible start.
+    violation of z = 0 is a feasible start.  Returns the point (None if
+    infeasible) and the iterations spent.
     """
     G1 = np.zeros((G.shape[0] + 1, m + 1))
     G1[:-1, :m] = G
@@ -67,15 +77,14 @@ def _feasible_point(G: np.ndarray, h: np.ndarray, m: int) -> np.ndarray | None:
     e_s = np.eye(m + 1)[m]
     z0 = (max(0.0, float(np.max(-h))) + 1.0) * e_s
     try:
-        z = solve_qp(Qp(np.zeros((m + 1, m + 1)), e_s, G1, np.append(h, 0.0)),
-                     z0).z_star
+        res = solve_qp(Qp(np.zeros((m + 1, m + 1)), e_s, G1, np.append(h, 0.0)),
+                       z0)
     except SolverError:
-        # At a stationary point with s > 0 the working set need not pin z,
-        # and along the free directions the 1e-10 regularization leaves steps
-        # at rounding level, so the iteration can stall there.  An LP's
-        # stationary points are optimal, so such a stall means infeasible.
-        return None
-    return None if z[m] > 1e-7 else z[:m]
+        # An LP's stationary points are optimal, so a stall short of s = 0
+        # means infeasible.
+        return None, _iteration_cap(m + 1, G1.shape[0])
+    z = res.z_star
+    return (None if z[m] > 1e-7 else z[:m]), res.iterations
 
 
 def _kkt_residual(qp: Qp, z: np.ndarray, lam: np.ndarray) -> float:
@@ -100,24 +109,23 @@ def solve_qp(qp: Qp, z0: np.ndarray | None = None) -> QpResult:
     m = qp.m
     p = G.shape[0]
 
+    phase1 = 0
     if z0 is not None and np.all(G @ z0 <= h + _FEAS_TOL):
         z = np.asarray(z0, dtype=float).copy()
     elif p == 0:
         z = np.zeros(m)
     else:
-        z = _feasible_point(G, h, m)
+        z, phase1 = _feasible_point(G, h, m)
         if z is None:
-            return QpResult(np.full(m, np.nan), np.inf, "infeasible", np.inf, ())
+            return QpResult(np.full(m, np.nan), np.inf, "infeasible", np.inf, (),
+                            iterations=phase1)
     work: list[int] = np.nonzero(np.abs(G @ z - h) <= _FEAS_TOL)[0].tolist()
     # Keep at most m linearly independent rows in the working set.
     work = _prune_dependent(G, work, m)
 
-    # Active-set iterations scale with the constraint count; a tight cap keeps
-    # a degenerate stall cheap (callers treat the raised error as a failed
-    # candidate).
-    max_iter = 100 + 10 * m + 2 * p
+    max_iter = _iteration_cap(m, p)
     stall = 0  # consecutive iterations without primal progress
-    for _ in range(max_iter):
+    for it in range(max_iter):
         try:
             sol = np.linalg.solve(*_kkt_system(H, g, G, z, work))
         except np.linalg.LinAlgError:
@@ -127,14 +135,22 @@ def solve_qp(qp: Qp, z0: np.ndarray | None = None) -> QpResult:
         step = sol[:m]
         lam_w = sol[m:]
 
-        if float(np.abs(step).max(initial=0.0)) <= 1e-11 * max(1.0, float(np.abs(z).max())):
+        # A step is zero when it is at rounding level, or when its model
+        # decrease 1/2 step'H step is: along directions the working set leaves
+        # free, a (nearly) linear objective, as in phase-1, otherwise drifts
+        # at rounding level until the iteration cap.
+        tiny = float(np.abs(step).max(initial=0.0)) <= 1e-11 * max(1.0, float(np.abs(z).max()))
+        if not tiny:
+            objective = 0.5 * float(z @ H @ z) + float(g @ z)
+            tiny = 0.5 * float(step @ H @ step) <= 1e-14 * max(1.0, abs(objective))
+        if tiny:
             if nw == 0 or lam_w.min(initial=0.0) >= -1e-9:
                 lam_full = np.zeros(p)
                 lam_full[work] = np.maximum(lam_w, 0.0)
                 value = 0.5 * float(z @ qp.H @ z) + float(qp.g @ z)
                 res = _kkt_residual(qp, z, lam_full)
                 return QpResult(z, value, "optimal", res, tuple(sorted(work)),
-                                lam_full)
+                                lam_full, phase1 + it + 1)
             # Drop the most negative multiplier (lowest index on ties); after
             # a long degenerate stall switch to Bland's rule (lowest
             # constraint index with a negative multiplier), which cannot

@@ -27,7 +27,10 @@ def test_run_small_writes_results_and_summary(tmp_path, capsys):
     assert main(["run", "--steps", "3", "--out", str(out)]) == 0
     records = read_results(str(out))
     assert len(records) == 3
-    assert (tmp_path / "results.csv.summary.txt").exists()
+    summary = (tmp_path / "results.csv.summary.txt").read_text()
+    assert "controller_faults: 0" in summary
+    assert "stalled_candidates: 0" in summary
+    assert "qps_solved: " in summary
     text = capsys.readouterr().out
     assert "final balance" in text
 
@@ -48,9 +51,15 @@ def test_solve_once_prints_sorted_candidates(capsys):
     out = capsys.readouterr().out
     assert "mode sequence:" in out
     assert "candidates (sorted by cost):" in out
-    costs = [float(line.rsplit("cost", 1)[1]) for line in out.splitlines()
-             if "optimal" in line or "infeasible" in line]
+    statuses = ("optimal", "infeasible", "stalled", "pruned")
+    lines = [line.split() for line in out.splitlines()
+             if any(status in line for status in statuses)]
+    costs = [float(fields[-1]) for fields in lines]
     assert len(costs) == 27
+    # Pruned candidates show their lower bound.
+    assert all(fields[-2] == ("bound" if "pruned" in fields else "cost")
+               for fields in lines)
+    assert any("pruned" in fields for fields in lines)
     assert costs == sorted(costs)
 
 

@@ -1,9 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from ates_mpc import (OcpConfig, ParameterError, build_pwa, power_bilinear,
-                      pwa_step, receding_step, solve_ocp)
-from ates_mpc.controller import MODE_SIGN, build_cost, condense, power_linear_rows
+from ates_mpc import (OcpConfig, ParameterError, SolverError, build_pwa,
+                      power_bilinear, pwa_step, receding_step, solve_ocp,
+                      solve_qp)
+from ates_mpc.controller import (MODE_SIGN, MODES, W_PER_MW, _flow_interval,
+                                 build_cost, candidate_qp, condense,
+                                 power_linear_rows)
+
+from test_acceptance import smooth_random_state
 
 DT = 3600.0
 U_MAX = 0.0277
@@ -47,33 +54,39 @@ def test_state_bounds_layout(cfg):
 
 def test_condense_dimensions(grid, params, hx, cfg, ambient_state):
     model = build_pwa(grid, params, hx, DT, ambient_state, 0.0)
-    pred = condense(model, ("heating", "storing", "cooling"), cfg,
-                    ambient_state, power_linear_rows(grid, params, DT))
-    assert len(pred.state_offsets) == 13
-    assert all(o.shape == (42,) for o in pred.state_offsets)
-    assert all(g.shape == (42, 3) for g in pred.state_gains)
-    assert sum(o.size for o in pred.state_offsets) == 13 * 42
-    assert pred.power_offset.shape == (12,)
-    assert pred.power_gain.shape == (12, 3)
+    pred = condense(model, cfg, ambient_state,
+                    power_linear_rows(grid, params, DT))
+    assert pred.mode_sequences == tuple(itertools.product(MODES, repeat=3))
+    assert pred.state_offsets.shape == (27, 13, 42)
+    assert pred.state_gains.shape == (27, 13, 42, 3)
+    assert pred.power_offset.shape == (27, 12)
+    assert pred.power_gain.shape == (27, 12, 3)
 
 
 def test_condense_storing_has_zero_gain(grid, params, hx, cfg, ambient_state):
     model = build_pwa(grid, params, hx, DT, ambient_state, 0.0)
-    pred = condense(model, ("storing", "storing", "storing"), cfg,
-                    ambient_state, power_linear_rows(grid, params, DT))
-    assert all(np.all(g == 0.0) for g in pred.state_gains)
+    pred = condense(model, cfg, ambient_state,
+                    power_linear_rows(grid, params, DT))
+    s = pred.mode_sequences.index(("storing", "storing", "storing"))
+    assert np.all(pred.state_gains[s] == 0.0)
     # Offsets reproduce the storing rollout.
     x = ambient_state.copy()
     for k in range(12):
         x = pwa_step(model, x, 0.0)
-        assert np.allclose(pred.state_offsets[k + 1], x, atol=1e-9)
+        assert np.allclose(pred.state_offsets[s, k + 1], x, atol=1e-9)
+    # A storing block has a zero gain column in every sequence.
+    for s, modes in enumerate(pred.mode_sequences):
+        for j, mode in enumerate(modes):
+            if mode == "storing":
+                assert np.all(pred.state_gains[s, :, :, j] == 0.0)
+                assert np.all(pred.power_gain[s, :, j] == 0.0)
 
 
 def test_condense_matches_direct_rollout(grid, params, hx, cfg):
     x0 = charged_state(grid, params)
     model = build_pwa(grid, params, hx, DT, x0, 0.01)
-    modes = ("heating", "storing", "cooling")
-    pred = condense(model, modes, cfg, x0, power_linear_rows(grid, params, DT))
+    pred = condense(model, cfg, x0, power_linear_rows(grid, params, DT))
+    s = pred.mode_sequences.index(("heating", "storing", "cooling"))
     u_blocks = np.array([0.02, 0.0, -0.015])
     block_of_step = cfg.block_of_step()
     x = x0.copy()
@@ -81,10 +94,11 @@ def test_condense_matches_direct_rollout(grid, params, hx, cfg):
     for k in range(12):
         j = block_of_step[k]
         x_next_direct = pwa_step(model, x, u_blocks[j])
-        x_next_cond = pred.state_offsets[k + 1] + pred.state_gains[k + 1] @ u_blocks
+        x_next_cond = (pred.state_offsets[s, k + 1]
+                       + pred.state_gains[s, k + 1] @ u_blocks)
         assert np.allclose(x_next_cond, x_next_direct, atol=1e-8)
         p_direct = r_now @ x + r_next @ x_next_direct + const
-        p_cond = pred.power_offset[k] + pred.power_gain[k] @ u_blocks
+        p_cond = pred.power_offset[s, k] + pred.power_gain[s, k] @ u_blocks
         assert p_cond == pytest.approx(p_direct, abs=1e-3)
         x = x_next_direct
 
@@ -93,13 +107,14 @@ def test_soft_rows_match_per_step_reference(grid, params, hx, cfg):
     # Reference: the soft box rows assembled one predicted step at a time.
     x0 = charged_state(grid, params)
     model = build_pwa(grid, params, hx, DT, x0, 0.01)
-    pred = condense(model, ("heating", "storing", "cooling"), cfg, x0,
-                    power_linear_rows(grid, params, DT))
-    qp, _, z0 = build_cost(pred, np.full(12, 1e6), 0.0, cfg, grid.nu)
+    pred = condense(model, cfg, x0, power_linear_rows(grid, params, DT))
+    s = pred.mode_sequences.index(("heating", "storing", "cooling"))
+    H, g, _ = build_cost(pred, np.full(12, 1e6), 0.0, cfg)
+    qp, z0 = candidate_qp(pred, s, H[s], g[s], cfg, grid.nu)
     x_min, x_max = cfg.state_bounds(grid.nu)
     rows, rhs = [], []
     for k in range(1, 13):
-        gain, off = pred.state_gains[k], pred.state_offsets[k]
+        gain, off = pred.state_gains[s, k], pred.state_offsets[s, k]
         minus_one = -np.ones((gain.shape[0], 1))
         rows += [np.hstack([gain, minus_one]), np.hstack([-gain, minus_one])]
         rhs += [x_max - off, off - x_min]
@@ -196,8 +211,143 @@ def test_determinism(grid, params, hx, cfg):
 def test_build_cost_feasible_start(grid, params, hx, cfg):
     x0 = charged_state(grid, params)
     model = build_pwa(grid, params, hx, DT, x0, 0.0)
-    pred = condense(model, ("heating", "heating", "heating"), cfg, x0,
-                    power_linear_rows(grid, params, DT))
-    qp, const, z0 = build_cost(pred, np.full(12, 1e6), 0.0, cfg, 20)
-    assert np.all(qp.G @ z0 <= qp.h + 1e-9)
-    assert np.isfinite(const)
+    pred = condense(model, cfg, x0, power_linear_rows(grid, params, DT))
+    H, g, const = build_cost(pred, np.full(12, 1e6), 0.0, cfg)
+    assert np.all(np.isfinite(const))
+    for s in range(27):
+        qp, z0 = candidate_qp(pred, s, H[s], g[s], cfg, 20)
+        assert np.all(qp.G @ z0 <= qp.h + 1e-9)
+
+
+def per_sequence_condense(model, modes, cfg, x0, power_rows):
+    """Reference: one sequence's rollout, one step at a time."""
+    r_now, r_next, p_const = power_rows
+    nb = len(cfg.blocks)
+    offsets = np.empty((cfg.horizon + 1, model.n))
+    gains = np.zeros((cfg.horizon + 1, model.n, nb))
+    offsets[0] = x0
+    p_off = np.zeros(cfg.horizon)
+    p_gain = np.zeros((cfg.horizon, nb))
+    for k, j in enumerate(cfg.block_of_step()):
+        branch = model.branch(MODE_SIGN[modes[j]])
+        offsets[k + 1] = branch.A @ offsets[k] + branch.f
+        gains[k + 1] = branch.A @ gains[k]
+        gains[k + 1, :, j] += branch.b
+        p_off[k] = r_now @ offsets[k] + r_next @ offsets[k + 1] + p_const
+        p_gain[k] = r_now @ gains[k] + r_next @ gains[k + 1]
+    return offsets, gains, p_off, p_gain
+
+
+def per_sequence_cost(p_off, p_gain, demand, b_past, cfg):
+    """Reference: one sequence's Hessian, gradient and constant."""
+    nb = len(cfg.blocks)
+    p_gain_mw = p_gain / W_PER_MW
+    p_err_mw = (p_off - demand) / W_PER_MW
+    balance_s = cfg.balance_hours * 3600.0
+    e_gain = cfg.dt * p_gain_mw.sum(axis=0) / balance_s
+    e_off = (cfg.dt * p_off.sum() + b_past) / (balance_s * W_PER_MW)
+    block_len = np.asarray(cfg.blocks, dtype=float)
+    H = np.zeros((nb + 1, nb + 1))
+    g = np.zeros(nb + 1)
+    H[:nb, :nb] = 2.0 * (cfg.q_d * p_gain_mw.T @ p_gain_mw
+                         + np.diag(cfg.q_u * block_len)
+                         + cfg.q_e * np.outer(e_gain, e_gain))
+    g[:nb] = 2.0 * (cfg.q_d * p_gain_mw.T @ p_err_mw + cfg.q_e * e_off * e_gain)
+    H[nb, nb] = 2.0 * cfg.slack_weight
+    const = cfg.q_d * float(p_err_mw @ p_err_mw) + cfg.q_e * e_off**2
+    return H, g, const
+
+
+def exhaustive_solve(pred, demand, b_past, cfg, nu):
+    """Reference: solve all 27 QPs and pick with the near-tie rule.
+
+    Returns the winner's modes, clipped flows and cost, and every
+    candidate's cost (inf where its QP failed).
+    """
+    H, g, const = build_cost(pred, demand, b_past, cfg)
+    costs = np.full(len(pred.mode_sequences), np.inf)
+    solved = []
+    for s, modes in enumerate(pred.mode_sequences):
+        qp, z0 = candidate_qp(pred, s, H[s], g[s], cfg, nu)
+        try:
+            res = solve_qp(qp, z0=z0)
+        except SolverError:
+            continue
+        if res.status == "optimal":
+            costs[s] = res.value + const[s]
+            solved.append((modes, res.z_star[:3], costs[s]))
+    best = min(c[2] for c in solved)
+    near = [c for c in solved if c[2] <= best + 1e-9 * max(1.0, abs(best))]
+    modes, z, cost = min(near, key=lambda c: (-c[0].count("storing"),
+                                              float(np.linalg.norm(c[1])),
+                                              c[0]))
+    lo, hi = np.array([_flow_interval(mode, cfg) for mode in modes]).T
+    return modes, np.clip(z, lo, hi), cost, costs
+
+
+def test_bound_and_prune_matches_exhaustive_enumeration(grid, params, hx, cfg):
+    rng = np.random.default_rng(4)
+    rows = power_linear_rows(grid, params, DT)
+    ambient = np.full(grid.n_states, params.t_amb)
+    instants = pruned = 0
+    for trial in range(216):
+        kind = trial % 3
+        if kind == 0:
+            x0 = ambient
+        elif kind == 1:
+            x0 = charged_state(grid, params, rng.uniform(0.0, 7.0),
+                               rng.uniform(0.0, 9.0))
+        else:
+            x0 = smooth_random_state(grid, params, rng)
+        u_prev = rng.uniform(-U_MAX, U_MAX) * rng.integers(0, 2)
+        model = build_pwa(grid, params, hx, DT, x0, float(u_prev))
+        demand = rng.uniform(-1.5e6, 2.5e6, 12)
+        b_past = rng.uniform(-300.0, 300.0) * 3.6e9 * rng.integers(0, 2)
+
+        pred = condense(model, cfg, x0, rows)
+        H, g, const = build_cost(pred, demand, b_past, cfg)
+        for s, modes in enumerate(pred.mode_sequences):
+            offsets, gains, p_off, p_gain = per_sequence_condense(
+                model, modes, cfg, x0, rows)
+            assert np.array_equal(pred.state_offsets[s], offsets)
+            assert np.array_equal(pred.state_gains[s], gains)
+            assert np.array_equal(pred.power_offset[s], p_off)
+            assert np.array_equal(pred.power_gain[s], p_gain)
+            H_s, g_s, const_s = per_sequence_cost(p_off, p_gain, demand,
+                                                  b_past, cfg)
+            assert np.array_equal(H[s], H_s)
+            assert np.array_equal(g[s], g_s)
+            assert const[s] == const_s
+
+        sol = solve_ocp(x0, demand, b_past, cfg, model, grid, params)
+        modes, u_blocks, cost, costs = exhaustive_solve(pred, demand, b_past,
+                                                        cfg, grid.nu)
+        assert sol.mode_sequence == modes
+        assert np.array_equal(sol.u_blocks, u_blocks)
+        assert sol.cost == cost
+        for s, rec in enumerate(sol.per_candidate):
+            assert rec.mode_sequence == pred.mode_sequences[s]
+            if rec.status == "pruned":
+                pruned += 1
+                assert np.all(np.isnan(rec.u_blocks))
+                assert rec.cost <= costs[s] + 1e-12 * max(1.0, abs(costs[s]))
+        instants += 1
+    assert instants >= 200
+    # The bound rules out most candidates.
+    assert pruned > 0.5 * 27 * instants
+
+
+def test_singular_block_cost_solves_every_candidate(grid, params, hx):
+    # Without an input weight a storing block's Hessian row is zero, so no
+    # unconstrained bound exists and nothing may be pruned.
+    cfg = OcpConfig(q_u=0.0)
+    x0 = charged_state(grid, params)
+    model = build_pwa(grid, params, hx, DT, x0, 0.0)
+    demand = np.full(12, 8e5)
+    sol = solve_ocp(x0, demand, 0.0, cfg, model, grid, params)
+    assert all(rec.status != "pruned" for rec in sol.per_candidate)
+    pred = condense(model, cfg, x0, power_linear_rows(grid, params, DT))
+    modes, u_blocks, cost, _ = exhaustive_solve(pred, demand, 0.0, cfg, grid.nu)
+    assert sol.mode_sequence == modes
+    assert np.array_equal(sol.u_blocks, u_blocks)
+    assert sol.cost == cost

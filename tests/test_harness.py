@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from ates_mpc import harness
+from ates_mpc.errors import ControllerFault
 from ates_mpc.harness import (demand_window, power_form_study, replay_observer,
                               run_closed_loop)
 from ates_mpc.scenario import _parse_config_text, scenario_from_values
@@ -67,3 +69,28 @@ def test_power_form_study_visits_modes():
     peak = np.abs(p_bil).max()
     assert peak > 0.0
     assert np.abs(p_lin - p_bil).mean() <= 0.05 * peak
+
+
+def test_controller_fault_falls_back_to_storing(monkeypatch):
+    normal = run_closed_loop(small_scenario(), steps=6)
+    assert normal.records[2]["u_applied"] != 0.0
+    real = harness.solve_ocp
+    calls = []
+
+    def fails_at_step_2(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise ControllerFault("forced")
+        return real(*args)
+
+    monkeypatch.setattr(harness, "solve_ocp", fails_at_step_2)
+    report = run_closed_loop(small_scenario(), steps=6)
+    assert len(report.records) == 6
+    assert report.records[2]["u_applied"] == 0.0
+    assert report.records[2]["mode"] == "storing"
+    assert np.isnan(report.records[2]["ocp_cost"])
+    assert np.isfinite(report.records[3]["ocp_cost"])  # planning resumed
+    assert report.controller_faults == 1
+    assert normal.controller_faults == 0
+    assert report.qps_solved >= 5  # at least one per planned step
+    assert report.stalled_candidates == 0

@@ -19,6 +19,7 @@ def test_active_bound():
     assert res.z_star[0] == pytest.approx(1.0, abs=1e-9)
     assert res.value == pytest.approx(0.5, abs=1e-9)
     assert res.kkt_residual <= 1e-8
+    assert res.iterations > 0  # phase-1 plus the main iteration
 
 
 def test_unconstrained_stationarity():
@@ -49,6 +50,8 @@ def test_infeasible_in_several_dimensions():
         h = np.concatenate([rng.uniform(0.0, 1.0, 6), [-1.0, -0.5]])
         res = solve_qp(Qp(H=np.eye(3), g=np.zeros(3), G=G, h=h))
         assert res.status == "infeasible"
+        # Phase-1 stops at its first stationary point, not at the cap.
+        assert 0 < res.iterations <= 10
 
 
 def test_feasible_set_far_from_origin():
