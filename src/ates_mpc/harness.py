@@ -3,7 +3,8 @@
 One iteration per sampling period: measure the truth plant, update and
 project the UKF estimate, rebuild the PWA model at the new prediction
 instant, solve the OCP, apply the first blocked input to the plant and update
-the energy ledger.  Controller faults fall back to storing and the run
+the energy ledger.  Controller faults fall back to storing, a non-finite
+sensor reading makes that step's estimate predict-only, and the run
 continues.
 """
 
@@ -46,6 +47,7 @@ class RunReport:
     controller_faults: int = 0
     qps_solved: int = 0
     stalled_candidates: int = 0
+    sensor_faults: int = 0   # non-finite readings, run as predict-only steps
     error_series: np.ndarray = field(repr=False, default=None)  # spatial-mean |err| per step
     records: list[dict] = field(repr=False, default_factory=list)
 
@@ -73,12 +75,20 @@ class _Estimator:
         sc = self.scenario
         return build_pwa(sc.grid, sc.params, sc.hx, sc.ocp.dt, self.est.mean, u_prev)
 
-    def step(self, y: np.ndarray, u_prev: float) -> None:
-        """Predict under the applied flow, update on y, project, rebuild."""
+    def step(self, y: np.ndarray, u_prev: float) -> bool:
+        """Predict under the applied flow, update on y, project, rebuild.
+
+        A reading with a non-finite entry is skipped: the predicted moments
+        are projected as they are.  Returns whether y was used.
+        """
         predicted = predict(self.est, lambda x: pwa_step(self.model, x, u_prev),
                             self.scenario.ukf)
-        self.est = project(update(predicted, y), *self.bounds)
+        used = bool(np.all(np.isfinite(y)))
+        est = (update(predicted, y) if used
+               else GaussianEstimate(predicted.mean, predicted.cov))
+        self.est = project(est, *self.bounds)
         self.model = self._build(u_prev)
+        return used
 
 
 def run_closed_loop(scenario: Scenario, steps: int | None = None,
@@ -101,12 +111,14 @@ def run_closed_loop(scenario: Scenario, steps: int | None = None,
     power_errors = np.zeros(steps)
     solve_ms = np.zeros(steps)
     est_violation = 0.0
-    faults = qps_solved = stalled = 0
+    faults = qps_solved = stalled = sensor_faults = 0
     records: list[dict] = []
 
     for k in range(steps):
         y = measure(truth)
-        estimator.step(y, u_prev)
+        if not estimator.step(y, u_prev):
+            logger.warning("non-finite sensor reading at step %d, predict-only step", k)
+            sensor_faults += 1
         est, model = estimator.est, estimator.model
         window = demand_window(scenario.demand, k, ocp.horizon)
         t0 = time.perf_counter()
@@ -192,6 +204,7 @@ def run_closed_loop(scenario: Scenario, steps: int | None = None,
         controller_faults=faults,
         qps_solved=qps_solved,
         stalled_candidates=stalled,
+        sensor_faults=sensor_faults,
         error_series=err_series,
         records=records,
     )
@@ -218,6 +231,7 @@ def report_summary(report: RunReport) -> dict:
         "controller_faults": report.controller_faults,
         "qps_solved": report.qps_solved,
         "stalled_candidates": report.stalled_candidates,
+        "sensor_faults": report.sensor_faults,
     }
 
 

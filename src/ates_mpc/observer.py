@@ -3,8 +3,10 @@
 The dynamics seen by the filter are affine for any fixed applied flow, so the
 unscented transform is exact here and the filter coincides with a Kalman
 filter on each branch; the sigma-point machinery keeps the implementation
-independent of that structure.  State bounds are enforced by iterated
-perfect-measurement updates (projection).
+independent of that structure.  The step function maps the whole row stack
+of sigma points in one call, so an affine step is one batched product.
+State bounds are enforced by iterated perfect-measurement updates
+(projection).
 """
 
 from __future__ import annotations
@@ -96,13 +98,15 @@ def predict(est: GaussianEstimate, step_fn: Callable[[np.ndarray], np.ndarray],
             cfg: UkfConfig) -> PredictedMoments:
     """Propagate the estimate through one model step and form output moments.
 
-    ``step_fn`` maps a single state vector to its successor (the applied input
-    is baked in by the caller, so every sigma point traverses the same branch).
+    ``step_fn`` maps a row stack ``(m, n)`` of states to the stack of their
+    successors; it is called once, on all 2n+1 sigma points (the applied
+    input is baked in by the caller, so every point traverses the same
+    branch).
     """
     if cfg.C is None:
         raise ParameterError("UkfConfig.C must be set; use UkfConfig.for_grid")
     points, weights = sigma_points(est, cfg.kappa)
-    propagated = np.stack([step_fn(p) for p in points])
+    propagated = step_fn(points)
     mean = weights @ propagated
     centered = propagated - mean
     cov = (centered.T * weights) @ centered

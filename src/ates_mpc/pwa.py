@@ -26,7 +26,11 @@ class AffineBranch:
     f: np.ndarray = field(repr=False)
 
     def step(self, x: np.ndarray, u: float) -> np.ndarray:
-        return self.A @ x + self.b * u + self.f
+        """Successor of a state ``(n,)`` or of each row of a stack ``(m, n)``.
+
+        ``np.matvec`` rounds each row like ``A @ row``; ``X @ A.T`` does not.
+        """
+        return np.matvec(self.A, x) + self.b * u + self.f
 
 
 @dataclass(frozen=True)
@@ -106,8 +110,17 @@ def assemble_pwa(warm_ex: AffineSubsystem, warm_inj: AffineSubsystem,
 
 
 def pwa_step(model: PwaModel, x: np.ndarray, u: float) -> np.ndarray:
-    """Advance the stacked state one sampling period along the branch of sign(u)."""
-    x = validate_state(x, model.nu)
+    """Advance the stacked state one sampling period along the branch of sign(u).
+
+    ``x`` is one state ``(n,)`` or a row stack ``(m, n)`` of states, all
+    advanced under the same flow; shape and finiteness are checked once.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != model.n:
+        raise ParameterError(
+            f"stacked state must have length {model.n}, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ParameterError("stacked state contains non-finite values")
     if not math.isfinite(u):
         raise ParameterError(f"flow must be finite, got {u}")
     return model.branch(u).step(x, u)

@@ -275,7 +275,7 @@ def test_06_unscented_filter_equals_kalman():
             K = kf_cov @ C.T @ np.linalg.inv(S)
             kf_mean = kf_mean + K @ (y - C @ kf_mean)
             kf_cov = kf_cov - K @ S @ K.T
-            predicted = predict(est, lambda x: A @ x + c, cfg)
+            predicted = predict(est, lambda x: np.matvec(A, x) + c, cfg)
             est = update(predicted, y)
             worst = max(worst, float(np.max(np.abs(est.mean - kf_mean))),
                         float(np.max(np.abs(est.cov - kf_cov))))

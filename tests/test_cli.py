@@ -30,6 +30,7 @@ def test_run_small_writes_results_and_summary(tmp_path, capsys):
     summary = (tmp_path / "results.csv.summary.txt").read_text()
     assert "controller_faults: 0" in summary
     assert "stalled_candidates: 0" in summary
+    assert "sensor_faults: 0" in summary
     assert "qps_solved: " in summary
     text = capsys.readouterr().out
     assert "final balance" in text

@@ -3,6 +3,7 @@ import pytest
 
 from ates_mpc import harness
 from ates_mpc.errors import ControllerFault
+from ates_mpc.observer import GaussianEstimate, project
 from ates_mpc.harness import (demand_window, power_form_study, replay_observer,
                               run_closed_loop)
 from ates_mpc.scenario import _parse_config_text, scenario_from_values
@@ -94,3 +95,43 @@ def test_controller_fault_falls_back_to_storing(monkeypatch):
     assert normal.controller_faults == 0
     assert report.qps_solved >= 5  # at least one per planned step
     assert report.stalled_candidates == 0
+
+
+def test_non_finite_reading_makes_a_predict_only_step(monkeypatch):
+    real_measure, real_predict, real_project = (harness.measure, harness.predict,
+                                                harness.project)
+    readings, predictions, estimates = [], [], []
+
+    def nan_at_step_3(truth):
+        y = real_measure(truth)
+        readings.append(y)
+        if len(readings) == 4:
+            y = y.copy()
+            y[1] = np.nan
+        return y
+
+    def recording_predict(*args):
+        predictions.append(real_predict(*args))
+        return predictions[-1]
+
+    def recording_project(*args):
+        estimates.append(real_project(*args))
+        return estimates[-1]
+
+    monkeypatch.setattr(harness, "measure", nan_at_step_3)
+    monkeypatch.setattr(harness, "predict", recording_predict)
+    monkeypatch.setattr(harness, "project", recording_project)
+    sc = small_scenario()
+    report = run_closed_loop(sc, steps=8)
+    assert len(report.records) == 8
+    assert report.sensor_faults == 1
+    assert np.isnan(report.records[3]["y_warm_far"])
+    for est in estimates:
+        assert np.all(np.isfinite(est.mean)) and np.all(np.isfinite(est.cov))
+    pred = predictions[3]
+    expected = project(GaussianEstimate(pred.mean, pred.cov),
+                       *sc.ocp.state_bounds(sc.grid.nu))
+    assert np.array_equal(estimates[3].mean, expected.mean)
+    assert np.array_equal(estimates[3].cov, expected.cov)
+    assert np.all(np.isfinite(report.error_series))
+    assert run_closed_loop(sc, steps=8).sensor_faults == 0

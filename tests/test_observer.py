@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ates_mpc import (GaussianEstimate, ParameterError, UkfConfig, predict,
-                      project, sigma_points, update)
+from ates_mpc import (GaussianEstimate, ParameterError, UkfConfig, build_pwa,
+                      predict, project, pwa_step, sigma_points, update)
 from ates_mpc.observer import repair_psd
 
 
@@ -73,7 +73,7 @@ def test_predict_innovation_covariance_identity():
     M = rng.standard_normal((n, n))
     cov = M @ M.T + np.eye(n)
     est = GaussianEstimate(rng.standard_normal(n), cov)
-    pred = predict(est, lambda x: A @ x + b * 0.3 + f, cfg)
+    pred = predict(est, lambda x: np.matvec(A, x) + b * 0.3 + f, cfg)
     cov_pred = A @ cov @ A.T + cfg.process_var * np.eye(n)
     assert np.allclose(pred.cov, cov_pred, atol=1e-9)
     assert np.allclose(pred.cov_yy, C @ cov_pred @ C.T
@@ -94,7 +94,7 @@ def test_ukf_equals_kalman_on_affine_branch():
     mean_kf, cov_kf = mean.copy(), cov.copy()
     for k in range(20):
         u = float(np.sin(0.3 * k))
-        pred = predict(est_ukf, lambda x: A @ x + b * u + f, cfg)
+        pred = predict(est_ukf, lambda x: np.matvec(A, x) + b * u + f, cfg)
         mean_kf = A @ mean_kf + b * u + f
         cov_kf = A @ cov_kf @ A.T + cfg.process_var * np.eye(n)
         assert np.max(np.abs(pred.mean - mean_kf)) < 1e-10
@@ -107,6 +107,38 @@ def test_ukf_equals_kalman_on_affine_branch():
         cov_kf = cov_kf - W @ S @ W.T
         assert np.max(np.abs(est_ukf.mean - mean_kf)) < 1e-9
         assert np.max(np.abs(est_ukf.cov - cov_kf)) < 1e-8
+
+
+def test_predict_steps_all_sigma_points_in_one_call(grid, params, hx):
+    # A warm front and a cold one, so every branch sees a non-trivial state.
+    rng = np.random.default_rng(5)
+    x_ref = params.t_amb + np.concatenate([4.0 * np.exp(-np.arange(21) / 6.0),
+                                           -3.0 * np.exp(-np.arange(21) / 8.0)])
+    M = 0.05 * rng.standard_normal((42, 42))
+    est = GaussianEstimate(x_ref + 0.1 * rng.standard_normal(42),
+                           M @ M.T + 1e-3 * np.eye(42))
+    cfg = UkfConfig.for_grid(grid.nu)
+    for u in (0.02, 0.0, -0.02):
+        model = build_pwa(grid, params, hx, 3600.0, x_ref, u)
+        shapes = []
+
+        def step(x):
+            shapes.append(x.shape)
+            return pwa_step(model, x, u)
+
+        pred = predict(est, step, cfg)
+        assert shapes == [(85, 42)]
+        # Reference: the sigma points stepped one at a time.
+        points, weights = sigma_points(est, cfg.kappa)
+        propagated = np.stack([pwa_step(model, p, u) for p in points])
+        mean = weights @ propagated
+        centered = propagated - mean
+        cov = repair_psd((centered.T * weights) @ centered
+                         + cfg.process_var * np.eye(42), jitter=0.0)
+        assert np.array_equal(pred.mean, mean)
+        assert np.array_equal(pred.cov, cov)
+        assert np.array_equal(pred.y_hat, cfg.C @ mean)
+        assert np.array_equal(pred.cov_xy, cov @ cfg.C.T)
 
 
 def test_update_zero_innovation():

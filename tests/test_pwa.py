@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ates_mpc import (AssemblyError, build_extraction_system,
+from ates_mpc import (AssemblyError, ParameterError, build_extraction_system,
                       build_injection_system, build_pwa, hx_outlet_temp,
                       linearize_hx, pwa_step)
 from ates_mpc.pwa import assemble_pwa
@@ -56,6 +56,32 @@ def test_cooling_step_writes_hx_output_to_warm_borehole(grid, params, hx, ambien
     expected = hx_outlet_temp(float(ambient_state[21]), -U_MAX, hx.q_b,
                               hx.t_b_cooling)
     assert x_next[0] == pytest.approx(expected, abs=1e-12)
+
+
+def test_stacked_step_matches_row_by_row(model, ambient_state):
+    rng = np.random.default_rng(11)
+    stack = ambient_state + rng.standard_normal((85, 42))
+    for u in (U_MAX, 0.0, -U_MAX):
+        batched = pwa_step(model, stack, u)
+        assert batched.shape == stack.shape
+        assert np.array_equal(batched, np.stack([pwa_step(model, x, u) for x in stack]))
+
+
+def test_step_rejects_bad_shapes_and_non_finite(model, ambient_state):
+    stack = np.tile(ambient_state, (5, 1))
+    with pytest.raises(ParameterError):
+        pwa_step(model, stack[None], 0.0)
+    with pytest.raises(ParameterError):
+        pwa_step(model, stack[:, :-1], 0.0)
+    with pytest.raises(ParameterError):
+        pwa_step(model, ambient_state[:-1], 0.0)
+    for row in range(stack.shape[0]):
+        bad = stack.copy()
+        bad[row, 7] = np.nan
+        with pytest.raises(ParameterError):
+            pwa_step(model, bad, 0.0)
+    with pytest.raises(ParameterError):
+        pwa_step(model, stack, np.inf)
 
 
 def test_affinity_superposition(model):
