@@ -355,6 +355,10 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
 
     lo, hi = np.array([_flow_interval(mode, cfg) for mode in modes]).T
     u_blocks = np.clip(result.z_star[:nb], lo, hi)
+    # An active zero bound can come back as +-1e-19; its sign would select a
+    # pumping branch in the model, the filter and the recorded mode while the
+    # plant pumps nothing.
+    u_blocks[np.abs(u_blocks) <= 1e-12 * max(cfg.u_max, -cfg.u_min)] = 0.0
 
     x_pred = pred.state_offsets[s] + pred.state_gains[s] @ u_blocks
     p_pred = pred.power_offset[s] + pred.power_gain[s] @ u_blocks

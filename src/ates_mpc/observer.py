@@ -5,8 +5,8 @@ unscented transform is exact here and the filter coincides with a Kalman
 filter on each branch; the sigma-point machinery keeps the implementation
 independent of that structure.  The step function maps the whole row stack
 of sigma points in one call, so an affine step is one batched product.
-State bounds are enforced by iterated perfect-measurement updates
-(projection).
+State bounds are enforced by clipping the mean (estimate projection); the
+covariance is left as it is, so box-pinned states keep their uncertainty.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError
-
-_PERFECT_MEAS_VAR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -64,12 +62,12 @@ class PredictedMoments:
     cov_yy: np.ndarray
 
 
-def repair_psd(cov: np.ndarray, jitter: float = 1e-9) -> np.ndarray:
+def repair_psd(cov: np.ndarray) -> np.ndarray:
     """Symmetrize and, if needed, push tiny negative eigenvalues back to zero."""
     cov = 0.5 * (cov + cov.T)
     eigmin = float(np.linalg.eigvalsh(cov).min())
     if eigmin < 0.0:
-        cov = cov + (jitter - eigmin) * np.eye(cov.shape[0])
+        cov = cov - eigmin * np.eye(cov.shape[0])
     return cov
 
 
@@ -83,7 +81,7 @@ def sigma_points(est: GaussianEstimate, kappa: float
         L = np.linalg.cholesky(scale * cov)
     except np.linalg.LinAlgError:
         # Singular or slightly indefinite: use an eigenvalue square root.
-        w, V = np.linalg.eigh(scale * repair_psd(cov, jitter=0.0))
+        w, V = np.linalg.eigh(scale * repair_psd(cov))
         L = V * np.sqrt(np.clip(w, 0.0, None))
     points = np.empty((2 * n + 1, n))
     points[0] = est.mean
@@ -110,7 +108,7 @@ def predict(est: GaussianEstimate, step_fn: Callable[[np.ndarray], np.ndarray],
     mean = weights @ propagated
     centered = propagated - mean
     cov = (centered.T * weights) @ centered
-    cov = repair_psd(cov + cfg.process_var * np.eye(est.n), jitter=0.0)
+    cov = repair_psd(cov + cfg.process_var * np.eye(est.n))
     y_hat = cfg.C @ mean
     cov_xy = cov @ cfg.C.T
     cov_yy = cfg.C @ cov @ cfg.C.T + cfg.measurement_var * np.eye(cfg.C.shape[0])
@@ -123,38 +121,18 @@ def update(predicted: PredictedMoments, y: np.ndarray) -> GaussianEstimate:
     gain = np.linalg.solve(predicted.cov_yy, predicted.cov_xy.T).T
     mean = predicted.mean + gain @ (y - predicted.y_hat)
     cov = predicted.cov - gain @ predicted.cov_yy @ gain.T
-    return GaussianEstimate(mean, repair_psd(cov, jitter=0.0))
+    return GaussianEstimate(mean, repair_psd(cov))
 
 
-def project(est: GaussianEstimate, x_min: np.ndarray, x_max: np.ndarray,
-            max_passes: int = 10) -> GaussianEstimate:
-    """Move bound-violating mean components onto their bounds.
+def project(est: GaussianEstimate, x_min: np.ndarray, x_max: np.ndarray
+            ) -> GaussianEstimate:
+    """Clip the mean onto the state box; the covariance is returned unchanged.
 
-    Each violated component is treated as a perfect measurement at the bound,
-    so correlated components shift along the covariance.  Falls back to plain
-    clipping if the pass cap is exhausted.
+    Treating a violated bound as a perfect measurement would collapse the
+    variance of every box-pinned state and leave the covariance singular.
     """
     x_min = np.asarray(x_min, dtype=float)
     x_max = np.asarray(x_max, dtype=float)
     if np.any(x_min > x_max):
         raise ParameterError("state bounds must be ordered")
-    mean = est.mean.copy()
-    cov = est.cov.copy()
-    moved = False
-    for _ in range(max_passes):
-        below = mean < x_min - 1e-12
-        above = mean > x_max + 1e-12
-        if not (below.any() or above.any()):
-            break
-        moved = True
-        targets = np.where(below, x_min, x_max)
-        for j in np.nonzero(below | above)[0]:
-            s = cov[j, j] + _PERFECT_MEAS_VAR
-            k = cov[:, j] / s
-            mean = mean + k * (targets[j] - mean[j])
-            cov = cov - np.outer(k, cov[j, :])
-            cov = 0.5 * (cov + cov.T)
-    else:
-        mean = np.clip(mean, x_min, x_max)
-    # Each update keeps cov symmetric; one PSD repair after the last.
-    return GaussianEstimate(mean, repair_psd(cov, jitter=0.0) if moved else cov)
+    return GaussianEstimate(np.clip(est.mean, x_min, x_max), est.cov)

@@ -7,7 +7,7 @@ from ates_mpc import (OcpConfig, ParameterError, SolverError, build_pwa,
                       power_bilinear, pwa_step, receding_step, solve_ocp,
                       solve_qp)
 from ates_mpc.controller import (MODE_SIGN, MODES, W_PER_MW, _flow_interval,
-                                 build_cost, candidate_qp, condense,
+                                 build_cost, candidate_qp, condense, mode_of,
                                  power_linear_rows)
 
 from test_acceptance import smooth_random_state
@@ -139,7 +139,9 @@ def test_pure_input_penalty_prefers_zero_flow(grid, params, hx):
 def test_heat_surplus_drives_cooling(grid, params, hx, cfg):
     x0 = charged_state(grid, params)
     model = build_pwa(grid, params, hx, DT, x0, 0.0)
-    b_past = 500.0 * 3.6e9  # large delivered-heat surplus
+    # Large delivered-heat surplus.  At 500 MWh the first block's optimum
+    # sits on its zero bound, so only the later blocks would cool.
+    b_past = 1000.0 * 3.6e9
     sol = solve_ocp(x0, np.zeros(12), b_past, cfg, model, grid, params)
     assert sol.mode_sequence[0] == "cooling"
     assert sol.u_blocks[0] < 0.0
@@ -152,6 +154,24 @@ def test_demand_step_drives_heating(grid, params, hx, cfg):
     assert sol.mode_sequence[0] == "heating"
     assert 0.0 < sol.u_blocks[0] <= U_MAX
     assert sol.p_pred[0] > 0.0
+
+
+def test_heating_block_at_zero_applies_exact_zero(grid, params, hx, cfg):
+    # A small heat demand before a long cold one: the heating-first sequence
+    # wins with its first block on the zero bound, which the QP returns at
+    # rounding level (5.9e-19) rather than exactly.
+    x0 = charged_state(grid, params, warm_lift=3.0, cold_drop=3.0)
+    model = build_pwa(grid, params, hx, DT, x0, 0.0)
+    demand = np.array([1e5] + [-1e6] * 11)
+    sol = solve_ocp(x0, demand, 0.0, cfg, model, grid, params)
+    assert sol.mode_sequence[0] == "heating"
+    u = receding_step(sol)
+    assert u == 0.0 and np.copysign(1.0, u) == 1.0
+    assert mode_of(u) == "storing"
+    winner = next(r for r in sol.per_candidate
+                  if r.mode_sequence == sol.mode_sequence)
+    assert abs(winner.u_blocks[0]) <= 1e-12 * U_MAX
+    assert sol.cost == winner.cost
 
 
 def test_mode_sign_consistency_and_bounds(grid, params, hx, cfg):
@@ -261,8 +281,9 @@ def per_sequence_cost(p_off, p_gain, demand, b_past, cfg):
 def exhaustive_solve(pred, demand, b_past, cfg, nu):
     """Reference: solve all 27 QPs and pick with the near-tie rule.
 
-    Returns the winner's modes, clipped flows and cost, and every
-    candidate's cost (inf where its QP failed).
+    Returns the winner's modes, clipped flows (rounding-level flows set to
+    exactly zero) and cost, and every candidate's cost (inf where its QP
+    failed).
     """
     H, g, const = build_cost(pred, demand, b_past, cfg)
     costs = np.full(len(pred.mode_sequences), np.inf)
@@ -282,7 +303,9 @@ def exhaustive_solve(pred, demand, b_past, cfg, nu):
                                               float(np.linalg.norm(c[1])),
                                               c[0]))
     lo, hi = np.array([_flow_interval(mode, cfg) for mode in modes]).T
-    return modes, np.clip(z, lo, hi), cost, costs
+    u = np.clip(z, lo, hi)
+    u[np.abs(u) <= 1e-12 * U_MAX] = 0.0
+    return modes, u, cost, costs
 
 
 def test_bound_and_prune_matches_exhaustive_enumeration(grid, params, hx, cfg):

@@ -135,3 +135,30 @@ def test_non_finite_reading_makes_a_predict_only_step(monkeypatch):
     assert np.array_equal(estimates[3].cov, expected.cov)
     assert np.all(np.isfinite(report.error_series))
     assert run_closed_loop(sc, steps=8).sensor_faults == 0
+
+
+def test_filter_error_is_consistent_with_its_covariance(monkeypatch):
+    # NEES e' P^-1 e of the projected estimate against the restricted truth,
+    # after the start-up transient.  A consistent filter keeps its median
+    # below the 95% point of chi-square with 42 dof; a projection that
+    # collapses the variance of box-pinned states sends it to ~1e7.
+    real_project, real_restrict = harness.project, harness.restrict_to_coarse
+    estimates, truths = [], []
+
+    def recording_project(*args):
+        estimates.append(real_project(*args))
+        return estimates[-1]
+
+    def recording_restrict(*args):
+        truths.append(real_restrict(*args))
+        return truths[-1]
+
+    monkeypatch.setattr(harness, "project", recording_project)
+    monkeypatch.setattr(harness, "restrict_to_coarse", recording_restrict)
+    run_closed_loop(small_scenario(), steps=168)
+    assert len(estimates) == len(truths) == 168
+    nees = []
+    for est, truth in zip(estimates[48:], truths[48:]):
+        err = truth - est.mean
+        nees.append(err @ np.linalg.solve(est.cov, err))
+    assert np.median(nees) <= 58.1
