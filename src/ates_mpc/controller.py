@@ -232,54 +232,48 @@ def build_cost(pred: PredictionMap, demand: np.ndarray, b_past: float,
 def candidate_qp(pred: PredictionMap, s: int, H: np.ndarray, g: np.ndarray,
                  cfg: OcpConfig, nu: int) -> tuple[Qp, np.ndarray]:
     """QP of sequence ``s``: its cost ``H, g`` with the input box, slack and
-    soft state rows.  Returns the Qp and a feasible starting point."""
+    soft state rows.
+
+    A storing block's flow is fixed at zero, so its variable is eliminated:
+    the QP is over the pumping blocks' flows and the slack.  Returns the Qp
+    and the indices of its variables in the (blocks, slack) vector.
+    """
     nb = len(cfg.blocks)
-    nv = nb + 1
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    for j, mode in enumerate(pred.mode_sequences[s]):
-        e_j = np.zeros(nv)
-        e_j[j] = 1.0
-        lo, hi = _flow_interval(mode, cfg)
-        # u_j <= hi and -u_j <= -lo, the bound at zero first (ties in the QP
-        # go to the lowest row).
-        if MODE_SIGN[mode] > 0:
-            rows += [-e_j, e_j]
-            rhs += [-lo, hi]
-        else:
-            rows += [e_j, -e_j]
-            rhs += [hi, -lo]
-    e_s = np.zeros(nv)
-    e_s[nb] = 1.0
-    rows.append(-e_s)
-    rhs.append(0.0)
+    modes = pred.mode_sequences[s]
+    pumping = [j for j, mode in enumerate(modes) if mode != "storing"]
+    free = np.array(pumping + [nb])
+    nv = free.size
 
     # Soft box rows, per predicted step k = 1..N: the n upper rows
     # [gain_k, -1] z <= x_max - off_k, then the n lower rows
-    # [-gain_k, -1] z <= off_k - x_min.
+    # [-gain_k, -1] z <= off_k - x_min.  A storing block's gain column is
+    # zero, so dropping it changes no row.
     x_min, x_max = cfg.state_bounds(nu)
-    gains = pred.state_gains[s, 1:]
+    gains = pred.state_gains[s, 1:][..., pumping]
     offsets = pred.state_offsets[s, 1:]
-    soft_G = np.empty((cfg.horizon, 2, gains.shape[1], nv))
-    soft_G[:, 0, :, :nb] = gains
-    soft_G[:, 1, :, :nb] = -gains
-    soft_G[..., nb] = -1.0
-    soft_G = soft_G.reshape(-1, nv)
-    soft_h = np.stack([x_max - offsets, offsets - x_min], axis=1).ravel()
+    soft_h = np.stack([x_max - offsets, offsets - x_min], axis=1)
     # Drop soft rows that no feasible input can activate: with |u_j| bounded
     # by the input box and slack >= 0, the left-hand side never exceeds the
     # reachable bound, so provably slack rows cannot change the optimum.
-    u_reach = max(cfg.u_max, -cfg.u_min)
-    reach = np.abs(soft_G[:, :nb]).sum(axis=1) * u_reach
-    keep = reach >= soft_h - 1e-9
-    G = np.vstack([np.asarray(rows), soft_G[keep]])
-    h = np.concatenate([np.asarray(rhs), soft_h[keep]])
+    reach = np.abs(gains).sum(axis=-1) * max(cfg.u_max, -cfg.u_min)
+    keep = reach[:, None, :] >= soft_h - 1e-9
 
-    # z = 0 with slack covering the worst open-loop violation is always feasible.
-    s0 = max(0.0, float(np.max(-soft_h))) + 1e-9
-    z0 = np.zeros(nv)
-    z0[nb] = s0
-    return Qp(H, g, G, h), z0
+    # The input box and slack rows come first: per pumping block -sign u <= 0,
+    # then sign u <= its flow limit, the bound at zero first (ties in the QP
+    # go to the lowest row); then slack >= 0.
+    n_box = 2 * len(pumping) + 1
+    G = np.zeros((n_box + int(keep.sum()), nv))
+    h = np.zeros(G.shape[0])
+    for i, j in enumerate(pumping):
+        sign = MODE_SIGN[modes[j]]
+        G[2 * i, i] = -sign
+        G[2 * i + 1, i] = sign
+        h[2 * i + 1] = cfg.u_max if sign > 0 else -cfg.u_min
+    G[n_box - 1, -1] = -1.0
+    G[n_box:, :-1] = np.stack([gains, -gains], axis=1)[keep]
+    G[n_box:, -1] = -1.0
+    h[n_box:] = soft_h[keep]
+    return Qp(H[np.ix_(free, free)], g[free], G, h), free
 
 
 def _lower_bounds(H: np.ndarray, g: np.ndarray, const: np.ndarray) -> np.ndarray:
@@ -312,7 +306,7 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
     pred = condense(model, cfg, x0, power_linear_rows(grid, params, cfg.dt))
     H, g, const = build_cost(pred, demand, b_past, cfg)
     bounds = _lower_bounds(H, g, const)
-    candidates: list[tuple[tuple[str, ...], QpResult, float, int]] = []
+    candidates: list[tuple[tuple[str, ...], np.ndarray, float, int]] = []
     records: list[CandidateRecord | None] = [None] * len(bounds)
     incumbent = np.inf
     for s in np.argsort(bounds, kind="stable"):
@@ -325,21 +319,22 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
             records[s] = CandidateRecord(modes, "pruned", float(bounds[s]),
                                          np.full(nb, np.nan), np.nan, np.nan)
             continue
-        qp, z0 = candidate_qp(pred, s, H[s], g[s], cfg, model.nu)
+        qp, free = candidate_qp(pred, s, H[s], g[s], cfg, model.nu)
         try:
-            result = solve_qp(qp, z0=z0)
+            result = solve_qp(qp)
         except SolverError:
             # A stalled candidate drops out; the remaining sequences compete.
             result = QpResult(np.full(qp.m, np.nan), np.inf, "stalled",
                               np.inf, ())
-        # A failed result carries value inf and NaN z_star.
+        # A failed result carries value inf and NaN in the QP's variables;
+        # storing flows are exactly zero.
+        z = np.zeros(nb + 1)
+        z[free] = result.z_star
         total = result.value + const[s]
-        records[s] = CandidateRecord(modes, result.status, total,
-                                     result.z_star[:nb].copy(),
-                                     float(result.z_star[nb]),
-                                     result.kkt_residual)
+        records[s] = CandidateRecord(modes, result.status, total, z[:nb],
+                                     float(z[nb]), result.kkt_residual)
         if result.status == "optimal":
-            candidates.append((modes, result, total, s))
+            candidates.append((modes, z, total, s))
             incumbent = min(incumbent, total)
 
     if not candidates:
@@ -349,12 +344,12 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
     tol = 1e-9 * max(1.0, abs(best_cost))
     near = [c for c in candidates if c[2] <= best_cost + tol]
     near.sort(key=lambda c: (-c[0].count("storing"),
-                             float(np.linalg.norm(c[1].z_star[:nb])),
+                             float(np.linalg.norm(c[1][:nb])),
                              c[0]))
-    modes, result, total, s = near[0]
+    modes, z, total, s = near[0]
 
     lo, hi = np.array([_flow_interval(mode, cfg) for mode in modes]).T
-    u_blocks = np.clip(result.z_star[:nb], lo, hi)
+    u_blocks = np.clip(z[:nb], lo, hi)
     # An active zero bound can come back as +-1e-19; its sign would select a
     # pumping branch in the model, the filter and the recorded mode while the
     # plant pumps nothing.
@@ -376,7 +371,7 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
         "tracking": cfg.q_d * float(np.sum((p_mw - d_mw) ** 2)),
         "pumping": cfg.q_u * float(np.sum(block_len * u_blocks**2)),
         "balance": cfg.q_e * e_avg_mw**2,
-        "slack": cfg.slack_weight * float(result.z_star[nb]) ** 2,
+        "slack": cfg.slack_weight * float(z[nb]) ** 2,
     }
     return OcpSolution(u_blocks, modes, x_pred, p_pred, total, terms, records,
                        slack_used)

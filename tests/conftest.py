@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ates_mpc import AquiferParams, HxParams, build_grid
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite stays reproducible and quick.
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          database=None, max_examples=200)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -110,7 +110,7 @@ def test_soft_rows_match_per_step_reference(grid, params, hx, cfg):
     pred = condense(model, cfg, x0, power_linear_rows(grid, params, DT))
     s = pred.mode_sequences.index(("heating", "storing", "cooling"))
     H, g, _ = build_cost(pred, np.full(12, 1e6), 0.0, cfg)
-    qp, z0 = candidate_qp(pred, s, H[s], g[s], cfg, grid.nu)
+    qp, free = candidate_qp(pred, s, H[s], g[s], cfg, grid.nu)
     x_min, x_max = cfg.state_bounds(grid.nu)
     rows, rhs = [], []
     for k in range(1, 13):
@@ -121,10 +121,15 @@ def test_soft_rows_match_per_step_reference(grid, params, hx, cfg):
     soft_G, soft_h = np.vstack(rows), np.concatenate(rhs)
     keep = np.abs(soft_G[:, :3]).sum(axis=1) * U_MAX >= soft_h - 1e-9
     assert 0 < keep.sum() < keep.size
-    # 7 input-box and slack rows come first.
-    assert np.array_equal(qp.G[7:], soft_G[keep])
-    assert np.array_equal(qp.h[7:], soft_h[keep])
-    assert z0[3] == max(0.0, float(np.max(-soft_h))) + 1e-9
+    # The storing block's flow is eliminated: the QP is over blocks 0 and 2
+    # and the slack, and the dropped gain column is zero.
+    assert free.tolist() == [0, 2, 3]
+    assert np.all(soft_G[:, 1] == 0.0)
+    assert np.array_equal(qp.H, H[s][np.ix_(free, free)])
+    assert np.array_equal(qp.g, g[s][free])
+    # 5 input-box and slack rows come first.
+    assert np.array_equal(qp.G[5:], soft_G[keep][:, free])
+    assert np.array_equal(qp.h[5:], soft_h[keep])
 
 
 def test_pure_input_penalty_prefers_zero_flow(grid, params, hx):
@@ -235,7 +240,11 @@ def test_build_cost_feasible_start(grid, params, hx, cfg):
     H, g, const = build_cost(pred, np.full(12, 1e6), 0.0, cfg)
     assert np.all(np.isfinite(const))
     for s in range(27):
-        qp, z0 = candidate_qp(pred, s, H[s], g[s], cfg, 20)
+        # Zero flows with the slack covering the worst open-loop violation
+        # satisfy every row, so each candidate QP is feasible.
+        qp, _ = candidate_qp(pred, s, H[s], g[s], cfg, 20)
+        z0 = np.zeros(qp.m)
+        z0[-1] = max(0.0, float(np.max(-qp.h))) + 1e-9
         assert np.all(qp.G @ z0 <= qp.h + 1e-9)
 
 
@@ -289,14 +298,16 @@ def exhaustive_solve(pred, demand, b_past, cfg, nu):
     costs = np.full(len(pred.mode_sequences), np.inf)
     solved = []
     for s, modes in enumerate(pred.mode_sequences):
-        qp, z0 = candidate_qp(pred, s, H[s], g[s], cfg, nu)
+        qp, free = candidate_qp(pred, s, H[s], g[s], cfg, nu)
         try:
-            res = solve_qp(qp, z0=z0)
+            res = solve_qp(qp)
         except SolverError:
             continue
         if res.status == "optimal":
+            z = np.zeros(4)
+            z[free] = res.z_star
             costs[s] = res.value + const[s]
-            solved.append((modes, res.z_star[:3], costs[s]))
+            solved.append((modes, z[:3], costs[s]))
     best = min(c[2] for c in solved)
     near = [c for c in solved if c[2] <= best + 1e-9 * max(1.0, abs(best))]
     modes, z, cost = min(near, key=lambda c: (-c[0].count("storing"),

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize
 
 import ates_mpc
@@ -19,7 +21,7 @@ def test_active_bound():
     assert res.z_star[0] == pytest.approx(1.0, abs=1e-9)
     assert res.value == pytest.approx(0.5, abs=1e-9)
     assert res.kkt_residual <= 1e-8
-    assert res.iterations > 0  # phase-1 plus the main iteration
+    assert res.iterations > 0  # the bound row entered the active set
 
 
 def test_unconstrained_stationarity():
@@ -42,7 +44,7 @@ def test_infeasible_returns_status():
 
 def test_infeasible_in_several_dimensions():
     # Two parallel rows cannot both hold; the others leave z free along the
-    # face where phase-1 stops, so that stop must still read as infeasible.
+    # face the pair meets, so the dual iteration must still read infeasible.
     rng = np.random.default_rng(7)
     for _ in range(20):
         a = rng.standard_normal(3)
@@ -50,7 +52,7 @@ def test_infeasible_in_several_dimensions():
         h = np.concatenate([rng.uniform(0.0, 1.0, 6), [-1.0, -0.5]])
         res = solve_qp(Qp(H=np.eye(3), g=np.zeros(3), G=G, h=h))
         assert res.status == "infeasible"
-        # Phase-1 stops at its first stationary point, not at the cap.
+        # The pair is found within a few rows, not at the cap.
         assert 0 < res.iterations <= 10
 
 
@@ -79,6 +81,17 @@ def test_asymmetric_hessian_rejected():
     with pytest.raises(ParameterError):
         Qp(H=np.array([[1.0, 2.0], [0.0, 1.0]]), g=np.zeros(2),
            G=np.zeros((0, 2)), h=np.zeros(0))
+
+
+@pytest.mark.parametrize("H", [
+    # A 5e-6 relative asymmetry is far above the 1e-12 tolerance, though
+    # within numpy's default allclose rtol.
+    [[1.0, 1.0], [1.0 + 5e-6, 2.0]],
+    [[np.nan, 0.0], [0.0, 1.0]],
+])
+def test_hessian_outside_symmetry_tolerance_rejected(H):
+    with pytest.raises(ParameterError):
+        Qp(H=np.array(H), g=np.zeros(2), G=np.zeros((0, 2)), h=np.zeros(0))
 
 
 def test_determinism():
@@ -177,3 +190,49 @@ def test_working_set_stays_independent():
         assert np.linalg.matrix_rank(qp.G[active]) == len(active)
         optimal += 1
     assert optimal >= 200
+
+
+_COEF = st.floats(-5.0, 5.0, allow_subnormal=False)
+
+
+@st.composite
+def convex_qp_with_interior_point(draw):
+    """Strictly convex QP (m <= 4, up to 40 rows) and a point inside G z < h."""
+    m = draw(st.integers(1, 4))
+    p = draw(st.integers(0, 40))
+    M = draw(arrays(float, (m, m), elements=_COEF))
+    H = M @ M.T
+    H = 0.5 * (H + H.T) + draw(st.floats(0.1, 10.0)) * np.eye(m)
+    g = draw(arrays(float, m, elements=_COEF))
+    G = draw(arrays(float, (p, m), elements=_COEF))
+    inside = draw(arrays(float, m, elements=_COEF))
+    margin = draw(arrays(float, p, elements=st.floats(0.01, 1.0)))
+    return Qp(H=H, g=g, G=G, h=G @ inside + margin), inside
+
+
+@given(convex_qp_with_interior_point())
+def test_property_feasible_qp_is_solved(case):
+    qp, inside = case
+    res = solve_qp(qp)
+    assert res.status == "optimal"
+    assert np.all(qp.G @ res.z_star <= qp.h + 1e-9)
+    assert res.kkt_residual <= 1e-8
+    inside_value = 0.5 * inside @ qp.H @ inside + qp.g @ inside
+    assert res.value <= inside_value + 1e-9 * max(1.0, abs(inside_value))
+
+
+@given(convex_qp_with_interior_point(), st.data())
+def test_property_contradictory_pair_is_infeasible(case, data):
+    # a z <= b and -a z <= -b - gap cannot both hold, whatever the other rows.
+    qp, _ = case
+    m = qp.m
+    a = data.draw(arrays(float, m, elements=_COEF).filter(
+        lambda v: np.abs(v).max() >= 0.1))
+    b = data.draw(_COEF)
+    gap = data.draw(st.floats(0.01, 1.0))
+    pos = data.draw(st.integers(0, qp.G.shape[0]))
+    G = np.insert(qp.G, [pos, pos], np.vstack([a, -a]), axis=0)
+    h = np.insert(qp.h, [pos, pos], [b, -b - gap])
+    res = solve_qp(Qp(H=qp.H, g=qp.g, G=G, h=h))
+    assert res.status == "infeasible"
+    assert res.value == np.inf
