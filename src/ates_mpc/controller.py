@@ -21,6 +21,7 @@ pressure of a few hundred MWh rather than freezing delivery outright.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -82,12 +83,16 @@ class OcpConfig:
         if min(self.q_u, self.q_d, self.q_e, self.slack_weight) < 0.0:
             raise ParameterError("weights must be nonnegative")
 
+    @functools.cache
     def state_bounds(self, nu: int) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked state box (read-only, built once per config and grid)."""
         m = nu + 1
         x_min = np.concatenate([np.full(m, self.warm_bounds[0]),
                                 np.full(m, self.cold_bounds[0])])
         x_max = np.concatenate([np.full(m, self.warm_bounds[1]),
                                 np.full(m, self.cold_bounds[1])])
+        x_min.flags.writeable = False
+        x_max.flags.writeable = False
         return x_min, x_max
 
     def block_of_step(self) -> list[int]:
@@ -131,9 +136,13 @@ class OcpSolution:
     slack_used: float = 0.0
 
 
+@functools.cache
 def power_linear_rows(grid: RadialGrid, params: AquiferParams, dt: float
                       ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Row vectors so that P(k) = r_now . x(k) + r_next . x(k+1) + const."""
+    """Row vectors so that P(k) = r_now . x(k) + r_next . x(k+1) + const.
+
+    Built once per grid, parameters and ``dt``; the rows are read-only.
+    """
     m = grid.nu + 1
     n = 2 * m
     w = params.c_a * storage_weights(grid) / dt
@@ -144,6 +153,8 @@ def power_linear_rows(grid: RadialGrid, params: AquiferParams, dt: float
     r_now[m - 1] -= loss_gain
     r_now[n - 1] -= loss_gain
     const = 2.0 * loss_gain * params.t_amb
+    r_now.flags.writeable = False
+    r_next.flags.writeable = False
     return r_now, r_next, const
 
 

@@ -15,6 +15,7 @@ regime:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -49,6 +50,7 @@ def _check_stability(grid: RadialGrid, params: AquiferParams, dt: float) -> None
         )
 
 
+@functools.cache
 def _conduction_stencil(grid: RadialGrid, params: AquiferParams, dt: float,
                         inner_coupled: bool) -> tuple[np.ndarray, np.ndarray]:
     """Cell rows of the conduction update.
@@ -57,6 +59,8 @@ def _conduction_stencil(grid: RadialGrid, params: AquiferParams, dt: float,
     full per-aquifer state (borehole + cells) and f_cells holding the far-field
     Dirichlet contribution.  ``inner_coupled`` switches the conductive flux
     through the inner face of cell 1 (on during injection, off otherwise).
+    The stencil depends only on its arguments, so it is built once per grid,
+    parameters and ``dt`` and shared read-only.
     """
     nu = grid.nu
     dr = grid.dr
@@ -85,6 +89,8 @@ def _conduction_stencil(grid: RadialGrid, params: AquiferParams, dt: float,
             k_out = coeff[i] * grid.edges[nu] / (grid.r_inf - grid.midpoints[nu - 1])
             A[i, c] -= k_out
             f[i] += k_out * params.t_amb
+    A.flags.writeable = False
+    f.flags.writeable = False
     return A, f
 
 

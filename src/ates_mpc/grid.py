@@ -18,15 +18,20 @@ from .errors import GeometryError, ParameterError
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniformly spaced 1-D radial grid for one aquifer."""
+    """Uniformly spaced 1-D radial grid for one aquifer.
+
+    The read-only arrays are derived from the four scalars by ``build_grid``,
+    so a grid compares and hashes by ``(r0, r_inf, nu, l)`` and can key the
+    per-grid operator caches.
+    """
 
     r0: float
     r_inf: float
     nu: int
     l: float
-    edges: np.ndarray = field(repr=False)
-    midpoints: np.ndarray = field(repr=False)
-    volumes: np.ndarray = field(repr=False)
+    edges: np.ndarray = field(repr=False, compare=False)
+    midpoints: np.ndarray = field(repr=False, compare=False)
+    volumes: np.ndarray = field(repr=False, compare=False)
 
     @property
     def dr(self) -> float:
@@ -49,6 +54,8 @@ def build_grid(r0: float, r_inf: float, nu: int, l: float) -> RadialGrid:
     edges = np.linspace(r0, r_inf, nu + 1)
     midpoints = 0.5 * (edges[:-1] + edges[1:])
     volumes = math.pi * (edges[1:] ** 2 - edges[:-1] ** 2) * l
+    for arr in (edges, midpoints, volumes):
+        arr.flags.writeable = False
     return RadialGrid(float(r0), float(r_inf), int(nu), float(l),
                       edges=edges, midpoints=midpoints, volumes=volumes)
 

@@ -63,11 +63,19 @@ class PredictedMoments:
 
 
 def repair_psd(cov: np.ndarray) -> np.ndarray:
-    """Symmetrize and, if needed, push tiny negative eigenvalues back to zero."""
+    """Symmetrize and, if needed, push tiny negative eigenvalues back to zero.
+
+    A successful Cholesky factorization certifies the symmetrized matrix
+    positive definite, so it is returned as it is; only a failed one pays
+    for the eigenvalues.
+    """
     cov = 0.5 * (cov + cov.T)
-    eigmin = float(np.linalg.eigvalsh(cov).min())
-    if eigmin < 0.0:
-        cov = cov - eigmin * np.eye(cov.shape[0])
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        eigmin = float(np.linalg.eigvalsh(cov).min())
+        if eigmin < 0.0:
+            cov = cov - eigmin * np.eye(cov.shape[0])
     return cov
 
 

@@ -9,6 +9,7 @@ advection CFL inside their stability limits.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,11 @@ class TruthState:
     cold: np.ndarray
     lam_warm: np.ndarray        # per-cell conduction coefficients
     lam_cold: np.ndarray
+    # Face conductances of each aquifer (``_conductances``) and the largest
+    # conduction coefficient, fixed by the lambda field at init_truth.
+    k_warm: tuple[np.ndarray, float, float]
+    k_cold: tuple[np.ndarray, float, float]
+    lam_max: float
     t_amb_current: float
     clock: float = 0.0
     boundary_energy: float = 0.0
@@ -84,6 +90,9 @@ def init_truth(cfg: TruthConfig, coarse: RadialGrid, params: AquiferParams) -> T
         grid=grid, params=params, cfg=cfg,
         warm=np.full(m, params.t_amb), cold=np.full(m, params.t_amb),
         lam_warm=lam_warm, lam_cold=lam_cold,
+        k_warm=_conductances(lam_warm, grid),
+        k_cold=_conductances(lam_cold, grid),
+        lam_max=float(max(lam_warm.max(), lam_cold.max())),
         t_amb_current=params.t_amb,
         sensor_cells=(0, far_cell),
         rng_t_amb=np.random.default_rng(seeds[1]),
@@ -95,8 +104,7 @@ def _substep_count(state: TruthState, u: float, dt: float) -> int:
     grid = state.grid
     p = state.params
     dr = grid.dr
-    lam_max = float(max(state.lam_warm.max(), state.lam_cold.max()))
-    diff_rate = lam_max / (p.c_a * dr**2)
+    diff_rate = state.lam_max / (p.c_a * dr**2)
     # Advection speed is retarded by c_w/c_a; the tightest cell pairs the
     # largest velocity (smallest radius) with the half-spacing at the borehole.
     v_eff = (p.c_w / p.c_a) * abs(u) / (2.0 * np.pi * grid.midpoints[0] * grid.l)
@@ -108,26 +116,41 @@ def _substep_count(state: TruthState, u: float, dt: float) -> int:
     return n_sub
 
 
-def _cell_rates(field_vals: np.ndarray, lam: np.ndarray, grid: RadialGrid,
-                params: AquiferParams, q: float, t_far: float,
+def _conductances(lam: np.ndarray, grid: RadialGrid
+                  ) -> tuple[np.ndarray, float, float]:
+    """Conductance factors of the interior faces (harmonic-mean lambda), the
+    far face and the borehole face: lambda * 2 pi l * r_edge [W m^-1 K^-1 m]."""
+    two_pi_l = 2.0 * np.pi * grid.l
+    lam_face = 2.0 * lam[:-1] * lam[1:] / (lam[:-1] + lam[1:])
+    k_face = lam_face * two_pi_l * grid.edges[1:-1]
+    k_face.flags.writeable = False
+    return (k_face, lam[-1] * two_pi_l * grid.edges[-1],
+            lam[0] * two_pi_l * grid.edges[0])
+
+
+def _cell_rates(field_vals: np.ndarray, k: tuple[np.ndarray, float, float],
+                grid: RadialGrid, params: AquiferParams, q: float, t_far: float,
                 injecting: bool) -> tuple[np.ndarray, float, float]:
-    """dT/dt of the cells plus boundary conduction fluxes (into the domain, W)."""
+    """dT/dt of the cells plus boundary conduction fluxes (into the domain, W).
+
+    ``k`` is ``_conductances`` of the aquifer's lambda field.
+    """
     t = field_vals[1:]
     t0 = field_vals[0]
     dr = grid.dr
     two_pi_l = 2.0 * np.pi * grid.l
     c_a = params.c_a
+    k_face, k_far, k_bh = k
 
     # flux[j]: conduction through edge j in the direction of growing r, so the
     # net gain of cell i is flux[i+1] - flux[i].
-    lam_face = 2.0 * lam[:-1] * lam[1:] / (lam[:-1] + lam[1:])
     flux = np.zeros(grid.nu + 1)
-    flux[1:-1] = lam_face * two_pi_l * grid.edges[1:-1] * (t[1:] - t[:-1]) / dr
-    flux[-1] = lam[-1] * two_pi_l * grid.edges[-1] * (t_far - t[-1]) / (0.5 * dr)
+    flux[1:-1] = k_face * (t[1:] - t[:-1]) / dr
+    flux[-1] = k_far * (t_far - t[-1]) / (0.5 * dr)
     cond_far = float(flux[-1])
     cond_bh = 0.0
     if injecting:
-        flux[0] = lam[0] * two_pi_l * grid.edges[0] * (t[0] - t0) / (0.5 * dr)
+        flux[0] = k_bh * (t[0] - t0) / (0.5 * dr)
         cond_bh = float(-flux[0])
     rates = (flux[1:] - flux[:-1]) / (c_a * grid.volumes)
 
@@ -194,10 +217,10 @@ def truth_step(state: TruthState, u: float, hx: HxParams, dt: float = 3600.0,
             state.warm[0] = state.warm[1]
             state.cold[0] = state.cold[1]
 
-        for field_vals, lam, q, injecting in (
-                (state.warm, state.lam_warm, q_warm, mode_cooling),
-                (state.cold, state.lam_cold, q_cold, mode_heating)):
-            rates, cond_far, cond_bh = _cell_rates(field_vals, lam, grid, p, q,
+        for field_vals, k, q, injecting in (
+                (state.warm, state.k_warm, q_warm, mode_cooling),
+                (state.cold, state.k_cold, q_cold, mode_heating)):
+            rates, cond_far, cond_bh = _cell_rates(field_vals, k, grid, p, q,
                                                    t_far, injecting)
             t_new = field_vals[1:] + dt_sub * rates
             if audit:
@@ -235,13 +258,19 @@ def measure(state: TruthState, noise_stream: np.random.Generator | None = None
     return values
 
 
+@functools.cache
 def _overlap_weights(fine: RadialGrid, coarse: RadialGrid) -> np.ndarray:
-    """Shell-volume overlap matrix W (coarse cells x fine cells), rows sum to 1."""
+    """Shell-volume overlap matrix W (coarse cells x fine cells), rows sum to 1.
+
+    Built once per pair of grids and shared read-only.
+    """
     a = np.maximum(coarse.edges[:-1, None], fine.edges[None, :-1])
     b = np.minimum(coarse.edges[1:, None], fine.edges[None, 1:])
     overlap = np.clip(b, a, None) ** 2 - a**2  # ∝ shell volume of overlap
     W = np.where(b > a, overlap, 0.0)
-    return W / W.sum(axis=1, keepdims=True)
+    W = W / W.sum(axis=1, keepdims=True)
+    W.flags.writeable = False
+    return W
 
 
 def restrict_to_coarse(state: TruthState, coarse: RadialGrid) -> np.ndarray:

@@ -58,6 +58,14 @@ class QpResult:
 
 
 def _regularize(H: np.ndarray) -> np.ndarray:
+    """H itself when its Cholesky factor exists with every squared pivot at
+    least 1e-12; otherwise, if its smallest eigenvalue is below 1e-12, H
+    shifted so that it is at least 1e-10."""
+    try:
+        if np.diagonal(np.linalg.cholesky(H)).min() ** 2 >= 1e-12:
+            return H
+    except np.linalg.LinAlgError:
+        pass
     eigmin = float(np.linalg.eigvalsh(H).min())
     if eigmin < 1e-12:
         return H + (1e-10 + max(0.0, -eigmin)) * np.eye(H.shape[0])

@@ -385,3 +385,28 @@ def test_singular_block_cost_solves_every_candidate(grid, params, hx):
     assert sol.mode_sequence == modes
     assert np.array_equal(sol.u_blocks, u_blocks)
     assert sol.cost == cost
+
+
+def test_weightless_inputs_take_the_hessian_shift(grid, params, hx, monkeypatch):
+    # With q_u = 0 the storing blocks are eliminated and the pumping blocks'
+    # Hessian is still positive definite; with every input weight at zero it
+    # is zero, has no Cholesky factor and must be shifted.  The all-storing
+    # sequence keeps only the slack, whose weight is positive.
+    from ates_mpc import qp as qp_module
+
+    regularize = qp_module._regularize
+    shifted = []
+
+    def recording(H):
+        out = regularize(H)
+        shifted.append(out is not H)
+        return out
+
+    monkeypatch.setattr(qp_module, "_regularize", recording)
+    cfg = OcpConfig(q_u=0.0, q_d=0.0, q_e=0.0)
+    x0 = charged_state(grid, params)
+    model = build_pwa(grid, params, hx, DT, x0, 0.0)
+    sol = solve_ocp(x0, np.full(12, 8e5), 0.0, cfg, model, grid, params)
+    assert len(shifted) == 27
+    assert sum(shifted) == 26
+    assert sol.cost == 0.0

@@ -219,3 +219,44 @@ def test_repair_psd():
     fixed = repair_psd(A)
     assert np.linalg.eigvalsh(fixed).min() >= 0.0
     assert np.allclose(fixed, fixed.T)
+
+
+def reference_repair(cov):
+    """The eigenvalue shift applied to every matrix."""
+    cov = 0.5 * (cov + cov.T)
+    eigmin = float(np.linalg.eigvalsh(cov).min())
+    return cov - eigmin * np.eye(cov.shape[0]) if eigmin < 0.0 else cov
+
+
+@pytest.fixture()
+def eigvalsh_calls(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+def test_repair_psd_returns_positive_definite_input_symmetrized(eigvalsh_calls):
+    rng = np.random.default_rng(2)
+    M = rng.standard_normal((42, 42))
+    C = M @ M.T + 1e-3 * np.eye(42)
+    C[0, 1] += 1e-15  # slightly asymmetric, as sums of products come out
+    out = repair_psd(C)
+    assert np.array_equal(out, 0.5 * (C + C.T))
+    assert eigvalsh_calls == []
+
+
+@pytest.mark.parametrize("C", [
+    np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]]),  # PSD, rank 2
+    np.array([[1.0, 0.0], [0.0, -1e-6]]),                           # indefinite
+])
+def test_repair_psd_shifts_when_no_cholesky_factor_exists(C, eigvalsh_calls):
+    out = repair_psd(C)
+    assert len(eigvalsh_calls) == 1
+    assert np.array_equal(out, reference_repair(C))
+    assert np.linalg.eigvalsh(out).min() >= 0.0

@@ -147,3 +147,55 @@ def test_overlap_weights_match_per_cell_reference(grid):
             ref[i] = np.where(b > a, np.clip(b, a, None) ** 2 - a**2, 0.0)
             ref[i] /= ref[i].sum()
         assert np.array_equal(_overlap_weights(fine, grid), ref)
+
+
+def reference_cell_rates(field_vals, lam, grid, params, q, t_far, injecting):
+    """The cell rates with the harmonic-mean face values formed on every call."""
+    t = field_vals[1:]
+    t0 = field_vals[0]
+    dr = grid.dr
+    two_pi_l = 2.0 * np.pi * grid.l
+    c_a = params.c_a
+    lam_face = 2.0 * lam[:-1] * lam[1:] / (lam[:-1] + lam[1:])
+    flux = np.zeros(grid.nu + 1)
+    flux[1:-1] = lam_face * two_pi_l * grid.edges[1:-1] * (t[1:] - t[:-1]) / dr
+    flux[-1] = lam[-1] * two_pi_l * grid.edges[-1] * (t_far - t[-1]) / (0.5 * dr)
+    cond_far = float(flux[-1])
+    cond_bh = 0.0
+    if injecting:
+        flux[0] = lam[0] * two_pi_l * grid.edges[0] * (t[0] - t0) / (0.5 * dr)
+        cond_bh = float(-flux[0])
+    rates = (flux[1:] - flux[:-1]) / (c_a * grid.volumes)
+    if q != 0.0:
+        v = q / (two_pi_l * grid.midpoints)
+        retard = params.c_w / c_a
+        grad = np.empty(grid.nu)
+        if q > 0.0:
+            grad[0] = (t[0] - t0) / dr
+            grad[1:] = (t[1:] - t[:-1]) / dr
+        else:
+            grad[:-1] = (t[1:] - t[:-1]) / dr
+            grad[-1] = (t_far - t[-1]) / dr
+        rates = rates - retard * v * grad
+    return rates, cond_far, cond_bh
+
+
+def test_cell_rates_with_stored_conductances_match_reference(grid, params):
+    from ates_mpc.plant import _cell_rates
+
+    state = init_truth(TruthConfig(seed=11), grid, params)
+    rng = np.random.default_rng(4)
+    fine = state.grid
+    for lam, k in ((state.lam_warm, state.k_warm),
+                   (state.lam_cold, state.k_cold)):
+        assert np.ptp(lam) > 1.0  # heterogeneous field
+        field_vals = 284.85 + 3.0 * rng.standard_normal(fine.nu + 1)
+        for q in (0.02, -0.02, 0.0):
+            for injecting in (False, True):
+                got = _cell_rates(field_vals, k, fine, params, q, 284.9,
+                                  injecting)
+                ref = reference_cell_rates(field_vals, lam, fine, params, q,
+                                           284.9, injecting)
+                assert np.array_equal(got[0], ref[0])
+                assert got[1:] == ref[1:]
+    assert state.lam_max == max(state.lam_warm.max(), state.lam_cold.max())

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ates_mpc import (EnergyLedger, ParameterError, build_pwa, power_bilinear,
                       power_linear, pwa_step, storage_weights, update_balance)
@@ -89,3 +90,23 @@ def test_ledger_consistency_invariant():
         update_balance(ledger, p, 0.0, 0.0, (k + 1) * DT)
     assert ledger.b_past == pytest.approx(DT * powers.sum(), rel=1e-9)
     assert len(ledger.history) == 50
+
+
+@given(st.lists(st.tuples(st.floats(-1e7, 1e7), st.floats(1.0, 1e4)),
+                min_size=1, max_size=50),
+       st.floats(0.0, 1e4))
+def test_property_ledger_orders_time_and_sums_power(steps, back):
+    ledger = EnergyLedger(dt=DT)
+    t = expected = 0.0
+    for p, gap in steps:
+        t += gap
+        update_balance(ledger, p, 0.0, 0.0, t)
+        expected += p * DT
+    assert ledger.b_past == expected
+    times = [rec.t for rec in ledger.history]
+    assert all(a < b for a, b in zip(times, times[1:]))
+    # A time that does not advance is rejected and books nothing.
+    with pytest.raises(ParameterError):
+        update_balance(ledger, 1e6, 0.0, 0.0, t - back)
+    assert ledger.b_past == expected
+    assert len(ledger.history) == len(steps)

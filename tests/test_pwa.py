@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ates_mpc import (AssemblyError, ParameterError, build_extraction_system,
                       build_injection_system, build_pwa, hx_outlet_temp,
@@ -159,3 +161,33 @@ def test_assembly_rejects_mismatched_dimensions(grid, params, hx, ambient_state)
     hx_cool = linearize_hx(float(cold[0]), 0.0, hx, "cooling")
     with pytest.raises(AssemblyError):
         assemble_pwa(warm_ex, warm_inj, cold_ex, cold_inj, hx_heat, hx_cool)
+
+
+_KELVIN_OFFSET = st.floats(-5.0, 5.0, allow_subnormal=False)
+
+
+@given(ref=arrays(float, 42, elements=_KELVIN_OFFSET),
+       u_ref=st.floats(-U_MAX, U_MAX, allow_subnormal=False),
+       x1=arrays(float, 42, elements=_KELVIN_OFFSET),
+       x2=arrays(float, 42, elements=_KELVIN_OFFSET),
+       flows=st.tuples(st.floats(1e-6, U_MAX), st.floats(1e-6, U_MAX)),
+       sign=st.sampled_from((1.0, 0.0, -1.0)),
+       alpha=st.floats(0.0, 1.0))
+def test_property_each_branch_is_affine_in_x_and_u(grid, params, hx, ref, u_ref,
+                                                   x1, x2, flows, sign, alpha):
+    t_amb = params.t_amb
+    model = build_pwa(grid, params, hx, DT, t_amb + ref, u_ref)
+    x1, x2 = t_amb + x1, t_amb + x2
+    u1, u2 = sign * flows[0], sign * flows[1]
+
+    def step(x, u):
+        return pwa_step(model, x, u)
+
+    # In x, at a fixed flow of the branch's sign.
+    mixed = step(alpha * x1 + (1.0 - alpha) * x2, u1)
+    assert np.max(np.abs(mixed - (alpha * step(x1, u1)
+                                  + (1.0 - alpha) * step(x2, u1)))) < 1e-9
+    # In u, inside the branch's sign region.
+    mixed = step(x1, alpha * u1 + (1.0 - alpha) * u2)
+    assert np.max(np.abs(mixed - (alpha * step(x1, u1)
+                                  + (1.0 - alpha) * step(x1, u2)))) < 1e-9

@@ -236,3 +236,25 @@ def test_property_contradictory_pair_is_infeasible(case, data):
     res = solve_qp(Qp(H=qp.H, g=qp.g, G=G, h=h))
     assert res.status == "infeasible"
     assert res.value == np.inf
+
+
+def reference_regularize(H):
+    """The eigenvalue test applied to every Hessian."""
+    eigmin = float(np.linalg.eigvalsh(H).min())
+    if eigmin < 1e-12:
+        return H + (1e-10 + max(0.0, -eigmin)) * np.eye(H.shape[0])
+    return H
+
+
+@pytest.mark.parametrize("H, shifted", [
+    (np.array([[2.0, 0.5], [0.5, 1.0]]), False),               # positive definite
+    (np.diag([1.0, 0.0, 3.0]), True),                          # zero input weight
+    (np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]), True),        # tiny pivot
+    (np.array([[1.0, 0.0], [0.0, -1e-3]]), True),              # indefinite
+])
+def test_regularize_shifts_only_without_a_certifying_factor(H, shifted):
+    from ates_mpc.qp import _regularize
+
+    out = _regularize(H)
+    assert (out is not H) == shifted
+    assert np.array_equal(out, reference_regularize(H))
