@@ -33,6 +33,17 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="override the scenario seed")
 
 
+def _step_count(text: str) -> int:
+    """A ``--steps`` value: a nonnegative integer."""
+    try:
+        steps = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if steps < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {steps}")
+    return steps
+
+
 def _load(args) -> "Scenario":
     values = _config_values(args.scenario)
     if args.seed is not None:
@@ -135,8 +146,8 @@ def _cmd_validate_power(args) -> int:
     scenario = _load(args)
     steps = args.steps if args.steps is not None else 720
     _, p_bil, p_lin = power_form_study(scenario, steps)
-    peak = float(np.abs(p_bil).max())
-    mean_err = float(np.abs(p_lin - p_bil).mean())
+    peak = float(np.abs(p_bil).max(initial=0.0))
+    mean_err = float(np.abs(p_lin - p_bil).sum()) / max(steps, 1)
     ratio = mean_err / peak if peak > 0 else 0.0
     print(f"{steps} model steps: mean |linear - bilinear| = "
           f"{mean_err / 1e3:.1f} kW, peak |P| = {peak / 1e6:.3f} MW "
@@ -177,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="closed-loop MPC run against the truth plant")
     _add_common(p)
     p.add_argument("--out", default=None, help="results CSV path")
-    p.add_argument("--steps", type=int, default=None,
+    p.add_argument("--steps", type=_step_count, default=None,
                    help="number of hourly steps (default: scenario duration)")
     p.add_argument("--log-every", type=int, default=0,
                    help="log progress every N steps")
@@ -186,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sim", help="open-loop plant rollout with a flow schedule")
     _add_common(p)
     p.add_argument("--out", default=None, help="results CSV path")
-    p.add_argument("--steps", type=int, default=None,
+    p.add_argument("--steps", type=_step_count, default=None,
                    help="number of hourly steps (default: scenario duration)")
     p.add_argument("--schedule", default=None,
                    help="comma-separated flows or CSV (second column)")
@@ -196,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("observe", help="replay the estimator on logged results")
     _add_common(p)
-    p.add_argument("--steps", type=int, default=None,
+    p.add_argument("--steps", type=_step_count, default=None,
                    help="replay only the first N records (default: all)")
     p.add_argument("results", help="results CSV from a previous run")
     p.set_defaults(func=_cmd_observe)
@@ -214,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate-power",
                        help="compare bilinear and linear power forms")
     _add_common(p)
-    p.add_argument("--steps", type=int, default=None,
+    p.add_argument("--steps", type=_step_count, default=None,
                    help="number of model steps (default: 720)")
     p.set_defaults(func=_cmd_validate_power)
 

@@ -2,13 +2,16 @@
 
 Move blocking fixes the input to one value per horizon segment, so each of the
 3^3 = 27 blocked mode sequences yields a small dense QP after condensing the
-piecewise-affine dynamics; all 27 are condensed in one batch.  The search is
-an exact bound-and-prune: each sequence's unconstrained minimum bounds its QP
-from below, QPs are solved in ascending bound order, and a sequence whose
-bound exceeds the best cost so far by more than the near-tie tolerance is
-pruned unsolved.  The cheapest feasible sequence wins, exactly as if all 27
-were solved; state box constraints are softened with a single quadratic slack
-so the controller always emits an input.
+piecewise-affine dynamics.  The cost needs only each sequence's predicted
+powers, so those are condensed for all 27 at once from per-mode power rows;
+a sequence's predicted states, which only its soft state rows read, are
+rolled out when its QP is solved.  The search is an exact bound-and-prune:
+each sequence's unconstrained minimum bounds its QP from below, QPs are
+solved in ascending bound order, and a sequence whose bound exceeds the best
+cost so far by more than the near-tie tolerance is pruned unsolved.  The
+cheapest feasible sequence wins, exactly as if all 27 were solved; state box
+constraints are softened with a single quadratic slack so the controller
+always emits an input.
 
 The objective is evaluated with powers in MW throughout: the tracking term
 compares predicted and demanded power in MW, and the energy-balance term
@@ -101,15 +104,14 @@ class OcpConfig:
 
 @dataclass(frozen=True)
 class PredictionMap:
-    """Affine maps from the blocked inputs to predicted states and powers.
+    """Affine maps from the blocked inputs to predicted powers.
 
     One map per mode sequence, stacked along the leading axis in
-    ``itertools.product(MODES, repeat=n_blocks)`` order.
+    ``itertools.product(MODES, repeat=n_blocks)`` order.  A sequence's
+    predicted states come from ``rollout``.
     """
 
     mode_sequences: tuple[tuple[str, ...], ...]
-    state_offsets: np.ndarray            # S x (N+1) x n
-    state_gains: np.ndarray              # S x (N+1) x n x n_blocks
     power_offset: np.ndarray             # S x N, watts
     power_gain: np.ndarray               # S x N x n_blocks, watts per (m^3/s)
 
@@ -134,6 +136,7 @@ class OcpSolution:
     cost_terms: dict = field(default_factory=dict)
     per_candidate: list[CandidateRecord] = field(default_factory=list)
     slack_used: float = 0.0
+    snapped_flows: int = 0               # rounding-level block flows set to 0.0
 
 
 @functools.cache
@@ -160,44 +163,88 @@ def power_linear_rows(grid: RadialGrid, params: AquiferParams, dt: float
 
 def condense(model: PwaModel, cfg: OcpConfig, x0: np.ndarray,
              power_rows: tuple[np.ndarray, np.ndarray, float]) -> PredictionMap:
-    """Forward-substitute the branch dynamics of every mode sequence at once.
+    """Power maps of every mode sequence, from per-mode power rows.
 
-    The sequences are held on a (3,) * n_blocks grid, one axis per block.  At
-    a step of block j the three branches are stacked along axis j, so one
-    broadcast product applies each branch to the sequences in its mode.
+    A step in mode m from x(k) delivers P(k) = c_m . x(k) + d_m u + e_m, with
+    c_m = r_now + r_next A_m, d_m = r_next . b_m and e_m = r_next . f_m +
+    const.  Move blocking holds a block's mode fixed, so its i-th step
+    delivers (c_m A_m^i) . x_start plus the running sums of c_m A_m^t f_m and
+    c_m A_m^t b_m over t < i.  A block's start states depend only on the
+    modes of the blocks before it (3^j of them for block j), so each block's
+    powers are one product of these rows with its start states, offset and
+    gain columns side by side.  Only the blocks before the last are stepped,
+    to produce the next block's start states; no sequence's state trajectory
+    is formed (``rollout`` does that, for one sequence).
     ``power_rows`` is ``power_linear_rows(grid, params, cfg.dt)``.
     """
     x0 = validate_state(x0, model.nu)
     nb = len(cfg.blocks)
-    n_steps = cfg.horizon + 1
     r_now, r_next, p_const = power_rows
     branches = [model.branch(MODE_SIGN[mode]) for mode in MODES]
     A = np.stack([branch.A for branch in branches])
     b = np.stack([branch.b for branch in branches])
     f = np.stack([branch.f for branch in branches])
 
+    # rows[m, i] = c_m A_m^i for i below the longest block; terms[m, i] holds
+    # the i-th step's affine terms, e_m and d_m plus the running sums of
+    # rows . f_m and rows . b_m.
+    rows = np.empty((len(MODES), max(cfg.blocks), model.n))
+    rows[:, 0] = r_now + r_next @ A
+    for i in range(1, rows.shape[1]):
+        rows[:, i] = (rows[:, i - 1, None, :] @ A)[:, 0]
+    drive = np.stack([f, b], axis=-1)
+    terms = np.zeros(rows.shape[:2] + (2,))
+    terms[:, 1:] = np.cumsum((rows @ drive)[:, :-1], axis=1)
+    terms += (r_next @ drive + [p_const, 0.0])[:, None]
+
     grid_shape = (len(MODES),) * nb
-    offsets = np.empty(grid_shape + (n_steps, model.n))
-    gains = np.zeros(grid_shape + (n_steps, model.n, nb))
-    offsets[..., 0, :] = x0
-    for k, j in enumerate(cfg.block_of_step()):
-        on_axis_j = (1,) * j + (len(MODES),) + (1,) * (nb - 1 - j)
-        A_j = A.reshape(on_axis_j + A.shape[1:])
-        # Stacked forms that round like the one-sequence products A @ x.
-        offsets[..., k + 1, :] = (np.matmul(A_j, offsets[..., k, :, None])[..., 0]
-                                  + f.reshape(on_axis_j + f.shape[1:]))
-        gains[..., k + 1, :, :] = A_j @ gains[..., k, :, :]
-        gains[..., k + 1, :, j] += b.reshape(on_axis_j + b.shape[1:])
+    p_off = np.empty(grid_shape + (cfg.horizon,))
+    p_gain = np.empty(grid_shape + (cfg.horizon, nb))
+    # Start states of the current block, one per mode prefix: column 0 is
+    # the offset, column 1 + j the gain of block j.
+    starts = np.zeros((1, model.n, 1 + nb))
+    starts[0, :, 0] = x0
+    k = 0
+    for j, length in enumerate(cfg.blocks):
+        # powers[p, m, i]: i-th step of block j in mode m from start p.
+        powers = rows[None, :, :length] @ starts[:, None]
+        powers[..., 0] += terms[:, :length, 0]
+        powers[..., 1 + j] += terms[:, :length, 1]
+        # The block's powers hold for every mode of the blocks after it.
+        prefix = grid_shape[:j + 1] + (1,) * (nb - 1 - j) + (length,)
+        p_off[..., k:k + length] = powers[..., 0].reshape(prefix)
+        p_gain[..., k:k + length, :] = powers[..., 1:].reshape(prefix + (nb,))
+        k += length
+        if j + 1 < nb:
+            states = starts[:, None]
+            for _ in range(length):
+                states = A @ states
+                states[..., 0] += f
+                states[..., 1 + j] += b
+            starts = states.reshape(-1, model.n, 1 + nb)
     # The grid flattened in C order is itertools.product order.
-    offsets = offsets.reshape(-1, n_steps, model.n)
-    gains = gains.reshape(-1, n_steps, model.n, nb)
-    # Per-step dot products r . x(k): one matrix product over all steps
-    # rounds differently and shifts the QP data.
-    p_off = ((offsets[:, :-1, None, :] @ r_now)[..., 0]
-             + (offsets[:, 1:, None, :] @ r_next)[..., 0] + p_const)
-    p_gain = r_now @ gains[:, :-1] + r_next @ gains[:, 1:]
     return PredictionMap(tuple(itertools.product(MODES, repeat=nb)),
-                         offsets, gains, p_off, p_gain)
+                         p_off.reshape(-1, cfg.horizon),
+                         p_gain.reshape(-1, cfg.horizon, nb))
+
+
+def rollout(model: PwaModel, cfg: OcpConfig, x0: np.ndarray,
+            modes: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted states of one mode sequence, affine in the blocked inputs.
+
+    Returns the offsets ((N+1) x n) and gains ((N+1) x n x n_blocks) so that
+    x(k) = offsets[k] + gains[k] @ u_blocks.
+    """
+    nb = len(cfg.blocks)
+    offsets = np.empty((cfg.horizon + 1, model.n))
+    gains = np.zeros((cfg.horizon + 1, model.n, nb))
+    offsets[0] = x0
+    for k, j in enumerate(cfg.block_of_step()):
+        branch = model.branch(MODE_SIGN[modes[j]])
+        offsets[k + 1] = branch.A @ offsets[k] + branch.f
+        gains[k + 1] = branch.A @ gains[k]
+        gains[k + 1, :, j] += branch.b
+    return offsets, gains
 
 
 def build_cost(pred: PredictionMap, demand: np.ndarray, b_past: float,
@@ -240,17 +287,17 @@ def build_cost(pred: PredictionMap, demand: np.ndarray, b_past: float,
     return H, g, const
 
 
-def candidate_qp(pred: PredictionMap, s: int, H: np.ndarray, g: np.ndarray,
-                 cfg: OcpConfig, nu: int) -> tuple[Qp, np.ndarray]:
-    """QP of sequence ``s``: its cost ``H, g`` with the input box, slack and
-    soft state rows.
+def candidate_qp(modes: tuple[str, ...],
+                 states: tuple[np.ndarray, np.ndarray], H: np.ndarray,
+                 g: np.ndarray, cfg: OcpConfig, nu: int) -> tuple[Qp, np.ndarray]:
+    """QP of one mode sequence: its cost ``H, g`` with the input box, slack
+    and soft state rows; ``states`` is its ``rollout``.
 
     A storing block's flow is fixed at zero, so its variable is eliminated:
     the QP is over the pumping blocks' flows and the slack.  Returns the Qp
     and the indices of its variables in the (blocks, slack) vector.
     """
     nb = len(cfg.blocks)
-    modes = pred.mode_sequences[s]
     pumping = [j for j, mode in enumerate(modes) if mode != "storing"]
     free = np.array(pumping + [nb])
     nv = free.size
@@ -260,8 +307,8 @@ def candidate_qp(pred: PredictionMap, s: int, H: np.ndarray, g: np.ndarray,
     # [-gain_k, -1] z <= off_k - x_min.  A storing block's gain column is
     # zero, so dropping it changes no row.
     x_min, x_max = cfg.state_bounds(nu)
-    gains = pred.state_gains[s, 1:][..., pumping]
-    offsets = pred.state_offsets[s, 1:]
+    offsets = states[0][1:]
+    gains = states[1][1:][..., pumping]
     soft_h = np.stack([x_max - offsets, offsets - x_min], axis=1)
     # Drop soft rows that no feasible input can activate: with |u_j| bounded
     # by the input box and slack >= 0, the left-hand side never exceeds the
@@ -311,7 +358,8 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
     Sequences are solved in ascending order of their unconstrained lower
     bound.  One whose bound exceeds the incumbent by more than the near-tie
     tolerance cannot win nor tie, so its QP is skipped and it is recorded as
-    ``"pruned"`` with its bound as cost.
+    ``"pruned"`` with its bound as cost.  Predicted states are rolled out
+    only for the sequences whose QP is solved; the winner's give ``x_pred``.
     """
     nb = len(cfg.blocks)
     pred = condense(model, cfg, x0, power_linear_rows(grid, params, cfg.dt))
@@ -319,6 +367,7 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
     bounds = _lower_bounds(H, g, const)
     candidates: list[tuple[tuple[str, ...], np.ndarray, float, int]] = []
     records: list[CandidateRecord | None] = [None] * len(bounds)
+    rollouts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     incumbent = np.inf
     for s in np.argsort(bounds, kind="stable"):
         modes = pred.mode_sequences[s]
@@ -330,7 +379,8 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
             records[s] = CandidateRecord(modes, "pruned", float(bounds[s]),
                                          np.full(nb, np.nan), np.nan, np.nan)
             continue
-        qp, free = candidate_qp(pred, s, H[s], g[s], cfg, model.nu)
+        rollouts[s] = rollout(model, cfg, x0, modes)
+        qp, free = candidate_qp(modes, rollouts[s], H[s], g[s], cfg, model.nu)
         try:
             result = solve_qp(qp)
         except SolverError:
@@ -364,9 +414,12 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
     # An active zero bound can come back as +-1e-19; its sign would select a
     # pumping branch in the model, the filter and the recorded mode while the
     # plant pumps nothing.
-    u_blocks[np.abs(u_blocks) <= 1e-12 * max(cfg.u_max, -cfg.u_min)] = 0.0
+    snap = (u_blocks != 0.0) & (np.abs(u_blocks)
+                                <= 1e-12 * max(cfg.u_max, -cfg.u_min))
+    u_blocks[snap] = 0.0
 
-    x_pred = pred.state_offsets[s] + pred.state_gains[s] @ u_blocks
+    offsets, gains = rollouts[s]
+    x_pred = offsets + gains @ u_blocks
     p_pred = pred.power_offset[s] + pred.power_gain[s] @ u_blocks
 
     demand = np.asarray(demand, dtype=float)
@@ -385,7 +438,7 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
         "slack": cfg.slack_weight * float(z[nb]) ** 2,
     }
     return OcpSolution(u_blocks, modes, x_pred, p_pred, total, terms, records,
-                       slack_used)
+                       slack_used, int(snap.sum()))
 
 
 def receding_step(solution: OcpSolution) -> float:

@@ -43,10 +43,12 @@ class RunReport:
     est_bound_violation_k: float = 0.0  # worst estimate excursion past the box [K]
     u_abs_max: float = 0.0
     # Over the run: steps whose OCP faulted and fell back to storing, and
-    # the candidate QPs solved and stalled at the steps that returned a plan.
+    # the candidate QPs solved and stalled and the rounding-level block flows
+    # snapped to 0.0 at the steps that returned a plan.
     controller_faults: int = 0
     qps_solved: int = 0
     stalled_candidates: int = 0
+    snapped_flows: int = 0
     sensor_faults: int = 0   # non-finite readings, run as predict-only steps
     error_series: np.ndarray = field(repr=False, default=None)  # spatial-mean |err| per step
     records: list[dict] = field(repr=False, default_factory=list)
@@ -111,7 +113,7 @@ def run_closed_loop(scenario: Scenario, steps: int | None = None,
     power_errors = np.zeros(steps)
     solve_ms = np.zeros(steps)
     est_violation = 0.0
-    faults = qps_solved = stalled = sensor_faults = 0
+    faults = qps_solved = stalled = snapped = sensor_faults = 0
     records: list[dict] = []
 
     for k in range(steps):
@@ -129,6 +131,7 @@ def run_closed_loop(scenario: Scenario, steps: int | None = None,
             statuses = [rec.status for rec in solution.per_candidate]
             qps_solved += len(statuses) - statuses.count("pruned")
             stalled += statuses.count("stalled")
+            snapped += solution.snapped_flows
         except ControllerFault:
             logger.warning("controller fault at step %d, storing fallback", k)
             solution = None
@@ -204,6 +207,7 @@ def run_closed_loop(scenario: Scenario, steps: int | None = None,
         controller_faults=faults,
         qps_solved=qps_solved,
         stalled_candidates=stalled,
+        snapped_flows=snapped,
         sensor_faults=sensor_faults,
         error_series=err_series,
         records=records,
@@ -231,6 +235,7 @@ def report_summary(report: RunReport) -> dict:
         "controller_faults": report.controller_faults,
         "qps_solved": report.qps_solved,
         "stalled_candidates": report.stalled_candidates,
+        "snapped_flows": report.snapped_flows,
         "sensor_faults": report.sensor_faults,
     }
 

@@ -304,17 +304,20 @@ def _format_cell(value) -> str:
 
 def read_results(path: str) -> list[dict]:
     """Re-parse a results CSV into per-step records (floats where possible)."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        records = []
-        for row in reader:
-            rec = {}
-            for key, cell in row.items():
-                if key == "mode":
-                    rec[key] = cell
-                elif cell in ("", None):
-                    rec[key] = None
-                else:
-                    rec[key] = float(cell)
-            records.append(rec)
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            records = []
+            for row in reader:
+                rec = {}
+                for key, cell in row.items():
+                    if key == "mode":
+                        rec[key] = cell
+                    elif cell in ("", None):
+                        rec[key] = None
+                    else:
+                        rec[key] = float(cell)
+                records.append(rec)
+    except (OSError, ValueError) as exc:
+        raise ScenarioError(f"cannot read results from {path!r}: {exc}") from exc
     return records

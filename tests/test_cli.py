@@ -32,6 +32,7 @@ def test_run_small_writes_results_and_summary(tmp_path, capsys):
     assert "stalled_candidates: 0" in summary
     assert "sensor_faults: 0" in summary
     assert "qps_solved: " in summary
+    assert "snapped_flows: " in summary
     text = capsys.readouterr().out
     assert "final balance" in text
 
@@ -114,3 +115,32 @@ def test_unwritable_summary_is_error(tmp_path, capsys):
     (tmp_path / "results.csv.summary.txt").mkdir()
     assert main(["run", "--steps", "1", "--out", str(out)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_observe_missing_results_is_error(tmp_path, capsys):
+    assert main(["observe", str(tmp_path / "missing.csv")]) == 1
+    assert "error: cannot read results" in capsys.readouterr().err
+
+
+def test_observe_malformed_results_is_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("t,u_applied\n0.0,not-a-number\n")
+    assert main(["observe", str(bad)]) == 1
+    assert "error: cannot read results" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["run"], ["sim"], ["validate-power"],
+                                     ["observe", "results.csv"]])
+def test_negative_steps_is_usage_error(tmp_path, capsys, command):
+    assert main(command + ["--steps", "-1"]) == 1
+    assert "--steps: must be nonnegative" in capsys.readouterr().err
+
+
+def test_zero_steps_is_valid(tmp_path, capsys):
+    out = tmp_path / "results.csv"
+    assert main(["run", "--steps", "0", "--out", str(out)]) == 0
+    assert read_results(str(out)) == []
+    assert main(["sim", "--steps", "0"]) == 0
+    assert main(["validate-power", "--steps", "0"]) == 0
+    assert main(["observe", "--steps", "0", str(out)]) == 0
+    assert "replayed 0 steps" in capsys.readouterr().out

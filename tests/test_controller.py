@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 from ates_mpc import (OcpConfig, ParameterError, SolverError, build_pwa,
                       power_bilinear, pwa_step, receding_step, solve_ocp,
                       solve_qp)
+from ates_mpc import controller
 from ates_mpc.controller import (MODE_SIGN, MODES, W_PER_MW, _flow_interval,
                                  build_cost, candidate_qp, condense, mode_of,
-                                 power_linear_rows)
+                                 power_linear_rows, rollout)
 
 from test_acceptance import smooth_random_state
 
@@ -57,10 +59,14 @@ def test_condense_dimensions(grid, params, hx, cfg, ambient_state):
     pred = condense(model, cfg, ambient_state,
                     power_linear_rows(grid, params, DT))
     assert pred.mode_sequences == tuple(itertools.product(MODES, repeat=3))
-    assert pred.state_offsets.shape == (27, 13, 42)
-    assert pred.state_gains.shape == (27, 13, 42, 3)
     assert pred.power_offset.shape == (27, 12)
     assert pred.power_gain.shape == (27, 12, 3)
+    # States are rolled out per sequence, never for all 27 at once.
+    assert not hasattr(pred, "state_offsets")
+    assert not hasattr(pred, "state_gains")
+    offsets, gains = rollout(model, cfg, ambient_state, pred.mode_sequences[0])
+    assert offsets.shape == (13, 42)
+    assert gains.shape == (13, 42, 3)
 
 
 def test_condense_storing_has_zero_gain(grid, params, hx, cfg, ambient_state):
@@ -68,17 +74,20 @@ def test_condense_storing_has_zero_gain(grid, params, hx, cfg, ambient_state):
     pred = condense(model, cfg, ambient_state,
                     power_linear_rows(grid, params, DT))
     s = pred.mode_sequences.index(("storing", "storing", "storing"))
-    assert np.all(pred.state_gains[s] == 0.0)
+    offsets, gains = rollout(model, cfg, ambient_state, pred.mode_sequences[s])
+    assert np.all(gains == 0.0)
+    assert np.all(pred.power_gain[s] == 0.0)
     # Offsets reproduce the storing rollout.
     x = ambient_state.copy()
     for k in range(12):
         x = pwa_step(model, x, 0.0)
-        assert np.allclose(pred.state_offsets[s, k + 1], x, atol=1e-9)
+        assert np.allclose(offsets[k + 1], x, atol=1e-9)
     # A storing block has a zero gain column in every sequence.
     for s, modes in enumerate(pred.mode_sequences):
+        _, gains = rollout(model, cfg, ambient_state, modes)
         for j, mode in enumerate(modes):
             if mode == "storing":
-                assert np.all(pred.state_gains[s, :, :, j] == 0.0)
+                assert np.all(gains[:, :, j] == 0.0)
                 assert np.all(pred.power_gain[s, :, j] == 0.0)
 
 
@@ -87,6 +96,7 @@ def test_condense_matches_direct_rollout(grid, params, hx, cfg):
     model = build_pwa(grid, params, hx, DT, x0, 0.01)
     pred = condense(model, cfg, x0, power_linear_rows(grid, params, DT))
     s = pred.mode_sequences.index(("heating", "storing", "cooling"))
+    offsets, gains = rollout(model, cfg, x0, pred.mode_sequences[s])
     u_blocks = np.array([0.02, 0.0, -0.015])
     block_of_step = cfg.block_of_step()
     x = x0.copy()
@@ -94,8 +104,7 @@ def test_condense_matches_direct_rollout(grid, params, hx, cfg):
     for k in range(12):
         j = block_of_step[k]
         x_next_direct = pwa_step(model, x, u_blocks[j])
-        x_next_cond = (pred.state_offsets[s, k + 1]
-                       + pred.state_gains[s, k + 1] @ u_blocks)
+        x_next_cond = offsets[k + 1] + gains[k + 1] @ u_blocks
         assert np.allclose(x_next_cond, x_next_direct, atol=1e-8)
         p_direct = r_now @ x + r_next @ x_next_direct + const
         p_cond = pred.power_offset[s, k] + pred.power_gain[s, k] @ u_blocks
@@ -110,11 +119,13 @@ def test_soft_rows_match_per_step_reference(grid, params, hx, cfg):
     pred = condense(model, cfg, x0, power_linear_rows(grid, params, DT))
     s = pred.mode_sequences.index(("heating", "storing", "cooling"))
     H, g, _ = build_cost(pred, np.full(12, 1e6), 0.0, cfg)
-    qp, free = candidate_qp(pred, s, H[s], g[s], cfg, grid.nu)
+    states = rollout(model, cfg, x0, pred.mode_sequences[s])
+    qp, free = candidate_qp(pred.mode_sequences[s], states, H[s], g[s], cfg,
+                            grid.nu)
     x_min, x_max = cfg.state_bounds(grid.nu)
     rows, rhs = [], []
     for k in range(1, 13):
-        gain, off = pred.state_gains[s, k], pred.state_offsets[s, k]
+        off, gain = states[0][k], states[1][k]
         minus_one = -np.ones((gain.shape[0], 1))
         rows += [np.hstack([gain, minus_one]), np.hstack([-gain, minus_one])]
         rhs += [x_max - off, off - x_min]
@@ -163,8 +174,8 @@ def test_demand_step_drives_heating(grid, params, hx, cfg):
 
 def test_heating_block_at_zero_applies_exact_zero(grid, params, hx, cfg):
     # A small heat demand before a long cold one: the heating-first sequence
-    # wins with its first block on the zero bound, which the QP returns at
-    # rounding level (5.9e-19) rather than exactly.
+    # wins with its first block on the zero bound, which the QP may return
+    # at rounding level (5.9e-19 under an earlier rounding of the cost).
     x0 = charged_state(grid, params, warm_lift=3.0, cold_drop=3.0)
     model = build_pwa(grid, params, hx, DT, x0, 0.0)
     demand = np.array([1e5] + [-1e6] * 11)
@@ -177,6 +188,32 @@ def test_heating_block_at_zero_applies_exact_zero(grid, params, hx, cfg):
                   if r.mode_sequence == sol.mode_sequence)
     assert abs(winner.u_blocks[0]) <= 1e-12 * U_MAX
     assert sol.cost == winner.cost
+
+
+def test_snapped_flows_are_counted(grid, params, hx, cfg, monkeypatch):
+    # The instant above with every QP's flows moved by +1e-19 m^3/s, as a
+    # rounding change can leave them: the heating block's zero flow is set to
+    # exactly 0.0 and counted, while the cooling blocks' flows are far from 0.
+    def nudged(qp):
+        result = solve_qp(qp)
+        z = result.z_star.copy()
+        z[:-1] += 1e-19
+        return dataclasses.replace(result, z_star=z)
+
+    x0 = charged_state(grid, params, warm_lift=3.0, cold_drop=3.0)
+    model = build_pwa(grid, params, hx, DT, x0, 0.0)
+    demand = np.array([1e5] + [-1e6] * 11)
+    exact = solve_ocp(x0, demand, 0.0, cfg, model, grid, params)
+    monkeypatch.setattr(controller, "solve_qp", nudged)
+    sol = solve_ocp(x0, demand, 0.0, cfg, model, grid, params)
+    assert sol.mode_sequence == exact.mode_sequence == ("heating", "cooling",
+                                                         "cooling")
+    winner = next(r for r in sol.per_candidate
+                  if r.mode_sequence == sol.mode_sequence)
+    assert 0.0 < winner.u_blocks[0] <= 1e-12 * U_MAX
+    assert sol.snapped_flows == 1
+    assert sol.u_blocks[0] == 0.0
+    assert np.array_equal(sol.x_pred, exact.x_pred)
 
 
 def test_mode_sign_consistency_and_bounds(grid, params, hx, cfg):
@@ -239,10 +276,11 @@ def test_build_cost_feasible_start(grid, params, hx, cfg):
     pred = condense(model, cfg, x0, power_linear_rows(grid, params, DT))
     H, g, const = build_cost(pred, np.full(12, 1e6), 0.0, cfg)
     assert np.all(np.isfinite(const))
-    for s in range(27):
+    for s, modes in enumerate(pred.mode_sequences):
         # Zero flows with the slack covering the worst open-loop violation
         # satisfy every row, so each candidate QP is feasible.
-        qp, _ = candidate_qp(pred, s, H[s], g[s], cfg, 20)
+        qp, _ = candidate_qp(modes, rollout(model, cfg, x0, modes), H[s], g[s],
+                             cfg, 20)
         z0 = np.zeros(qp.m)
         z0[-1] = max(0.0, float(np.max(-qp.h))) + 1e-9
         assert np.all(qp.G @ z0 <= qp.h + 1e-9)
@@ -267,6 +305,27 @@ def per_sequence_condense(model, modes, cfg, x0, power_rows):
     return offsets, gains, p_off, p_gain
 
 
+def assert_within_dot_rounding(value, ref, power_rows, states):
+    """``value`` and the reference power map ``ref`` agree to dot-product
+    rounding: |value - ref| <= 2 n eps (|r_now| |x(k)| + |r_next| |x(k+1)|).
+
+    ``condense`` forms a step's power as (c_m A_m^i) . x_start instead of
+    r_now . x(k) + r_next . x(k+1): the same sums in another order.  Each
+    form of an n-term dot product lies within n eps sum |r| |x| of the exact
+    value (Higham, Accuracy and Stability of Numerical Algorithms, 3.1);
+    with A_m >= 0 entrywise and positive temperatures the reordered terms
+    are of the same size, so the two forms agree within twice that.  ``==``
+    would only test the order of the sums.  Whether such a rounding change moves the controller
+    is judged by ``tests/test_regression.py`` and the scoreboard.  ``states``
+    is the reference offsets ((N+1) x n) or gains ((N+1) x n x n_blocks).
+    """
+    r_now, r_next, _ = power_rows
+    n = r_now.size
+    scale = (np.einsum("i,ki...->k...", np.abs(r_now), np.abs(states[:-1]))
+             + np.einsum("i,ki...->k...", np.abs(r_next), np.abs(states[1:])))
+    assert np.all(np.abs(value - ref) <= 2 * n * np.finfo(float).eps * scale)
+
+
 def per_sequence_cost(p_off, p_gain, demand, b_past, cfg):
     """Reference: one sequence's Hessian, gradient and constant."""
     nb = len(cfg.blocks)
@@ -287,7 +346,7 @@ def per_sequence_cost(p_off, p_gain, demand, b_past, cfg):
     return H, g, const
 
 
-def exhaustive_solve(pred, demand, b_past, cfg, nu):
+def exhaustive_solve(pred, model, x0, demand, b_past, cfg, nu):
     """Reference: solve all 27 QPs and pick with the near-tie rule.
 
     Returns the winner's modes, clipped flows (rounding-level flows set to
@@ -298,7 +357,8 @@ def exhaustive_solve(pred, demand, b_past, cfg, nu):
     costs = np.full(len(pred.mode_sequences), np.inf)
     solved = []
     for s, modes in enumerate(pred.mode_sequences):
-        qp, free = candidate_qp(pred, s, H[s], g[s], cfg, nu)
+        qp, free = candidate_qp(modes, rollout(model, cfg, x0, modes), H[s],
+                                g[s], cfg, nu)
         try:
             res = solve_qp(qp)
         except SolverError:
@@ -343,19 +403,24 @@ def test_bound_and_prune_matches_exhaustive_enumeration(grid, params, hx, cfg):
         for s, modes in enumerate(pred.mode_sequences):
             offsets, gains, p_off, p_gain = per_sequence_condense(
                 model, modes, cfg, x0, rows)
-            assert np.array_equal(pred.state_offsets[s], offsets)
-            assert np.array_equal(pred.state_gains[s], gains)
-            assert np.array_equal(pred.power_offset[s], p_off)
-            assert np.array_equal(pred.power_gain[s], p_gain)
-            H_s, g_s, const_s = per_sequence_cost(p_off, p_gain, demand,
-                                                  b_past, cfg)
+            states = rollout(model, cfg, x0, modes)
+            assert np.array_equal(states[0], offsets)
+            assert np.array_equal(states[1], gains)
+            assert_within_dot_rounding(pred.power_offset[s], p_off, rows,
+                                       offsets)
+            assert_within_dot_rounding(pred.power_gain[s], p_gain, rows, gains)
+            storing = [j for j, mode in enumerate(modes) if mode == "storing"]
+            assert np.all(pred.power_gain[s][:, storing] == 0.0)
+            # The cost is built from the condensed maps as they are.
+            H_s, g_s, const_s = per_sequence_cost(
+                pred.power_offset[s], pred.power_gain[s], demand, b_past, cfg)
             assert np.array_equal(H[s], H_s)
             assert np.array_equal(g[s], g_s)
             assert const[s] == const_s
 
         sol = solve_ocp(x0, demand, b_past, cfg, model, grid, params)
-        modes, u_blocks, cost, costs = exhaustive_solve(pred, demand, b_past,
-                                                        cfg, grid.nu)
+        modes, u_blocks, cost, costs = exhaustive_solve(
+            pred, model, x0, demand, b_past, cfg, grid.nu)
         assert sol.mode_sequence == modes
         assert np.array_equal(sol.u_blocks, u_blocks)
         assert sol.cost == cost
@@ -371,6 +436,38 @@ def test_bound_and_prune_matches_exhaustive_enumeration(grid, params, hx, cfg):
     assert pruned > 0.5 * 27 * instants
 
 
+def test_states_rolled_out_only_for_solved_candidates(grid, params, hx, cfg,
+                                                     monkeypatch):
+    # condense forms no state trajectory: solve_ocp rolls out exactly the
+    # sequences whose QP it solves, once each, and reuses the winner's.
+    calls = []
+
+    def counting(model, cfg, x0, modes):
+        calls.append(modes)
+        return rollout(model, cfg, x0, modes)
+
+    monkeypatch.setattr(controller, "rollout", counting)
+    rng = np.random.default_rng(11)
+    rolled = 0
+    for trial in range(6):
+        x0 = (charged_state(grid, params, rng.uniform(0.0, 7.0),
+                            rng.uniform(0.0, 9.0))
+              if trial % 2 else smooth_random_state(grid, params, rng))
+        model = build_pwa(grid, params, hx, DT, x0, 0.0)
+        calls.clear()
+        sol = solve_ocp(x0, rng.uniform(-1.5e6, 2.5e6, 12),
+                        rng.uniform(-300.0, 300.0) * 3.6e9, cfg, model, grid,
+                        params)
+        solved = [rec.mode_sequence for rec in sol.per_candidate
+                  if rec.status != "pruned"]
+        assert sorted(calls) == sorted(solved)
+        offsets, gains = rollout(model, cfg, x0, sol.mode_sequence)
+        assert np.array_equal(sol.x_pred, offsets + gains @ sol.u_blocks)
+        rolled += len(calls)
+    # Most sequences are pruned, so most are never rolled out.
+    assert rolled < 6 * 27 // 2
+
+
 def test_singular_block_cost_solves_every_candidate(grid, params, hx):
     # Without an input weight a storing block's Hessian row is zero, so no
     # unconstrained bound exists and nothing may be pruned.
@@ -381,7 +478,8 @@ def test_singular_block_cost_solves_every_candidate(grid, params, hx):
     sol = solve_ocp(x0, demand, 0.0, cfg, model, grid, params)
     assert all(rec.status != "pruned" for rec in sol.per_candidate)
     pred = condense(model, cfg, x0, power_linear_rows(grid, params, DT))
-    modes, u_blocks, cost, _ = exhaustive_solve(pred, demand, 0.0, cfg, grid.nu)
+    modes, u_blocks, cost, _ = exhaustive_solve(pred, model, x0, demand, 0.0,
+                                                cfg, grid.nu)
     assert sol.mode_sequence == modes
     assert np.array_equal(sol.u_blocks, u_blocks)
     assert sol.cost == cost

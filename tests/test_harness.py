@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,25 @@ def test_controller_fault_falls_back_to_storing(monkeypatch):
     assert normal.controller_faults == 0
     assert report.qps_solved >= 5  # at least one per planned step
     assert report.stalled_candidates == 0
+
+
+def test_report_sums_snapped_flows(monkeypatch):
+    # Each plan reports one more snapped flow than it had, so the sum over
+    # the run cannot be zero by chance.
+    real = harness.solve_ocp
+    solutions = []
+
+    def recording(*args):
+        sol = real(*args)
+        solutions.append(dataclasses.replace(sol,
+                                             snapped_flows=sol.snapped_flows + 1))
+        return solutions[-1]
+
+    monkeypatch.setattr(harness, "solve_ocp", recording)
+    report = run_closed_loop(small_scenario(), steps=6)
+    assert len(solutions) == 6
+    assert report.snapped_flows == sum(s.snapped_flows for s in solutions) >= 6
+    assert harness.report_summary(report)["snapped_flows"] == report.snapped_flows
 
 
 def test_non_finite_reading_makes_a_predict_only_step(monkeypatch):
