@@ -34,7 +34,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _step_count(text: str) -> int:
-    """A ``--steps`` value: a nonnegative integer."""
+    """A count such as ``--steps``, ``--hours`` or ``--log-every``: a
+    nonnegative integer."""
     try:
         steps = int(text)
     except ValueError:
@@ -73,6 +74,10 @@ def _parse_schedule(text: str, steps: int) -> np.ndarray:
                                 ndmin=1)
     except (OSError, ValueError) as exc:
         raise ScenarioError(f"cannot parse schedule {text!r}: {exc}") from exc
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ScenarioError(f"schedule entry {bad[0]} is not finite: "
+                            f"{values[bad[0]]}")
     if values.size < steps:
         raise ScenarioError(f"schedule has {values.size} entries, need {steps}")
     return values[:steps]
@@ -190,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="results CSV path")
     p.add_argument("--steps", type=_step_count, default=None,
                    help="number of hourly steps (default: scenario duration)")
-    p.add_argument("--log-every", type=int, default=0,
+    p.add_argument("--log-every", type=_step_count, default=0,
                    help="log progress every N steps")
     p.set_defaults(func=_cmd_run)
 
@@ -215,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-demand", help="write a synthetic hourly demand CSV")
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hours", type=int, default=8760)
+    p.add_argument("--hours", type=_step_count, default=8760)
     p.add_argument("--heat-mwh", type=float,
                    default=_DEFAULTS["demand_heat_total_mwh"])
     p.add_argument("--cold-mwh", type=float,

@@ -5,6 +5,13 @@ conduction (harmonic-mean face values), temporally perturbed far-field
 temperature, the nonlinear heat-exchanger coupling applied every substep, and
 noisy point sensors.  Explicit sub-stepping keeps the diffusion number and the
 advection CFL inside their stability limits.
+
+Both aquifers share one padded array, row 0 warm and row 1 cold, each row
+holding its borehole entry, its fine cells and the hour's far-field
+temperature.  Each substep is one conservative upwind pass along the
+flattened array, whose padding columns keep the rows apart, and the optional
+discrete-maximum-principle audit checks every new cell value against the
+envelope of its old three-point stencil on the same array.
 """
 
 from __future__ import annotations
@@ -42,14 +49,18 @@ class TruthState:
     grid: RadialGrid
     params: AquiferParams
     cfg: TruthConfig
-    warm: np.ndarray            # borehole entry + fine cells
-    cold: np.ndarray
+    # Both aquifers on one padded array, row 0 warm and row 1 cold: column 0
+    # is the borehole entry, columns 1..nu the fine cells and the last column
+    # the far-field temperature of the current hour.
+    fields: np.ndarray
     lam_warm: np.ndarray        # per-cell conduction coefficients
     lam_cold: np.ndarray
-    # Face conductances of each aquifer (``_conductances``) and the largest
-    # conduction coefficient, fixed by the lambda field at init_truth.
-    k_warm: tuple[np.ndarray, float, float]
-    k_cold: tuple[np.ndarray, float, float]
+    # Conductance over dr of every edge of fields.ravel() (``_conductances``),
+    # the cells' heat capacities c_a * V on its interior and the largest
+    # conduction coefficient, fixed by the grid and the lambda field at
+    # init_truth.
+    k_edge: np.ndarray
+    heat_capacity: np.ndarray
     lam_max: float
     t_amb_current: float
     clock: float = 0.0
@@ -58,6 +69,16 @@ class TruthState:
     sensor_cells: tuple[int, int] = (0, 0)
     rng_t_amb: np.random.Generator = field(default=None, repr=False)
     rng_sensor: np.random.Generator = field(default=None, repr=False)
+
+    @property
+    def warm(self) -> np.ndarray:
+        """Warm aquifer's borehole entry + fine cells (a writable view)."""
+        return self.fields[0, :-1]
+
+    @property
+    def cold(self) -> np.ndarray:
+        """Cold aquifer's borehole entry + fine cells (a writable view)."""
+        return self.fields[1, :-1]
 
     def internal_energy(self) -> float:
         """Stored internal energy of both aquifers' cells [J]."""
@@ -82,16 +103,16 @@ def init_truth(cfg: TruthConfig, coarse: RadialGrid, params: AquiferParams) -> T
     lo, hi = cfg.lambda_bounds
     lam_warm = rng_lambda.uniform(lo, hi, cfg.nu_fine)
     lam_cold = rng_lambda.uniform(lo, hi, cfg.nu_fine)
-    m = grid.nu + 1
     # Far-field sensors sit at the coarse model's last cell midpoint.
     far_radius = coarse.midpoints[-1]
     far_cell = 1 + int(np.argmin(np.abs(grid.midpoints - far_radius)))
     return TruthState(
         grid=grid, params=params, cfg=cfg,
-        warm=np.full(m, params.t_amb), cold=np.full(m, params.t_amb),
+        fields=np.full((2, grid.nu + 2), params.t_amb),
         lam_warm=lam_warm, lam_cold=lam_cold,
-        k_warm=_conductances(lam_warm, grid),
-        k_cold=_conductances(lam_cold, grid),
+        k_edge=_conductances(np.stack([lam_warm, lam_cold]), grid),
+        # Any nonzero padding will do: _rates zeroes the padding's rates.
+        heat_capacity=_interior(params.c_a * grid.volumes, pad=1.0),
         lam_max=float(max(lam_warm.max(), lam_cold.max())),
         t_amb_current=params.t_amb,
         sensor_cells=(0, far_cell),
@@ -116,68 +137,86 @@ def _substep_count(state: TruthState, u: float, dt: float) -> int:
     return n_sub
 
 
-def _conductances(lam: np.ndarray, grid: RadialGrid
-                  ) -> tuple[np.ndarray, float, float]:
-    """Conductance factors of the interior faces (harmonic-mean lambda), the
-    far face and the borehole face: lambda * 2 pi l * r_edge [W m^-1 K^-1 m]."""
-    two_pi_l = 2.0 * np.pi * grid.l
-    lam_face = 2.0 * lam[:-1] * lam[1:] / (lam[:-1] + lam[1:])
-    k_face = lam_face * two_pi_l * grid.edges[1:-1]
-    k_face.flags.writeable = False
-    return (k_face, lam[-1] * two_pi_l * grid.edges[-1],
-            lam[0] * two_pi_l * grid.edges[0])
+# The stencil runs along fields.ravel(): each row's padding columns (borehole
+# entry, t_far) separate the two aquifers, so one pass over the flat array
+# serves both.  Edge e joins flat entries e and e + 1; row r's borehole face is
+# edge r * (nu + 2) and its far face edge r * (nu + 2) + nu, and edge nu + 1
+# (warm t_far to cold entry) is the seam between the rows.  The interior,
+# flat[1:-1], holds both rows' cells with two padding entries between them.
+
+def _interior(cells: np.ndarray, pad: float) -> np.ndarray:
+    """Per-cell rows laid out like fields.ravel()[1:-1], ``pad`` between them."""
+    out = np.full((2, cells.shape[-1] + 2), pad)
+    out[:, 1:-1] = cells
+    out.flags.writeable = False
+    return out.ravel()[1:-1]
 
 
-def _cell_rates(field_vals: np.ndarray, k: tuple[np.ndarray, float, float],
-                grid: RadialGrid, params: AquiferParams, q: float, t_far: float,
-                injecting: bool) -> tuple[np.ndarray, float, float]:
-    """dT/dt of the cells plus boundary conduction fluxes (into the domain, W).
+def _conductances(lam: np.ndarray, grid: RadialGrid) -> np.ndarray:
+    """Conductance factors of stacked lambda rows over one spacing dr, per edge
+    of fields.ravel(): lambda * 2 pi l * r_edge [W m^-1 K^-1 m], harmonic-mean
+    lambda on interior faces, 0 on the seam.
 
-    ``k`` is ``_conductances`` of the aquifer's lambda field.
+    The borehole and far faces conduct over half a spacing and so carry twice
+    their factor: (2 k) * dT / dr rounds exactly like k * dT / (0.5 dr).
     """
-    t = field_vals[1:]
-    t0 = field_vals[0]
-    dr = grid.dr
     two_pi_l = 2.0 * np.pi * grid.l
-    c_a = params.c_a
-    k_face, k_far, k_bh = k
+    lam_face = 2.0 * lam[:, :-1] * lam[:, 1:] / (lam[:, :-1] + lam[:, 1:])
+    k = np.zeros((2, grid.nu + 2))
+    k[:, 0] = 2.0 * (lam[:, 0] * two_pi_l * grid.edges[0])
+    k[:, 1:-2] = lam_face * two_pi_l * grid.edges[1:-1]
+    k[:, -2] = 2.0 * (lam[:, -1] * two_pi_l * grid.edges[-1])
+    k.flags.writeable = False
+    return k.ravel()[:-1]
 
-    # flux[j]: conduction through edge j in the direction of growing r, so the
-    # net gain of cell i is flux[i+1] - flux[i].
-    flux = np.zeros(grid.nu + 1)
-    flux[1:-1] = k_face * (t[1:] - t[:-1]) / dr
-    flux[-1] = k_far * (t_far - t[-1]) / (0.5 * dr)
-    cond_far = float(flux[-1])
-    cond_bh = 0.0
-    if injecting:
-        flux[0] = k_bh * (t[0] - t0) / (0.5 * dr)
-        cond_bh = float(-flux[0])
-    rates = (flux[1:] - flux[:-1]) / (c_a * grid.volumes)
 
-    if q != 0.0:
+def _flow(state: TruthState, u: float) -> tuple[int | None, np.ndarray | None]:
+    """The injecting row and (c_w / c_a) * v over the interior for flow ``u``.
+
+    Heating (u > 0) extracts warm water and injects into the cold row,
+    cooling the reverse; the water velocity is v = q / (2 pi r l) with
+    q = (-u, u).  Storing gives (None, None).
+    """
+    if u == 0.0:
+        return None, None
+    grid, p = state.grid, state.params
+    v = np.array([[-u], [u]]) / (2.0 * np.pi * grid.l * grid.midpoints)
+    return (1 if u > 0.0 else 0), _interior((p.c_w / p.c_a) * v, pad=0.0)
+
+
+def _rates(state: TruthState, d: np.ndarray, inj: int | None,
+           adv: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """dT/dt over the interior and the conduction flux (W, toward growing r)
+    through every edge, both along fields.ravel().
+
+    ``d`` is the difference of the flat fields across each edge and
+    ``inj, adv`` come from ``_flow``.  The padding gets rate 0.
+    """
+    nu = state.grid.nu
+    dr = state.grid.dr
+    # The net gain of interior entry i is flux[i + 1] - flux[i]; only the
+    # injecting row's borehole face conducts.
+    flux = state.k_edge * d / dr
+    for r in (0, 1):
+        if r != inj:
+            flux[r * (nu + 2)] = 0.0
+    rates = (flux[1:] - flux[:-1]) / state.heat_capacity
+
+    if adv is not None:
         # Conservative upwind advection: the volume flow q is radius-free, so
         # the enthalpy flux through a face is c_w * q * T_upwind and cell
         # gains telescope exactly (V_i = 2 pi r_i dr l makes v_i/dr the same
-        # as q / (c_a V_i) up to c_w).
-        v = q / (two_pi_l * grid.midpoints)  # 2 pi r l v = q
-        retard = params.c_w / c_a
-        grad = np.empty(grid.nu)
-        if q > 0.0:  # outward flow, upwind is the inner neighbor
-            grad[0] = (t[0] - t0) / dr
-            grad[1:] = (t[1:] - t[:-1]) / dr
-        else:        # inward flow, upwind is the outer neighbor
-            grad[:-1] = (t[1:] - t[:-1]) / dr
-            grad[-1] = (t_far - t[-1]) / dr
-        rates = rates - retard * v * grad
-    return rates, cond_far, cond_bh
-
-
-def _audit_dmp(t_old: np.ndarray, t_new: np.ndarray, t0: float, t_far: float) -> float:
-    """Worst excess of new cell values over the local stencil envelope [K]."""
-    padded = np.concatenate([[t0], t_old, [t_far]])
-    lo = np.minimum(np.minimum(padded[:-2], padded[1:-1]), padded[2:])
-    hi = np.maximum(np.maximum(padded[:-2], padded[1:-1]), padded[2:])
-    return float(max(0.0, np.max(t_new - hi), np.max(lo - t_new)))
+        # as q / (c_a V_i) up to c_w).  Outward flow (injection) takes each
+        # cell's inner edge, the borehole face first; inward flow its outer
+        # edge, the far face last.
+        grad = np.empty(rates.shape)
+        for r in (0, 1):
+            lo = r * (nu + 1)
+            edge = lo + (r != inj)
+            np.divide(d[edge:edge + nu + 1], dr, out=grad[lo:lo + nu + 1])
+        rates -= adv * grad
+    rates[nu:nu + 2] = 0.0
+    return rates, flux
 
 
 def truth_step(state: TruthState, u: float, hx: HxParams, dt: float = 3600.0,
@@ -187,7 +226,7 @@ def truth_step(state: TruthState, u: float, hx: HxParams, dt: float = 3600.0,
         raise ParameterError(f"flow must be finite, got {u}")
     cfg = state.cfg
     p = state.params
-    grid = state.grid
+    nu = state.grid.nu
 
     if cfg.t_amb_noise_amp > 0.0:
         state.t_amb_current = p.t_amb + state.rng_t_amb.uniform(
@@ -198,49 +237,50 @@ def truth_step(state: TruthState, u: float, hx: HxParams, dt: float = 3600.0,
 
     n_sub = _substep_count(state, u, dt)
     dt_sub = dt / n_sub
-    q_warm, q_cold = -u, u
-    mode_heating = u > 0.0
-    mode_cooling = u < 0.0
+    F = state.fields
+    F[:, -1] = t_far
+    flat = F.reshape(-1, copy=False)
+    q = (-u, u)                 # warm, cold
+    inj, adv = _flow(state, u)
+    if inj is not None:
+        ext = 1 - inj
+        t_b = hx.t_b("heating" if inj == 1 else "cooling")
 
     for _ in range(n_sub):
-        # Extraction temperatures feed the nonlinear HX, which sets the
+        # The extraction temperature feeds the nonlinear HX, which sets the
         # injection Dirichlet value of the opposite aquifer this substep.
-        if mode_heating:
-            state.warm[0] = state.warm[1]
-            t_inj_cold = hx_outlet_temp(state.warm[0], u, hx.q_b, hx.t_b("heating"))
-            state.cold[0] = t_inj_cold
-        elif mode_cooling:
-            state.cold[0] = state.cold[1]
-            t_inj_warm = hx_outlet_temp(state.cold[0], u, hx.q_b, hx.t_b("cooling"))
-            state.warm[0] = t_inj_warm
+        if inj is None:
+            F[:, 0] = F[:, 1]
         else:
-            state.warm[0] = state.warm[1]
-            state.cold[0] = state.cold[1]
+            F[ext, 0] = F[ext, 1]
+            F[inj, 0] = hx_outlet_temp(F[ext, 0], u, hx.q_b, t_b)
 
-        for field_vals, k, q, injecting in (
-                (state.warm, state.k_warm, q_warm, mode_cooling),
-                (state.cold, state.k_cold, q_cold, mode_heating)):
-            rates, cond_far, cond_bh = _cell_rates(field_vals, k, grid, p, q,
-                                                   t_far, injecting)
-            t_new = field_vals[1:] + dt_sub * rates
-            if audit:
-                excess = _audit_dmp(field_vals[1:], t_new, field_vals[0], t_far)
-                state.dmp_violation = max(state.dmp_violation, excess)
-            # Enthalpy crosses each boundary face at its upwind temperature:
-            # the borehole entry, and the last cell or t_far at the far face.
-            t_out = field_vals[-1] if q > 0.0 else t_far
-            enthalpy = p.c_w * q * (field_vals[0] - t_out)
-            state.boundary_energy += dt_sub * (enthalpy + cond_far + cond_bh)
-            field_vals[1:] = t_new
+        d = flat[1:] - flat[:-1]
+        rates, flux = _rates(state, d, inj, adv)
+        t_new = flat[1:-1] + dt_sub * rates
+        if audit:
+            # Each new value must lie in the envelope of its old three-point
+            # stencil (borehole entry and t_far included); the padding keeps
+            # its value, inside its own envelope.
+            lo = np.minimum(np.minimum(flat[:-2], flat[1:-1]), flat[2:])
+            hi = np.maximum(np.maximum(flat[:-2], flat[1:-1]), flat[2:])
+            excess = float(max(0.0, (t_new - hi).max(), (lo - t_new).max()))
+            state.dmp_violation = max(state.dmp_violation, excess)
+        # Enthalpy crosses each boundary face at its upwind temperature: the
+        # borehole entry, and the last cell or t_far at the far face.
+        for r in (0, 1):
+            t_out = F[r, -2] if q[r] > 0.0 else t_far
+            enthalpy = p.c_w * q[r] * (F[r, 0] - t_out)
+            bh = r * (nu + 2)
+            cond_bh = -flux[bh] if r == inj else 0.0
+            state.boundary_energy += dt_sub * (enthalpy + flux[bh + nu] + cond_bh)
+        flat[1:-1] = t_new
 
         # Keep zero-gradient borehole entries in sync with their first cell.
-        if mode_heating:
-            state.warm[0] = state.warm[1]
-        elif mode_cooling:
-            state.cold[0] = state.cold[1]
+        if inj is None:
+            F[:, 0] = F[:, 1]
         else:
-            state.warm[0] = state.warm[1]
-            state.cold[0] = state.cold[1]
+            F[ext, 0] = F[ext, 1]
 
     state.clock += dt
     return state
@@ -282,6 +322,8 @@ def restrict_to_coarse(state: TruthState, coarse: RadialGrid) -> np.ndarray:
     entries carry over directly.
     """
     W = _overlap_weights(state.grid, coarse)
-    warm = np.concatenate([[state.warm[0]], W @ state.warm[1:]])
-    cold = np.concatenate([[state.cold[0]], W @ state.cold[1:]])
-    return np.concatenate([warm, cold])
+    F = state.fields
+    x = np.empty((2, coarse.nu + 1))
+    x[:, 0] = F[:, 0]
+    x[:, 1:] = np.matvec(W, F[:, 1:-1])
+    return x.ravel()

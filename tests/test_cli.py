@@ -136,6 +136,33 @@ def test_negative_steps_is_usage_error(tmp_path, capsys, command):
     assert "--steps: must be nonnegative" in capsys.readouterr().err
 
 
+def test_non_finite_schedule_is_rejected_before_stepping(tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    for schedule in ("0,nan,0", "0,0,inf"):
+        assert main(["sim", "--steps", "3", "--schedule", schedule,
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "error: schedule entry" in captured.err
+        assert "not finite" in captured.err
+        assert "simulated" not in captured.out
+        assert not out.exists()
+
+
+def test_negative_hours_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "demand.csv"
+    assert main(["gen-demand", "--hours", "-3", "--out", str(out)]) == 1
+    assert "--hours: must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["gen-demand", "--hours", "0", "--out", str(out)]) == 0
+    assert "wrote 0 hourly samples" in capsys.readouterr().out
+
+
+def test_negative_log_every_is_usage_error(tmp_path, capsys):
+    assert main(["run", "--steps", "1", "--log-every", "-1"]) == 1
+    assert "--log-every: must be nonnegative" in capsys.readouterr().err
+    assert main(["run", "--steps", "1", "--log-every", "0"]) == 0
+
+
 def test_zero_steps_is_valid(tmp_path, capsys):
     out = tmp_path / "results.csv"
     assert main(["run", "--steps", "0", "--out", str(out)]) == 0

@@ -1,8 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 
-from ates_mpc import (ScenarioError, TruthConfig, init_truth, measure,
+from ates_mpc import (ScenarioError, TruthConfig, init_truth, measure, plant,
                       restrict_to_coarse, truth_step)
+from ates_mpc.heat_exchanger import hx_outlet_temp
 
 DT = 3600.0
 U_MAX = 0.0277
@@ -181,21 +184,162 @@ def reference_cell_rates(field_vals, lam, grid, params, q, t_far, injecting):
 
 
 def test_cell_rates_with_stored_conductances_match_reference(grid, params):
-    from ates_mpc.plant import _cell_rates
+    from ates_mpc.plant import _flow, _rates
 
     state = init_truth(TruthConfig(seed=11), grid, params)
     rng = np.random.default_rng(4)
     fine = state.grid
-    for lam, k in ((state.lam_warm, state.k_warm),
-                   (state.lam_cold, state.k_cold)):
+    nu = fine.nu
+    for lam in (state.lam_warm, state.lam_cold):
         assert np.ptp(lam) > 1.0  # heterogeneous field
-        field_vals = 284.85 + 3.0 * rng.standard_normal(fine.nu + 1)
-        for q in (0.02, -0.02, 0.0):
-            for injecting in (False, True):
-                got = _cell_rates(field_vals, k, fine, params, q, 284.9,
-                                  injecting)
-                ref = reference_cell_rates(field_vals, lam, fine, params, q,
-                                           284.9, injecting)
-                assert np.array_equal(got[0], ref[0])
-                assert got[1:] == ref[1:]
+    flat = state.fields.reshape(-1)
+    # Heating injects into the cold row and cooling into the warm one, so the
+    # flows cover both flow directions with and without injection per row.
+    for u in (0.02, -0.02, 0.0):
+        state.fields[:, :-1] = 284.85 + 3.0 * rng.standard_normal((2, nu + 1))
+        state.fields[:, -1] = 284.9
+        inj, adv = _flow(state, u)
+        rates, flux = _rates(state, flat[1:] - flat[:-1], inj, adv)
+        assert np.all(rates[nu:nu + 2] == 0.0)  # the padding between the rows
+        for r, lam, q, cells in ((0, state.lam_warm, -u, rates[:nu]),
+                                 (1, state.lam_cold, u, rates[nu + 2:])):
+            injecting = r == inj
+            ref = reference_cell_rates(state.fields[r, :-1], lam, fine, params,
+                                       q, 284.9, injecting)
+            assert injecting == (q > 0.0)
+            assert np.array_equal(cells, ref[0])
+            bh = r * (nu + 2)
+            assert flux[bh + nu] == ref[1]
+            assert (-flux[bh] if injecting else 0.0) == ref[2]
     assert state.lam_max == max(state.lam_warm.max(), state.lam_cold.max())
+
+
+class ReferencePlant:
+    """The truth plant with one array, one rates call and one padded audit per
+    aquifer and substep: the per-aquifer form the fused step must reproduce."""
+
+    def __init__(self, state):
+        self.warm = state.warm.copy()
+        self.cold = state.cold.copy()
+        self.rng_t_amb = copy.deepcopy(state.rng_t_amb)
+        self.boundary_energy = state.boundary_energy
+        self.dmp_violation = state.dmp_violation
+        self.clock = state.clock
+
+    def step(self, state, u, hx, dt, audit):
+        """``state`` supplies the grid, parameters, lambda fields and the
+        substep count, which the test may monkeypatch."""
+        cfg, p, grid = state.cfg, state.params, state.grid
+        t_far = p.t_amb
+        if cfg.t_amb_noise_amp > 0.0:
+            t_far = p.t_amb + self.rng_t_amb.uniform(-cfg.t_amb_noise_amp,
+                                                     cfg.t_amb_noise_amp)
+        n_sub = plant._substep_count(state, u, dt)
+        dt_sub = dt / n_sub
+        heating, cooling = u > 0.0, u < 0.0
+        for _ in range(n_sub):
+            if heating:
+                self.warm[0] = self.warm[1]
+                self.cold[0] = hx_outlet_temp(self.warm[0], u, hx.q_b,
+                                              hx.t_b("heating"))
+            elif cooling:
+                self.cold[0] = self.cold[1]
+                self.warm[0] = hx_outlet_temp(self.cold[0], u, hx.q_b,
+                                              hx.t_b("cooling"))
+            else:
+                self.warm[0] = self.warm[1]
+                self.cold[0] = self.cold[1]
+            for vals, lam, q, injecting in (
+                    (self.warm, state.lam_warm, -u, cooling),
+                    (self.cold, state.lam_cold, u, heating)):
+                rates, cond_far, cond_bh = reference_cell_rates(
+                    vals, lam, grid, p, q, t_far, injecting)
+                t_new = vals[1:] + dt_sub * rates
+                if audit:
+                    padded = np.concatenate([[vals[0]], vals[1:], [t_far]])
+                    lo = np.minimum(np.minimum(padded[:-2], padded[1:-1]), padded[2:])
+                    hi = np.maximum(np.maximum(padded[:-2], padded[1:-1]), padded[2:])
+                    excess = float(max(0.0, np.max(t_new - hi), np.max(lo - t_new)))
+                    self.dmp_violation = max(self.dmp_violation, excess)
+                t_out = vals[-1] if q > 0.0 else t_far
+                enthalpy = p.c_w * q * (vals[0] - t_out)
+                self.boundary_energy += dt_sub * (enthalpy + cond_far + cond_bh)
+                vals[1:] = t_new
+            if heating:
+                self.warm[0] = self.warm[1]
+            elif cooling:
+                self.cold[0] = self.cold[1]
+            else:
+                self.warm[0] = self.warm[1]
+                self.cold[0] = self.cold[1]
+        self.clock += dt
+
+
+def assert_same_plant(state, ref):
+    assert np.array_equal(state.warm, ref.warm)
+    assert np.array_equal(state.cold, ref.cold)
+    assert state.boundary_energy == ref.boundary_energy
+    assert state.dmp_violation == ref.dmp_violation
+    assert state.clock == ref.clock
+
+
+@pytest.mark.parametrize("audit", [True, False])
+def test_fused_step_matches_per_aquifer_reference(grid, params, hx, audit):
+    state = init_truth(TruthConfig(seed=5, t_amb_noise_amp=0.1), grid, params)
+    ref = ReferencePlant(state)
+    # Heating, storing, cooling and half flow in both directions.
+    flows = [U_MAX] * 3 + [0.0] * 2 + [-U_MAX] * 3 + [0.5 * U_MAX] * 2 \
+        + [-0.5 * U_MAX] * 2 + [0.0]
+    for u in flows:
+        truth_step(state, u, hx, DT, audit=audit)
+        ref.step(state, u, hx, DT, audit)
+        assert_same_plant(state, ref)
+    assert state.boundary_energy != 0.0
+
+
+def test_fused_audit_reports_a_cfl_violation(grid, params, hx, monkeypatch):
+    state = init_truth(TruthConfig(seed=5), grid, params)
+    ref = ReferencePlant(state)
+    for u in (U_MAX, -U_MAX):
+        truth_step(state, u, hx, DT, audit=True)
+        ref.step(state, u, hx, DT, True)
+    assert state.dmp_violation == 0.0
+    # One substep per hour at full flow breaks the CFL and diffusion limits,
+    # so the explicit update overshoots its stencil envelope.
+    monkeypatch.setattr(plant, "_substep_count", lambda *args: 1)
+    truth_step(state, U_MAX, hx, DT, audit=True)
+    ref.step(state, U_MAX, hx, DT, True)
+    assert state.dmp_violation > 0.0
+    assert_same_plant(state, ref)
+
+
+def test_writes_through_field_views_steer_the_step(grid, params, hx):
+    state = init_truth(quiet_config(lambda_bounds=(3.0, 5.0)), grid, params)
+    state.warm[:] = np.linspace(290.0, 285.0, 201)
+    state.cold[0] = 280.0
+    y = measure(state)
+    assert y[0] == 290.0 and y[2] == 280.0
+    x = restrict_to_coarse(state, grid)
+    assert x[0] == 290.0 and x[grid.nu + 1] == 280.0
+    ref = ReferencePlant(state)
+    for u in (-U_MAX, 0.0):
+        truth_step(state, u, hx, DT, audit=True)
+        ref.step(state, u, hx, DT, True)
+        assert_same_plant(state, ref)
+    assert state.warm[-1] != params.t_amb
+
+
+def test_restriction_equals_per_aquifer_matrix_products(grid, params):
+    from ates_mpc.plant import _overlap_weights
+
+    state = init_truth(TruthConfig(), grid, params)
+    rng = np.random.default_rng(8)
+    W = _overlap_weights(state.grid, grid)
+    for _ in range(20):
+        state.warm[:] = 284.85 + rng.standard_normal(201)
+        state.cold[:] = 284.85 + rng.standard_normal(201)
+        x = restrict_to_coarse(state, grid)
+        nu = grid.nu
+        assert x[0] == state.warm[0] and x[nu + 1] == state.cold[0]
+        assert np.array_equal(x[1:nu + 1], W @ state.warm[1:])
+        assert np.array_equal(x[nu + 2:], W @ state.cold[1:])
