@@ -3,15 +3,20 @@
 Move blocking fixes the input to one value per horizon segment, so each of the
 3^3 = 27 blocked mode sequences yields a small dense QP after condensing the
 piecewise-affine dynamics.  The cost needs only each sequence's predicted
-powers, so those are condensed for all 27 at once from per-mode power rows;
-a sequence's predicted states, which only its soft state rows read, are
-rolled out when its QP is solved.  The search is an exact bound-and-prune:
-each sequence's unconstrained minimum bounds its QP from below, QPs are
-solved in ascending bound order, and a sequence whose bound exceeds the best
-cost so far by more than the near-tie tolerance is pruned unsolved.  The
-cheapest feasible sequence wins, exactly as if all 27 were solved; state box
-constraints are softened with a single quadratic slack so the controller
-always emits an input.
+powers, so those are condensed for all 27 at once from per-mode power rows.
+The search is an exact bound-and-prune: each sequence's unconstrained
+minimum bounds its QP from below, QPs are solved in ascending bound order,
+and a sequence whose bound exceeds the best cost so far by more than the
+near-tie tolerance is pruned unsolved.  The cheapest feasible sequence wins,
+exactly as if all 27 were solved; state box constraints are softened with a
+single quadratic slack so the controller always emits an input.
+
+A solved sequence's QP starts over its input box (and slack) alone.  At
+that optimum the sequence is rolled out once at fixed flows; if the
+trajectory keeps the soft state box, the optimum is the full QP's.
+Otherwise ``SoftRows`` forms the sequence's state gains and hands the
+broken soft rows to the same dual active-set iteration, which goes on
+until no row is broken (constraint generation).
 
 The objective is evaluated with powers in MW throughout: the tracking term
 compares predicted and demanded power in MW, and the energy-balance term
@@ -34,7 +39,7 @@ from .errors import ControllerFault, ParameterError, SolverError
 from .grid import AquiferParams, RadialGrid, validate_state
 from .power import storage_weights
 from .pwa import PwaModel
-from .qp import Qp, QpResult, solve_qp
+from .qp import _FEAS_TOL, Qp, QpResult, solve_qp
 
 W_PER_MW = 1e6
 J_PER_MWH = 3.6e9
@@ -137,6 +142,7 @@ class OcpSolution:
     per_candidate: list[CandidateRecord] = field(default_factory=list)
     slack_used: float = 0.0
     snapped_flows: int = 0               # rounding-level block flows set to 0.0
+    soft_rows_added: int = 0             # soft state rows added, all candidates
 
 
 @functools.cache
@@ -287,11 +293,10 @@ def build_cost(pred: PredictionMap, demand: np.ndarray, b_past: float,
     return H, g, const
 
 
-def candidate_qp(modes: tuple[str, ...],
-                 states: tuple[np.ndarray, np.ndarray], H: np.ndarray,
-                 g: np.ndarray, cfg: OcpConfig, nu: int) -> tuple[Qp, np.ndarray]:
-    """QP of one mode sequence: its cost ``H, g`` with the input box, slack
-    and soft state rows; ``states`` is its ``rollout``.
+def candidate_qp(modes: tuple[str, ...], H: np.ndarray, g: np.ndarray,
+                 cfg: OcpConfig) -> tuple[Qp, np.ndarray]:
+    """Box QP of one mode sequence: its cost ``H, g`` with the input-box and
+    slack rows only; ``SoftRows`` supplies the soft state rows it needs.
 
     A storing block's flow is fixed at zero, so its variable is eliminated:
     the QP is over the pumping blocks' flows and the slack.  Returns the Qp
@@ -300,38 +305,88 @@ def candidate_qp(modes: tuple[str, ...],
     nb = len(cfg.blocks)
     pumping = [j for j, mode in enumerate(modes) if mode != "storing"]
     free = np.array(pumping + [nb])
-    nv = free.size
 
-    # Soft box rows, per predicted step k = 1..N: the n upper rows
-    # [gain_k, -1] z <= x_max - off_k, then the n lower rows
-    # [-gain_k, -1] z <= off_k - x_min.  A storing block's gain column is
-    # zero, so dropping it changes no row.
-    x_min, x_max = cfg.state_bounds(nu)
-    offsets = states[0][1:]
-    gains = states[1][1:][..., pumping]
-    soft_h = np.stack([x_max - offsets, offsets - x_min], axis=1)
-    # Drop soft rows that no feasible input can activate: with |u_j| bounded
-    # by the input box and slack >= 0, the left-hand side never exceeds the
-    # reachable bound, so provably slack rows cannot change the optimum.
-    reach = np.abs(gains).sum(axis=-1) * max(cfg.u_max, -cfg.u_min)
-    keep = reach[:, None, :] >= soft_h - 1e-9
-
-    # The input box and slack rows come first: per pumping block -sign u <= 0,
-    # then sign u <= its flow limit, the bound at zero first (ties in the QP
-    # go to the lowest row); then slack >= 0.
-    n_box = 2 * len(pumping) + 1
-    G = np.zeros((n_box + int(keep.sum()), nv))
+    # Per pumping block -sign u <= 0, then sign u <= its flow limit, the
+    # bound at zero first (ties in the QP go to the lowest row); then
+    # slack >= 0.
+    G = np.zeros((2 * len(pumping) + 1, free.size))
     h = np.zeros(G.shape[0])
     for i, j in enumerate(pumping):
         sign = MODE_SIGN[modes[j]]
         G[2 * i, i] = -sign
         G[2 * i + 1, i] = sign
         h[2 * i + 1] = cfg.u_max if sign > 0 else -cfg.u_min
-    G[n_box - 1, -1] = -1.0
-    G[n_box:, :-1] = np.stack([gains, -gains], axis=1)[keep]
-    G[n_box:, -1] = -1.0
-    h[n_box:] = soft_h[keep]
+    G[-1, -1] = -1.0
     return Qp(H[np.ix_(free, free)], g[free], G, h), free
+
+
+def trajectory(model: PwaModel, cfg: OcpConfig, x0: np.ndarray,
+               modes: tuple[str, ...], u_blocks: np.ndarray) -> np.ndarray:
+    """Predicted states ((N+1) x n) of one mode sequence at fixed block flows.
+
+    A block's drive ``b u_j + f`` is formed once, so each step is one
+    matrix-vector product and one sum.  (``dot`` costs about half of ``@``
+    on one 42-vector.)
+    """
+    x = np.empty((cfg.horizon + 1, model.n))
+    x[0] = x0
+    k = 0
+    for mode, u, length in zip(modes, u_blocks, cfg.blocks):
+        branch = model.branch(MODE_SIGN[mode])
+        drive = branch.b * u + branch.f
+        for _ in range(length):
+            np.add(branch.A.dot(x[k]), drive, out=x[k + 1])
+            k += 1
+    return x
+
+
+class SoftRows:
+    """Row oracle of one sequence's soft state box, for ``solve_qp``.
+
+    Called at an iterate ``z`` (the pumping blocks' flows, then the slack),
+    it rolls the sequence out at those flows into ``x`` and returns the soft
+    rows that ``x`` breaks by more than the QP's feasibility tolerance and
+    that it has not returned before, or ``None``.  Per predicted step
+    k = 1..N there are n upper rows [gain_k, -1] z <= x_max - off_k, then n
+    lower rows [-gain_k, -1] z <= off_k - x_min, with ``off, gain`` the
+    sequence's ``rollout``; that rollout is formed at the first violation
+    only.  ``added`` counts the rows returned.
+    """
+
+    def __init__(self, model: PwaModel, cfg: OcpConfig, x0: np.ndarray,
+                 modes: tuple[str, ...], pumping: np.ndarray):
+        self.model, self.cfg, self.x0, self.modes = model, cfg, x0, modes
+        self.pumping = pumping
+        self.x: np.ndarray | None = None
+        self.added = 0
+        # The soft rows and which of them were returned, from the first
+        # violation on.
+        self._G = self._h = self._returned = None
+
+    def __call__(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        u = np.zeros(len(self.cfg.blocks))
+        u[self.pumping] = z[:-1]
+        self.x = trajectory(self.model, self.cfg, self.x0, self.modes, u)
+        x_min, x_max = self.cfg.state_bounds(self.model.nu)
+        above, below = self.x[1:] - x_max, x_min - self.x[1:]
+        if max(above.max(), below.max()) - z[-1] <= _FEAS_TOL:
+            return None
+        new = np.stack([above, below], axis=1) - z[-1] > _FEAS_TOL
+        if self._returned is not None:
+            new &= ~self._returned
+        if not new.any():
+            return None
+        if self._returned is None:
+            offsets, gains = rollout(self.model, self.cfg, self.x0, self.modes)
+            gains = gains[1:][..., self.pumping]
+            G = np.stack([gains, -gains], axis=1)
+            self._G = np.concatenate([G, np.full(G.shape[:3] + (1,), -1.0)],
+                                     axis=-1)
+            self._h = np.stack([x_max - offsets[1:], offsets[1:] - x_min], axis=1)
+            self._returned = np.zeros(new.shape, dtype=bool)
+        self._returned |= new
+        self.added += int(new.sum())
+        return self._G[new], self._h[new]
 
 
 def _lower_bounds(H: np.ndarray, g: np.ndarray, const: np.ndarray) -> np.ndarray:
@@ -358,16 +413,21 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
     Sequences are solved in ascending order of their unconstrained lower
     bound.  One whose bound exceeds the incumbent by more than the near-tie
     tolerance cannot win nor tie, so its QP is skipped and it is recorded as
-    ``"pruned"`` with its bound as cost.  Predicted states are rolled out
-    only for the sequences whose QP is solved; the winner's give ``x_pred``.
+    ``"pruned"`` with its bound as cost.  A solved sequence's QP starts from
+    its input box; ``SoftRows`` adds the soft state rows its iterates break,
+    so the optimum is that of the full QP.  The winner's trajectory at its
+    optimum gives ``x_pred``.
     """
     nb = len(cfg.blocks)
     pred = condense(model, cfg, x0, power_linear_rows(grid, params, cfg.dt))
     H, g, const = build_cost(pred, demand, b_past, cfg)
     bounds = _lower_bounds(H, g, const)
-    candidates: list[tuple[tuple[str, ...], np.ndarray, float, int]] = []
+    candidates: list[tuple[tuple[str, ...], np.ndarray, float, int,
+                           np.ndarray]] = []
     records: list[CandidateRecord | None] = [None] * len(bounds)
-    rollouts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    unsolved = np.full(nb, np.nan)
+    unsolved.flags.writeable = False
+    soft_rows_added = 0
     incumbent = np.inf
     for s in np.argsort(bounds, kind="stable"):
         modes = pred.mode_sequences[s]
@@ -377,16 +437,17 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
         margin = 1e-12 * max(abs(bounds[s]), const[s])
         if bounds[s] - margin > incumbent + 1e-9 * max(1.0, abs(incumbent)):
             records[s] = CandidateRecord(modes, "pruned", float(bounds[s]),
-                                         np.full(nb, np.nan), np.nan, np.nan)
+                                         unsolved, np.nan, np.nan)
             continue
-        rollouts[s] = rollout(model, cfg, x0, modes)
-        qp, free = candidate_qp(modes, rollouts[s], H[s], g[s], cfg, model.nu)
+        qp, free = candidate_qp(modes, H[s], g[s], cfg)
+        soft_rows = SoftRows(model, cfg, x0, modes, free[:-1])
         try:
-            result = solve_qp(qp)
+            result = solve_qp(qp, soft_rows)
         except SolverError:
             # A stalled candidate drops out; the remaining sequences compete.
             result = QpResult(np.full(qp.m, np.nan), np.inf, "stalled",
                               np.inf, ())
+        soft_rows_added += soft_rows.added
         # A failed result carries value inf and NaN in the QP's variables;
         # storing flows are exactly zero.
         z = np.zeros(nb + 1)
@@ -395,7 +456,7 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
         records[s] = CandidateRecord(modes, result.status, total, z[:nb],
                                      float(z[nb]), result.kkt_residual)
         if result.status == "optimal":
-            candidates.append((modes, z, total, s))
+            candidates.append((modes, z, total, s, soft_rows.x))
             incumbent = min(incumbent, total)
 
     if not candidates:
@@ -407,7 +468,7 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
     near.sort(key=lambda c: (-c[0].count("storing"),
                              float(np.linalg.norm(c[1][:nb])),
                              c[0]))
-    modes, z, total, s = near[0]
+    modes, z, total, s, x_pred = near[0]
 
     lo, hi = np.array([_flow_interval(mode, cfg) for mode in modes]).T
     u_blocks = np.clip(z[:nb], lo, hi)
@@ -418,8 +479,8 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
                                 <= 1e-12 * max(cfg.u_max, -cfg.u_min))
     u_blocks[snap] = 0.0
 
-    offsets, gains = rollouts[s]
-    x_pred = offsets + gains @ u_blocks
+    if not np.array_equal(u_blocks, z[:nb]):
+        x_pred = trajectory(model, cfg, x0, modes, u_blocks)
     p_pred = pred.power_offset[s] + pred.power_gain[s] @ u_blocks
 
     demand = np.asarray(demand, dtype=float)
@@ -438,7 +499,7 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
         "slack": cfg.slack_weight * float(z[nb]) ** 2,
     }
     return OcpSolution(u_blocks, modes, x_pred, p_pred, total, terms, records,
-                       slack_used, int(snap.sum()))
+                       slack_used, int(snap.sum()), soft_rows_added)
 
 
 def receding_step(solution: OcpSolution) -> float:

@@ -43,12 +43,14 @@ class RunReport:
     est_bound_violation_k: float = 0.0  # worst estimate excursion past the box [K]
     u_abs_max: float = 0.0
     # Over the run: steps whose OCP faulted and fell back to storing, and
-    # the candidate QPs solved and stalled and the rounding-level block flows
-    # snapped to 0.0 at the steps that returned a plan.
+    # the candidate QPs solved and stalled, the rounding-level block flows
+    # snapped to 0.0 and the soft state rows the QPs needed, at the steps
+    # that returned a plan.
     controller_faults: int = 0
     qps_solved: int = 0
     stalled_candidates: int = 0
     snapped_flows: int = 0
+    soft_rows_added: int = 0
     sensor_faults: int = 0   # non-finite readings, run as predict-only steps
     error_series: np.ndarray = field(repr=False, default=None)  # spatial-mean |err| per step
     records: list[dict] = field(repr=False, default_factory=list)
@@ -113,7 +115,7 @@ def run_closed_loop(scenario: Scenario, steps: int | None = None,
     power_errors = np.zeros(steps)
     solve_ms = np.zeros(steps)
     est_violation = 0.0
-    faults = qps_solved = stalled = snapped = sensor_faults = 0
+    faults = qps_solved = stalled = snapped = soft_rows = sensor_faults = 0
     records: list[dict] = []
 
     for k in range(steps):
@@ -132,6 +134,7 @@ def run_closed_loop(scenario: Scenario, steps: int | None = None,
             qps_solved += len(statuses) - statuses.count("pruned")
             stalled += statuses.count("stalled")
             snapped += solution.snapped_flows
+            soft_rows += solution.soft_rows_added
         except ControllerFault:
             logger.warning("controller fault at step %d, storing fallback", k)
             solution = None
@@ -208,6 +211,7 @@ def run_closed_loop(scenario: Scenario, steps: int | None = None,
         qps_solved=qps_solved,
         stalled_candidates=stalled,
         snapped_flows=snapped,
+        soft_rows_added=soft_rows,
         sensor_faults=sensor_faults,
         error_series=err_series,
         records=records,
@@ -236,6 +240,7 @@ def report_summary(report: RunReport) -> dict:
         "qps_solved": report.qps_solved,
         "stalled_candidates": report.stalled_candidates,
         "snapped_flows": report.snapped_flows,
+        "soft_rows_added": report.soft_rows_added,
         "sensor_faults": report.sensor_faults,
     }
 

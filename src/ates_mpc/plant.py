@@ -264,8 +264,11 @@ def truth_step(state: TruthState, u: float, hx: HxParams, dt: float = 3600.0,
             # its value, inside its own envelope.
             lo = np.minimum(np.minimum(flat[:-2], flat[1:-1]), flat[2:])
             hi = np.maximum(np.maximum(flat[:-2], flat[1:-1]), flat[2:])
-            excess = float(max(0.0, (t_new - hi).max(), (lo - t_new).max()))
-            state.dmp_violation = max(state.dmp_violation, excess)
+            # A non-finite field makes both maxima NaN; max keeps a NaN only
+            # as its first argument, and a NaN violation is never replaced.
+            excess = float(max((t_new - hi).max(), (lo - t_new).max(), 0.0))
+            if excess > state.dmp_violation or excess != excess:
+                state.dmp_violation = excess
         # Enthalpy crosses each boundary face at its upwind temperature: the
         # borehole entry, and the last cell or t_far at the far face.
         for r in (0, 1):

@@ -7,13 +7,17 @@ and adds the most violated row (lowest index on ties) until no row is
 violated by more than ``_FEAS_TOL``; an active row whose multiplier would
 turn negative on the way is dropped.  A violated row that depends linearly on
 the active rows, while no active multiplier falls as its own rises, proves
-the problem infeasible, so no feasible start is needed.  Problems here are
-tiny (a handful of decision variables, up to ~1000 rows) and must be
+the problem infeasible, so no feasible start is needed.  Adding a row keeps
+the iterate dual feasible, so rows may also come from a caller's oracle once
+the known ones hold, and the iteration goes on without a restart (constraint
+generation; Jost & Mönnigmann, IEEE CDC 2013).  Problems here are tiny (a
+handful of decision variables, up to ~1000 rows) and must be
 bit-deterministic.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,11 +83,11 @@ def _iteration_cap(m: int, p: int) -> int:
     return 100 + 10 * m + 2 * p
 
 
-def _kkt_residual(qp: Qp, z: np.ndarray, rows: list[int], lam: np.ndarray,
-                  slack: np.ndarray) -> float:
-    """Worst KKT violation of ``z`` with multipliers ``lam`` on ``rows`` (zero
-    elsewhere); ``slack`` is ``G z - h``."""
-    stat = qp.H @ z + qp.g + lam @ qp.G[rows]
+def _kkt_residual(qp: Qp, z: np.ndarray, G: np.ndarray, rows: list[int],
+                  lam: np.ndarray, slack: np.ndarray) -> float:
+    """Worst KKT violation of ``z`` with multipliers ``lam`` on ``rows`` of
+    ``G`` (zero elsewhere); ``slack`` is ``G z - h``."""
+    stat = qp.H @ z + qp.g + lam @ G[rows]
     scale = max(1.0, float(np.abs(qp.g).max(initial=0.0)))
     return max(float(np.abs(stat).max()) / scale,
                max(0.0, float(slack.max(initial=0.0))),
@@ -91,7 +95,10 @@ def _kkt_residual(qp: Qp, z: np.ndarray, rows: list[int], lam: np.ndarray,
                float(np.abs(lam * slack[rows]).max(initial=0.0)) / scale)
 
 
-def solve_qp(qp: Qp) -> QpResult:
+def solve_qp(qp: Qp,
+             more_rows: Callable[[np.ndarray],
+                                 tuple[np.ndarray, np.ndarray] | None] | None = None
+             ) -> QpResult:
     """Dual active-set solve; returns status 'infeasible' instead of raising.
 
     With ``H = L L'`` and ``J = L^-1``, adding row ``a`` with multiplier ``t``
@@ -102,11 +109,17 @@ def solve_qp(qp: Qp) -> QpResult:
     enters) or when an active multiplier reaches zero (that row leaves and
     the same row is tried again).  ``r = 0`` with no multiplier to reduce
     means no ``z`` satisfies the row together with the active ones.
-    Raises ``SolverError`` past the iteration cap.
+
+    ``more_rows(z)``, if given, is called whenever no known row is violated
+    by more than ``_FEAS_TOL``.  It returns further rows ``(G_more, h_more)``
+    of the problem, never one it returned before, or ``None`` when ``z``
+    satisfies them all; its rows follow ``qp``'s in the result's
+    ``active_set`` and KKT residual.  Raises ``SolverError`` past the
+    iteration cap.
     """
     G = np.asarray(qp.G, dtype=float).reshape(-1, qp.m)
     h = np.asarray(qp.h, dtype=float)
-    m, p = qp.m, G.shape[0]
+    m = qp.m
     H = _regularize(np.asarray(qp.H, dtype=float))
     try:
         J = np.linalg.inv(np.linalg.cholesky(H))
@@ -118,16 +131,23 @@ def solve_qp(qp: Qp) -> QpResult:
     add = -1                   # row being added, -1 when none
     t_add = 0.0                # its multiplier so far
 
-    for it in range(_iteration_cap(m, p)):
+    it = 0
+    while it < _iteration_cap(m, h.size):
         if add < 0:
             slack = G @ z - h
             viol = slack.copy()
             viol[work] = -np.inf
-            add = int(np.argmax(viol)) if p else -1
+            add = int(np.argmax(viol)) if h.size else -1
             if add < 0 or viol[add] <= _FEAS_TOL:
+                more = None if more_rows is None else more_rows(z)
+                if more is not None:
+                    G = np.vstack([G, more[0]])
+                    h = np.concatenate([h, more[1]])
+                    add = -1
+                    continue
                 value = 0.5 * float(z @ qp.H @ z) + float(qp.g @ z)
                 return QpResult(z, value, "optimal",
-                                _kkt_residual(qp, z, work, lam, slack),
+                                _kkt_residual(qp, z, G, work, lam, slack),
                                 tuple(sorted(work)), it)
             t_add = 0.0
         c = J @ G[add]
@@ -163,5 +183,6 @@ def solve_qp(qp: Qp) -> QpResult:
         else:
             work.pop(drop)
             lam = np.delete(lam, drop)
+        it += 1
 
-    raise SolverError(f"active-set iteration cap {_iteration_cap(m, p)} exceeded")
+    raise SolverError(f"active-set iteration cap {_iteration_cap(m, h.size)} exceeded")

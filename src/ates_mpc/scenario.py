@@ -246,8 +246,8 @@ def gen_synthetic_demand(seed: int, year_hours: int = HOURS_PER_YEAR,
     Positive and negative parts are scaled separately to hit the requested
     annual totals exactly.
     """
-    if heat_total < 0.0 or cold_total < 0.0:
-        raise ScenarioError("annual energy totals must be nonnegative")
+    if not (0.0 <= heat_total < np.inf and 0.0 <= cold_total < np.inf):
+        raise ScenarioError("annual energy totals must be finite and nonnegative")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xDE11A)))
     hours = np.arange(year_hours)
     # Mid-January heating peak for an October start.

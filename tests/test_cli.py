@@ -33,6 +33,7 @@ def test_run_small_writes_results_and_summary(tmp_path, capsys):
     assert "sensor_faults: 0" in summary
     assert "qps_solved: " in summary
     assert "snapped_flows: " in summary
+    assert "soft_rows_added: 0" in summary
     text = capsys.readouterr().out
     assert "final balance" in text
 
@@ -155,6 +156,15 @@ def test_negative_hours_is_usage_error(tmp_path, capsys):
     assert not out.exists()
     assert main(["gen-demand", "--hours", "0", "--out", str(out)]) == 0
     assert "wrote 0 hourly samples" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--heat-mwh=nan", "--cold-mwh=inf",
+                                  "--heat-mwh=-inf"])
+def test_non_finite_demand_total_is_error(tmp_path, capsys, flag):
+    out = tmp_path / "demand.csv"
+    assert main(["gen-demand", flag, "--out", str(out)]) == 1
+    assert "finite and nonnegative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_negative_log_every_is_usage_error(tmp_path, capsys):

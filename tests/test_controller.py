@@ -4,13 +4,17 @@ import itertools
 import numpy as np
 import pytest
 
-from ates_mpc import (OcpConfig, ParameterError, SolverError, build_pwa,
+from scipy.optimize import nnls
+
+from ates_mpc import (OcpConfig, ParameterError, Qp, SolverError, build_pwa,
                       power_bilinear, pwa_step, receding_step, solve_ocp,
                       solve_qp)
 from ates_mpc import controller
-from ates_mpc.controller import (MODE_SIGN, MODES, W_PER_MW, _flow_interval,
-                                 build_cost, candidate_qp, condense, mode_of,
-                                 power_linear_rows, rollout)
+from ates_mpc.controller import (MODE_SIGN, MODES, W_PER_MW, SoftRows,
+                                 _flow_interval, build_cost, candidate_qp,
+                                 condense, mode_of, power_linear_rows, rollout,
+                                 trajectory)
+from ates_mpc.qp import _FEAS_TOL
 
 from test_acceptance import smooth_random_state
 
@@ -98,6 +102,8 @@ def test_condense_matches_direct_rollout(grid, params, hx, cfg):
     s = pred.mode_sequences.index(("heating", "storing", "cooling"))
     offsets, gains = rollout(model, cfg, x0, pred.mode_sequences[s])
     u_blocks = np.array([0.02, 0.0, -0.015])
+    x_traj = trajectory(model, cfg, x0, pred.mode_sequences[s], u_blocks)
+    assert np.array_equal(x_traj[0], x0)
     block_of_step = cfg.block_of_step()
     x = x0.copy()
     r_now, r_next, const = power_linear_rows(grid, params, DT)
@@ -106,41 +112,88 @@ def test_condense_matches_direct_rollout(grid, params, hx, cfg):
         x_next_direct = pwa_step(model, x, u_blocks[j])
         x_next_cond = offsets[k + 1] + gains[k + 1] @ u_blocks
         assert np.allclose(x_next_cond, x_next_direct, atol=1e-8)
+        assert np.allclose(x_traj[k + 1], x_next_direct, atol=1e-8)
         p_direct = r_now @ x + r_next @ x_next_direct + const
         p_cond = pred.power_offset[s, k] + pred.power_gain[s, k] @ u_blocks
         assert p_cond == pytest.approx(p_direct, abs=1e-3)
         x = x_next_direct
 
 
-def test_soft_rows_match_per_step_reference(grid, params, hx, cfg):
-    # Reference: the soft box rows assembled one predicted step at a time.
-    x0 = charged_state(grid, params)
-    model = build_pwa(grid, params, hx, DT, x0, 0.01)
-    pred = condense(model, cfg, x0, power_linear_rows(grid, params, DT))
-    s = pred.mode_sequences.index(("heating", "storing", "cooling"))
-    H, g, _ = build_cost(pred, np.full(12, 1e6), 0.0, cfg)
-    states = rollout(model, cfg, x0, pred.mode_sequences[s])
-    qp, free = candidate_qp(pred.mode_sequences[s], states, H[s], g[s], cfg,
-                            grid.nu)
-    x_min, x_max = cfg.state_bounds(grid.nu)
+def soft_rows_per_step(states, pumping, cfg, nu):
+    """Reference: every soft box row of a rollout, one predicted step at a
+    time, over the pumping blocks' flows and the slack."""
+    x_min, x_max = cfg.state_bounds(nu)
     rows, rhs = [], []
-    for k in range(1, 13):
-        off, gain = states[0][k], states[1][k]
+    for k in range(1, cfg.horizon + 1):
+        off, gain = states[0][k], states[1][k][:, pumping]
         minus_one = -np.ones((gain.shape[0], 1))
         rows += [np.hstack([gain, minus_one]), np.hstack([-gain, minus_one])]
         rhs += [x_max - off, off - x_min]
-    soft_G, soft_h = np.vstack(rows), np.concatenate(rhs)
-    keep = np.abs(soft_G[:, :3]).sum(axis=1) * U_MAX >= soft_h - 1e-9
-    assert 0 < keep.sum() < keep.size
+    return np.vstack(rows), np.concatenate(rhs)
+
+
+def full_row_qp(modes, model, cfg, x0, H_s, g_s):
+    """Reference: a sequence's box QP with all its soft rows at once."""
+    qp, free = candidate_qp(modes, H_s, g_s, cfg)
+    G, h = soft_rows_per_step(rollout(model, cfg, x0, modes), free[:-1], cfg,
+                              model.nu)
+    return Qp(qp.H, qp.g, np.vstack([qp.G, G]), np.concatenate([qp.h, h])), free
+
+
+# Instants where soft state rows bind.  At the first, 10 of the 12 solved
+# candidates break a soft row at their box optimum; at the second the store
+# starts below the cold box, so all 27 do and the winner uses 0.514 K of
+# slack.
+BINDING = {
+    "cold_floor_277": ((277.0, 284.85), 3.0, 3.0),
+    "cold_floor_280": ((280.0, 284.85), 6.0, 6.0),
+}
+
+
+def binding_instant(grid, params, hx, name):
+    cold_bounds, warm_lift, cold_drop = BINDING[name]
+    cfg = OcpConfig(cold_bounds=cold_bounds)
+    x0 = charged_state(grid, params, warm_lift, cold_drop)
+    model = build_pwa(grid, params, hx, DT, x0, 0.0)
+    return cfg, x0, model, np.full(12, -2.5e6)
+
+
+def test_soft_rows_match_per_step_reference(grid, params, hx):
+    cfg, x0, model, demand = binding_instant(grid, params, hx, "cold_floor_280")
+    pred = condense(model, cfg, x0, power_linear_rows(grid, params, DT))
+    s = pred.mode_sequences.index(("heating", "storing", "cooling"))
+    H, g, _ = build_cost(pred, demand, 0.0, cfg)
+    qp, free = candidate_qp(pred.mode_sequences[s], H[s], g[s], cfg)
     # The storing block's flow is eliminated: the QP is over blocks 0 and 2
-    # and the slack, and the dropped gain column is zero.
+    # and the slack.  Its rows are the input box, the bound at zero first,
+    # then slack >= 0.
     assert free.tolist() == [0, 2, 3]
-    assert np.all(soft_G[:, 1] == 0.0)
     assert np.array_equal(qp.H, H[s][np.ix_(free, free)])
     assert np.array_equal(qp.g, g[s][free])
-    # 5 input-box and slack rows come first.
-    assert np.array_equal(qp.G[5:], soft_G[keep][:, free])
-    assert np.array_equal(qp.h[5:], soft_h[keep])
+    assert np.array_equal(qp.G, [[-1, 0, 0], [1, 0, 0], [0, 1, 0], [0, -1, 0],
+                                 [0, 0, -1]])
+    assert np.array_equal(qp.h, [0.0, U_MAX, 0.0, U_MAX, 0.0])
+
+    states = rollout(model, cfg, x0, pred.mode_sequences[s])
+    soft_G, soft_h = soft_rows_per_step(states, [0, 2], cfg, grid.nu)
+    oracle = SoftRows(model, cfg, x0, pred.mode_sequences[s], free[:-1])
+    z = solve_qp(qp).z_star
+    G_new, h_new = oracle(z)
+    # The oracle returns the reference rows that z breaks, in their order,
+    # and the trajectory it checked them on.
+    broken = soft_G @ z - soft_h > 1e-9
+    assert 0 < broken.sum() < broken.size
+    assert np.array_equal(G_new, soft_G[broken])
+    assert np.array_equal(h_new, soft_h[broken])
+    assert oracle.added == broken.sum()
+    u = np.array([z[0], 0.0, z[1]])
+    assert np.array_equal(oracle.x, trajectory(model, cfg, x0,
+                                               pred.mode_sequences[s], u))
+    # No row is returned twice; a point inside the box gets no rows.
+    assert oracle(z) is None
+    z_inside = np.array([0.0, 0.0, 10.0])
+    assert SoftRows(model, cfg, x0, pred.mode_sequences[s], free[:-1])(
+        z_inside) is None
 
 
 def test_pure_input_penalty_prefers_zero_flow(grid, params, hx):
@@ -194,8 +247,8 @@ def test_snapped_flows_are_counted(grid, params, hx, cfg, monkeypatch):
     # The instant above with every QP's flows moved by +1e-19 m^3/s, as a
     # rounding change can leave them: the heating block's zero flow is set to
     # exactly 0.0 and counted, while the cooling blocks' flows are far from 0.
-    def nudged(qp):
-        result = solve_qp(qp)
+    def nudged(qp, more_rows=None):
+        result = solve_qp(qp, more_rows)
         z = result.z_star.copy()
         z[:-1] += 1e-19
         return dataclasses.replace(result, z_star=z)
@@ -214,6 +267,30 @@ def test_snapped_flows_are_counted(grid, params, hx, cfg, monkeypatch):
     assert sol.snapped_flows == 1
     assert sol.u_blocks[0] == 0.0
     assert np.array_equal(sol.x_pred, exact.x_pred)
+
+
+def test_clipped_flows_are_rolled_out_again(grid, params, hx, cfg,
+                                            monkeypatch):
+    # x_pred is the winner's trajectory at the flows it applies: when the
+    # clip changes a QP's flows, the sequence is rolled out again at them.
+    def flipped(qp, more_rows=None):
+        result = solve_qp(qp, more_rows)
+        z = result.z_star.copy()
+        z[:-1] *= -1.0      # every pumping flow gets the wrong sign
+        return dataclasses.replace(result, z_star=z)
+
+    x0 = charged_state(grid, params)
+    model = build_pwa(grid, params, hx, DT, x0, 0.0)
+    demand = np.full(12, 1e6)
+    exact = solve_ocp(x0, demand, 0.0, cfg, model, grid, params)
+    assert np.all(exact.u_blocks > 0.0)
+    monkeypatch.setattr(controller, "solve_qp", flipped)
+    sol = solve_ocp(x0, demand, 0.0, cfg, model, grid, params)
+    assert sol.mode_sequence == exact.mode_sequence
+    assert np.all(sol.u_blocks == 0.0)
+    assert np.array_equal(sol.x_pred, trajectory(model, cfg, x0,
+                                                 sol.mode_sequence,
+                                                 sol.u_blocks))
 
 
 def test_mode_sign_consistency_and_bounds(grid, params, hx, cfg):
@@ -279,8 +356,7 @@ def test_build_cost_feasible_start(grid, params, hx, cfg):
     for s, modes in enumerate(pred.mode_sequences):
         # Zero flows with the slack covering the worst open-loop violation
         # satisfy every row, so each candidate QP is feasible.
-        qp, _ = candidate_qp(modes, rollout(model, cfg, x0, modes), H[s], g[s],
-                             cfg, 20)
+        qp, _ = full_row_qp(modes, model, cfg, x0, H[s], g[s])
         z0 = np.zeros(qp.m)
         z0[-1] = max(0.0, float(np.max(-qp.h))) + 1e-9
         assert np.all(qp.G @ z0 <= qp.h + 1e-9)
@@ -346,8 +422,9 @@ def per_sequence_cost(p_off, p_gain, demand, b_past, cfg):
     return H, g, const
 
 
-def exhaustive_solve(pred, model, x0, demand, b_past, cfg, nu):
-    """Reference: solve all 27 QPs and pick with the near-tie rule.
+def exhaustive_solve(pred, model, x0, demand, b_past, cfg):
+    """Reference: solve all 27 QPs on all their rows and pick with the
+    near-tie rule.
 
     Returns the winner's modes, clipped flows (rounding-level flows set to
     exactly zero) and cost, and every candidate's cost (inf where its QP
@@ -357,8 +434,7 @@ def exhaustive_solve(pred, model, x0, demand, b_past, cfg, nu):
     costs = np.full(len(pred.mode_sequences), np.inf)
     solved = []
     for s, modes in enumerate(pred.mode_sequences):
-        qp, free = candidate_qp(modes, rollout(model, cfg, x0, modes), H[s],
-                                g[s], cfg, nu)
+        qp, free = full_row_qp(modes, model, cfg, x0, H[s], g[s])
         try:
             res = solve_qp(qp)
         except SolverError:
@@ -377,6 +453,23 @@ def exhaustive_solve(pred, model, x0, demand, b_past, cfg, nu):
     u = np.clip(z, lo, hi)
     u[np.abs(u) <= 1e-12 * U_MAX] = 0.0
     return modes, u, cost, costs
+
+
+# The reference solves each candidate on all its rows at once, while
+# solve_ocp adds soft rows only where an iterate breaks them: the two take
+# different active-set paths to the same optimum, so flows and costs may
+# differ by rounding.  Over the 216 instants below, where no soft row binds,
+# they differed by at most 3.5e-18 m^3/s (one ulp of u_max) and 6.9e-18 in
+# relative cost.
+U_TOL = 4 * np.spacing(U_MAX)
+COST_RTOL = 4 * np.finfo(float).eps
+
+
+def assert_matches_full_rows(sol, modes, u_blocks, cost, u_tol=U_TOL,
+                             cost_tol=0.0):
+    assert sol.mode_sequence == modes
+    assert np.all(np.abs(sol.u_blocks - u_blocks) <= u_tol)
+    assert abs(sol.cost - cost) <= COST_RTOL * max(1.0, abs(cost)) + cost_tol
 
 
 def test_bound_and_prune_matches_exhaustive_enumeration(grid, params, hx, cfg):
@@ -420,15 +513,14 @@ def test_bound_and_prune_matches_exhaustive_enumeration(grid, params, hx, cfg):
 
         sol = solve_ocp(x0, demand, b_past, cfg, model, grid, params)
         modes, u_blocks, cost, costs = exhaustive_solve(
-            pred, model, x0, demand, b_past, cfg, grid.nu)
-        assert sol.mode_sequence == modes
-        assert np.array_equal(sol.u_blocks, u_blocks)
-        assert sol.cost == cost
+            pred, model, x0, demand, b_past, cfg)
+        assert_matches_full_rows(sol, modes, u_blocks, cost)
         for s, rec in enumerate(sol.per_candidate):
             assert rec.mode_sequence == pred.mode_sequences[s]
             if rec.status == "pruned":
                 pruned += 1
                 assert np.all(np.isnan(rec.u_blocks))
+                assert not rec.u_blocks.flags.writeable
                 assert rec.cost <= costs[s] + 1e-12 * max(1.0, abs(costs[s]))
         instants += 1
     assert instants >= 200
@@ -436,10 +528,17 @@ def test_bound_and_prune_matches_exhaustive_enumeration(grid, params, hx, cfg):
     assert pruned > 0.5 * 27 * instants
 
 
-def test_states_rolled_out_only_for_solved_candidates(grid, params, hx, cfg,
-                                                     monkeypatch):
-    # condense forms no state trajectory: solve_ocp rolls out exactly the
-    # sequences whose QP it solves, once each, and reuses the winner's.
+def breaks_soft_row_at_box_optimum(modes, H_s, g_s, model, cfg, x0):
+    """Reference: whether a sequence's box-only optimum leaves its soft box."""
+    qp, free = candidate_qp(modes, H_s, g_s, cfg)
+    G, h = soft_rows_per_step(rollout(model, cfg, x0, modes), free[:-1], cfg,
+                              model.nu)
+    return bool(np.any(G @ solve_qp(qp).z_star - h > 1e-9))
+
+
+@pytest.fixture()
+def rollout_calls(monkeypatch):
+    """The mode sequences whose state gains solve_ocp forms, in call order."""
     calls = []
 
     def counting(model, cfg, x0, modes):
@@ -447,25 +546,99 @@ def test_states_rolled_out_only_for_solved_candidates(grid, params, hx, cfg,
         return rollout(model, cfg, x0, modes)
 
     monkeypatch.setattr(controller, "rollout", counting)
+    return calls
+
+
+def test_states_rolled_out_only_for_solved_candidates(grid, params, hx, cfg,
+                                                     rollout_calls):
+    # condense forms no state trajectory and a solved candidate's QP starts
+    # from its input box: solve_ocp forms a sequence's state gains (rollout)
+    # only when the box optimum breaks a soft row, once, and the winner's
+    # x_pred is its trajectory at the applied flows.
     rng = np.random.default_rng(11)
-    rolled = 0
+    instants = []
     for trial in range(6):
         x0 = (charged_state(grid, params, rng.uniform(0.0, 7.0),
                             rng.uniform(0.0, 9.0))
               if trial % 2 else smooth_random_state(grid, params, rng))
-        model = build_pwa(grid, params, hx, DT, x0, 0.0)
-        calls.clear()
-        sol = solve_ocp(x0, rng.uniform(-1.5e6, 2.5e6, 12),
-                        rng.uniform(-300.0, 300.0) * 3.6e9, cfg, model, grid,
-                        params)
-        solved = [rec.mode_sequence for rec in sol.per_candidate
-                  if rec.status != "pruned"]
-        assert sorted(calls) == sorted(solved)
-        offsets, gains = rollout(model, cfg, x0, sol.mode_sequence)
-        assert np.array_equal(sol.x_pred, offsets + gains @ sol.u_blocks)
-        rolled += len(calls)
-    # Most sequences are pruned, so most are never rolled out.
-    assert rolled < 6 * 27 // 2
+        instants.append((cfg, x0, build_pwa(grid, params, hx, DT, x0, 0.0),
+                         rng.uniform(-1.5e6, 2.5e6, 12),
+                         rng.uniform(-300.0, 300.0) * 3.6e9))
+    instants.append(binding_instant(grid, params, hx, "cold_floor_277") + (0.0,))
+    rolled = []
+    for cfg_i, x0, model, demand, b_past in instants:
+        rollout_calls.clear()
+        sol = solve_ocp(x0, demand, b_past, cfg_i, model, grid, params)
+        pred = condense(model, cfg_i, x0, power_linear_rows(grid, params, DT))
+        H, g, _ = build_cost(pred, demand, b_past, cfg_i)
+        needed = [rec.mode_sequence for s, rec in enumerate(sol.per_candidate)
+                  if rec.status != "pruned"
+                  and breaks_soft_row_at_box_optimum(rec.mode_sequence, H[s],
+                                                     g[s], model, cfg_i, x0)]
+        assert sorted(rollout_calls) == sorted(needed)
+        assert (sol.soft_rows_added > 0) == bool(rollout_calls)
+        assert np.array_equal(sol.x_pred, trajectory(model, cfg_i, x0,
+                                                     sol.mode_sequence,
+                                                     sol.u_blocks))
+        rolled.append(len(rollout_calls))
+    # No soft row binds at the random instants; at the binding one, 10 of
+    # the 12 solved candidates need their soft rows.
+    assert rolled == [0] * 6 + [10]
+
+
+def kkt_residual_on_all_rows(qp, z):
+    """Worst KKT violation of ``z`` on every row of ``qp``: row violation in
+    the rows' units, stationarity and complementarity relative to the
+    largest cost-gradient term, with nonnegative multipliers fitted to the
+    rows within 1e-9 of active.
+
+    The slack weight makes the soft rows' multipliers about 1e6 when slack
+    is used, so stationarity is relative to terms of that size; the solver's
+    own residual scales it by |g| alone.
+    """
+    slack = qp.G @ z - qp.h
+    active = np.flatnonzero(slack >= -1e-9)
+    grad = qp.H @ z + qp.g
+    lam = nnls(qp.G[active].T, -grad)[0] if active.size else np.zeros(0)
+    scale = max(1.0, float(np.abs(qp.g).max()), float(np.abs(qp.H @ z).max()))
+    return max(float(slack.max()),
+               float(np.abs(grad + lam @ qp.G[active]).max()) / scale,
+               float(np.abs(lam * slack[active]).max(initial=0.0)) / scale)
+
+
+@pytest.mark.parametrize("name", sorted(BINDING))
+def test_binding_soft_rows_match_full_row_reference(grid, params, hx, name,
+                                                    rollout_calls):
+    cfg, x0, model, demand = binding_instant(grid, params, hx, name)
+    sol = solve_ocp(x0, demand, 0.0, cfg, model, grid, params)
+    pred = condense(model, cfg, x0, power_linear_rows(grid, params, DT))
+    modes, u_blocks, cost, costs = exhaustive_solve(pred, model, x0, demand,
+                                                    0.0, cfg)
+    # Both solves stop once every row holds to the QP's 1e-9 K tolerance, so
+    # where slack is used it is fixed only to that tolerance, and the cost to
+    # its slope 2 w s times it (1.0e-3 at the second instant, where the
+    # costs differ by 1.4e-4 and the flows by 2.1e-11 m^3/s).
+    cost_tol = 2.0 * cfg.slack_weight * sol.slack_used * _FEAS_TOL
+    assert_matches_full_rows(sol, modes, u_blocks, cost, u_tol=1e-10,
+                             cost_tol=cost_tol)
+    assert sol.soft_rows_added > 0
+    H, g, _ = build_cost(pred, demand, 0.0, cfg)
+    s = pred.mode_sequences.index(sol.mode_sequence)
+    winner = sol.per_candidate[s]
+    qp, free = full_row_qp(sol.mode_sequence, model, cfg, x0, H[s], g[s])
+    assert kkt_residual_on_all_rows(
+        qp, np.append(winner.u_blocks, winner.slack)[free]) <= 1e-9
+    solved = [rec for rec in sol.per_candidate if rec.status != "pruned"]
+    assert all(rec.status == "optimal" for rec in solved)
+    for s, rec in enumerate(sol.per_candidate):
+        if rec.status == "pruned":
+            assert rec.cost <= costs[s] + 1e-12 * max(1.0, abs(costs[s]))
+    if name == "cold_floor_277":
+        assert (len(solved), len(rollout_calls)) == (12, 10)
+        assert sol.slack_used == 0.0
+    else:
+        assert len(solved) == len(rollout_calls) == 27
+        assert sol.slack_used == pytest.approx(0.514, abs=1e-3)
 
 
 def test_singular_block_cost_solves_every_candidate(grid, params, hx):
@@ -479,10 +652,8 @@ def test_singular_block_cost_solves_every_candidate(grid, params, hx):
     assert all(rec.status != "pruned" for rec in sol.per_candidate)
     pred = condense(model, cfg, x0, power_linear_rows(grid, params, DT))
     modes, u_blocks, cost, _ = exhaustive_solve(pred, model, x0, demand, 0.0,
-                                                cfg, grid.nu)
-    assert sol.mode_sequence == modes
-    assert np.array_equal(sol.u_blocks, u_blocks)
-    assert sol.cost == cost
+                                                cfg)
+    assert_matches_full_rows(sol, modes, u_blocks, cost)
 
 
 def test_weightless_inputs_take_the_hessian_shift(grid, params, hx, monkeypatch):

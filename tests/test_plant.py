@@ -313,6 +313,17 @@ def test_fused_audit_reports_a_cfl_violation(grid, params, hx, monkeypatch):
     assert_same_plant(state, ref)
 
 
+def test_audit_reports_a_non_finite_field(grid, params, hx):
+    state = init_truth(quiet_config(), grid, params)
+    state.warm[50] = np.nan
+    truth_step(state, U_MAX, hx, DT, audit=True)
+    assert not np.isfinite(state.dmp_violation)
+    # The NaN spreads and stays, and so does the reported violation.
+    truth_step(state, -U_MAX, hx, DT, audit=True)
+    assert np.isnan(state.warm).sum() > 1
+    assert not np.isfinite(state.dmp_violation)
+
+
 def test_writes_through_field_views_steer_the_step(grid, params, hx):
     state = init_truth(quiet_config(lambda_bounds=(3.0, 5.0)), grid, params)
     state.warm[:] = np.linspace(290.0, 285.0, 201)

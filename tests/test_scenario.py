@@ -112,6 +112,13 @@ def test_synthetic_demand_totals():
     assert neg == pytest.approx(cold, rel=1e-9)
 
 
+@pytest.mark.parametrize("heat, cold", [(np.nan, 1.0), (1.0, np.inf),
+                                        (-np.inf, 1.0), (1.0, -1.0)])
+def test_synthetic_demand_rejects_bad_totals(heat, cold):
+    with pytest.raises(ScenarioError, match="finite and nonnegative"):
+        gen_synthetic_demand(0, 24, heat, cold)
+
+
 def test_synthetic_demand_balanced_case():
     d = gen_synthetic_demand(0, 8760, 1000.0 * J_PER_MWH, 1000.0 * J_PER_MWH)
     assert abs(d.sum() * 3600.0) <= 0.001 * 1000.0 * J_PER_MWH
