@@ -11,12 +11,11 @@ near-tie tolerance is pruned unsolved.  The cheapest feasible sequence wins,
 exactly as if all 27 were solved; state box constraints are softened with a
 single quadratic slack so the controller always emits an input.
 
-A solved sequence's QP starts over its input box (and slack) alone.  At
-that optimum the sequence is rolled out once at fixed flows; if the
-trajectory keeps the soft state box, the optimum is the full QP's.
-Otherwise ``SoftRows`` forms the sequence's state gains and hands the
-broken soft rows to the same dual active-set iteration, which goes on
-until no row is broken (constraint generation).
+A solved sequence's QP is first solved over its input box (and slack)
+alone.  At that optimum the sequence is rolled out once at fixed flows; if
+the trajectory keeps the soft state box, the optimum is the full QP's.
+Otherwise the QP is solved once more with all of the sequence's soft state
+rows (``soft_rows``).
 
 The objective is evaluated with powers in MW throughout: the tracking term
 compares predicted and demanded power in MW, and the energy-balance term
@@ -142,7 +141,7 @@ class OcpSolution:
     per_candidate: list[CandidateRecord] = field(default_factory=list)
     slack_used: float = 0.0
     snapped_flows: int = 0               # rounding-level block flows set to 0.0
-    soft_rows_added: int = 0             # soft state rows added, all candidates
+    soft_rows_added: int = 0             # soft state rows of the re-solved QPs
 
 
 @functools.cache
@@ -296,7 +295,7 @@ def build_cost(pred: PredictionMap, demand: np.ndarray, b_past: float,
 def candidate_qp(modes: tuple[str, ...], H: np.ndarray, g: np.ndarray,
                  cfg: OcpConfig) -> tuple[Qp, np.ndarray]:
     """Box QP of one mode sequence: its cost ``H, g`` with the input-box and
-    slack rows only; ``SoftRows`` supplies the soft state rows it needs.
+    slack rows only (``soft_rows`` builds the soft state rows).
 
     A storing block's flow is fixed at zero, so its variable is eliminated:
     the QP is over the pumping blocks' flows and the slack.  Returns the Qp
@@ -340,53 +339,23 @@ def trajectory(model: PwaModel, cfg: OcpConfig, x0: np.ndarray,
     return x
 
 
-class SoftRows:
-    """Row oracle of one sequence's soft state box, for ``solve_qp``.
+def soft_rows(model: PwaModel, cfg: OcpConfig, x0: np.ndarray,
+              modes: tuple[str, ...], pumping: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Soft state rows ``G z <= h`` of one sequence, over its pumping blocks'
+    flows and the slack.
 
-    Called at an iterate ``z`` (the pumping blocks' flows, then the slack),
-    it rolls the sequence out at those flows into ``x`` and returns the soft
-    rows that ``x`` breaks by more than the QP's feasibility tolerance and
-    that it has not returned before, or ``None``.  Per predicted step
-    k = 1..N there are n upper rows [gain_k, -1] z <= x_max - off_k, then n
-    lower rows [-gain_k, -1] z <= off_k - x_min, with ``off, gain`` the
-    sequence's ``rollout``; that rollout is formed at the first violation
-    only.  ``added`` counts the rows returned.
+    Per predicted step k = 1..N there are n upper rows [gain_k, -1] z <=
+    x_max - off_k, then n lower rows [-gain_k, -1] z <= off_k - x_min, with
+    ``off, gain`` the sequence's ``rollout``.
     """
-
-    def __init__(self, model: PwaModel, cfg: OcpConfig, x0: np.ndarray,
-                 modes: tuple[str, ...], pumping: np.ndarray):
-        self.model, self.cfg, self.x0, self.modes = model, cfg, x0, modes
-        self.pumping = pumping
-        self.x: np.ndarray | None = None
-        self.added = 0
-        # The soft rows and which of them were returned, from the first
-        # violation on.
-        self._G = self._h = self._returned = None
-
-    def __call__(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        u = np.zeros(len(self.cfg.blocks))
-        u[self.pumping] = z[:-1]
-        self.x = trajectory(self.model, self.cfg, self.x0, self.modes, u)
-        x_min, x_max = self.cfg.state_bounds(self.model.nu)
-        above, below = self.x[1:] - x_max, x_min - self.x[1:]
-        if max(above.max(), below.max()) - z[-1] <= _FEAS_TOL:
-            return None
-        new = np.stack([above, below], axis=1) - z[-1] > _FEAS_TOL
-        if self._returned is not None:
-            new &= ~self._returned
-        if not new.any():
-            return None
-        if self._returned is None:
-            offsets, gains = rollout(self.model, self.cfg, self.x0, self.modes)
-            gains = gains[1:][..., self.pumping]
-            G = np.stack([gains, -gains], axis=1)
-            self._G = np.concatenate([G, np.full(G.shape[:3] + (1,), -1.0)],
-                                     axis=-1)
-            self._h = np.stack([x_max - offsets[1:], offsets[1:] - x_min], axis=1)
-            self._returned = np.zeros(new.shape, dtype=bool)
-        self._returned |= new
-        self.added += int(new.sum())
-        return self._G[new], self._h[new]
+    offsets, gains = rollout(model, cfg, x0, modes)
+    x_min, x_max = cfg.state_bounds(model.nu)
+    gains = gains[1:][..., pumping]
+    G = np.stack([gains, -gains], axis=1)
+    G = np.concatenate([G, np.full(G.shape[:3] + (1,), -1.0)], axis=-1)
+    h = np.stack([x_max - offsets[1:], offsets[1:] - x_min], axis=1)
+    return G.reshape(-1, G.shape[-1]), h.reshape(-1)
 
 
 def _lower_bounds(H: np.ndarray, g: np.ndarray, const: np.ndarray) -> np.ndarray:
@@ -413,20 +382,22 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
     Sequences are solved in ascending order of their unconstrained lower
     bound.  One whose bound exceeds the incumbent by more than the near-tie
     tolerance cannot win nor tie, so its QP is skipped and it is recorded as
-    ``"pruned"`` with its bound as cost.  A solved sequence's QP starts from
-    its input box; ``SoftRows`` adds the soft state rows its iterates break,
-    so the optimum is that of the full QP.  The winner's trajectory at its
-    optimum gives ``x_pred``.
+    ``"pruned"`` with its bound as cost.  A solved sequence's QP is solved
+    over its input box; only if the trajectory at that optimum leaves the
+    soft state box is it solved again with all its soft rows, so the
+    optimum is that of the full QP.  The winner's trajectory at its optimum
+    gives ``x_pred``.
     """
     nb = len(cfg.blocks)
     pred = condense(model, cfg, x0, power_linear_rows(grid, params, cfg.dt))
     H, g, const = build_cost(pred, demand, b_past, cfg)
     bounds = _lower_bounds(H, g, const)
     candidates: list[tuple[tuple[str, ...], np.ndarray, float, int,
-                           np.ndarray]] = []
+                           np.ndarray | None]] = []
     records: list[CandidateRecord | None] = [None] * len(bounds)
     unsolved = np.full(nb, np.nan)
     unsolved.flags.writeable = False
+    x_min, x_max = cfg.state_bounds(model.nu)
     soft_rows_added = 0
     incumbent = np.inf
     for s in np.argsort(bounds, kind="stable"):
@@ -440,23 +411,33 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
                                          unsolved, np.nan, np.nan)
             continue
         qp, free = candidate_qp(modes, H[s], g[s], cfg)
-        soft_rows = SoftRows(model, cfg, x0, modes, free[:-1])
+        # Storing flows are exactly zero.
+        z = np.zeros(nb + 1)
+        x = None
         try:
-            result = solve_qp(qp, soft_rows)
+            result = solve_qp(qp)
+            z[free] = result.z_star
+            x = trajectory(model, cfg, x0, modes, z[:nb])
+            if (max(np.max(x[1:] - x_max), np.max(x_min - x[1:])) - z[nb]
+                    > _FEAS_TOL):
+                # The box optimum leaves the soft box: solve the full QP.
+                # Its trajectory is rolled out for the winner only.
+                G, h = soft_rows(model, cfg, x0, modes, free[:-1])
+                soft_rows_added += h.size
+                result = solve_qp(Qp(qp.H, qp.g, np.vstack([qp.G, G]),
+                                     np.concatenate([qp.h, h])))
+                x = None
         except SolverError:
             # A stalled candidate drops out; the remaining sequences compete.
             result = QpResult(np.full(qp.m, np.nan), np.inf, "stalled",
                               np.inf, ())
-        soft_rows_added += soft_rows.added
-        # A failed result carries value inf and NaN in the QP's variables;
-        # storing flows are exactly zero.
-        z = np.zeros(nb + 1)
+        # A failed result carries value inf and NaN in the QP's variables.
         z[free] = result.z_star
         total = result.value + const[s]
         records[s] = CandidateRecord(modes, result.status, total, z[:nb],
                                      float(z[nb]), result.kkt_residual)
         if result.status == "optimal":
-            candidates.append((modes, z, total, s, soft_rows.x))
+            candidates.append((modes, z, total, s, x))
             incumbent = min(incumbent, total)
 
     if not candidates:
@@ -479,12 +460,11 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
                                 <= 1e-12 * max(cfg.u_max, -cfg.u_min))
     u_blocks[snap] = 0.0
 
-    if not np.array_equal(u_blocks, z[:nb]):
+    if x_pred is None or not np.array_equal(u_blocks, z[:nb]):
         x_pred = trajectory(model, cfg, x0, modes, u_blocks)
     p_pred = pred.power_offset[s] + pred.power_gain[s] @ u_blocks
 
     demand = np.asarray(demand, dtype=float)
-    x_min, x_max = cfg.state_bounds(model.nu)
     slack_used = max(0.0, float(np.max(x_pred[1:] - x_max)),
                      float(np.max(x_min - x_pred[1:])))
     p_mw = p_pred / W_PER_MW

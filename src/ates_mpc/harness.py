@@ -44,8 +44,8 @@ class RunReport:
     u_abs_max: float = 0.0
     # Over the run: steps whose OCP faulted and fell back to storing, and
     # the candidate QPs solved and stalled, the rounding-level block flows
-    # snapped to 0.0 and the soft state rows the QPs needed, at the steps
-    # that returned a plan.
+    # snapped to 0.0 and the soft state rows of the QPs solved again on
+    # them, at the steps that returned a plan.
     controller_faults: int = 0
     qps_solved: int = 0
     stalled_candidates: int = 0

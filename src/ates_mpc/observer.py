@@ -7,6 +7,9 @@ independent of that structure.  The step function maps the whole row stack
 of sigma points in one call, so an affine step is one batched product.
 State bounds are enforced by clipping the mean (estimate projection); the
 covariance is left as it is, so box-pinned states keep their uncertainty.
+``predict`` and ``update`` only symmetrise the covariance; ``sigma_points``
+is the one place that factors it, and it repairs it (``repair_psd``) only
+when the factorization fails.
 """
 
 from __future__ import annotations
@@ -116,7 +119,8 @@ def predict(est: GaussianEstimate, step_fn: Callable[[np.ndarray], np.ndarray],
     mean = weights @ propagated
     centered = propagated - mean
     cov = (centered.T * weights) @ centered
-    cov = repair_psd(cov + cfg.process_var * np.eye(est.n))
+    cov = cov + cfg.process_var * np.eye(est.n)
+    cov = 0.5 * (cov + cov.T)
     y_hat = cfg.C @ mean
     cov_xy = cov @ cfg.C.T
     cov_yy = cfg.C @ cov @ cfg.C.T + cfg.measurement_var * np.eye(cfg.C.shape[0])
@@ -129,7 +133,7 @@ def update(predicted: PredictedMoments, y: np.ndarray) -> GaussianEstimate:
     gain = np.linalg.solve(predicted.cov_yy, predicted.cov_xy.T).T
     mean = predicted.mean + gain @ (y - predicted.y_hat)
     cov = predicted.cov - gain @ predicted.cov_yy @ gain.T
-    return GaussianEstimate(mean, repair_psd(cov))
+    return GaussianEstimate(mean, 0.5 * (cov + cov.T))
 
 
 def project(est: GaussianEstimate, x_min: np.ndarray, x_max: np.ndarray

@@ -7,17 +7,13 @@ and adds the most violated row (lowest index on ties) until no row is
 violated by more than ``_FEAS_TOL``; an active row whose multiplier would
 turn negative on the way is dropped.  A violated row that depends linearly on
 the active rows, while no active multiplier falls as its own rises, proves
-the problem infeasible, so no feasible start is needed.  Adding a row keeps
-the iterate dual feasible, so rows may also come from a caller's oracle once
-the known ones hold, and the iteration goes on without a restart (constraint
-generation; Jost & Mönnigmann, IEEE CDC 2013).  Problems here are tiny (a
-handful of decision variables, up to ~1000 rows) and must be
+the problem infeasible, so no feasible start is needed.  Problems here are
+tiny (a handful of decision variables, up to ~1000 rows) and must be
 bit-deterministic.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,18 +58,20 @@ class QpResult:
 
 
 def _regularize(H: np.ndarray) -> np.ndarray:
-    """H itself when its Cholesky factor exists with every squared pivot at
-    least 1e-12; otherwise, if its smallest eigenvalue is below 1e-12, H
-    shifted so that it is at least 1e-10."""
+    """Cholesky factor of H when it exists with every squared pivot at least
+    1e-12; otherwise, if H's smallest eigenvalue is below 1e-12, the factor of
+    H shifted so that it is at least 1e-10.  Raises ``LinAlgError`` when no
+    factor exists."""
     try:
-        if np.diagonal(np.linalg.cholesky(H)).min() ** 2 >= 1e-12:
-            return H
+        L = np.linalg.cholesky(H)
+        if np.diagonal(L).min() ** 2 >= 1e-12:
+            return L
     except np.linalg.LinAlgError:
         pass
     eigmin = float(np.linalg.eigvalsh(H).min())
     if eigmin < 1e-12:
-        return H + (1e-10 + max(0.0, -eigmin)) * np.eye(H.shape[0])
-    return H
+        H = H + (1e-10 + max(0.0, -eigmin)) * np.eye(H.shape[0])
+    return np.linalg.cholesky(H)
 
 
 def _iteration_cap(m: int, p: int) -> int:
@@ -95,10 +93,7 @@ def _kkt_residual(qp: Qp, z: np.ndarray, G: np.ndarray, rows: list[int],
                float(np.abs(lam * slack[rows]).max(initial=0.0)) / scale)
 
 
-def solve_qp(qp: Qp,
-             more_rows: Callable[[np.ndarray],
-                                 tuple[np.ndarray, np.ndarray] | None] | None = None
-             ) -> QpResult:
+def solve_qp(qp: Qp) -> QpResult:
     """Dual active-set solve; returns status 'infeasible' instead of raising.
 
     With ``H = L L'`` and ``J = L^-1``, adding row ``a`` with multiplier ``t``
@@ -108,21 +103,14 @@ def solve_qp(qp: Qp,
     falls at rate ``|r|^2``; the step stops when it reaches zero (the row
     enters) or when an active multiplier reaches zero (that row leaves and
     the same row is tried again).  ``r = 0`` with no multiplier to reduce
-    means no ``z`` satisfies the row together with the active ones.
-
-    ``more_rows(z)``, if given, is called whenever no known row is violated
-    by more than ``_FEAS_TOL``.  It returns further rows ``(G_more, h_more)``
-    of the problem, never one it returned before, or ``None`` when ``z``
-    satisfies them all; its rows follow ``qp``'s in the result's
-    ``active_set`` and KKT residual.  Raises ``SolverError`` past the
-    iteration cap.
+    means no ``z`` satisfies the row together with the active ones.  Raises
+    ``SolverError`` past the iteration cap.
     """
     G = np.asarray(qp.G, dtype=float).reshape(-1, qp.m)
     h = np.asarray(qp.h, dtype=float)
     m = qp.m
-    H = _regularize(np.asarray(qp.H, dtype=float))
     try:
-        J = np.linalg.inv(np.linalg.cholesky(H))
+        J = np.linalg.inv(_regularize(np.asarray(qp.H, dtype=float)))
     except np.linalg.LinAlgError as exc:
         raise SolverError("Hessian not positive definite after regularisation") from exc
     z = -(J.T @ (J @ np.asarray(qp.g, dtype=float)))
@@ -139,12 +127,6 @@ def solve_qp(qp: Qp,
             viol[work] = -np.inf
             add = int(np.argmax(viol)) if h.size else -1
             if add < 0 or viol[add] <= _FEAS_TOL:
-                more = None if more_rows is None else more_rows(z)
-                if more is not None:
-                    G = np.vstack([G, more[0]])
-                    h = np.concatenate([h, more[1]])
-                    add = -1
-                    continue
                 value = 0.5 * float(z @ qp.H @ z) + float(qp.g @ z)
                 return QpResult(z, value, "optimal",
                                 _kkt_residual(qp, z, G, work, lam, slack),

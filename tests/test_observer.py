@@ -133,8 +133,8 @@ def test_predict_steps_all_sigma_points_in_one_call(grid, params, hx):
         propagated = np.stack([pwa_step(model, p, u) for p in points])
         mean = weights @ propagated
         centered = propagated - mean
-        cov = repair_psd((centered.T * weights) @ centered
-                         + cfg.process_var * np.eye(42))
+        cov = (centered.T * weights) @ centered + cfg.process_var * np.eye(42)
+        cov = 0.5 * (cov + cov.T)
         assert np.array_equal(pred.mean, mean)
         assert np.array_equal(pred.cov, cov)
         assert np.array_equal(pred.y_hat, cfg.C @ mean)
@@ -152,6 +152,31 @@ def test_update_zero_innovation():
     post = update(pred, pred.y_hat)
     assert np.allclose(post.mean, pred.mean, atol=1e-12)
     assert np.trace(post.cov) < np.trace(pred.cov)
+
+
+def test_one_covariance_factorization_per_predict(monkeypatch):
+    # predict and update only symmetrise the covariance; sigma_points is the
+    # one place that factors it, once per predict.
+    rng = np.random.default_rng(6)
+    n = 6
+    A, _, f = make_affine(rng, n)
+    cfg = UkfConfig(C=np.eye(2, n))
+    M = rng.standard_normal((n, n))
+    est = GaussianEstimate(rng.standard_normal(n), M @ M.T + np.eye(n))
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    pred = predict(est, lambda x: np.matvec(A, x) + f, cfg)
+    post = update(pred, pred.y_hat + 0.01)
+    assert np.array_equal(pred.cov, pred.cov.T)
+    assert np.array_equal(post.cov, post.cov.T)
+    predict(post, lambda x: np.matvec(A, x) + f, cfg)
+    assert calls == [(n, n), (n, n)]
 
 
 def test_update_with_huge_measurement_noise_is_noop():
