@@ -16,8 +16,8 @@ from .observer import (GaussianEstimate, UkfConfig, predict, project,
                        sigma_points, update)
 from .plant import (TruthConfig, TruthState, init_truth, measure,
                     restrict_to_coarse, truth_step)
-from .power import (EnergyLedger, LedgerRecord, power_bilinear,
-                    power_linear, storage_weights, update_balance)
+from .power import (EnergyLedger, power_bilinear, power_linear,
+                    storage_weights, update_balance)
 from .pwa import AffineBranch, PwaModel, assemble_pwa, build_pwa, pwa_step
 from .qp import Qp, QpResult, solve_qp
 from .scenario import (Scenario, gen_synthetic_demand, load_demand_csv,
@@ -29,10 +29,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineBranch", "AffineSubsystem", "AquiferParams", "AssemblyError",
     "AtesError", "ControllerFault", "EnergyLedger", "GaussianEstimate",
-    "GeometryError", "HxLinearization", "HxParams", "LedgerRecord",
-    "OcpConfig", "OcpSolution", "ParameterError", "PwaModel", "Qp",
-    "QpResult", "RadialGrid", "RunReport", "Scenario", "ScenarioError",
-    "SolverError", "StabilityError", "TruthConfig", "TruthState",
+    "GeometryError", "HxLinearization", "HxParams", "OcpConfig",
+    "OcpSolution", "ParameterError", "PwaModel", "Qp", "QpResult",
+    "RadialGrid", "RunReport", "Scenario", "ScenarioError", "SolverError",
+    "StabilityError", "TruthConfig", "TruthState",
     "assemble_pwa", "build_extraction_system", "build_grid",
     "build_injection_system", "build_pwa", "condense", "demand_window",
     "effective_heat_capacity", "gen_synthetic_demand", "hx_outlet_temp",

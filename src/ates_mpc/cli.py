@@ -99,8 +99,7 @@ def _cmd_sim(args) -> int:
         u = float(flows[k])
         truth_step(truth, u, scenario.hx, scenario.ocp.dt, audit=args.audit)
         p = power_bilinear(x, u, scenario.params.c_w)
-        update_balance(ledger, p, float(scenario.demand[k]), u,
-                       (k + 1) * scenario.ocp.dt)
+        update_balance(ledger, p, (k + 1) * scenario.ocp.dt)
         records.append({
             "t": k * scenario.ocp.dt, "u_applied": u,
             "mode": mode_of(u),

@@ -130,8 +130,18 @@ class CandidateRecord:
     kkt_residual: float
 
 
+# The counts each plan reports, in order: candidate QPs solved, candidates
+# whose QP stalled, rounding-level block flows set to 0.0, and the soft state
+# rows of the QPs solved again on them.
+PLAN_COUNTS = ("qps_solved", "stalled_candidates", "snapped_flows",
+               "soft_rows_added")
+
+
 @dataclass(frozen=True)
 class OcpSolution:
+    """The winning plan, every candidate's record, and the plan's counts
+    (keys ``PLAN_COUNTS``, which a closed-loop run sums over its hours)."""
+
     u_blocks: np.ndarray
     mode_sequence: tuple[str, ...]
     x_pred: np.ndarray                   # (N+1) x n
@@ -140,8 +150,7 @@ class OcpSolution:
     cost_terms: dict = field(default_factory=dict)
     per_candidate: list[CandidateRecord] = field(default_factory=list)
     slack_used: float = 0.0
-    snapped_flows: int = 0               # rounding-level block flows set to 0.0
-    soft_rows_added: int = 0             # soft state rows of the re-solved QPs
+    counts: dict[str, int] = field(default_factory=dict)
 
 
 @functools.cache
@@ -478,8 +487,12 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
         "balance": cfg.q_e * e_avg_mw**2,
         "slack": cfg.slack_weight * float(z[nb]) ** 2,
     }
+    statuses = [rec.status for rec in records]
+    counts = dict(zip(PLAN_COUNTS, (len(statuses) - statuses.count("pruned"),
+                                    statuses.count("stalled"),
+                                    int(snap.sum()), soft_rows_added)))
     return OcpSolution(u_blocks, modes, x_pred, p_pred, total, terms, records,
-                       slack_used, int(snap.sum()), soft_rows_added)
+                       slack_used, counts)
 
 
 def receding_step(solution: OcpSolution) -> float:

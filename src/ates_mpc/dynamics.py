@@ -34,7 +34,6 @@ class AffineSubsystem:
     A: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
     f: np.ndarray = field(repr=False)
-    regime: Regime
 
     @property
     def rows(self) -> int:
@@ -135,13 +134,13 @@ def _build(grid: RadialGrid, params: AquiferParams, x_ref: np.ndarray,
         params.c_a * 2.0 * np.pi * grid.midpoints * grid.l)
 
     if regime == "injection":
-        return AffineSubsystem(A_cells, b_cells, f_cells, regime)
+        return AffineSubsystem(A_cells, b_cells, f_cells)
 
     # Extraction/storage keeps the borehole entry, which follows cell 1.
     A = np.vstack([A_cells[:1], A_cells])
     b = np.concatenate([b_cells[:1], b_cells])
     f = np.concatenate([f_cells[:1], f_cells])
-    return AffineSubsystem(A, b, f, regime)
+    return AffineSubsystem(A, b, f)
 
 
 def build_extraction_system(grid: RadialGrid, params: AquiferParams,

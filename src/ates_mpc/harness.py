@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import mode_of, receding_step, solve_ocp
+from .controller import PLAN_COUNTS, mode_of, receding_step, solve_ocp
 from .errors import ControllerFault
 from .observer import GaussianEstimate, predict, project, update
 from .plant import init_truth, measure, restrict_to_coarse, truth_step
@@ -29,6 +29,15 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class RunReport:
+    """Run-level statistics of ``run_closed_loop`` and its per-hour records.
+
+    ``counts`` holds the run's counters in the order the summary sidecar
+    prints them: steps whose OCP faulted and fell back to storing
+    (``controller_faults``), the ``PLAN_COUNTS`` of the returned plans
+    summed over the run, and non-finite readings run as predict-only steps
+    (``sensor_faults``).
+    """
+
     final_balance_j: float
     delivered_gross_j: float
     demanded_gross_j: float
@@ -42,16 +51,7 @@ class RunReport:
     steps: int
     est_bound_violation_k: float = 0.0  # worst estimate excursion past the box [K]
     u_abs_max: float = 0.0
-    # Over the run: steps whose OCP faulted and fell back to storing, and
-    # the candidate QPs solved and stalled, the rounding-level block flows
-    # snapped to 0.0 and the soft state rows of the QPs solved again on
-    # them, at the steps that returned a plan.
-    controller_faults: int = 0
-    qps_solved: int = 0
-    stalled_candidates: int = 0
-    snapped_flows: int = 0
-    soft_rows_added: int = 0
-    sensor_faults: int = 0   # non-finite readings, run as predict-only steps
+    counts: dict[str, int] = field(default_factory=dict)
     error_series: np.ndarray = field(repr=False, default=None)  # spatial-mean |err| per step
     records: list[dict] = field(repr=False, default_factory=list)
 
@@ -112,17 +112,16 @@ def run_closed_loop(scenario: Scenario, steps: int | None = None,
     abs_err_sum = np.zeros(n)
     abs_err_max = np.zeros(n)
     err_series = np.zeros(steps)
-    power_errors = np.zeros(steps)
-    solve_ms = np.zeros(steps)
     est_violation = 0.0
-    faults = qps_solved = stalled = snapped = soft_rows = sensor_faults = 0
+    counts = dict.fromkeys(("controller_faults", *PLAN_COUNTS, "sensor_faults"),
+                           0)
     records: list[dict] = []
 
     for k in range(steps):
         y = measure(truth)
         if not estimator.step(y, u_prev):
             logger.warning("non-finite sensor reading at step %d, predict-only step", k)
-            sensor_faults += 1
+            counts["sensor_faults"] += 1
         est, model = estimator.est, estimator.model
         window = demand_window(scenario.demand, k, ocp.horizon)
         t0 = time.perf_counter()
@@ -130,17 +129,14 @@ def run_closed_loop(scenario: Scenario, steps: int | None = None,
             solution = solve_ocp(est.mean, window, ledger.b_past, ocp, model,
                                  grid, params)
             u = receding_step(solution)
-            statuses = [rec.status for rec in solution.per_candidate]
-            qps_solved += len(statuses) - statuses.count("pruned")
-            stalled += statuses.count("stalled")
-            snapped += solution.snapped_flows
-            soft_rows += solution.soft_rows_added
+            for key, count in solution.counts.items():
+                counts[key] += count
         except ControllerFault:
             logger.warning("controller fault at step %d, storing fallback", k)
             solution = None
             u = 0.0
-            faults += 1
-        solve_ms[k] = (time.perf_counter() - t0) * 1e3
+            counts["controller_faults"] += 1
+        solve_ms = (time.perf_counter() - t0) * 1e3
 
         # Error statistics compare the filtered estimate against the truth at
         # the same instant, i.e. before the plant advances to k+1.
@@ -156,9 +152,7 @@ def run_closed_loop(scenario: Scenario, steps: int | None = None,
 
         p_bil = power_bilinear(x_before, u, params.c_w)
         p_lin = power_linear(x_before, x_next_est, grid, params, ocp.dt)
-        update_balance(ledger, p_bil, scenario.demand[k], u, (k + 1) * ocp.dt,
-                       p_linear=p_lin)
-        power_errors[k] = p_lin - p_bil
+        update_balance(ledger, p_bil, (k + 1) * ocp.dt)
 
         abs_err_sum += err
         abs_err_max = np.maximum(abs_err_max, err)
@@ -178,7 +172,7 @@ def run_closed_loop(scenario: Scenario, steps: int | None = None,
             "cold_borehole_est": float(est.mean[nu + 1]),
             "slack": solution.slack_used if solution else 0.0,
             "ocp_cost": solution.cost if solution else float("nan"),
-            "solve_ms": solve_ms[k],
+            "solve_ms": solve_ms,
             "y_warm_r0": float(y[0]), "y_warm_far": float(y[1]),
             "y_cold_r0": float(y[2]), "y_cold_far": float(y[3]),
         })
@@ -187,10 +181,13 @@ def run_closed_loop(scenario: Scenario, steps: int | None = None,
             logger.info("step %d/%d, B_past %.2f MWh", k + 1, steps,
                         ledger.b_past / 3.6e9)
 
-    powers = np.array([r.p_bilinear for r in ledger.history])
-    demands = scenario.demand[:steps]
-    delivered_gross = float(np.abs(powers).sum() * ocp.dt)
-    demanded_gross = float(np.abs(demands).sum() * ocp.dt)
+    def column(key: str) -> np.ndarray:
+        return np.array([r[key] for r in records], dtype=float)
+
+    power_errors = column("P_linear") - column("P_bilinear")
+    solve_times = column("solve_ms")
+    delivered_gross = float(np.abs(column("P_bilinear")).sum() * ocp.dt)
+    demanded_gross = float(np.abs(column("D")).sum() * ocp.dt)
     coverage = delivered_gross / demanded_gross if demanded_gross > 0 else 0.0
 
     report = RunReport(
@@ -202,17 +199,12 @@ def run_closed_loop(scenario: Scenario, steps: int | None = None,
         ukf_max_abs_error=abs_err_max,
         power_error_mean_w=float(np.abs(power_errors).mean()) if steps else 0.0,
         power_error_std_w=float(power_errors.std()) if steps else 0.0,
-        solve_ms_median=float(np.median(solve_ms)) if steps else 0.0,
-        solve_ms_max=float(solve_ms.max()) if steps else 0.0,
+        solve_ms_median=float(np.median(solve_times)) if steps else 0.0,
+        solve_ms_max=float(solve_times.max()) if steps else 0.0,
         steps=steps,
         est_bound_violation_k=est_violation,
         u_abs_max=float(max((abs(r["u_applied"]) for r in records), default=0.0)),
-        controller_faults=faults,
-        qps_solved=qps_solved,
-        stalled_candidates=stalled,
-        snapped_flows=snapped,
-        soft_rows_added=soft_rows,
-        sensor_faults=sensor_faults,
+        counts=counts,
         error_series=err_series,
         records=records,
     )
@@ -236,12 +228,7 @@ def report_summary(report: RunReport) -> dict:
         "solve_ms_max": report.solve_ms_max,
         "est_bound_violation_k": report.est_bound_violation_k,
         "u_abs_max": report.u_abs_max,
-        "controller_faults": report.controller_faults,
-        "qps_solved": report.qps_solved,
-        "stalled_candidates": report.stalled_candidates,
-        "snapped_flows": report.snapped_flows,
-        "soft_rows_added": report.soft_rows_added,
-        "sensor_faults": report.sensor_faults,
+        **report.counts,
     }
 
 

@@ -51,16 +51,6 @@ class HxLinearization:
     a: float
     b: float
     f: float
-    mode: Mode
-    expansion_point: tuple[float, float]
-
-    def evaluate(self, t_in: float, u: float, clamp_to: tuple[float, float] | None = None) -> float:
-        """Affine evaluation; optionally clamped to the physical mixing range."""
-        out = self.a * t_in + self.b * u + self.f
-        if clamp_to is not None:
-            lo, hi = min(clamp_to), max(clamp_to)
-            out = min(max(out, lo), hi)
-        return out
 
 
 def hx_outlet_temp(t_in: float, u: float, q_b: float, t_b: float) -> float:
@@ -88,4 +78,4 @@ def linearize_hx(t_in_ref: float, u_ref: float, params: HxParams, mode: Mode) ->
     b = -sign * q_b * (t_b - t_in_ref) / denom**2
     value = hx_outlet_temp(t_in_ref, u_ref, q_b, t_b)
     f = value - a * t_in_ref - b * u_ref
-    return HxLinearization(a, b, f, mode, (t_in_ref, u_ref))
+    return HxLinearization(a, b, f)

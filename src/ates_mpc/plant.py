@@ -289,15 +289,13 @@ def truth_step(state: TruthState, u: float, hx: HxParams, dt: float = 3600.0,
     return state
 
 
-def measure(state: TruthState, noise_stream: np.random.Generator | None = None
-            ) -> np.ndarray:
+def measure(state: TruthState) -> np.ndarray:
     """Noisy sensor readings: (warm r0, warm far, cold r0, cold far)."""
     bh, far = state.sensor_cells
     values = np.array([state.warm[bh], state.warm[far],
                        state.cold[bh], state.cold[far]])
-    rng = state.rng_sensor if noise_stream is None else noise_stream
     if state.cfg.sensor_sigma > 0.0:
-        values = values + rng.normal(0.0, state.cfg.sensor_sigma, 4)
+        values = values + state.rng_sensor.normal(0.0, state.cfg.sensor_sigma, 4)
     return values
 
 

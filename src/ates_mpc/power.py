@@ -9,7 +9,8 @@ bilinear (metered) power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,32 +52,24 @@ def power_linear(x_now: np.ndarray, x_next: np.ndarray, grid: RadialGrid,
 
 
 @dataclass
-class LedgerRecord:
-    t: float
-    u: float
-    p_bilinear: float
-    p_linear: float
-    demand: float
-
-
-@dataclass
 class EnergyLedger:
-    """Running energy balance B_past [J] with per-step history."""
+    """Running energy balance B_past [J], the only figure the controller
+    reads, and the time [s] of the last booked step, which must grow."""
 
     dt: float
     b_past: float = 0.0
-    history: list[LedgerRecord] = field(default_factory=list)
-
-    def last_time(self) -> float | None:
-        return self.history[-1].t if self.history else None
+    t_last: float = -math.inf
 
 
-def update_balance(ledger: EnergyLedger, p: float, d: float, u: float, t: float,
-                   p_linear: float = float("nan")) -> EnergyLedger:
-    """Accumulate one step of delivered (bilinear) power into the balance."""
-    last = ledger.last_time()
-    if last is not None and t <= last:
-        raise ParameterError(f"time must be strictly increasing, got {t} after {last}")
+def update_balance(ledger: EnergyLedger, p: float, t: float) -> EnergyLedger:
+    """Book one step of delivered (bilinear) power p [W] ending at time t.
+
+    A time that does not exceed the last booked one is rejected and books
+    nothing.
+    """
+    if not t > ledger.t_last:
+        raise ParameterError(
+            f"time must be strictly increasing, got {t} after {ledger.t_last}")
     ledger.b_past += p * ledger.dt
-    ledger.history.append(LedgerRecord(t, u, p, p_linear, d))
+    ledger.t_last = t
     return ledger

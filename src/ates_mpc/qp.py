@@ -5,11 +5,13 @@ Goldfarb & Idnani (Math. Programming 27, 1983).  The iteration starts at the
 unconstrained minimiser -H^-1 g, which is optimal for the empty active set,
 and adds the most violated row (lowest index on ties) until no row is
 violated by more than ``_FEAS_TOL``; an active row whose multiplier would
-turn negative on the way is dropped.  A violated row that depends linearly on
-the active rows, while no active multiplier falls as its own rises, proves
-the problem infeasible, so no feasible start is needed.  Problems here are
-tiny (a handful of decision variables, up to ~1000 rows) and must be
-bit-deterministic.
+turn negative on the way is dropped.  The steps let the active rows drift,
+so unless the final ones hold exactly, the answer is then moved back onto
+them and their multipliers are fitted there.  A violated row that depends
+linearly on the active rows, while no active multiplier falls as its own
+rises, proves the problem infeasible, so no feasible start is needed.
+Problems here are tiny (a handful of decision variables, up to ~1000 rows)
+and must be bit-deterministic.
 """
 
 from __future__ import annotations
@@ -127,6 +129,15 @@ def solve_qp(qp: Qp) -> QpResult:
             viol[work] = -np.inf
             add = int(np.argmax(viol)) if h.size else -1
             if add < 0 or viol[add] <= _FEAS_TOL:
+                if work and slack[work].any():
+                    # The steps let the active rows drift: put z back on
+                    # them by the smallest move in the H metric, then fit
+                    # their multipliers to the gradient there.  Rows that
+                    # hold exactly need neither.
+                    Q, R = np.linalg.qr(J @ G[work].T)
+                    z = z + J.T @ (Q @ np.linalg.solve(R.T, -slack[work]))
+                    lam = -np.linalg.solve(R, Q.T @ (J @ (qp.H @ z + qp.g)))
+                    slack = G @ z - h
                 value = 0.5 * float(z @ qp.H @ z) + float(qp.g @ z)
                 return QpResult(z, value, "optimal",
                                 _kkt_residual(qp, z, G, work, lam, slack),

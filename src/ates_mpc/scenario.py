@@ -23,6 +23,8 @@ from .observer import UkfConfig
 from .plant import TruthConfig
 
 HOURS_PER_YEAR = 8760
+# Hour 0 of a synthetic demand series: the start of October.
+_DEMAND_START = _dt.datetime(2004, 10, 1, tzinfo=_dt.timezone.utc)
 _J_PER_MWH = 3.6e9
 
 
@@ -35,9 +37,7 @@ class Scenario:
     ukf: UkfConfig
     truth: TruthConfig
     demand: np.ndarray = field(repr=False)          # W, hourly
-    start: _dt.datetime = _dt.datetime(2004, 10, 1, tzinfo=_dt.timezone.utc)
     duration: int = HOURS_PER_YEAR
-    seed: int = 0
 
     def __post_init__(self):
         if self.demand.size < self.duration:
@@ -149,8 +149,7 @@ def scenario_from_values(values: dict) -> Scenario:
             values["seed"], max(HOURS_PER_YEAR, duration),
             values["demand_heat_total_mwh"] * _J_PER_MWH,
             values["demand_cold_total_mwh"] * _J_PER_MWH)
-    return Scenario(grid, params, hx, ocp, ukf, truth, demand,
-                    duration=duration, seed=values["seed"])
+    return Scenario(grid, params, hx, ocp, ukf, truth, demand, duration)
 
 
 def _config_values(path: str | None) -> dict:
@@ -222,14 +221,13 @@ def _looks_like_timestamp(cell: str) -> bool:
         return False
 
 
-def write_demand_csv(path: str, demand: np.ndarray,
-                     start: _dt.datetime | None = None) -> None:
-    start = start or _dt.datetime(2004, 10, 1, tzinfo=_dt.timezone.utc)
+def write_demand_csv(path: str, demand: np.ndarray) -> None:
+    """Hourly demand [W] as timestamped CSV rows from ``_DEMAND_START``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "demand_w"])
         for k, value in enumerate(np.asarray(demand, dtype=float)):
-            stamp = start + _dt.timedelta(hours=k)
+            stamp = _DEMAND_START + _dt.timedelta(hours=k)
             writer.writerow([stamp.isoformat(), repr(float(value))])
 
 

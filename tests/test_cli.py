@@ -22,18 +22,32 @@ def test_gen_demand_writes_csv(tmp_path, capsys):
     assert series.size == 72
 
 
+# The ``run`` sidecar's keys, in the order it writes them.
+SUMMARY_KEYS = [
+    "steps", "final_balance_mwh", "delivered_gross_mwh", "demanded_gross_mwh",
+    "coverage_fraction", "ukf_mean_abs_error_max_k", "ukf_max_abs_error_k",
+    "power_error_mean_w", "power_error_std_w", "solve_ms_median",
+    "solve_ms_max", "est_bound_violation_k", "u_abs_max", "controller_faults",
+    "qps_solved", "stalled_candidates", "snapped_flows", "soft_rows_added",
+    "sensor_faults",
+]
+
+
+def read_summary(path) -> dict[str, str]:
+    return dict(line.split(": ") for line in path.read_text().splitlines())
+
+
 def test_run_small_writes_results_and_summary(tmp_path, capsys):
     out = tmp_path / "results.csv"
     assert main(["run", "--steps", "3", "--out", str(out)]) == 0
     records = read_results(str(out))
     assert len(records) == 3
-    summary = (tmp_path / "results.csv.summary.txt").read_text()
-    assert "controller_faults: 0" in summary
-    assert "stalled_candidates: 0" in summary
-    assert "sensor_faults: 0" in summary
-    assert "qps_solved: " in summary
-    assert "snapped_flows: " in summary
-    assert "soft_rows_added: 0" in summary
+    summary = read_summary(tmp_path / "results.csv.summary.txt")
+    assert list(summary) == SUMMARY_KEYS
+    assert int(summary["qps_solved"]) >= 3
+    for key in ("controller_faults", "stalled_candidates", "soft_rows_added",
+                "sensor_faults"):
+        assert summary[key] == "0"
     text = capsys.readouterr().out
     assert "final balance" in text
 
@@ -177,6 +191,11 @@ def test_zero_steps_is_valid(tmp_path, capsys):
     out = tmp_path / "results.csv"
     assert main(["run", "--steps", "0", "--out", str(out)]) == 0
     assert read_results(str(out)) == []
+    # A run with no plan still writes every key, the counts at zero.
+    summary = read_summary(tmp_path / "results.csv.summary.txt")
+    assert list(summary) == SUMMARY_KEYS
+    counts = SUMMARY_KEYS[SUMMARY_KEYS.index("controller_faults"):]
+    assert all(summary[key] == "0" for key in counts)
     assert main(["sim", "--steps", "0"]) == 0
     assert main(["validate-power", "--steps", "0"]) == 0
     assert main(["observe", "--steps", "0", str(out)]) == 0

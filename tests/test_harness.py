@@ -93,29 +93,46 @@ def test_controller_fault_falls_back_to_storing(monkeypatch):
     assert report.records[2]["mode"] == "storing"
     assert np.isnan(report.records[2]["ocp_cost"])
     assert np.isfinite(report.records[3]["ocp_cost"])  # planning resumed
-    assert report.controller_faults == 1
-    assert normal.controller_faults == 0
-    assert report.qps_solved >= 5  # at least one per planned step
-    assert report.stalled_candidates == 0
+    assert report.counts["controller_faults"] == 1
+    assert normal.counts["controller_faults"] == 0
+    assert report.counts["qps_solved"] >= 5  # at least one per planned step
+    assert report.counts["stalled_candidates"] == 0
 
 
-def test_report_sums_snapped_flows(monkeypatch):
-    # Each plan reports one more snapped flow than it had, so the sum over
-    # the run cannot be zero by chance.
-    real = harness.solve_ocp
-    solutions = []
+def test_report_sums_plan_counts(monkeypatch):
+    # Each plan reports one more of every count than it had, the plan at
+    # step 2 faults and the reading at step 4 is non-finite, so no count of
+    # the run can be right by chance.
+    real_solve, real_measure = harness.solve_ocp, harness.measure
+    calls, solutions, readings = [], [], []
 
     def recording(*args):
-        sol = real(*args)
-        solutions.append(dataclasses.replace(sol,
-                                             snapped_flows=sol.snapped_flows + 1))
+        calls.append(None)
+        if len(calls) == 3:
+            raise ControllerFault("forced")
+        sol = real_solve(*args)
+        counts = {key: n + 1 for key, n in sol.counts.items()}
+        solutions.append(dataclasses.replace(sol, counts=counts))
         return solutions[-1]
 
+    def nan_at_step_4(truth):
+        readings.append(real_measure(truth))
+        return np.full(4, np.nan) if len(readings) == 5 else readings[-1]
+
     monkeypatch.setattr(harness, "solve_ocp", recording)
+    monkeypatch.setattr(harness, "measure", nan_at_step_4)
     report = run_closed_loop(small_scenario(), steps=6)
-    assert len(solutions) == 6
-    assert report.snapped_flows == sum(s.snapped_flows for s in solutions) >= 6
-    assert harness.report_summary(report)["snapped_flows"] == report.snapped_flows
+    assert len(solutions) == 5
+    expected = {"controller_faults": 1}
+    for sol in solutions:
+        for key, n in sol.counts.items():
+            expected[key] = expected.get(key, 0) + n
+    expected["sensor_faults"] = 1
+    assert list(report.counts.items()) == list(expected.items())
+    assert min(report.counts.values()) >= 1
+    # The summary ends with the counts, keys and order as they are.
+    summary = list(harness.report_summary(report).items())
+    assert summary[-len(expected):] == list(expected.items())
 
 
 def test_non_finite_reading_makes_a_predict_only_step(monkeypatch):
@@ -145,7 +162,7 @@ def test_non_finite_reading_makes_a_predict_only_step(monkeypatch):
     sc = small_scenario()
     report = run_closed_loop(sc, steps=8)
     assert len(report.records) == 8
-    assert report.sensor_faults == 1
+    assert report.counts["sensor_faults"] == 1
     assert np.isnan(report.records[3]["y_warm_far"])
     for est in estimates:
         assert np.all(np.isfinite(est.mean)) and np.all(np.isfinite(est.cov))
@@ -155,7 +172,7 @@ def test_non_finite_reading_makes_a_predict_only_step(monkeypatch):
     assert np.array_equal(estimates[3].mean, expected.mean)
     assert np.array_equal(estimates[3].cov, expected.cov)
     assert np.all(np.isfinite(report.error_series))
-    assert run_closed_loop(sc, steps=8).sensor_faults == 0
+    assert run_closed_loop(sc, steps=8).counts["sensor_faults"] == 0
 
 
 def test_filter_error_is_consistent_with_its_covariance(monkeypatch):

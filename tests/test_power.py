@@ -69,17 +69,17 @@ def test_storing_step_gap_is_conduction_loss(grid, params, hx):
 
 def test_update_balance_accumulates():
     ledger = EnergyLedger(dt=DT)
-    update_balance(ledger, 1e6, 0.0, 0.01, DT)
+    update_balance(ledger, 1e6, DT)
     assert ledger.b_past == pytest.approx(3.6e9)
-    update_balance(ledger, -1e6, 0.0, -0.01, 2 * DT)
+    update_balance(ledger, -1e6, 2 * DT)
     assert ledger.b_past == pytest.approx(0.0, abs=1e-6)
 
 
 def test_update_balance_time_regression():
     ledger = EnergyLedger(dt=DT)
-    update_balance(ledger, 1e5, 0.0, 0.0, DT)
+    update_balance(ledger, 1e5, DT)
     with pytest.raises(ParameterError):
-        update_balance(ledger, 1e5, 0.0, 0.0, DT)
+        update_balance(ledger, 1e5, DT)
 
 
 def test_ledger_consistency_invariant():
@@ -87,9 +87,9 @@ def test_ledger_consistency_invariant():
     ledger = EnergyLedger(dt=DT)
     powers = rng.uniform(-1e6, 1e6, 50)
     for k, p in enumerate(powers):
-        update_balance(ledger, p, 0.0, 0.0, (k + 1) * DT)
+        update_balance(ledger, p, (k + 1) * DT)
     assert ledger.b_past == pytest.approx(DT * powers.sum(), rel=1e-9)
-    assert len(ledger.history) == 50
+    assert ledger.t_last == 50 * DT
 
 
 @given(st.lists(st.tuples(st.floats(-1e7, 1e7), st.floats(1.0, 1e4)),
@@ -100,13 +100,12 @@ def test_property_ledger_orders_time_and_sums_power(steps, back):
     t = expected = 0.0
     for p, gap in steps:
         t += gap
-        update_balance(ledger, p, 0.0, 0.0, t)
+        update_balance(ledger, p, t)
         expected += p * DT
+        assert ledger.t_last == t
     assert ledger.b_past == expected
-    times = [rec.t for rec in ledger.history]
-    assert all(a < b for a, b in zip(times, times[1:]))
     # A time that does not advance is rejected and books nothing.
     with pytest.raises(ParameterError):
-        update_balance(ledger, 1e6, 0.0, 0.0, t - back)
+        update_balance(ledger, 1e6, t - back)
     assert ledger.b_past == expected
-    assert len(ledger.history) == len(steps)
+    assert ledger.t_last == t

@@ -44,7 +44,7 @@ def test_heating_step_writes_hx_output_to_cold_borehole(grid, params, hx, ambien
     model = build_pwa(grid, params, hx, DT, ambient_state, U_MAX)
     x_next = pwa_step(model, ambient_state, U_MAX)
     lin = linearize_hx(float(ambient_state[0]), U_MAX, hx, "heating")
-    expected = lin.evaluate(float(ambient_state[0]), U_MAX)
+    expected = lin.a * float(ambient_state[0]) + lin.b * U_MAX + lin.f
     assert x_next[21] == pytest.approx(expected, abs=1e-12)
     # At the expansion point the linearization equals the nonlinear relation.
     assert expected == pytest.approx(
