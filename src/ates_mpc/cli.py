@@ -12,13 +12,13 @@ import sys
 
 import numpy as np
 
-from .controller import mode_of, solve_ocp
+from .controller import solve_ocp
 from .errors import AtesError, ScenarioError
 from .harness import (demand_window, power_form_study, replay_observer,
                       run_closed_loop)
 from .plant import init_truth, restrict_to_coarse, truth_step
 from .power import EnergyLedger, power_bilinear, update_balance
-from .pwa import build_pwa
+from .pwa import build_pwa, mode_of
 from .scenario import (_DEFAULTS, _config_values, gen_synthetic_demand,
                        read_results, scenario_from_values, write_demand_csv,
                        write_results)

@@ -37,19 +37,13 @@ import numpy as np
 from .errors import ControllerFault, ParameterError, SolverError
 from .grid import AquiferParams, RadialGrid, validate_state
 from .power import storage_weights
-from .pwa import PwaModel
+from .pwa import MODES, PwaModel
 from .qp import _FEAS_TOL, Qp, QpResult, solve_qp
 
 W_PER_MW = 1e6
 J_PER_MWH = 3.6e9
 
-MODES = ("heating", "storing", "cooling")
 MODE_SIGN = {"heating": 1.0, "storing": 0.0, "cooling": -1.0}
-
-
-def mode_of(u: float) -> str:
-    """Operating mode of a flow, by its sign."""
-    return "heating" if u > 0 else ("cooling" if u < 0 else "storing")
 
 
 def _flow_interval(mode: str, cfg: OcpConfig) -> tuple[float, float]:
@@ -60,7 +54,6 @@ def _flow_interval(mode: str, cfg: OcpConfig) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class OcpConfig:
-    horizon: int = 12
     dt: float = 3600.0
     blocks: tuple[int, ...] = (1, 4, 7)
     u_min: float = -0.0277
@@ -79,9 +72,9 @@ class OcpConfig:
     def __post_init__(self):
         if self.balance_hours <= 0.0:
             raise ParameterError("balance_hours must be positive")
-        if sum(self.blocks) != self.horizon:
+        if min(self.blocks) < 1:
             raise ParameterError(
-                f"blocks {self.blocks} must sum to the horizon {self.horizon}")
+                f"every block must hold at least one step, got {self.blocks}")
         if not (self.u_min < 0.0 < self.u_max):
             raise ParameterError("need u_min < 0 < u_max")
         for lo, hi in (self.warm_bounds, self.cold_bounds):
@@ -89,6 +82,11 @@ class OcpConfig:
                 raise ParameterError("state bounds must be ordered")
         if min(self.q_u, self.q_d, self.q_e, self.slack_weight) < 0.0:
             raise ParameterError("weights must be nonnegative")
+
+    @property
+    def horizon(self) -> int:
+        """Prediction horizon in steps: the blocks' total length."""
+        return sum(self.blocks)
 
     @functools.cache
     def state_bounds(self, nu: int) -> tuple[np.ndarray, np.ndarray]:
@@ -181,23 +179,22 @@ def condense(model: PwaModel, cfg: OcpConfig, x0: np.ndarray,
 
     A step in mode m from x(k) delivers P(k) = c_m . x(k) + d_m u + e_m, with
     c_m = r_now + r_next A_m, d_m = r_next . b_m and e_m = r_next . f_m +
-    const.  Move blocking holds a block's mode fixed, so its i-th step
-    delivers (c_m A_m^i) . x_start plus the running sums of c_m A_m^t f_m and
-    c_m A_m^t b_m over t < i.  A block's start states depend only on the
-    modes of the blocks before it (3^j of them for block j), so each block's
-    powers are one product of these rows with its start states, offset and
-    gain columns side by side.  Only the blocks before the last are stepped,
-    to produce the next block's start states; no sequence's state trajectory
-    is formed (``rollout`` does that, for one sequence).
+    const.  All three modes are formed at once from the model's branch
+    stack, whose ``MODES`` order the rows share.  Move blocking holds a
+    block's mode fixed, so its i-th step delivers (c_m A_m^i) . x_start
+    plus the running sums of c_m A_m^t f_m and c_m A_m^t b_m over t < i.
+    A block's start states depend only on the modes of the blocks before it
+    (3^j of them for block j), so each block's powers are one product of
+    these rows with its start states, offset and gain columns side by side.
+    Only the blocks before the last are stepped, to produce the next block's
+    start states; no sequence's state trajectory is formed (``rollout`` does
+    that, for one sequence).
     ``power_rows`` is ``power_linear_rows(grid, params, cfg.dt)``.
     """
     x0 = validate_state(x0, model.nu)
     nb = len(cfg.blocks)
     r_now, r_next, p_const = power_rows
-    branches = [model.branch(MODE_SIGN[mode]) for mode in MODES]
-    A = np.stack([branch.A for branch in branches])
-    b = np.stack([branch.b for branch in branches])
-    f = np.stack([branch.f for branch in branches])
+    A, b, f = model.A, model.b, model.f
 
     # rows[m, i] = c_m A_m^i for i below the longest block; terms[m, i] holds
     # the i-th step's affine terms, e_m and d_m plus the running sums of
@@ -254,10 +251,11 @@ def rollout(model: PwaModel, cfg: OcpConfig, x0: np.ndarray,
     gains = np.zeros((cfg.horizon + 1, model.n, nb))
     offsets[0] = x0
     for k, j in enumerate(cfg.block_of_step()):
-        branch = model.branch(MODE_SIGN[modes[j]])
-        offsets[k + 1] = branch.A @ offsets[k] + branch.f
-        gains[k + 1] = branch.A @ gains[k]
-        gains[k + 1, :, j] += branch.b
+        i = MODES.index(modes[j])
+        A = model.A[i]
+        offsets[k + 1] = A @ offsets[k] + model.f[i]
+        gains[k + 1] = A @ gains[k]
+        gains[k + 1, :, j] += model.b[i]
     return offsets, gains
 
 
@@ -340,10 +338,11 @@ def trajectory(model: PwaModel, cfg: OcpConfig, x0: np.ndarray,
     x[0] = x0
     k = 0
     for mode, u, length in zip(modes, u_blocks, cfg.blocks):
-        branch = model.branch(MODE_SIGN[mode])
-        drive = branch.b * u + branch.f
+        i = MODES.index(mode)
+        A = model.A[i]
+        drive = model.b[i] * u + model.f[i]
         for _ in range(length):
-            np.add(branch.A.dot(x[k]), drive, out=x[k + 1])
+            np.add(A.dot(x[k]), drive, out=x[k + 1])
             k += 1
     return x
 
@@ -493,8 +492,3 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
                                     int(snap.sum()), soft_rows_added)))
     return OcpSolution(u_blocks, modes, x_pred, p_pred, total, terms, records,
                        slack_used, counts)
-
-
-def receding_step(solution: OcpSolution) -> float:
-    """First blocked input of the optimal sequence, applied for one sampling period."""
-    return float(solution.u_blocks[0])

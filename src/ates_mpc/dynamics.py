@@ -35,19 +35,6 @@ class AffineSubsystem:
     b: np.ndarray = field(repr=False)
     f: np.ndarray = field(repr=False)
 
-    @property
-    def rows(self) -> int:
-        return self.A.shape[0]
-
-
-def _check_stability(grid: RadialGrid, params: AquiferParams, dt: float) -> None:
-    number = params.lam * dt / (params.c_a * grid.dr**2)
-    if number >= 0.5:
-        raise StabilityError(
-            f"diffusion number {number:.3g} >= 0.5 "
-            f"(lambda={params.lam}, dt={dt}, c_a={params.c_a}, dr={grid.dr:.3g})"
-        )
-
 
 @functools.cache
 def _conduction_stencil(grid: RadialGrid, params: AquiferParams, dt: float,
@@ -59,11 +46,17 @@ def _conduction_stencil(grid: RadialGrid, params: AquiferParams, dt: float,
     Dirichlet contribution.  ``inner_coupled`` switches the conductive flux
     through the inner face of cell 1 (on during injection, off otherwise).
     The stencil depends only on its arguments, so it is built once per grid,
-    parameters and ``dt`` and shared read-only.
+    parameters and ``dt`` and shared read-only; so is the check that the
+    explicit step keeps the diffusion number below 1/2.
     """
     nu = grid.nu
     dr = grid.dr
     lam = params.lam
+    number = lam * dt / (params.c_a * dr**2)
+    if number >= 0.5:
+        raise StabilityError(
+            f"diffusion number {number:.3g} >= 0.5 "
+            f"(lambda={lam}, dt={dt}, c_a={params.c_a}, dr={dr:.3g})")
     coeff = 2.0 * np.pi * grid.l * lam * dt / (params.c_a * grid.volumes)
 
     A = np.zeros((nu, nu + 1))
@@ -124,7 +117,6 @@ def _build(grid: RadialGrid, params: AquiferParams, x_ref: np.ndarray,
             f"reference profile must have length {grid.nu + 1}, got shape {x_ref.shape}")
     if flow_sign not in (-1, 1):
         raise ParameterError(f"flow_sign must be +1 or -1, got {flow_sign}")
-    _check_stability(grid, params, dt)
 
     A_cells, f_cells = _conduction_stencil(grid, params, dt,
                                            inner_coupled=(regime == "injection"))

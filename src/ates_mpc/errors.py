@@ -17,10 +17,6 @@ class StabilityError(AtesError):
     """Explicit time step violates the diffusion stability limit."""
 
 
-class AssemblyError(AtesError):
-    """Subsystems with mismatched dimensions."""
-
-
 class SolverError(AtesError):
     """QP solver failed to converge within its iteration cap."""
 

@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import PLAN_COUNTS, mode_of, receding_step, solve_ocp
+from .controller import PLAN_COUNTS, solve_ocp
 from .errors import ControllerFault
 from .observer import GaussianEstimate, predict, project, update
 from .plant import init_truth, measure, restrict_to_coarse, truth_step
 from .power import EnergyLedger, power_bilinear, power_linear, update_balance
-from .pwa import build_pwa, pwa_step
+from .pwa import build_pwa, mode_of, pwa_step
 from .scenario import Scenario, write_results
 
 logger = logging.getLogger(__name__)
@@ -128,7 +128,7 @@ def run_closed_loop(scenario: Scenario, steps: int | None = None,
         try:
             solution = solve_ocp(est.mean, window, ledger.b_past, ocp, model,
                                  grid, params)
-            u = receding_step(solution)
+            u = float(solution.u_blocks[0])
             for key, count in solution.counts.items():
                 counts[key] += count
         except ControllerFault:

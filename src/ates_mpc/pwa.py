@@ -1,9 +1,10 @@
 """Three-branch piecewise-affine model over the stacked warm+cold state.
 
-Branch selection is by the sign of the flow u: u > 0 heating (warm extraction
-feeds the heat exchanger, which writes the cold borehole entry one step
-later), u = 0 storing (both aquifers relax, zero input gain), u < 0 cooling
-(the mirror image of heating).
+The model is one table of affine branches, one per mode in ``MODES`` order,
+and the mode is picked by the sign of the flow u (``mode_of``): u > 0 heating
+(warm extraction feeds the heat exchanger, which writes the cold borehole
+entry one step later), u = 0 storing (both aquifers relax, zero input gain),
+u < 0 cooling (the mirror image of heating).
 """
 
 from __future__ import annotations
@@ -13,10 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import AffineSubsystem, build_extraction_system, build_injection_system
-from .errors import AssemblyError, ParameterError
+from .dynamics import build_extraction_system, build_injection_system
+from .errors import ParameterError
 from .grid import AquiferParams, RadialGrid, validate_state
-from .heat_exchanger import HxLinearization, HxParams, linearize_hx
+from .heat_exchanger import HxParams, linearize_hx
+
+MODES = ("heating", "storing", "cooling")
+
+
+def mode_of(u: float) -> str:
+    """Operating mode of a flow, by its sign."""
+    return "heating" if u > 0 else ("cooling" if u < 0 else "storing")
 
 
 @dataclass(frozen=True)
@@ -35,9 +43,16 @@ class AffineBranch:
 
 @dataclass(frozen=True)
 class PwaModel:
-    branch_heating: AffineBranch
-    branch_storing: AffineBranch
-    branch_cooling: AffineBranch
+    """One affine branch per mode, stacked in ``MODES`` order.
+
+    In mode i the state steps as x(k+1) = A[i] x(k) + b[i] u(k) + f[i], with
+    ``A (3, n, n)``, ``b (3, n)`` and ``f (3, n)`` over the stacked state of
+    ``nu`` cells per aquifer.
+    """
+
+    A: np.ndarray = field(repr=False)
+    b: np.ndarray = field(repr=False)
+    f: np.ndarray = field(repr=False)
     nu: int
 
     @property
@@ -45,68 +60,9 @@ class PwaModel:
         return 2 * (self.nu + 1)
 
     def branch(self, u: float) -> AffineBranch:
-        if u > 0.0:
-            return self.branch_heating
-        if u < 0.0:
-            return self.branch_cooling
-        return self.branch_storing
-
-
-def assemble_pwa(warm_ex: AffineSubsystem, warm_inj: AffineSubsystem,
-                 cold_ex: AffineSubsystem, cold_inj: AffineSubsystem,
-                 hx_heat: HxLinearization, hx_cool: HxLinearization) -> PwaModel:
-    """Stack aquifer subsystems and heat-exchanger rows into the three branches."""
-    m = warm_ex.rows
-    nu = m - 1
-    n = 2 * m
-    if cold_ex.rows != m or warm_inj.rows != nu or cold_inj.rows != nu:
-        raise AssemblyError(
-            f"inconsistent subsystem dimensions: warm_ex {warm_ex.rows}, "
-            f"cold_ex {cold_ex.rows}, warm_inj {warm_inj.rows}, cold_inj {cold_inj.rows}")
-
-    w = slice(0, m)
-    c = slice(m, n)
-
-    # Heating: warm extraction rows, HX row writing the cold borehole from the
-    # warm borehole, cold injection cell rows.
-    A1 = np.zeros((n, n))
-    b1 = np.zeros(n)
-    f1 = np.zeros(n)
-    A1[w, w] = warm_ex.A
-    b1[w] = warm_ex.b
-    f1[w] = warm_ex.f
-    A1[m, 0] = hx_heat.a
-    b1[m] = hx_heat.b
-    f1[m] = hx_heat.f
-    A1[m + 1:, c] = cold_inj.A
-    b1[m + 1:] = cold_inj.b
-    f1[m + 1:] = cold_inj.f
-
-    # Storing: block-diagonal extraction maps, no input gain.
-    A2 = np.zeros((n, n))
-    f2 = np.zeros(n)
-    A2[w, w] = warm_ex.A
-    A2[c, c] = cold_ex.A
-    f2[:m] = warm_ex.f
-    f2[m:] = cold_ex.f
-
-    # Cooling: HX row writing the warm borehole from the cold borehole, warm
-    # injection cell rows, cold extraction rows.
-    A3 = np.zeros((n, n))
-    b3 = np.zeros(n)
-    f3 = np.zeros(n)
-    A3[0, m] = hx_cool.a
-    b3[0] = hx_cool.b
-    f3[0] = hx_cool.f
-    A3[1:m, w] = warm_inj.A
-    b3[1:m] = warm_inj.b
-    f3[1:m] = warm_inj.f
-    A3[c, c] = cold_ex.A
-    b3[m:] = cold_ex.b
-    f3[m:] = cold_ex.f
-
-    return PwaModel(AffineBranch(A1, b1, f1), AffineBranch(A2, np.zeros(n), f2),
-                    AffineBranch(A3, b3, f3), nu=nu)
+        """The branch of the mode of u; its arrays are views of the stack."""
+        i = MODES.index(mode_of(u))
+        return AffineBranch(self.A[i], self.b[i], self.f[i])
 
 
 def pwa_step(model: PwaModel, x: np.ndarray, u: float) -> np.ndarray:
@@ -128,7 +84,13 @@ def pwa_step(model: PwaModel, x: np.ndarray, u: float) -> np.ndarray:
 
 def build_pwa(grid: RadialGrid, params: AquiferParams, hx: HxParams, dt: float,
               x_ref: np.ndarray, u_ref: float = 0.0) -> PwaModel:
-    """Rebuild the full PWA model at a prediction instant.
+    """Rebuild the full PWA model at a prediction instant, in one pass.
+
+    Every branch starts as storing: the two extraction maps side by side,
+    with no input gain.  Heating and cooling then replace the injected
+    aquifer's rows with its heat-exchanger row (the borehole entry, written
+    from the extracted aquifer's borehole) and its injection cell rows, and
+    give the extracting aquifer its input gain.
 
     Frozen convection gradients come from the current state estimate x_ref;
     the heat-exchanger linearizations expand around the estimated
@@ -136,12 +98,33 @@ def build_pwa(grid: RadialGrid, params: AquiferParams, hx: HxParams, dt: float,
     (clamped to each mode's sign region).
     """
     x_ref = validate_state(x_ref, grid.nu)
-    warm_ref, cold_ref = x_ref[:grid.nu + 1], x_ref[grid.nu + 1:]
+    m = grid.nu + 1
+    n = 2 * m
+    warm_ref, cold_ref = x_ref[:m], x_ref[m:]
     # Flow into the cold aquifer is q = u, into the warm one q = -u.
     warm_ex = build_extraction_system(grid, params, warm_ref, -1, dt)
-    warm_inj = build_injection_system(grid, params, warm_ref, -1, dt)
     cold_ex = build_extraction_system(grid, params, cold_ref, 1, dt)
-    cold_inj = build_injection_system(grid, params, cold_ref, 1, dt)
-    hx_heat = linearize_hx(float(warm_ref[0]), max(u_ref, 0.0), hx, "heating")
-    hx_cool = linearize_hx(float(cold_ref[0]), min(u_ref, 0.0), hx, "cooling")
-    return assemble_pwa(warm_ex, warm_inj, cold_ex, cold_inj, hx_heat, hx_cool)
+    A = np.zeros((len(MODES), n, n))
+    b = np.zeros((len(MODES), n))
+    f = np.empty((len(MODES), n))
+    A[:, :m, :m] = warm_ex.A
+    A[:, m:, m:] = cold_ex.A
+    f[:, :m] = warm_ex.f
+    f[:, m:] = cold_ex.f
+    # Heating extracts from the warm aquifer (rows from 0) and injects into
+    # the cold one (rows from m); cooling the other way round.
+    for mode, ex, src, dst, sign, clamp in (
+            ("heating", warm_ex, 0, m, 1, max),
+            ("cooling", cold_ex, m, 0, -1, min)):
+        i = MODES.index(mode)
+        inj = build_injection_system(grid, params, x_ref[dst:dst + m], sign, dt)
+        row = linearize_hx(float(x_ref[src]), clamp(u_ref, 0.0), hx, mode)
+        b[i, src:src + m] = ex.b
+        A[i, dst, dst:dst + m] = 0.0
+        A[i, dst, src] = row.a
+        b[i, dst] = row.b
+        f[i, dst] = row.f
+        A[i, dst + 1:dst + m, dst:dst + m] = inj.A
+        b[i, dst + 1:dst + m] = inj.b
+        f[i, dst + 1:dst + m] = inj.f
+    return PwaModel(A, b, f, nu=grid.nu)

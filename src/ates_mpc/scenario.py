@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controller import OcpConfig
-from .errors import ScenarioError
+from .dynamics import _conduction_stencil
+from .errors import GeometryError, ParameterError, ScenarioError, StabilityError
 from .grid import AquiferParams, RadialGrid, build_grid
 from .heat_exchanger import HxParams
 from .observer import UkfConfig
@@ -61,7 +62,6 @@ _DEFAULTS: dict[str, float] = {
     "t_building_cooling_k": 293.0,
     "u_max_m3_per_s": 0.0277,
     "dt_s": 3600.0,
-    "horizon_steps": 12,
     "block_1_steps": 1,
     "block_2_steps": 4,
     "block_3_steps": 7,
@@ -88,8 +88,8 @@ _DEFAULTS: dict[str, float] = {
     "demand_cold_total_mwh": 2200.0,
 }
 _STRING_KEYS = {"demand_csv"}
-_INT_KEYS = {"nu", "nu_fine", "horizon_steps", "seed", "duration_steps",
-             "block_1_steps", "block_2_steps", "block_3_steps"}
+_INT_KEYS = {"nu", "nu_fine", "seed", "duration_steps", "block_1_steps",
+             "block_2_steps", "block_3_steps"}
 
 
 def _parse_config_text(text: str) -> dict:
@@ -115,31 +115,43 @@ def _parse_config_text(text: str) -> dict:
 
 
 def scenario_from_values(values: dict) -> Scenario:
-    grid = build_grid(values["r0_m"], values["r_inf_m"], values["nu"],
-                      values["filter_length_m"])
-    params = AquiferParams.from_constituents(
-        values["porosity"], values["c_w_j_per_m3_k"], values["c_r_j_per_m3_k"],
-        values["lambda_w_per_m_k"], values["t_amb_k"])
-    hx = HxParams(values["q_b_m3_per_s"], values["t_building_heating_k"],
-                  values["t_building_cooling_k"])
-    ocp = OcpConfig(
-        horizon=values["horizon_steps"], dt=values["dt_s"],
-        blocks=(values["block_1_steps"], values["block_2_steps"],
-                values["block_3_steps"]),
-        u_min=-values["u_max_m3_per_s"], u_max=values["u_max_m3_per_s"],
-        warm_bounds=(values["warm_min_k"], values["warm_max_k"]),
-        cold_bounds=(values["cold_min_k"], values["cold_max_k"]),
-        q_u=values["q_u"], q_d=values["q_d"], q_e=values["q_e"],
-        balance_hours=values["balance_window_h"],
-        slack_weight=values["slack_weight_per_k2"])
-    ukf = UkfConfig.for_grid(values["nu"], kappa=values["ukf_kappa"],
-                             process_var=values["process_noise_var_k2"],
-                             measurement_var=values["measurement_noise_var_k2"])
-    truth = TruthConfig(
-        nu_fine=values["nu_fine"],
-        lambda_bounds=(values["lambda_min_w_per_m_k"], values["lambda_max_w_per_m_k"]),
-        t_amb_noise_amp=values["t_amb_noise_amp_k"],
-        sensor_sigma=values["sensor_sigma_k"], seed=values["seed"])
+    """Scenario of config values; an inadmissible value raises ScenarioError.
+
+    The model's explicit step is checked here, once, by building the
+    conduction stencil that every model rebuild shares.
+    """
+    try:
+        grid = build_grid(values["r0_m"], values["r_inf_m"], values["nu"],
+                          values["filter_length_m"])
+        params = AquiferParams.from_constituents(
+            values["porosity"], values["c_w_j_per_m3_k"],
+            values["c_r_j_per_m3_k"], values["lambda_w_per_m_k"],
+            values["t_amb_k"])
+        hx = HxParams(values["q_b_m3_per_s"], values["t_building_heating_k"],
+                      values["t_building_cooling_k"])
+        ocp = OcpConfig(
+            dt=values["dt_s"],
+            blocks=(values["block_1_steps"], values["block_2_steps"],
+                    values["block_3_steps"]),
+            u_min=-values["u_max_m3_per_s"], u_max=values["u_max_m3_per_s"],
+            warm_bounds=(values["warm_min_k"], values["warm_max_k"]),
+            cold_bounds=(values["cold_min_k"], values["cold_max_k"]),
+            q_u=values["q_u"], q_d=values["q_d"], q_e=values["q_e"],
+            balance_hours=values["balance_window_h"],
+            slack_weight=values["slack_weight_per_k2"])
+        _conduction_stencil(grid, params, ocp.dt, inner_coupled=False)
+        ukf = UkfConfig.for_grid(
+            values["nu"], kappa=values["ukf_kappa"],
+            process_var=values["process_noise_var_k2"],
+            measurement_var=values["measurement_noise_var_k2"])
+        truth = TruthConfig(
+            nu_fine=values["nu_fine"],
+            lambda_bounds=(values["lambda_min_w_per_m_k"],
+                           values["lambda_max_w_per_m_k"]),
+            t_amb_noise_amp=values["t_amb_noise_amp_k"],
+            sensor_sigma=values["sensor_sigma_k"], seed=values["seed"])
+    except (GeometryError, ParameterError, StabilityError) as exc:
+        raise ScenarioError(str(exc)) from exc
 
     duration = values["duration_steps"]
     if values.get("demand_csv"):

@@ -13,14 +13,13 @@ import pytest
 from ates_mpc import (GaussianEstimate, HxParams, OcpConfig, TruthConfig,
                       UkfConfig, build_grid, init_truth, load_scenario,
                       restrict_to_coarse, solve_qp, truth_step)
-from ates_mpc.controller import (MODE_SIGN, MODES, W_PER_MW, power_linear_rows,
-                                 solve_ocp)
+from ates_mpc.controller import MODE_SIGN, W_PER_MW, power_linear_rows, solve_ocp
 from ates_mpc.grid import AquiferParams
 from ates_mpc.harness import demand_window, power_form_study, run_closed_loop
 from ates_mpc.heat_exchanger import hx_outlet_temp
 from ates_mpc.observer import predict, update
 from ates_mpc.power import power_linear
-from ates_mpc.pwa import build_pwa, pwa_step
+from ates_mpc.pwa import MODES, build_pwa, pwa_step
 from ates_mpc.scenario import _parse_config_text, scenario_from_values
 
 from test_qp import grid_oracle, random_box_qp
@@ -159,10 +158,9 @@ def _oracle_cost(model, modes, cfg, x0, demand, b_past, u_blocks, grid, params):
     r_now, r_next, p_const = power_linear_rows(grid, params, cfg.dt)
     for k in range(cfg.horizon):
         j = block_of_step[k]
-        branch = {"heating": model.branch_heating,
-                  "storing": model.branch_storing,
-                  "cooling": model.branch_cooling}[modes[j]]
-        x_next = x @ branch.A.T + np.outer(u_blocks[:, j], branch.b) + branch.f
+        i = MODES.index(modes[j])
+        x_next = (x @ model.A[i].T + np.outer(u_blocks[:, j], model.b[i])
+                  + model.f[i])
         p = x @ r_now + x_next @ r_next + p_const  # state-linear power
         track += ((p - demand[k]) / W_PER_MW) ** 2
         p_sum += p

@@ -14,6 +14,22 @@ def test_missing_scenario_file_is_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# Each value is rejected when the scenario is built: the radial grid, the
+# move blocking, the heat exchanger and the model's explicit step.
+@pytest.mark.parametrize("line, message", [
+    ("nu = 0", "cell count must be >= 1"),
+    ("block_1_steps = 0", "at least one step"),
+    ("q_b_m3_per_s = -1", "building-side flow must be positive"),
+    ("dt_s = 1e7", "diffusion number"),
+])
+def test_bad_scenario_value_is_config_error(tmp_path, capsys, line, message):
+    config = tmp_path / "bad.cfg"
+    config.write_text(line + "\n")
+    assert main(["run", "--scenario", str(config), "--steps", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_gen_demand_writes_csv(tmp_path, capsys):
     out = tmp_path / "demand.csv"
     assert main(["gen-demand", "--out", str(out), "--hours", "72",

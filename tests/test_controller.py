@@ -7,13 +7,13 @@ import pytest
 from scipy.optimize import nnls
 
 from ates_mpc import (OcpConfig, ParameterError, Qp, SolverError, build_pwa,
-                      power_bilinear, pwa_step, receding_step, solve_ocp,
-                      solve_qp)
+                      power_bilinear, pwa_step, solve_ocp, solve_qp)
 from ates_mpc import controller
-from ates_mpc.controller import (MODE_SIGN, MODES, W_PER_MW, _flow_interval,
-                                 build_cost, candidate_qp, condense, mode_of,
+from ates_mpc.controller import (MODE_SIGN, W_PER_MW, _flow_interval,
+                                 build_cost, candidate_qp, condense,
                                  power_linear_rows, rollout, soft_rows,
                                  trajectory)
+from ates_mpc.pwa import MODES, mode_of
 
 from test_acceptance import smooth_random_state
 
@@ -35,7 +35,7 @@ def charged_state(grid, params, warm_lift=6.0, cold_drop=9.0):
 
 def test_config_validation():
     with pytest.raises(ParameterError):
-        OcpConfig(blocks=(1, 4, 6))
+        OcpConfig(blocks=(0, 4, 7))
     with pytest.raises(ParameterError):
         OcpConfig(u_min=0.01)
     with pytest.raises(ParameterError):
@@ -230,7 +230,7 @@ def test_heating_block_at_zero_applies_exact_zero(grid, params, hx, cfg):
     demand = np.array([1e5] + [-1e6] * 11)
     sol = solve_ocp(x0, demand, 0.0, cfg, model, grid, params)
     assert sol.mode_sequence[0] == "heating"
-    u = receding_step(sol)
+    u = float(sol.u_blocks[0])
     assert u == 0.0 and np.copysign(1.0, u) == 1.0
     assert mode_of(u) == "storing"
     winner = next(r for r in sol.per_candidate
@@ -341,7 +341,6 @@ def test_determinism(grid, params, hx, cfg):
     assert np.array_equal(a.u_blocks, b.u_blocks)
     assert a.mode_sequence == b.mode_sequence
     assert a.cost == b.cost
-    assert receding_step(a) == receding_step(b) == a.u_blocks[0]
 
 
 def test_build_cost_feasible_start(grid, params, hx, cfg):

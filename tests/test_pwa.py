@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ates_mpc import (AssemblyError, ParameterError, build_extraction_system,
+from ates_mpc import (ParameterError, build_extraction_system,
                       build_injection_system, build_pwa, hx_outlet_temp,
                       linearize_hx, pwa_step)
-from ates_mpc.pwa import assemble_pwa
+from ates_mpc.pwa import MODES
 
 DT = 3600.0
 U_MAX = 0.0277
+HEAT, STORE, COOL = (MODES.index(mode) for mode in ("heating", "storing", "cooling"))
 
 
 @pytest.fixture()
@@ -18,10 +19,9 @@ def model(grid, params, hx, ambient_state):
 
 
 def test_branch_dimensions(model):
-    for branch in (model.branch_heating, model.branch_storing, model.branch_cooling):
-        assert branch.A.shape == (42, 42)
-        assert branch.b.shape == (42,)
-        assert branch.f.shape == (42,)
+    assert model.A.shape == (3, 42, 42)
+    assert model.b.shape == (3, 42)
+    assert model.f.shape == (3, 42)
     assert model.n == 42
 
 
@@ -31,13 +31,18 @@ def test_storing_ambient_fixed_point(model, ambient_state):
 
 
 def test_storing_zero_input_gain(model):
-    assert np.all(model.branch_storing.b == 0.0)
+    assert np.all(model.b[STORE] == 0.0)
 
 
-def test_branch_selection_by_sign(model, ambient_state):
-    assert model.branch(1e-12) is model.branch_heating
-    assert model.branch(-1e-12) is model.branch_cooling
-    assert model.branch(0.0) is model.branch_storing
+def test_branch_selection_by_sign(model):
+    for u, i in ((1e-12, HEAT), (-1e-12, COOL), (0.0, STORE)):
+        branch = model.branch(u)
+        for view, stack in ((branch.A, model.A), (branch.b, model.b),
+                            (branch.f, model.f)):
+            # A view of the stack's slice i, not a copy.
+            assert view.base is stack
+            assert view.ctypes.data == stack[i].ctypes.data
+            assert view.shape == stack[i].shape
 
 
 def test_heating_step_writes_hx_output_to_cold_borehole(grid, params, hx, ambient_state):
@@ -91,7 +96,7 @@ def test_affinity_superposition(model):
     x1 = 284.85 + rng.standard_normal(42)
     x2 = 284.85 + rng.standard_normal(42)
     a, b = 0.4, 0.6
-    for branch in (model.branch_heating, model.branch_cooling):
+    for branch in (model.branch(1.0), model.branch(-1.0)):
         u1, u2 = 0.01, 0.02
         lhs = branch.step(a * x1 + b * x2, a * u1 + b * u2)
         rhs = a * branch.step(x1, u1) + b * branch.step(x2, u2)
@@ -104,17 +109,17 @@ def test_cross_aquifer_sparsity(grid, params, hx, ambient_state):
     # Expand around a nonzero flow so the HX gain on the extracted
     # temperature is itself nonzero.
     model = build_pwa(grid, params, hx, DT, ambient_state, 0.01)
-    h = model.branch_heating.A
+    h = model.A[HEAT]
     assert np.all(h[:m, m:] == 0.0)          # warm rows never read cold states
     assert np.all(h[m + 1:, :m] == 0.0)      # cold cell rows never read warm
     assert h[m, 0] != 0.0                    # except the HX row
     assert np.all(h[m, 1:] == 0.0)
-    c = model.branch_cooling.A
+    c = model.A[COOL]
     assert np.all(c[m:, :m] == 0.0)
     assert np.all(c[1:m, m:] == 0.0)
     model_cool = build_pwa(grid, params, hx, DT, ambient_state, -0.01)
-    assert model_cool.branch_cooling.A[0, m] != 0.0
-    s = model.branch_storing.A
+    assert model_cool.A[COOL, 0, m] != 0.0
+    s = model.A[STORE]
     assert np.all(s[:m, m:] == 0.0)
     assert np.all(s[m:, :m] == 0.0)
 
@@ -126,8 +131,8 @@ def test_mode_boundary_jump_is_hx_discontinuity(grid, params, hx, ambient_state)
     heat = pwa_step(model, ambient_state, eps)
     store = pwa_step(model, ambient_state, 0.0)
     diff = heat - store
-    jump = model.branch_heating.f[21] + model.branch_heating.A[21, 0] * ambient_state[0] \
-        + model.branch_heating.b[21] * eps - store[21]
+    jump = model.f[HEAT, 21] + model.A[HEAT, 21, 0] * ambient_state[0] \
+        + model.b[HEAT, 21] * eps - store[21]
     assert abs(diff[21] - jump) < 1e-9
     others = np.delete(diff, 21)
     assert np.max(np.abs(others)) < 1e-6
@@ -149,18 +154,77 @@ def test_rollout_with_precharged_warm_store_stays_in_bounds(grid, params, hx):
     assert np.all(x[21:] <= 284.85 + 1e-6)
 
 
-def test_assembly_rejects_mismatched_dimensions(grid, params, hx, ambient_state):
-    warm = ambient_state[:21]
-    cold = ambient_state[21:]
-    warm_ex = build_extraction_system(grid, params, warm, -1, DT)
-    cold_ex = build_extraction_system(grid, params, cold, 1, DT)
-    cold_inj = build_injection_system(grid, params, cold, 1, DT)
-    # An extraction system (borehole row included) in the injection slot.
-    warm_inj = build_extraction_system(grid, params, warm, -1, DT)
-    hx_heat = linearize_hx(float(warm[0]), 0.0, hx, "heating")
-    hx_cool = linearize_hx(float(cold[0]), 0.0, hx, "cooling")
-    with pytest.raises(AssemblyError):
-        assemble_pwa(warm_ex, warm_inj, cold_ex, cold_inj, hx_heat, hx_cool)
+def blockwise_branches(grid, params, hx, x_ref, u_ref):
+    """Reference: the three branches in ``MODES`` order, each assembled block
+    by block from the aquifer subsystems and heat-exchanger rows."""
+    m = grid.nu + 1
+    n = 2 * m
+    warm_ref, cold_ref = x_ref[:m], x_ref[m:]
+    warm_ex = build_extraction_system(grid, params, warm_ref, -1, DT)
+    warm_inj = build_injection_system(grid, params, warm_ref, -1, DT)
+    cold_ex = build_extraction_system(grid, params, cold_ref, 1, DT)
+    cold_inj = build_injection_system(grid, params, cold_ref, 1, DT)
+    hx_heat = linearize_hx(float(warm_ref[0]), max(u_ref, 0.0), hx, "heating")
+    hx_cool = linearize_hx(float(cold_ref[0]), min(u_ref, 0.0), hx, "cooling")
+    w = slice(0, m)
+    c = slice(m, n)
+
+    # Heating: warm extraction rows, HX row writing the cold borehole from the
+    # warm borehole, cold injection cell rows.
+    A1 = np.zeros((n, n))
+    b1 = np.zeros(n)
+    f1 = np.zeros(n)
+    A1[w, w] = warm_ex.A
+    b1[w] = warm_ex.b
+    f1[w] = warm_ex.f
+    A1[m, 0] = hx_heat.a
+    b1[m] = hx_heat.b
+    f1[m] = hx_heat.f
+    A1[m + 1:, c] = cold_inj.A
+    b1[m + 1:] = cold_inj.b
+    f1[m + 1:] = cold_inj.f
+
+    # Storing: block-diagonal extraction maps, no input gain.
+    A2 = np.zeros((n, n))
+    f2 = np.zeros(n)
+    A2[w, w] = warm_ex.A
+    A2[c, c] = cold_ex.A
+    f2[:m] = warm_ex.f
+    f2[m:] = cold_ex.f
+
+    # Cooling: HX row writing the warm borehole from the cold borehole, warm
+    # injection cell rows, cold extraction rows.
+    A3 = np.zeros((n, n))
+    b3 = np.zeros(n)
+    f3 = np.zeros(n)
+    A3[0, m] = hx_cool.a
+    b3[0] = hx_cool.b
+    f3[0] = hx_cool.f
+    A3[1:m, w] = warm_inj.A
+    b3[1:m] = warm_inj.b
+    f3[1:m] = warm_inj.f
+    A3[c, c] = cold_ex.A
+    b3[m:] = cold_ex.b
+    f3[m:] = cold_ex.f
+    return [(A1, b1, f1), (A2, np.zeros(n), f2), (A3, b3, f3)]
+
+
+@pytest.mark.parametrize("u_ref", (-U_MAX, 0.0, U_MAX))
+@pytest.mark.parametrize("charged", (False, True), ids=("ambient", "charged"))
+def test_one_pass_build_matches_blockwise_assembly(grid, params, hx,
+                                                   ambient_state, charged, u_ref):
+    x_ref = ambient_state
+    if charged:
+        radii = np.concatenate([[grid.r0], grid.midpoints])
+        bump = np.exp(-(radii - grid.r0) / 15.0)
+        x_ref = np.concatenate([params.t_amb + 6.0 * bump,
+                                params.t_amb - 9.0 * bump])
+    model = build_pwa(grid, params, hx, DT, x_ref, u_ref)
+    reference = blockwise_branches(grid, params, hx, x_ref, u_ref)
+    for i, (A, b, f) in enumerate(reference):
+        assert np.array_equal(model.A[i], A)
+        assert np.array_equal(model.b[i], b)
+        assert np.array_equal(model.f[i], f)
 
 
 _KELVIN_OFFSET = st.floats(-5.0, 5.0, allow_subnormal=False)

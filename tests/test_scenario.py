@@ -161,3 +161,10 @@ def test_results_zero_length_run(tmp_path):
     text = path.read_text().strip().splitlines()
     assert len(text) == 1  # header only
     assert read_results(str(path)) == []
+
+
+def test_horizon_is_the_blocks_total():
+    values = _parse_config_text("block_1_steps = 2\n")
+    assert scenario_from_values(values).ocp.horizon == 13
+    with pytest.raises(ScenarioError, match="horizon_steps"):
+        _parse_config_text("horizon_steps = 12\n")
