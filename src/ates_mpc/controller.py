@@ -2,20 +2,24 @@
 
 Move blocking fixes the input to one value per horizon segment, so each of the
 3^3 = 27 blocked mode sequences yields a small dense QP after condensing the
-piecewise-affine dynamics.  The cost needs only each sequence's predicted
-powers, so those are condensed for all 27 at once from per-mode power rows.
-The search is an exact bound-and-prune: each sequence's unconstrained
-minimum bounds its QP from below, QPs are solved in ascending bound order,
-and a sequence whose bound exceeds the best cost so far by more than the
-near-tie tolerance is pruned unsolved.  The cheapest feasible sequence wins,
-exactly as if all 27 were solved; state box constraints are softened with a
-single quadratic slack so the controller always emits an input.
+piecewise-affine dynamics.  The sequences are one table (``sequence_table``):
+an array of mode indices into ``MODES`` with each block's flow interval and
+each sequence's input-box rows, built once per config.  The cost needs only
+each sequence's predicted powers, so those are condensed for all 27 at once
+from per-mode power rows.  The search is an exact bound-and-prune: each
+sequence's unconstrained minimum bounds its QP from below, sequences are
+answered in ascending bound order, and a sequence whose bound exceeds the best
+cost so far by more than the near-tie tolerance is pruned unanswered.  The
+cheapest feasible sequence wins, exactly as if all 27 were solved; state box
+constraints are softened with a single quadratic slack so the controller
+always emits an input.
 
-A solved sequence's QP is first solved over its input box (and slack)
-alone.  At that optimum the sequence is rolled out once at fixed flows; if
-the trajectory keeps the soft state box, the optimum is the full QP's.
-Otherwise the QP is solved once more with all of the sequence's soft state
-rows (``soft_rows``).
+An answered sequence's QP is first taken over its input box (and slack)
+alone.  Where its unconstrained minimum lies in that box, the minimum is the
+box QP's optimum and no QP is solved; otherwise the box QP is solved.  At that
+optimum the sequence is rolled out once at fixed flows; if the trajectory
+keeps the soft state box, the optimum is the full QP's.  Otherwise the QP is
+solved once more with all of the sequence's soft state rows (``soft_rows``).
 
 The objective is evaluated with powers in MW throughout: the tracking term
 compares predicted and demanded power in MW, and the energy-balance term
@@ -30,7 +34,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,18 +44,13 @@ from .errors import ControllerFault, ParameterError, SolverError
 from .grid import AquiferParams, RadialGrid, validate_state
 from .power import storage_weights
 from .pwa import MODES, PwaModel
-from .qp import _FEAS_TOL, Qp, QpResult, solve_qp
+from .qp import _FEAS_TOL, Qp, QpResult, _start, solve_qp
 
 W_PER_MW = 1e6
 J_PER_MWH = 3.6e9
 
-MODE_SIGN = {"heating": 1.0, "storing": 0.0, "cooling": -1.0}
-
-
-def _flow_interval(mode: str, cfg: OcpConfig) -> tuple[float, float]:
-    """Block-flow interval of a mode: its sign region of [u_min, u_max]."""
-    sign = MODE_SIGN[mode]
-    return (cfg.u_min if sign < 0 else 0.0, cfg.u_max if sign > 0 else 0.0)
+# The flow sign of each mode, in ``MODES`` order (heating, storing, cooling).
+_SIGN = np.array([1.0, 0.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -105,21 +106,69 @@ class OcpConfig:
 
 
 @dataclass(frozen=True)
+class SequenceTable:
+    """The blocked mode sequences of a config and what depends only on them.
+
+    Sequences are rows in ``itertools.product(MODES, repeat=n_blocks)``
+    order.  Each block's flow interval is its mode's sign region of
+    [u_min, u_max]; ``boxes[s]`` holds sequence s's input-box rows ``G, h``
+    over its pumping blocks' flows and the slack, and the indices ``free`` of
+    those variables in the (blocks, slack) vector.  Arrays are read-only.
+    """
+
+    modes: np.ndarray                    # S x n_blocks, indices into MODES
+    names: tuple[tuple[str, ...], ...]   # the same, as mode names
+    lo: np.ndarray                       # S x n_blocks flow intervals
+    hi: np.ndarray
+    pumping: np.ndarray                  # S x n_blocks, not storing
+    boxes: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+
+@functools.cache
+def sequence_table(cfg: OcpConfig) -> SequenceTable:
+    """The config's sequence table, built once per config."""
+    nb = len(cfg.blocks)
+    modes = np.array(list(itertools.product(range(len(MODES)), repeat=nb)))
+    sign = _SIGN[modes]
+    lo = np.where(sign < 0.0, cfg.u_min, 0.0)
+    hi = np.where(sign > 0.0, cfg.u_max, 0.0)
+    pumping = sign != 0.0
+    boxes = []
+    for sign_s, pumping_s in zip(sign, pumping):
+        j = np.flatnonzero(pumping_s)
+        # Per pumping block -sign u <= 0, then sign u <= its flow limit, the
+        # bound at zero first (ties in the QP go to the lowest row); then
+        # slack >= 0.
+        G = np.zeros((2 * j.size + 1, j.size + 1))
+        h = np.zeros(G.shape[0])
+        i = np.arange(j.size)
+        G[2 * i, i] = -sign_s[j]
+        G[2 * i + 1, i] = sign_s[j]
+        h[2 * i + 1] = np.where(sign_s[j] > 0.0, cfg.u_max, -cfg.u_min)
+        G[-1, -1] = -1.0
+        boxes.append((G, h, np.append(j, nb)))
+    for a in (modes, lo, hi, pumping, *itertools.chain(*boxes)):
+        a.flags.writeable = False
+    names = tuple(tuple(MODES[i] for i in row) for row in modes.tolist())
+    return SequenceTable(modes, names, lo, hi, pumping, tuple(boxes))
+
+
+@dataclass(frozen=True)
 class PredictionMap:
     """Affine maps from the blocked inputs to predicted powers.
 
     One map per mode sequence, stacked along the leading axis in
-    ``itertools.product(MODES, repeat=n_blocks)`` order.  A sequence's
-    predicted states come from ``rollout``.
+    ``sequence_table`` order.  A sequence's predicted states come from
+    ``rollout``.
     """
 
-    mode_sequences: tuple[tuple[str, ...], ...]
     power_offset: np.ndarray             # S x N, watts
     power_gain: np.ndarray               # S x N x n_blocks, watts per (m^3/s)
 
 
-@dataclass(frozen=True)
-class CandidateRecord:
+class CandidateRecord(NamedTuple):
+    """One row of a plan's search table (``OcpSolution.per_candidate``)."""
+
     mode_sequence: tuple[str, ...]
     status: str
     cost: float
@@ -128,27 +177,46 @@ class CandidateRecord:
     kkt_residual: float
 
 
-# The counts each plan reports, in order: candidate QPs solved, candidates
-# whose QP stalled, rounding-level block flows set to 0.0, and the soft state
-# rows of the QPs solved again on them.
+# The counts each plan reports, in order: candidates answered (by a QP or by
+# their unconstrained minimum), candidates whose QP stalled, rounding-level
+# block flows set to 0.0, and the soft state rows of the QPs solved again on
+# them.
 PLAN_COUNTS = ("qps_solved", "stalled_candidates", "snapped_flows",
                "soft_rows_added")
 
 
 @dataclass(frozen=True)
 class OcpSolution:
-    """The winning plan, every candidate's record, and the plan's counts
-    (keys ``PLAN_COUNTS``, which a closed-loop run sums over its hours)."""
+    """The winning plan, the search's table and the plan's counts (keys
+    ``PLAN_COUNTS``, which a closed-loop run sums over its hours).
+
+    The table has one read-only row per mode sequence, in ``sequences``
+    order: the candidate's status (``"optimal"``, ``"infeasible"``,
+    ``"stalled"`` or ``"pruned"``), its cost (its lower bound when pruned),
+    block flows, slack and KKT residual (NaN where not answered).
+    """
 
     u_blocks: np.ndarray
     mode_sequence: tuple[str, ...]
     x_pred: np.ndarray                   # (N+1) x n
     p_pred: np.ndarray                   # N, linear-form watts
     cost: float
-    cost_terms: dict = field(default_factory=dict)
-    per_candidate: list[CandidateRecord] = field(default_factory=list)
-    slack_used: float = 0.0
-    counts: dict[str, int] = field(default_factory=dict)
+    cost_terms: dict
+    slack_used: float
+    counts: dict[str, int]
+    sequences: tuple[tuple[str, ...], ...]
+    status: np.ndarray                   # S
+    costs: np.ndarray                    # S
+    flows: np.ndarray                    # S x n_blocks
+    slacks: np.ndarray                   # S
+    kkt_residuals: np.ndarray            # S
+
+    @property
+    def per_candidate(self) -> tuple[CandidateRecord, ...]:
+        """The table as one record per sequence, built on access."""
+        return tuple(map(CandidateRecord, self.sequences, self.status.tolist(),
+                         self.costs.tolist(), self.flows,
+                         self.slacks.tolist(), self.kkt_residuals.tolist()))
 
 
 @functools.cache
@@ -233,9 +301,8 @@ def condense(model: PwaModel, cfg: OcpConfig, x0: np.ndarray,
                 states[..., 0] += f
                 states[..., 1 + j] += b
             starts = states.reshape(-1, model.n, 1 + nb)
-    # The grid flattened in C order is itertools.product order.
-    return PredictionMap(tuple(itertools.product(MODES, repeat=nb)),
-                         p_off.reshape(-1, cfg.horizon),
+    # The grid flattened in C order is the sequence table's order.
+    return PredictionMap(p_off.reshape(-1, cfg.horizon),
                          p_gain.reshape(-1, cfg.horizon, nb))
 
 
@@ -264,14 +331,18 @@ def build_cost(pred: PredictionMap, demand: np.ndarray, b_past: float,
     """Quadratic cost of every sequence over (block inputs, shared slack).
 
     Returns the stacked Hessians (S x nv x nv), gradients (S x nv) and
-    constant offsets (S,).
+    constant offsets (S,).  A demand window of another size than the
+    horizon, or a non-finite demand entry or ``b_past``, raises
+    ``ParameterError``.
     """
     demand = np.asarray(demand, dtype=float)
     if demand.size != cfg.horizon:
         raise ParameterError(f"demand must have {cfg.horizon} entries, got {demand.size}")
+    if not (np.isfinite(demand).all() and math.isfinite(b_past)):
+        raise ParameterError("demand window and B_past must be finite")
     nb = len(cfg.blocks)
     nv = nb + 1  # blocks + slack
-    n_seq = len(pred.mode_sequences)
+    n_seq = pred.power_offset.shape[0]
 
     p_gain_mw = pred.power_gain / W_PER_MW
     p_err_mw = (pred.power_offset - demand) / W_PER_MW
@@ -299,30 +370,17 @@ def build_cost(pred: PredictionMap, demand: np.ndarray, b_past: float,
     return H, g, const
 
 
-def candidate_qp(modes: tuple[str, ...], H: np.ndarray, g: np.ndarray,
+def candidate_qp(s: int, H: np.ndarray, g: np.ndarray,
                  cfg: OcpConfig) -> tuple[Qp, np.ndarray]:
-    """Box QP of one mode sequence: its cost ``H, g`` with the input-box and
-    slack rows only (``soft_rows`` builds the soft state rows).
+    """Box QP of sequence ``s`` of ``sequence_table(cfg)``: its cost ``H, g``
+    with the input-box and slack rows only (``soft_rows`` builds the soft
+    state rows).
 
     A storing block's flow is fixed at zero, so its variable is eliminated:
     the QP is over the pumping blocks' flows and the slack.  Returns the Qp
     and the indices of its variables in the (blocks, slack) vector.
     """
-    nb = len(cfg.blocks)
-    pumping = [j for j, mode in enumerate(modes) if mode != "storing"]
-    free = np.array(pumping + [nb])
-
-    # Per pumping block -sign u <= 0, then sign u <= its flow limit, the
-    # bound at zero first (ties in the QP go to the lowest row); then
-    # slack >= 0.
-    G = np.zeros((2 * len(pumping) + 1, free.size))
-    h = np.zeros(G.shape[0])
-    for i, j in enumerate(pumping):
-        sign = MODE_SIGN[modes[j]]
-        G[2 * i, i] = -sign
-        G[2 * i + 1, i] = sign
-        h[2 * i + 1] = cfg.u_max if sign > 0 else -cfg.u_min
-    G[-1, -1] = -1.0
+    G, h, free = sequence_table(cfg).boxes[s]
     return Qp(H[np.ix_(free, free)], g[free], G, h), free
 
 
@@ -366,12 +424,15 @@ def soft_rows(model: PwaModel, cfg: OcpConfig, x0: np.ndarray,
     return G.reshape(-1, G.shape[-1]), h.reshape(-1)
 
 
-def _lower_bounds(H: np.ndarray, g: np.ndarray, const: np.ndarray) -> np.ndarray:
-    """Unconstrained minimum ``const - g'H^-1 g / 2`` of each sequence's cost.
+def _unconstrained_minima(H: np.ndarray, g: np.ndarray, const: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Each sequence's unconstrained minimiser ``u = -H^-1 g`` over the block
+    inputs and its minimum ``const - g'H^-1 g / 2``.
 
-    It bounds the QP optimum from below; the slack has no linear term, so its
-    minimum is at zero and only the block inputs enter.  A storing block has
-    a zero gain column and a zero gradient entry, so it contributes nothing.
+    The minimum bounds the QP optimum from below; the slack has no linear
+    term, so its minimum is at zero and only the block inputs enter.  A
+    storing block has a zero gain column and a zero gradient entry, so it
+    contributes nothing and its flow is zero (of either sign).
     """
     nb = H.shape[1] - 1
     g_u = g[:, :nb]
@@ -379,88 +440,132 @@ def _lower_bounds(H: np.ndarray, g: np.ndarray, const: np.ndarray) -> np.ndarray
         step = np.linalg.solve(H[:, :nb, :nb], g_u[:, :, None])[..., 0]
     except np.linalg.LinAlgError:
         # A singular block Hessian (zero input weight): bound nothing.
-        return np.full(const.shape, -np.inf)
-    return const - 0.5 * np.sum(g_u * step, axis=1)
+        return np.full(g_u.shape, np.nan), np.full(const.shape, -np.inf)
+    return -step, const - 0.5 * np.sum(g_u * step, axis=1)
+
+
+def _box_minimum(s: int, H: np.ndarray, g: np.ndarray, table: SequenceTable
+                 ) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """Sequence s's unconstrained minimum as its box QP's optimum, or None.
+
+    The minimiser over the QP's variables is formed as ``solve_qp`` forms
+    its start, which ``solve_qp`` returns unchanged when it breaks no row by
+    more than ``_FEAS_TOL``; then it is returned with the QP's variable
+    indices and its KKT residual (with no active row, its stationarity).
+    """
+    G, h, free = table.boxes[s]
+    H, g = H[np.ix_(free, free)], g[free]
+    try:
+        z = _start(H, g)[1]
+    except SolverError:
+        return None
+    if np.max(G @ z - h) > _FEAS_TOL:
+        return None
+    return free, z, (float(np.abs(H @ z + g).max())
+                     / max(1.0, float(np.abs(g).max())))
+
+
+def _solve(qp: Qp) -> QpResult:
+    """``solve_qp``, with a stall returned as a failed result: a stalled
+    candidate drops out and the remaining sequences compete."""
+    try:
+        return solve_qp(qp)
+    except SolverError:
+        return QpResult(np.full(qp.m, np.nan), np.inf, "stalled", np.inf, ())
 
 
 def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
               model: PwaModel, grid: RadialGrid, params: AquiferParams) -> OcpSolution:
     """Exact bound-and-prune over all blocked mode sequences; returns the best.
 
-    Sequences are solved in ascending order of their unconstrained lower
+    Sequences are answered in ascending order of their unconstrained lower
     bound.  One whose bound exceeds the incumbent by more than the near-tie
-    tolerance cannot win nor tie, so its QP is skipped and it is recorded as
-    ``"pruned"`` with its bound as cost.  A solved sequence's QP is solved
-    over its input box; only if the trajectory at that optimum leaves the
-    soft state box is it solved again with all its soft rows, so the
-    optimum is that of the full QP.  The winner's trajectory at its optimum
-    gives ``x_pred``.
+    tolerance cannot win nor tie, so it is left ``"pruned"`` with its bound
+    as cost.  An answered sequence whose unconstrained minimum lies in its
+    input box has that minimum as its box QP's optimum, and its bound as its
+    cost; any other has its box QP solved.  Only if the trajectory at the box
+    optimum leaves the soft state box is the QP solved again with all its
+    soft rows, so the optimum is that of the full QP.  The winner's
+    trajectory at its optimum gives ``x_pred``.  A non-finite demand window
+    or ``b_past`` raises ``ParameterError``.
     """
     nb = len(cfg.blocks)
+    table = sequence_table(cfg)
     pred = condense(model, cfg, x0, power_linear_rows(grid, params, cfg.dt))
     H, g, const = build_cost(pred, demand, b_past, cfg)
-    bounds = _lower_bounds(H, g, const)
-    candidates: list[tuple[tuple[str, ...], np.ndarray, float, int,
-                           np.ndarray | None]] = []
-    records: list[CandidateRecord | None] = [None] * len(bounds)
-    unsolved = np.full(nb, np.nan)
-    unsolved.flags.writeable = False
+    u_min, bounds = _unconstrained_minima(H, g, const)
+    # A NaN minimum (no bound) lies in no box.
+    in_box = np.all((table.lo <= u_min) & (u_min <= table.hi), axis=1)
+
+    n_seq = bounds.size
+    status = np.full(n_seq, "pruned", dtype="U10")
+    costs = bounds.copy()
+    flows = np.full((n_seq, nb), np.nan)
+    slacks = np.full(n_seq, np.nan)
+    kkt = np.full(n_seq, np.nan)
+    # The incumbent only falls and costs are >= 0, so its tolerance is at
+    # least the final one: a pruned sequence never enters the near-tie set.
+    # The margin covers rounding in the bound itself.
+    keys = bounds - 1e-12 * np.maximum(np.abs(bounds), const)
+    order = np.argsort(bounds, kind="stable")
     x_min, x_max = cfg.state_bounds(model.nu)
-    soft_rows_added = 0
-    incumbent = np.inf
-    for s in np.argsort(bounds, kind="stable"):
-        modes = pred.mode_sequences[s]
-        # The incumbent only falls and costs are >= 0, so its tolerance is at
-        # least the final one: a pruned sequence never enters the near-tie
-        # set.  The margin covers rounding in the bound itself.
-        margin = 1e-12 * max(abs(bounds[s]), const[s])
-        if bounds[s] - margin > incumbent + 1e-9 * max(1.0, abs(incumbent)):
-            records[s] = CandidateRecord(modes, "pruned", float(bounds[s]),
-                                         unsolved, np.nan, np.nan)
+    answered = soft_rows_added = 0
+    optimal: dict[int, np.ndarray | None] = {}   # trajectory at the optimum
+    incumbent = limit = np.inf
+    for s, key in zip(order.tolist(), keys[order].tolist()):
+        if key > limit:
             continue
-        qp, free = candidate_qp(modes, H[s], g[s], cfg)
-        # Storing flows are exactly zero.
-        z = np.zeros(nb + 1)
-        x = None
-        try:
-            result = solve_qp(qp)
+        answered += 1
+        modes = table.names[s]
+        z = np.zeros(nb + 1)     # storing flows are exactly zero
+        minimum = _box_minimum(s, H[s], g[s], table) if in_box[s] else None
+        if minimum is not None:
+            free, z_free, residual = minimum
+            z[free] = z_free
+            state, total = "optimal", bounds[s]
+        else:
+            qp, free = candidate_qp(s, H[s], g[s], cfg)
+            result = _solve(qp)
+            # A failed result carries value inf and NaN in the QP's variables.
             z[free] = result.z_star
+            state, total, residual = (result.status, result.value + const[s],
+                                      result.kkt_residual)
+        x = None
+        if state == "optimal":
             x = trajectory(model, cfg, x0, modes, z[:nb])
             if (max(np.max(x[1:] - x_max), np.max(x_min - x[1:])) - z[nb]
                     > _FEAS_TOL):
                 # The box optimum leaves the soft box: solve the full QP.
                 # Its trajectory is rolled out for the winner only.
+                qp, free = candidate_qp(s, H[s], g[s], cfg)
                 G, h = soft_rows(model, cfg, x0, modes, free[:-1])
                 soft_rows_added += h.size
-                result = solve_qp(Qp(qp.H, qp.g, np.vstack([qp.G, G]),
-                                     np.concatenate([qp.h, h])))
+                result = _solve(Qp(qp.H, qp.g, np.vstack([qp.G, G]),
+                                   np.concatenate([qp.h, h])))
+                z[free] = result.z_star
+                state, total, residual = (result.status,
+                                          result.value + const[s],
+                                          result.kkt_residual)
                 x = None
-        except SolverError:
-            # A stalled candidate drops out; the remaining sequences compete.
-            result = QpResult(np.full(qp.m, np.nan), np.inf, "stalled",
-                              np.inf, ())
-        # A failed result carries value inf and NaN in the QP's variables.
-        z[free] = result.z_star
-        total = result.value + const[s]
-        records[s] = CandidateRecord(modes, result.status, total, z[:nb],
-                                     float(z[nb]), result.kkt_residual)
-        if result.status == "optimal":
-            candidates.append((modes, z, total, s, x))
-            incumbent = min(incumbent, total)
+        status[s], costs[s], kkt[s] = state, total, residual
+        flows[s], slacks[s] = z[:nb], z[nb]
+        if state == "optimal":
+            optimal[s] = x
+            if total < incumbent:
+                incumbent = total
+                limit = incumbent + 1e-9 * max(1.0, abs(incumbent))
 
-    if not candidates:
+    if not optimal:
         raise ControllerFault("all candidate mode sequences infeasible")
 
-    best_cost = min(c[2] for c in candidates)
-    tol = 1e-9 * max(1.0, abs(best_cost))
-    near = [c for c in candidates if c[2] <= best_cost + tol]
-    near.sort(key=lambda c: (-c[0].count("storing"),
-                             float(np.linalg.norm(c[1][:nb])),
-                             c[0]))
-    modes, z, total, s, x_pred = near[0]
+    tol = 1e-9 * max(1.0, abs(incumbent))
+    near = [s for s in optimal if costs[s] <= incumbent + tol]
+    s = min(near, key=lambda s: (np.count_nonzero(table.pumping[s]),
+                                 float(np.linalg.norm(flows[s])),
+                                 table.names[s]))
+    modes, total, x_pred = table.names[s], costs[s], optimal[s]
 
-    lo, hi = np.array([_flow_interval(mode, cfg) for mode in modes]).T
-    u_blocks = np.clip(z[:nb], lo, hi)
+    u_blocks = np.clip(flows[s], table.lo[s], table.hi[s])
     # An active zero bound can come back as +-1e-19; its sign would select a
     # pumping branch in the model, the filter and the recorded mode while the
     # plant pumps nothing.
@@ -468,7 +573,7 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
                                 <= 1e-12 * max(cfg.u_max, -cfg.u_min))
     u_blocks[snap] = 0.0
 
-    if x_pred is None or not np.array_equal(u_blocks, z[:nb]):
+    if x_pred is None or not np.array_equal(u_blocks, flows[s]):
         x_pred = trajectory(model, cfg, x0, modes, u_blocks)
     p_pred = pred.power_offset[s] + pred.power_gain[s] @ u_blocks
 
@@ -484,11 +589,13 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
         "tracking": cfg.q_d * float(np.sum((p_mw - d_mw) ** 2)),
         "pumping": cfg.q_u * float(np.sum(block_len * u_blocks**2)),
         "balance": cfg.q_e * e_avg_mw**2,
-        "slack": cfg.slack_weight * float(z[nb]) ** 2,
+        "slack": cfg.slack_weight * float(slacks[s]) ** 2,
     }
-    statuses = [rec.status for rec in records]
-    counts = dict(zip(PLAN_COUNTS, (len(statuses) - statuses.count("pruned"),
-                                    statuses.count("stalled"),
+    counts = dict(zip(PLAN_COUNTS, (answered,
+                                    int(np.count_nonzero(status == "stalled")),
                                     int(snap.sum()), soft_rows_added)))
-    return OcpSolution(u_blocks, modes, x_pred, p_pred, total, terms, records,
-                       slack_used, counts)
+    for a in (status, costs, flows, slacks, kkt):
+        a.flags.writeable = False
+    return OcpSolution(u_blocks, modes, x_pred, p_pred, total, terms,
+                       slack_used, counts, table.names, status, costs, flows,
+                       slacks, kkt)

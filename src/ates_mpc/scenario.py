@@ -90,6 +90,10 @@ _DEFAULTS: dict[str, float] = {
 _STRING_KEYS = {"demand_csv"}
 _INT_KEYS = {"nu", "nu_fine", "seed", "duration_steps", "block_1_steps",
              "block_2_steps", "block_3_steps"}
+# Noise domains: variances are positive; the ambient noise amplitude and the
+# sensor sigma are nonnegative (zero turns the noise off).
+_POSITIVE_KEYS = ("process_noise_var_k2", "measurement_noise_var_k2")
+_NONNEGATIVE_KEYS = ("t_amb_noise_amp_k", "sensor_sigma_k")
 
 
 def _parse_config_text(text: str) -> dict:
@@ -111,6 +115,19 @@ def _parse_config_text(text: str) -> dict:
             values[key] = int(val) if key in _INT_KEYS else float(val)
         except ValueError as exc:
             raise ScenarioError(f"line {lineno}: bad value for {key!r}: {val!r}") from exc
+        if not math.isfinite(values[key]):
+            raise ScenarioError(f"line {lineno}: {key!r} must be finite, got {val!r}")
+    for key in _POSITIVE_KEYS:
+        if values[key] <= 0.0:
+            raise ScenarioError(f"{key!r} must be positive, got {values[key]!r}")
+    for key in _NONNEGATIVE_KEYS:
+        if values[key] < 0.0:
+            raise ScenarioError(f"{key!r} must be nonnegative, got {values[key]!r}")
+    # The sigma-point weights need n + kappa > 0 over the n stacked states.
+    n = 2 * (values["nu"] + 1)
+    if values["ukf_kappa"] <= -n:
+        raise ScenarioError(f"'ukf_kappa' must exceed -{n} (minus the state "
+                            f"count), got {values['ukf_kappa']!r}")
     return values
 
 
@@ -192,7 +209,8 @@ def _parse_timestamp(text: str) -> _dt.datetime:
 
 
 def load_demand_csv(path: str) -> np.ndarray:
-    """Hourly demand in W; empty value fields are linearly interpolated."""
+    """Hourly demand in W; empty and NaN value fields are linearly
+    interpolated, and an infinite one is an error."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -210,7 +228,15 @@ def load_demand_csv(path: str) -> np.ndarray:
             raise ScenarioError(f"demand CSV row needs timestamp and value: {r!r}")
         stamps.append(_parse_timestamp(r[0].strip()))
         cell = r[1].strip()
-        values.append(float(cell) if cell else math.nan)
+        try:
+            value = float(cell) if cell else math.nan
+        except ValueError as exc:
+            raise ScenarioError(f"demand CSV value {cell!r} at {r[0].strip()} "
+                                f"is not a number") from exc
+        if math.isinf(value):
+            raise ScenarioError(f"demand CSV value {cell!r} at {r[0].strip()} "
+                                f"is not finite")
+        values.append(value)
     for a, b in zip(stamps, stamps[1:]):
         if b <= a:
             raise ScenarioError(f"demand timestamps must be strictly increasing "

@@ -13,7 +13,7 @@ import pytest
 from ates_mpc import (GaussianEstimate, HxParams, OcpConfig, TruthConfig,
                       UkfConfig, build_grid, init_truth, load_scenario,
                       restrict_to_coarse, solve_qp, truth_step)
-from ates_mpc.controller import MODE_SIGN, W_PER_MW, power_linear_rows, solve_ocp
+from ates_mpc.controller import W_PER_MW, power_linear_rows, solve_ocp
 from ates_mpc.grid import AquiferParams
 from ates_mpc.harness import demand_window, power_form_study, run_closed_loop
 from ates_mpc.heat_exchanger import hx_outlet_temp
@@ -180,13 +180,11 @@ def _oracle_cost(model, modes, cfg, x0, demand, b_past, u_blocks, grid, params):
 def _brute_force_best(model, cfg, x0, demand, b_past, grid, params):
     """Refined grid search over all mode sequences and blocked flows."""
     best = np.inf
+    interval = {"heating": (0.0, cfg.u_max), "storing": (0.0, 0.0),
+                "cooling": (cfg.u_min, 0.0)}
     for modes in itertools.product(MODES, repeat=3):
-        active = [j for j in range(3) if MODE_SIGN[modes[j]] != 0.0]
-        lo = np.zeros(3)
-        hi = np.zeros(3)
-        for j in active:
-            lo[j], hi[j] = ((0.0, cfg.u_max) if MODE_SIGN[modes[j]] > 0
-                            else (cfg.u_min, 0.0))
+        active = [j for j in range(3) if modes[j] != "storing"]
+        lo, hi = np.array([interval[mode] for mode in modes]).T
         centers = (lo + hi) / 2.0
         half = (hi - lo) / 2.0
         for _ in range(8):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ates_mpc.cli import main
-from ates_mpc.scenario import load_demand_csv, read_results
+from ates_mpc.scenario import (_DEFAULTS, _INT_KEYS, load_demand_csv,
+                               read_results)
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -28,6 +29,55 @@ def test_bad_scenario_value_is_config_error(tmp_path, capsys, line, message):
     assert main(["run", "--scenario", str(config), "--steps", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+# Every float key rejects a non-finite value where the config is read.
+FLOAT_KEYS = [key for key in _DEFAULTS if key not in _INT_KEYS]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_config_value_is_config_error(tmp_path, capsys, key):
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"{key} = nan\n")
+    assert main(["run", "--scenario", str(config), "--steps", "1"]) == 1
+    err = capsys.readouterr().err
+    assert f"'{key}' must be finite" in err
+
+
+# The noise values' domains: variances positive, ``n + kappa > 0`` over the
+# 42 stacked states, ambient noise amplitude and sensor sigma nonnegative.
+@pytest.mark.parametrize("key, value, message", [
+    ("process_noise_var_k2", "0", "must be positive"),
+    ("measurement_noise_var_k2", "-1", "must be positive"),
+    ("ukf_kappa", "-42", "must exceed -42"),
+    ("t_amb_noise_amp_k", "-0.1", "must be nonnegative"),
+    ("sensor_sigma_k", "-0.01", "must be nonnegative"),
+])
+def test_noise_value_outside_its_domain_is_config_error(tmp_path, capsys, key,
+                                                        value, message):
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"{key} = {value}\n")
+    assert main(["run", "--scenario", str(config), "--steps", "1"]) == 1
+    assert f"'{key}' {message}" in capsys.readouterr().err
+
+
+# An empty or NaN demand value is interpolated; these are errors.
+@pytest.mark.parametrize("value, message", [("inf", "is not finite"),
+                                            ("-inf", "is not finite"),
+                                            ("abc", "is not a number")])
+def test_bad_demand_csv_value_is_config_error(tmp_path, capsys, value,
+                                              message):
+    demand = tmp_path / "d.csv"
+    demand.write_text("timestamp,demand_w\n"
+                      + "".join(f"2004-10-01T{h:02d}:00:00+00:00,"
+                                + (value if h == 2 else "1e5") + "\n"
+                                for h in range(20)))
+    config = tmp_path / "d.cfg"
+    config.write_text(f"demand_csv = {demand}\nduration_steps = 20\n")
+    assert main(["run", "--scenario", str(config), "--steps", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: demand CSV value '{value}'")
+    assert message in err
 
 
 def test_gen_demand_writes_csv(tmp_path, capsys):

@@ -9,10 +9,9 @@ from scipy.optimize import nnls
 from ates_mpc import (OcpConfig, ParameterError, Qp, SolverError, build_pwa,
                       power_bilinear, pwa_step, solve_ocp, solve_qp)
 from ates_mpc import controller
-from ates_mpc.controller import (MODE_SIGN, W_PER_MW, _flow_interval,
-                                 build_cost, candidate_qp, condense,
-                                 power_linear_rows, rollout, soft_rows,
-                                 trajectory)
+from ates_mpc.controller import (W_PER_MW, build_cost, candidate_qp, condense,
+                                 power_linear_rows, rollout, sequence_table,
+                                 soft_rows, trajectory)
 from ates_mpc.pwa import MODES, mode_of
 
 from test_acceptance import smooth_random_state
@@ -61,13 +60,16 @@ def test_condense_dimensions(grid, params, hx, cfg, ambient_state):
     model = build_pwa(grid, params, hx, DT, ambient_state, 0.0)
     pred = condense(model, cfg, ambient_state,
                     power_linear_rows(grid, params, DT))
-    assert pred.mode_sequences == tuple(itertools.product(MODES, repeat=3))
+    table = sequence_table(cfg)
+    assert table.names == tuple(itertools.product(MODES, repeat=3))
+    assert [[MODES[i] for i in row] for row in table.modes] == [
+        list(names) for names in table.names]
     assert pred.power_offset.shape == (27, 12)
     assert pred.power_gain.shape == (27, 12, 3)
     # States are rolled out per sequence, never for all 27 at once.
     assert not hasattr(pred, "state_offsets")
     assert not hasattr(pred, "state_gains")
-    offsets, gains = rollout(model, cfg, ambient_state, pred.mode_sequences[0])
+    offsets, gains = rollout(model, cfg, ambient_state, table.names[0])
     assert offsets.shape == (13, 42)
     assert gains.shape == (13, 42, 3)
 
@@ -76,8 +78,9 @@ def test_condense_storing_has_zero_gain(grid, params, hx, cfg, ambient_state):
     model = build_pwa(grid, params, hx, DT, ambient_state, 0.0)
     pred = condense(model, cfg, ambient_state,
                     power_linear_rows(grid, params, DT))
-    s = pred.mode_sequences.index(("storing", "storing", "storing"))
-    offsets, gains = rollout(model, cfg, ambient_state, pred.mode_sequences[s])
+    names = sequence_table(cfg).names
+    s = names.index(("storing", "storing", "storing"))
+    offsets, gains = rollout(model, cfg, ambient_state, names[s])
     assert np.all(gains == 0.0)
     assert np.all(pred.power_gain[s] == 0.0)
     # Offsets reproduce the storing rollout.
@@ -86,7 +89,7 @@ def test_condense_storing_has_zero_gain(grid, params, hx, cfg, ambient_state):
         x = pwa_step(model, x, 0.0)
         assert np.allclose(offsets[k + 1], x, atol=1e-9)
     # A storing block has a zero gain column in every sequence.
-    for s, modes in enumerate(pred.mode_sequences):
+    for s, modes in enumerate(names):
         _, gains = rollout(model, cfg, ambient_state, modes)
         for j, mode in enumerate(modes):
             if mode == "storing":
@@ -98,10 +101,11 @@ def test_condense_matches_direct_rollout(grid, params, hx, cfg):
     x0 = charged_state(grid, params)
     model = build_pwa(grid, params, hx, DT, x0, 0.01)
     pred = condense(model, cfg, x0, power_linear_rows(grid, params, DT))
-    s = pred.mode_sequences.index(("heating", "storing", "cooling"))
-    offsets, gains = rollout(model, cfg, x0, pred.mode_sequences[s])
+    modes = ("heating", "storing", "cooling")
+    s = sequence_table(cfg).names.index(modes)
+    offsets, gains = rollout(model, cfg, x0, modes)
     u_blocks = np.array([0.02, 0.0, -0.015])
-    x_traj = trajectory(model, cfg, x0, pred.mode_sequences[s], u_blocks)
+    x_traj = trajectory(model, cfg, x0, modes, u_blocks)
     assert np.array_equal(x_traj[0], x0)
     block_of_step = cfg.block_of_step()
     x = x0.copy()
@@ -131,9 +135,10 @@ def soft_rows_per_step(states, pumping, cfg, nu):
     return np.vstack(rows), np.concatenate(rhs)
 
 
-def full_row_qp(modes, model, cfg, x0, H_s, g_s):
-    """Reference: a sequence's box QP with all its soft rows at once."""
-    qp, free = candidate_qp(modes, H_s, g_s, cfg)
+def full_row_qp(s, model, cfg, x0, H_s, g_s):
+    """Reference: sequence s's box QP with all its soft rows at once."""
+    qp, free = candidate_qp(s, H_s, g_s, cfg)
+    modes = sequence_table(cfg).names[s]
     G, h = soft_rows_per_step(rollout(model, cfg, x0, modes), free[:-1], cfg,
                               model.nu)
     return Qp(qp.H, qp.g, np.vstack([qp.G, G]), np.concatenate([qp.h, h])), free
@@ -160,9 +165,10 @@ def binding_instant(grid, params, hx, name):
 def test_soft_rows_match_per_step_reference(grid, params, hx):
     cfg, x0, model, demand = binding_instant(grid, params, hx, "cold_floor_280")
     pred = condense(model, cfg, x0, power_linear_rows(grid, params, DT))
-    s = pred.mode_sequences.index(("heating", "storing", "cooling"))
+    modes = ("heating", "storing", "cooling")
+    s = sequence_table(cfg).names.index(modes)
     H, g, _ = build_cost(pred, demand, 0.0, cfg)
-    qp, free = candidate_qp(pred.mode_sequences[s], H[s], g[s], cfg)
+    qp, free = candidate_qp(s, H[s], g[s], cfg)
     # The storing block's flow is eliminated: the QP is over blocks 0 and 2
     # and the slack.  Its rows are the input box, the bound at zero first,
     # then slack >= 0.
@@ -173,9 +179,9 @@ def test_soft_rows_match_per_step_reference(grid, params, hx):
                                  [0, 0, -1]])
     assert np.array_equal(qp.h, [0.0, U_MAX, 0.0, U_MAX, 0.0])
 
-    states = rollout(model, cfg, x0, pred.mode_sequences[s])
+    states = rollout(model, cfg, x0, modes)
     ref_G, ref_h = soft_rows_per_step(states, [0, 2], cfg, grid.nu)
-    G, h = soft_rows(model, cfg, x0, pred.mode_sequences[s], free[:-1])
+    G, h = soft_rows(model, cfg, x0, modes, free[:-1])
     assert G.shape == (2 * 12 * 42, 3)
     assert np.array_equal(G, ref_G)
     assert np.array_equal(h, ref_h)
@@ -184,8 +190,7 @@ def test_soft_rows_match_per_step_reference(grid, params, hx):
     z = solve_qp(qp).z_star
     broken = G @ z - h > 1e-9
     assert 0 < broken.sum() < broken.size
-    x = trajectory(model, cfg, x0, pred.mode_sequences[s],
-                   np.array([z[0], 0.0, z[1]]))
+    x = trajectory(model, cfg, x0, modes, np.array([z[0], 0.0, z[1]]))
     x_min, x_max = cfg.state_bounds(grid.nu)
     assert np.array_equal(
         np.stack([x[1:] - x_max, x_min - x[1:]], axis=1).ravel() - z[-1] > 1e-9,
@@ -243,6 +248,7 @@ def test_snapped_flows_are_counted(grid, params, hx, cfg, monkeypatch):
     # The instant above with every QP's zero flows set to +1e-19 m^3/s, as a
     # rounding change can leave them: the heating block's flow is set to
     # exactly 0.0 and counted, while the cooling blocks' flows are far from 0.
+    # The winner's zero bound binds, so its box QP is solved.
     def nudged(qp):
         result = solve_qp(qp)
         z = result.z_star.copy()
@@ -276,11 +282,14 @@ def test_clipped_flows_are_rolled_out_again(grid, params, hx, cfg,
         z[:-1] *= -1.0      # every pumping flow gets the wrong sign
         return dataclasses.replace(result, z_star=z)
 
+    # A demand the flow limit cannot meet: the winner's u_max rows bind, so
+    # its box QP is solved (an unconstrained minimum inside the box would
+    # answer it without solve_qp).
     x0 = charged_state(grid, params)
     model = build_pwa(grid, params, hx, DT, x0, 0.0)
-    demand = np.full(12, 1e6)
+    demand = np.full(12, 2e6)
     exact = solve_ocp(x0, demand, 0.0, cfg, model, grid, params)
-    assert np.all(exact.u_blocks > 0.0)
+    assert np.all(exact.u_blocks == U_MAX)
     monkeypatch.setattr(controller, "solve_qp", flipped)
     sol = solve_ocp(x0, demand, 0.0, cfg, model, grid, params)
     assert sol.mode_sequence == exact.mode_sequence
@@ -290,20 +299,31 @@ def test_clipped_flows_are_rolled_out_again(grid, params, hx, cfg,
                                                  sol.u_blocks))
 
 
+@pytest.mark.parametrize("demand_entry, b_past", [(np.inf, 0.0),
+                                                   (0.0, np.nan)])
+def test_non_finite_inputs_are_rejected(grid, params, hx, cfg, ambient_state,
+                                        demand_entry, b_past):
+    model = build_pwa(grid, params, hx, DT, ambient_state, 0.0)
+    demand = np.zeros(12)
+    demand[5] = demand_entry
+    with pytest.raises(ParameterError, match="must be finite"):
+        solve_ocp(ambient_state, demand, b_past, cfg, model, grid, params)
+
+
 def test_mode_sign_consistency_and_bounds(grid, params, hx, cfg):
     rng = np.random.default_rng(2)
     x0 = charged_state(grid, params)
     model = build_pwa(grid, params, hx, DT, x0, 0.0)
+    table = sequence_table(cfg)
     for trial in range(5):
         demand = rng.uniform(-1.5e6, 2e6, 12)
         sol = solve_ocp(x0, demand, rng.uniform(-1e11, 1e11), cfg, model,
                         grid, params)
-        for j, mode in enumerate(sol.mode_sequence):
-            sign = MODE_SIGN[mode]
-            if sign == 0.0:
-                assert sol.u_blocks[j] == 0.0
-            else:
-                assert sol.u_blocks[j] * sign >= 0.0
+        # Each flow lies in its mode's interval: [0, u_max] heating, [u_min,
+        # 0] cooling and exactly 0 storing.
+        s = table.names.index(sol.mode_sequence)
+        assert np.all((table.lo[s] <= sol.u_blocks)
+                      & (sol.u_blocks <= table.hi[s]))
         assert np.all(np.abs(sol.u_blocks) <= U_MAX + 1e-12)
 
 
@@ -349,10 +369,10 @@ def test_build_cost_feasible_start(grid, params, hx, cfg):
     pred = condense(model, cfg, x0, power_linear_rows(grid, params, DT))
     H, g, const = build_cost(pred, np.full(12, 1e6), 0.0, cfg)
     assert np.all(np.isfinite(const))
-    for s, modes in enumerate(pred.mode_sequences):
+    for s in range(27):
         # Zero flows with the slack covering the worst open-loop violation
         # satisfy every row, so each candidate QP is feasible.
-        qp, _ = full_row_qp(modes, model, cfg, x0, H[s], g[s])
+        qp, _ = full_row_qp(s, model, cfg, x0, H[s], g[s])
         z0 = np.zeros(qp.m)
         z0[-1] = max(0.0, float(np.max(-qp.h))) + 1e-9
         assert np.all(qp.G @ z0 <= qp.h + 1e-9)
@@ -368,10 +388,10 @@ def per_sequence_condense(model, modes, cfg, x0, power_rows):
     p_off = np.zeros(cfg.horizon)
     p_gain = np.zeros((cfg.horizon, nb))
     for k, j in enumerate(cfg.block_of_step()):
-        branch = model.branch(MODE_SIGN[modes[j]])
-        offsets[k + 1] = branch.A @ offsets[k] + branch.f
-        gains[k + 1] = branch.A @ gains[k]
-        gains[k + 1, :, j] += branch.b
+        i = MODES.index(modes[j])
+        offsets[k + 1] = model.A[i] @ offsets[k] + model.f[i]
+        gains[k + 1] = model.A[i] @ gains[k]
+        gains[k + 1, :, j] += model.b[i]
         p_off[k] = r_now @ offsets[k] + r_next @ offsets[k + 1] + p_const
         p_gain[k] = r_now @ gains[k] + r_next @ gains[k + 1]
     return offsets, gains, p_off, p_gain
@@ -427,10 +447,11 @@ def exhaustive_solve(pred, model, x0, demand, b_past, cfg):
     failed).
     """
     H, g, const = build_cost(pred, demand, b_past, cfg)
-    costs = np.full(len(pred.mode_sequences), np.inf)
+    table = sequence_table(cfg)
+    costs = np.full(len(table.names), np.inf)
     solved = []
-    for s, modes in enumerate(pred.mode_sequences):
-        qp, free = full_row_qp(modes, model, cfg, x0, H[s], g[s])
+    for s, modes in enumerate(table.names):
+        qp, free = full_row_qp(s, model, cfg, x0, H[s], g[s])
         try:
             res = solve_qp(qp)
         except SolverError:
@@ -439,14 +460,13 @@ def exhaustive_solve(pred, model, x0, demand, b_past, cfg):
             z = np.zeros(4)
             z[free] = res.z_star
             costs[s] = res.value + const[s]
-            solved.append((modes, z[:3], costs[s]))
+            solved.append((modes, z[:3], costs[s], s))
     best = min(c[2] for c in solved)
     near = [c for c in solved if c[2] <= best + 1e-9 * max(1.0, abs(best))]
-    modes, z, cost = min(near, key=lambda c: (-c[0].count("storing"),
-                                              float(np.linalg.norm(c[1])),
-                                              c[0]))
-    lo, hi = np.array([_flow_interval(mode, cfg) for mode in modes]).T
-    u = np.clip(z, lo, hi)
+    modes, z, cost, s = min(near, key=lambda c: (-c[0].count("storing"),
+                                                 float(np.linalg.norm(c[1])),
+                                                 c[0]))
+    u = np.clip(z, table.lo[s], table.hi[s])
     u[np.abs(u) <= 1e-12 * U_MAX] = 0.0
     return modes, u, cost, costs
 
@@ -467,11 +487,28 @@ def assert_matches_full_rows(sol, modes, u_blocks, cost):
     assert abs(sol.cost - cost) <= COST_RTOL * max(1.0, abs(cost))
 
 
-def test_bound_and_prune_matches_exhaustive_enumeration(grid, params, hx, cfg):
+def test_bound_and_prune_matches_exhaustive_enumeration(grid, params, hx, cfg,
+                                                        monkeypatch):
+    # The sequences whose box QP solve_ocp forms, and the QPs it solves; an
+    # answered sequence whose box QP is never formed took its unconstrained
+    # minimum as the box QP's optimum.
+    formed, solved = [], []
+
+    def forming(s, *args):
+        formed.append(s)
+        return candidate_qp(s, *args)
+
+    def solving(qp):
+        solved.append(qp)
+        return solve_qp(qp)
+
+    monkeypatch.setattr(controller, "candidate_qp", forming)
+    monkeypatch.setattr(controller, "solve_qp", solving)
     rng = np.random.default_rng(4)
     rows = power_linear_rows(grid, params, DT)
     ambient = np.full(grid.n_states, params.t_amb)
-    instants = pruned = 0
+    names = sequence_table(cfg).names
+    instants = pruned = by_minimum = without_qp = 0
     for trial in range(216):
         kind = trial % 3
         if kind == 0:
@@ -488,7 +525,7 @@ def test_bound_and_prune_matches_exhaustive_enumeration(grid, params, hx, cfg):
 
         pred = condense(model, cfg, x0, rows)
         H, g, const = build_cost(pred, demand, b_past, cfg)
-        for s, modes in enumerate(pred.mode_sequences):
+        for s, modes in enumerate(names):
             offsets, gains, p_off, p_gain = per_sequence_condense(
                 model, modes, cfg, x0, rows)
             states = rollout(model, cfg, x0, modes)
@@ -506,26 +543,44 @@ def test_bound_and_prune_matches_exhaustive_enumeration(grid, params, hx, cfg):
             assert np.array_equal(g[s], g_s)
             assert const[s] == const_s
 
+        formed.clear()
+        solved.clear()
         sol = solve_ocp(x0, demand, b_past, cfg, model, grid, params)
         modes, u_blocks, cost, costs = exhaustive_solve(
             pred, model, x0, demand, b_past, cfg)
         assert_matches_full_rows(sol, modes, u_blocks, cost)
         for s, rec in enumerate(sol.per_candidate):
-            assert rec.mode_sequence == pred.mode_sequences[s]
+            assert rec.mode_sequence == names[s]
             if rec.status == "pruned":
                 pruned += 1
                 assert np.all(np.isnan(rec.u_blocks))
                 assert not rec.u_blocks.flags.writeable
                 assert rec.cost <= costs[s] + 1e-12 * max(1.0, abs(costs[s]))
+            elif s not in formed:
+                # Answered by its unconstrained minimum, with its bound as
+                # cost: that is the box QP's optimum.
+                by_minimum += 1
+                qp, free = candidate_qp(s, H[s], g[s], cfg)
+                result = solve_qp(qp)
+                z = np.zeros(4)
+                z[free] = result.z_star
+                box_cost = result.value + const[s]
+                assert rec.status == "optimal" and rec.slack == 0.0
+                assert np.all(np.abs(rec.u_blocks - z[:3]) <= U_TOL)
+                assert (abs(rec.cost - box_cost)
+                        <= COST_RTOL * max(1.0, abs(box_cost)))
+        without_qp += not solved
         instants += 1
     assert instants >= 200
     # The bound rules out most candidates.
     assert pruned > 0.5 * 27 * instants
+    assert by_minimum > 0 and without_qp > 0
 
 
-def breaks_soft_row_at_box_optimum(modes, H_s, g_s, model, cfg, x0):
-    """Reference: whether a sequence's box-only optimum leaves its soft box."""
-    qp, free = candidate_qp(modes, H_s, g_s, cfg)
+def breaks_soft_row_at_box_optimum(s, H_s, g_s, model, cfg, x0):
+    """Reference: whether sequence s's box-only optimum leaves its soft box."""
+    qp, free = candidate_qp(s, H_s, g_s, cfg)
+    modes = sequence_table(cfg).names[s]
     G, h = soft_rows_per_step(rollout(model, cfg, x0, modes), free[:-1], cfg,
                               model.nu)
     return bool(np.any(G @ solve_qp(qp).z_star - h > 1e-9))
@@ -569,8 +624,8 @@ def test_states_rolled_out_only_for_solved_candidates(grid, params, hx, cfg,
         H, g, _ = build_cost(pred, demand, b_past, cfg_i)
         needed = [rec.mode_sequence for s, rec in enumerate(sol.per_candidate)
                   if rec.status != "pruned"
-                  and breaks_soft_row_at_box_optimum(rec.mode_sequence, H[s],
-                                                     g[s], model, cfg_i, x0)]
+                  and breaks_soft_row_at_box_optimum(s, H[s], g[s], model,
+                                                     cfg_i, x0)]
         assert sorted(rollout_calls) == sorted(needed)
         assert sol.counts["soft_rows_added"] == 2 * 12 * 42 * len(rollout_calls)
         assert np.array_equal(sol.x_pred, trajectory(model, cfg_i, x0,
@@ -624,7 +679,7 @@ def test_binding_soft_rows_match_full_row_reference(grid, params, hx, name,
             continue
         solved.append(rec)
         assert rec.status == "optimal"
-        qp, free = full_row_qp(rec.mode_sequence, model, cfg, x0, H[s], g[s])
+        qp, free = full_row_qp(s, model, cfg, x0, H[s], g[s])
         result = solve_qp(qp)
         # The solver holds its active rows: no row is broken beyond
         # rounding, and its own KKT residual stays small.

@@ -74,9 +74,11 @@ def test_demand_csv_interpolates_gaps(tmp_path):
     path.write_text("timestamp,demand_w\n"
                     "2004-10-01T00:00:00+00:00,100.0\n"
                     "2004-10-01T01:00:00+00:00,\n"
-                    "2004-10-01T02:00:00+00:00,300.0\n")
+                    "2004-10-01T02:00:00+00:00,300.0\n"
+                    "2004-10-01T03:00:00+00:00,nan\n"
+                    "2004-10-01T04:00:00+00:00,500.0\n")
     series = load_demand_csv(str(path))
-    assert series.tolist() == [100.0, 200.0, 300.0]
+    assert series.tolist() == [100.0, 200.0, 300.0, 400.0, 500.0]
 
 
 def test_demand_csv_nonmonotone_rejected(tmp_path):
