@@ -3,23 +3,22 @@
 Move blocking fixes the input to one value per horizon segment, so each of the
 3^3 = 27 blocked mode sequences yields a small dense QP after condensing the
 piecewise-affine dynamics.  The sequences are one table (``sequence_table``):
-an array of mode indices into ``MODES`` with each block's flow interval and
-each sequence's input-box rows, built once per config.  The cost needs only
-each sequence's predicted powers, so those are condensed for all 27 at once
-from per-mode power rows.  The search is an exact bound-and-prune: each
-sequence's unconstrained minimum bounds its QP from below, sequences are
-answered in ascending bound order, and a sequence whose bound exceeds the best
-cost so far by more than the near-tie tolerance is pruned unanswered.  The
-cheapest feasible sequence wins, exactly as if all 27 were solved; state box
-constraints are softened with a single quadratic slack so the controller
-always emits an input.
+their mode names with each block's flow interval and each sequence's
+input-box rows, built once per config.  The cost needs only each sequence's
+predicted powers, so those are condensed for all 27 at once from per-mode
+power rows.  The search is an exact bound-and-prune: each sequence's
+unconstrained minimum bounds its QP from below, QPs are solved in ascending
+bound order, and a sequence whose bound exceeds the best cost so far by more
+than the near-tie tolerance is pruned unsolved.  The cheapest feasible
+sequence wins, exactly as if all 27 were solved; state box constraints are
+softened with a single quadratic slack so the controller always emits an
+input.
 
-An answered sequence's QP is first taken over its input box (and slack)
-alone.  Where its unconstrained minimum lies in that box, the minimum is the
-box QP's optimum and no QP is solved; otherwise the box QP is solved.  At that
-optimum the sequence is rolled out once at fixed flows; if the trajectory
-keeps the soft state box, the optimum is the full QP's.  Otherwise the QP is
-solved once more with all of the sequence's soft state rows (``soft_rows``).
+A solved sequence's QP is first solved over its input box (and slack)
+alone.  At that optimum the sequence is rolled out once at fixed flows; if
+the trajectory keeps the soft state box, the optimum is the full QP's.
+Otherwise the QP is solved once more with all of the sequence's soft state
+rows (``soft_rows``).
 
 The objective is evaluated with powers in MW throughout: the tracking term
 compares predicted and demanded power in MW, and the energy-balance term
@@ -43,14 +42,11 @@ import numpy as np
 from .errors import ControllerFault, ParameterError, SolverError
 from .grid import AquiferParams, RadialGrid, validate_state
 from .power import storage_weights
-from .pwa import MODES, PwaModel
-from .qp import _FEAS_TOL, Qp, QpResult, _start, solve_qp
+from .pwa import MODE_SIGNS, MODES, PwaModel
+from .qp import _FEAS_TOL, Qp, QpResult, solve_qp
 
 W_PER_MW = 1e6
 J_PER_MWH = 3.6e9
-
-# The flow sign of each mode, in ``MODES`` order (heating, storing, cooling).
-_SIGN = np.array([1.0, 0.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -109,15 +105,14 @@ class OcpConfig:
 class SequenceTable:
     """The blocked mode sequences of a config and what depends only on them.
 
-    Sequences are rows in ``itertools.product(MODES, repeat=n_blocks)``
-    order.  Each block's flow interval is its mode's sign region of
-    [u_min, u_max]; ``boxes[s]`` holds sequence s's input-box rows ``G, h``
-    over its pumping blocks' flows and the slack, and the indices ``free`` of
-    those variables in the (blocks, slack) vector.  Arrays are read-only.
+    Sequences are in ``itertools.product(MODES, repeat=n_blocks)`` order.
+    Each block's flow interval is its mode's sign region of [u_min, u_max];
+    ``boxes[s]`` holds sequence s's input-box rows ``G, h`` over its pumping
+    blocks' flows and the slack, and the indices ``free`` of those variables
+    in the (blocks, slack) vector.  Arrays are read-only.
     """
 
-    modes: np.ndarray                    # S x n_blocks, indices into MODES
-    names: tuple[tuple[str, ...], ...]   # the same, as mode names
+    names: tuple[tuple[str, ...], ...]   # S sequences of mode names
     lo: np.ndarray                       # S x n_blocks flow intervals
     hi: np.ndarray
     pumping: np.ndarray                  # S x n_blocks, not storing
@@ -128,8 +123,7 @@ class SequenceTable:
 def sequence_table(cfg: OcpConfig) -> SequenceTable:
     """The config's sequence table, built once per config."""
     nb = len(cfg.blocks)
-    modes = np.array(list(itertools.product(range(len(MODES)), repeat=nb)))
-    sign = _SIGN[modes]
+    sign = np.array(list(itertools.product(MODE_SIGNS, repeat=nb)))
     lo = np.where(sign < 0.0, cfg.u_min, 0.0)
     hi = np.where(sign > 0.0, cfg.u_max, 0.0)
     pumping = sign != 0.0
@@ -147,10 +141,10 @@ def sequence_table(cfg: OcpConfig) -> SequenceTable:
         h[2 * i + 1] = np.where(sign_s[j] > 0.0, cfg.u_max, -cfg.u_min)
         G[-1, -1] = -1.0
         boxes.append((G, h, np.append(j, nb)))
-    for a in (modes, lo, hi, pumping, *itertools.chain(*boxes)):
+    for a in (lo, hi, pumping, *itertools.chain(*boxes)):
         a.flags.writeable = False
-    names = tuple(tuple(MODES[i] for i in row) for row in modes.tolist())
-    return SequenceTable(modes, names, lo, hi, pumping, tuple(boxes))
+    names = tuple(itertools.product(MODES, repeat=nb))
+    return SequenceTable(names, lo, hi, pumping, tuple(boxes))
 
 
 @dataclass(frozen=True)
@@ -177,10 +171,9 @@ class CandidateRecord(NamedTuple):
     kkt_residual: float
 
 
-# The counts each plan reports, in order: candidates answered (by a QP or by
-# their unconstrained minimum), candidates whose QP stalled, rounding-level
-# block flows set to 0.0, and the soft state rows of the QPs solved again on
-# them.
+# The counts each plan reports, in order: candidate QPs solved, candidates
+# whose QP stalled, rounding-level block flows set to 0.0, and the soft state
+# rows of the QPs solved again on them.
 PLAN_COUNTS = ("qps_solved", "stalled_candidates", "snapped_flows",
                "soft_rows_added")
 
@@ -193,7 +186,7 @@ class OcpSolution:
     The table has one read-only row per mode sequence, in ``sequences``
     order: the candidate's status (``"optimal"``, ``"infeasible"``,
     ``"stalled"`` or ``"pruned"``), its cost (its lower bound when pruned),
-    block flows, slack and KKT residual (NaN where not answered).
+    block flows, slack and KKT residual (NaN where pruned or failed).
     """
 
     u_blocks: np.ndarray
@@ -424,15 +417,12 @@ def soft_rows(model: PwaModel, cfg: OcpConfig, x0: np.ndarray,
     return G.reshape(-1, G.shape[-1]), h.reshape(-1)
 
 
-def _unconstrained_minima(H: np.ndarray, g: np.ndarray, const: np.ndarray
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Each sequence's unconstrained minimiser ``u = -H^-1 g`` over the block
-    inputs and its minimum ``const - g'H^-1 g / 2``.
+def _lower_bounds(H: np.ndarray, g: np.ndarray, const: np.ndarray) -> np.ndarray:
+    """Unconstrained minimum ``const - g'H^-1 g / 2`` of each sequence's cost.
 
-    The minimum bounds the QP optimum from below; the slack has no linear
-    term, so its minimum is at zero and only the block inputs enter.  A
-    storing block has a zero gain column and a zero gradient entry, so it
-    contributes nothing and its flow is zero (of either sign).
+    It bounds the QP optimum from below; the slack has no linear term, so its
+    minimum is at zero and only the block inputs enter.  A storing block has
+    a zero gain column and a zero gradient entry, so it contributes nothing.
     """
     nb = H.shape[1] - 1
     g_u = g[:, :nb]
@@ -440,29 +430,8 @@ def _unconstrained_minima(H: np.ndarray, g: np.ndarray, const: np.ndarray
         step = np.linalg.solve(H[:, :nb, :nb], g_u[:, :, None])[..., 0]
     except np.linalg.LinAlgError:
         # A singular block Hessian (zero input weight): bound nothing.
-        return np.full(g_u.shape, np.nan), np.full(const.shape, -np.inf)
-    return -step, const - 0.5 * np.sum(g_u * step, axis=1)
-
-
-def _box_minimum(s: int, H: np.ndarray, g: np.ndarray, table: SequenceTable
-                 ) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """Sequence s's unconstrained minimum as its box QP's optimum, or None.
-
-    The minimiser over the QP's variables is formed as ``solve_qp`` forms
-    its start, which ``solve_qp`` returns unchanged when it breaks no row by
-    more than ``_FEAS_TOL``; then it is returned with the QP's variable
-    indices and its KKT residual (with no active row, its stationarity).
-    """
-    G, h, free = table.boxes[s]
-    H, g = H[np.ix_(free, free)], g[free]
-    try:
-        z = _start(H, g)[1]
-    except SolverError:
-        return None
-    if np.max(G @ z - h) > _FEAS_TOL:
-        return None
-    return free, z, (float(np.abs(H @ z + g).max())
-                     / max(1.0, float(np.abs(g).max())))
+        return np.full(const.shape, -np.inf)
+    return const - 0.5 * np.sum(g_u * step, axis=1)
 
 
 def _solve(qp: Qp) -> QpResult:
@@ -478,24 +447,20 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
               model: PwaModel, grid: RadialGrid, params: AquiferParams) -> OcpSolution:
     """Exact bound-and-prune over all blocked mode sequences; returns the best.
 
-    Sequences are answered in ascending order of their unconstrained lower
+    Sequences are solved in ascending order of their unconstrained lower
     bound.  One whose bound exceeds the incumbent by more than the near-tie
     tolerance cannot win nor tie, so it is left ``"pruned"`` with its bound
-    as cost.  An answered sequence whose unconstrained minimum lies in its
-    input box has that minimum as its box QP's optimum, and its bound as its
-    cost; any other has its box QP solved.  Only if the trajectory at the box
-    optimum leaves the soft state box is the QP solved again with all its
-    soft rows, so the optimum is that of the full QP.  The winner's
-    trajectory at its optimum gives ``x_pred``.  A non-finite demand window
-    or ``b_past`` raises ``ParameterError``.
+    as cost.  A solved sequence's QP is solved over its input box; only
+    if the trajectory at that optimum leaves the soft state box is it solved
+    again with all its soft rows, so the optimum is that of the full QP.
+    The winner's trajectory at its optimum gives ``x_pred``.  A non-finite
+    demand window or ``b_past`` raises ``ParameterError``.
     """
     nb = len(cfg.blocks)
     table = sequence_table(cfg)
     pred = condense(model, cfg, x0, power_linear_rows(grid, params, cfg.dt))
     H, g, const = build_cost(pred, demand, b_past, cfg)
-    u_min, bounds = _unconstrained_minima(H, g, const)
-    # A NaN minimum (no bound) lies in no box.
-    in_box = np.all((table.lo <= u_min) & (u_min <= table.hi), axis=1)
+    bounds = _lower_bounds(H, g, const)
 
     n_seq = bounds.size
     status = np.full(n_seq, "pruned", dtype="U10")
@@ -509,27 +474,21 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
     keys = bounds - 1e-12 * np.maximum(np.abs(bounds), const)
     order = np.argsort(bounds, kind="stable")
     x_min, x_max = cfg.state_bounds(model.nu)
-    answered = soft_rows_added = 0
+    solved = soft_rows_added = 0
     optimal: dict[int, np.ndarray | None] = {}   # trajectory at the optimum
     incumbent = limit = np.inf
     for s, key in zip(order.tolist(), keys[order].tolist()):
         if key > limit:
             continue
-        answered += 1
+        solved += 1
         modes = table.names[s]
+        qp, free = candidate_qp(s, H[s], g[s], cfg)
+        result = _solve(qp)
         z = np.zeros(nb + 1)     # storing flows are exactly zero
-        minimum = _box_minimum(s, H[s], g[s], table) if in_box[s] else None
-        if minimum is not None:
-            free, z_free, residual = minimum
-            z[free] = z_free
-            state, total = "optimal", bounds[s]
-        else:
-            qp, free = candidate_qp(s, H[s], g[s], cfg)
-            result = _solve(qp)
-            # A failed result carries value inf and NaN in the QP's variables.
-            z[free] = result.z_star
-            state, total, residual = (result.status, result.value + const[s],
-                                      result.kkt_residual)
+        # A failed result carries value inf and NaN in the QP's variables.
+        z[free] = result.z_star
+        state, total, residual = (result.status, result.value + const[s],
+                                  result.kkt_residual)
         x = None
         if state == "optimal":
             x = trajectory(model, cfg, x0, modes, z[:nb])
@@ -537,7 +496,6 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
                     > _FEAS_TOL):
                 # The box optimum leaves the soft box: solve the full QP.
                 # Its trajectory is rolled out for the winner only.
-                qp, free = candidate_qp(s, H[s], g[s], cfg)
                 G, h = soft_rows(model, cfg, x0, modes, free[:-1])
                 soft_rows_added += h.size
                 result = _solve(Qp(qp.H, qp.g, np.vstack([qp.G, G]),
@@ -591,7 +549,7 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
         "balance": cfg.q_e * e_avg_mw**2,
         "slack": cfg.slack_weight * float(slacks[s]) ** 2,
     }
-    counts = dict(zip(PLAN_COUNTS, (answered,
+    counts = dict(zip(PLAN_COUNTS, (solved,
                                     int(np.count_nonzero(status == "stalled")),
                                     int(snap.sum()), soft_rows_added)))
     for a in (status, costs, flows, slacks, kkt):

@@ -41,6 +41,18 @@ class UkfConfig:
     measurement_var: float = 0.01**2
     C: np.ndarray | None = None
 
+    def __post_init__(self):
+        # Zero process noise is a deterministic model; the innovation
+        # covariance needs a positive measurement variance.
+        if not (self.process_var >= 0.0 and self.measurement_var > 0.0):
+            raise ParameterError(
+                f"need process variance >= 0 and measurement variance > 0, got "
+                f"{self.process_var!r} and {self.measurement_var!r}")
+        # The sigma-point weights need n + kappa > 0 over the n states.
+        if self.C is not None and not self.kappa > -self.C.shape[1]:
+            raise ParameterError(f"kappa must exceed -{self.C.shape[1]} (minus "
+                                 f"the state count), got {self.kappa!r}")
+
     @staticmethod
     def sensor_matrix(nu: int) -> np.ndarray:
         """Unit selectors of warm borehole, warm far cell, cold borehole, cold far cell."""

@@ -42,6 +42,10 @@ class TruthConfig:
         lo, hi = self.lambda_bounds
         if not (0.0 < lo <= hi):
             raise ParameterError(f"lambda bounds must be ordered positive, got {self.lambda_bounds}")
+        if not (self.t_amb_noise_amp >= 0.0 and self.sensor_sigma >= 0.0):
+            raise ParameterError(
+                f"noise amplitude and sensor sigma must be nonnegative, got "
+                f"{self.t_amb_noise_amp!r} and {self.sensor_sigma!r}")
 
 
 @dataclass

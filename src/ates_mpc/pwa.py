@@ -19,12 +19,15 @@ from .errors import ParameterError
 from .grid import AquiferParams, RadialGrid, validate_state
 from .heat_exchanger import HxParams, linearize_hx
 
-MODES = ("heating", "storing", "cooling")
-
 
 def mode_of(u: float) -> str:
     """Operating mode of a flow, by its sign."""
     return "heating" if u > 0 else ("cooling" if u < 0 else "storing")
+
+
+# The flow sign of each mode, and the modes in that order.
+MODE_SIGNS = (1.0, 0.0, -1.0)
+MODES = tuple(map(mode_of, MODE_SIGNS))
 
 
 @dataclass(frozen=True)

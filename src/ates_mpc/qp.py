@@ -76,17 +76,6 @@ def _regularize(H: np.ndarray) -> np.ndarray:
     return np.linalg.cholesky(H)
 
 
-def _start(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``J = L^-1`` for the Cholesky factor ``L`` of the ``_regularize``d
-    ``H``, and the unconstrained minimiser ``-J'J g`` where ``solve_qp``
-    starts.  Raises ``SolverError`` when no factor exists."""
-    try:
-        J = np.linalg.inv(_regularize(np.asarray(H, dtype=float)))
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("Hessian not positive definite after regularisation") from exc
-    return J, -(J.T @ (J @ np.asarray(g, dtype=float)))
-
-
 def _iteration_cap(m: int, p: int) -> int:
     # Active-set iterations scale with the constraint count; a tight cap keeps
     # a degenerate stall cheap (callers treat the raised error as a failed
@@ -122,7 +111,11 @@ def solve_qp(qp: Qp) -> QpResult:
     G = np.asarray(qp.G, dtype=float).reshape(-1, qp.m)
     h = np.asarray(qp.h, dtype=float)
     m = qp.m
-    J, z = _start(qp.H, qp.g)
+    try:
+        J = np.linalg.inv(_regularize(np.asarray(qp.H, dtype=float)))
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("Hessian not positive definite after regularisation") from exc
+    z = -(J.T @ (J @ np.asarray(qp.g, dtype=float)))
     work: list[int] = []       # active rows, in the order they entered
     lam = np.zeros(0)          # their multipliers
     add = -1                   # row being added, -1 when none

@@ -90,10 +90,6 @@ _DEFAULTS: dict[str, float] = {
 _STRING_KEYS = {"demand_csv"}
 _INT_KEYS = {"nu", "nu_fine", "seed", "duration_steps", "block_1_steps",
              "block_2_steps", "block_3_steps"}
-# Noise domains: variances are positive; the ambient noise amplitude and the
-# sensor sigma are nonnegative (zero turns the noise off).
-_POSITIVE_KEYS = ("process_noise_var_k2", "measurement_noise_var_k2")
-_NONNEGATIVE_KEYS = ("t_amb_noise_amp_k", "sensor_sigma_k")
 
 
 def _parse_config_text(text: str) -> dict:
@@ -117,17 +113,6 @@ def _parse_config_text(text: str) -> dict:
             raise ScenarioError(f"line {lineno}: bad value for {key!r}: {val!r}") from exc
         if not math.isfinite(values[key]):
             raise ScenarioError(f"line {lineno}: {key!r} must be finite, got {val!r}")
-    for key in _POSITIVE_KEYS:
-        if values[key] <= 0.0:
-            raise ScenarioError(f"{key!r} must be positive, got {values[key]!r}")
-    for key in _NONNEGATIVE_KEYS:
-        if values[key] < 0.0:
-            raise ScenarioError(f"{key!r} must be nonnegative, got {values[key]!r}")
-    # The sigma-point weights need n + kappa > 0 over the n stacked states.
-    n = 2 * (values["nu"] + 1)
-    if values["ukf_kappa"] <= -n:
-        raise ScenarioError(f"'ukf_kappa' must exceed -{n} (minus the state "
-                            f"count), got {values['ukf_kappa']!r}")
     return values
 
 

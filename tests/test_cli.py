@@ -44,21 +44,24 @@ def test_non_finite_config_value_is_config_error(tmp_path, capsys, key):
     assert f"'{key}' must be finite" in err
 
 
-# The noise values' domains: variances positive, ``n + kappa > 0`` over the
-# 42 stacked states, ambient noise amplitude and sensor sigma nonnegative.
+# The noise values' domains, checked by ``UkfConfig`` and ``TruthConfig``:
+# process variance nonnegative, measurement variance positive, ``n + kappa >
+# 0`` over the 42 stacked states, ambient noise amplitude and sensor sigma
+# nonnegative.
 @pytest.mark.parametrize("key, value, message", [
-    ("process_noise_var_k2", "0", "must be positive"),
-    ("measurement_noise_var_k2", "-1", "must be positive"),
-    ("ukf_kappa", "-42", "must exceed -42"),
-    ("t_amb_noise_amp_k", "-0.1", "must be nonnegative"),
-    ("sensor_sigma_k", "-0.01", "must be nonnegative"),
+    ("process_noise_var_k2", "-1", "need process variance >= 0"),
+    ("measurement_noise_var_k2", "0", "measurement variance > 0"),
+    ("ukf_kappa", "-42", "kappa must exceed -42"),
+    ("t_amb_noise_amp_k", "-0.1", "must be nonnegative, got -0.1"),
+    ("sensor_sigma_k", "-0.01", "must be nonnegative, got 0.1 and -0.01"),
 ])
 def test_noise_value_outside_its_domain_is_config_error(tmp_path, capsys, key,
                                                         value, message):
     config = tmp_path / "bad.cfg"
     config.write_text(f"{key} = {value}\n")
     assert main(["run", "--scenario", str(config), "--steps", "1"]) == 1
-    assert f"'{key}' {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 # An empty or NaN demand value is interpolated; these are errors.

@@ -62,8 +62,6 @@ def test_condense_dimensions(grid, params, hx, cfg, ambient_state):
                     power_linear_rows(grid, params, DT))
     table = sequence_table(cfg)
     assert table.names == tuple(itertools.product(MODES, repeat=3))
-    assert [[MODES[i] for i in row] for row in table.modes] == [
-        list(names) for names in table.names]
     assert pred.power_offset.shape == (27, 12)
     assert pred.power_gain.shape == (27, 12, 3)
     # States are rolled out per sequence, never for all 27 at once.
@@ -248,7 +246,6 @@ def test_snapped_flows_are_counted(grid, params, hx, cfg, monkeypatch):
     # The instant above with every QP's zero flows set to +1e-19 m^3/s, as a
     # rounding change can leave them: the heating block's flow is set to
     # exactly 0.0 and counted, while the cooling blocks' flows are far from 0.
-    # The winner's zero bound binds, so its box QP is solved.
     def nudged(qp):
         result = solve_qp(qp)
         z = result.z_star.copy()
@@ -282,14 +279,11 @@ def test_clipped_flows_are_rolled_out_again(grid, params, hx, cfg,
         z[:-1] *= -1.0      # every pumping flow gets the wrong sign
         return dataclasses.replace(result, z_star=z)
 
-    # A demand the flow limit cannot meet: the winner's u_max rows bind, so
-    # its box QP is solved (an unconstrained minimum inside the box would
-    # answer it without solve_qp).
     x0 = charged_state(grid, params)
     model = build_pwa(grid, params, hx, DT, x0, 0.0)
-    demand = np.full(12, 2e6)
+    demand = np.full(12, 1e6)
     exact = solve_ocp(x0, demand, 0.0, cfg, model, grid, params)
-    assert np.all(exact.u_blocks == U_MAX)
+    assert np.all(exact.u_blocks > 0.0)
     monkeypatch.setattr(controller, "solve_qp", flipped)
     sol = solve_ocp(x0, demand, 0.0, cfg, model, grid, params)
     assert sol.mode_sequence == exact.mode_sequence
@@ -487,28 +481,12 @@ def assert_matches_full_rows(sol, modes, u_blocks, cost):
     assert abs(sol.cost - cost) <= COST_RTOL * max(1.0, abs(cost))
 
 
-def test_bound_and_prune_matches_exhaustive_enumeration(grid, params, hx, cfg,
-                                                        monkeypatch):
-    # The sequences whose box QP solve_ocp forms, and the QPs it solves; an
-    # answered sequence whose box QP is never formed took its unconstrained
-    # minimum as the box QP's optimum.
-    formed, solved = [], []
-
-    def forming(s, *args):
-        formed.append(s)
-        return candidate_qp(s, *args)
-
-    def solving(qp):
-        solved.append(qp)
-        return solve_qp(qp)
-
-    monkeypatch.setattr(controller, "candidate_qp", forming)
-    monkeypatch.setattr(controller, "solve_qp", solving)
+def test_bound_and_prune_matches_exhaustive_enumeration(grid, params, hx, cfg):
     rng = np.random.default_rng(4)
     rows = power_linear_rows(grid, params, DT)
     ambient = np.full(grid.n_states, params.t_amb)
     names = sequence_table(cfg).names
-    instants = pruned = by_minimum = without_qp = 0
+    instants = pruned = 0
     for trial in range(216):
         kind = trial % 3
         if kind == 0:
@@ -543,8 +521,6 @@ def test_bound_and_prune_matches_exhaustive_enumeration(grid, params, hx, cfg,
             assert np.array_equal(g[s], g_s)
             assert const[s] == const_s
 
-        formed.clear()
-        solved.clear()
         sol = solve_ocp(x0, demand, b_past, cfg, model, grid, params)
         modes, u_blocks, cost, costs = exhaustive_solve(
             pred, model, x0, demand, b_past, cfg)
@@ -556,25 +532,10 @@ def test_bound_and_prune_matches_exhaustive_enumeration(grid, params, hx, cfg,
                 assert np.all(np.isnan(rec.u_blocks))
                 assert not rec.u_blocks.flags.writeable
                 assert rec.cost <= costs[s] + 1e-12 * max(1.0, abs(costs[s]))
-            elif s not in formed:
-                # Answered by its unconstrained minimum, with its bound as
-                # cost: that is the box QP's optimum.
-                by_minimum += 1
-                qp, free = candidate_qp(s, H[s], g[s], cfg)
-                result = solve_qp(qp)
-                z = np.zeros(4)
-                z[free] = result.z_star
-                box_cost = result.value + const[s]
-                assert rec.status == "optimal" and rec.slack == 0.0
-                assert np.all(np.abs(rec.u_blocks - z[:3]) <= U_TOL)
-                assert (abs(rec.cost - box_cost)
-                        <= COST_RTOL * max(1.0, abs(box_cost)))
-        without_qp += not solved
         instants += 1
     assert instants >= 200
     # The bound rules out most candidates.
     assert pruned > 0.5 * 27 * instants
-    assert by_minimum > 0 and without_qp > 0
 
 
 def breaks_soft_row_at_box_optimum(s, H_s, g_s, model, cfg, x0):

@@ -49,6 +49,15 @@ def test_sensor_matrix_layout():
     assert C.sum() == 4.0
 
 
+@pytest.mark.parametrize("kw", [dict(process_var=-1.0),
+                                dict(measurement_var=0.0),
+                                dict(measurement_var=float("nan")),
+                                dict(kappa=-2.0, C=np.eye(2))])
+def test_config_rejects_values_outside_noise_domains(kw):
+    with pytest.raises(ParameterError):
+        UkfConfig(**kw)
+
+
 def test_predict_requires_sensor_matrix():
     est = GaussianEstimate(np.zeros(2), np.eye(2))
     with pytest.raises(ParameterError):

@@ -3,8 +3,8 @@ import copy
 import numpy as np
 import pytest
 
-from ates_mpc import (ScenarioError, TruthConfig, init_truth, measure, plant,
-                      restrict_to_coarse, truth_step)
+from ates_mpc import (ParameterError, ScenarioError, TruthConfig, init_truth,
+                      measure, plant, restrict_to_coarse, truth_step)
 from ates_mpc.heat_exchanger import hx_outlet_temp
 
 DT = 3600.0
@@ -16,6 +16,14 @@ def quiet_config(**kw):
                 sensor_sigma=0.0, seed=0)
     base.update(kw)
     return TruthConfig(**base)
+
+
+@pytest.mark.parametrize("kw", [dict(t_amb_noise_amp=-0.1),
+                                dict(sensor_sigma=-0.01),
+                                dict(sensor_sigma=float("nan"))])
+def test_config_rejects_negative_noise(kw):
+    with pytest.raises(ParameterError):
+        TruthConfig(**kw)
 
 
 def test_init_deterministic(grid, params):
