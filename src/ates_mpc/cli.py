@@ -15,8 +15,8 @@ import numpy as np
 from .controller import solve_ocp
 from .errors import AtesError, ScenarioError
 from .harness import (demand_window, power_form_study, replay_observer,
-                      run_closed_loop)
-from .plant import init_truth, restrict_to_coarse, truth_step
+                      run_closed_loop, sensor_record)
+from .plant import init_truth, measure, restrict_to_coarse, truth_step
 from .power import EnergyLedger, power_bilinear, update_balance
 from .pwa import build_pwa, mode_of
 from .scenario import (_DEFAULTS, _config_values, gen_synthetic_demand,
@@ -95,6 +95,7 @@ def _cmd_sim(args) -> int:
     ledger = EnergyLedger(dt=scenario.ocp.dt)
     records = []
     for k in range(steps):
+        y = measure(truth)  # before the step, as in the closed loop
         x = restrict_to_coarse(truth, scenario.grid)
         u = float(flows[k])
         truth_step(truth, u, scenario.hx, scenario.ocp.dt, audit=args.audit)
@@ -107,6 +108,7 @@ def _cmd_sim(args) -> int:
             "B_past": ledger.b_past,
             "warm_borehole_truth": float(x[0]),
             "cold_borehole_truth": float(x[scenario.grid.nu + 1]),
+            **sensor_record(y),
         })
     if args.out:
         write_results(args.out, records)

@@ -67,6 +67,8 @@ class OcpConfig:
     balance_hours: float = 80.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ParameterError(f"time step must be finite and positive, got {self.dt}")
         if self.balance_hours <= 0.0:
             raise ParameterError("balance_hours must be positive")
         if min(self.blocks) < 1:

@@ -86,27 +86,33 @@ def _conduction_stencil(grid: RadialGrid, params: AquiferParams, dt: float,
     return A, f
 
 
-def _frozen_gradient(grid: RadialGrid, x_ref: np.ndarray, t_amb: float,
-                     regime: Regime) -> np.ndarray:
-    """Upwind one-sided difference quotients of the reference profile per cell.
+def _upwind_quotients(profiles: np.ndarray, t_amb: float, dr: float) -> np.ndarray:
+    """Difference quotients along one or more per-aquifer profiles ``(..., nu+1)``.
 
-    Extraction draws fluid inward, so the upwind neighbor is the outer one
-    (far cell sees the ambient Dirichlet value); injection pushes outward and
-    upwinds against the inner neighbor (cell 1 sees the borehole entry).
+    Each profile is padded with the ambient Dirichlet value past its far
+    cell, so entry j is ``(x[j+1] - x[j]) / dr`` for j = 0..nu.  Extraction
+    draws fluid inward and upwinds against the outer neighbor, so its cell i
+    reads entry i+1 (the far cell sees the ambient value); injection pushes
+    outward and upwinds against the inner neighbor, so its cell i reads entry
+    i (cell 1 sees the borehole entry).  Boundary cells use the full cell
+    spacing so the convection term is the conservative upwind flux difference
+    (enthalpy fluxes telescope exactly).
     """
-    nu = grid.nu
-    dr = grid.dr
-    g = np.zeros(nu)
-    cells = x_ref[1:]
-    # Boundary cells use the full cell spacing so the convection term is the
-    # conservative upwind flux difference (enthalpy fluxes telescope exactly).
-    if regime == "extraction_or_storage":
-        g[:-1] = (cells[1:] - cells[:-1]) / dr
-        g[-1] = (t_amb - cells[-1]) / dr
-    else:
-        g[0] = (cells[0] - x_ref[0]) / dr
-        g[1:] = (cells[1:] - cells[:-1]) / dr
-    return g
+    padded = np.empty(profiles.shape[:-1] + (profiles.shape[-1] + 1,))
+    padded[..., :-1] = profiles
+    padded[..., -1] = t_amb
+    return np.diff(padded, axis=-1) / dr
+
+
+def _convection_gain(grid: RadialGrid, params: AquiferParams, dt: float,
+                     flow_sign: float | np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Input gain of the cells under frozen gradients ``g (..., nu)``.
+
+    q = flow_sign * u enters the convection term -c_w/(c_a 2 pi r l) * g * q;
+    ``flow_sign`` is ±1 or an array broadcasting against ``g``.
+    """
+    return -dt * params.c_w * flow_sign * g / (
+        params.c_a * 2.0 * np.pi * grid.midpoints * grid.l)
 
 
 def _build(grid: RadialGrid, params: AquiferParams, x_ref: np.ndarray,
@@ -120,10 +126,9 @@ def _build(grid: RadialGrid, params: AquiferParams, x_ref: np.ndarray,
 
     A_cells, f_cells = _conduction_stencil(grid, params, dt,
                                            inner_coupled=(regime == "injection"))
-    g = _frozen_gradient(grid, x_ref, params.t_amb, regime)
-    # q = flow_sign * u enters the convection term -c_w/(c_a 2 pi r l) * g * q
-    b_cells = -dt * params.c_w * flow_sign * g / (
-        params.c_a * 2.0 * np.pi * grid.midpoints * grid.l)
+    quotients = _upwind_quotients(x_ref, params.t_amb, grid.dr)
+    g = quotients[:-1] if regime == "injection" else quotients[1:]
+    b_cells = _convection_gain(grid, params, dt, flow_sign, g)
 
     if regime == "injection":
         return AffineSubsystem(A_cells, b_cells, f_cells)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controller import PLAN_COUNTS, solve_ocp
-from .errors import ControllerFault
+from .errors import ControllerFault, ScenarioError
 from .observer import GaussianEstimate, predict, project, update
 from .plant import init_truth, measure, restrict_to_coarse, truth_step
 from .power import EnergyLedger, power_bilinear, power_linear, update_balance
@@ -54,6 +54,15 @@ class RunReport:
     counts: dict[str, int] = field(default_factory=dict)
     error_series: np.ndarray = field(repr=False, default=None)  # spatial-mean |err| per step
     records: list[dict] = field(repr=False, default_factory=list)
+
+
+# Results columns of the four sensor readings, in ``measure`` order.
+SENSOR_KEYS = ("y_warm_r0", "y_warm_far", "y_cold_r0", "y_cold_far")
+
+
+def sensor_record(y: np.ndarray) -> dict[str, float]:
+    """The readings ``y`` as results-record entries."""
+    return dict(zip(SENSOR_KEYS, map(float, y)))
 
 
 def demand_window(demand: np.ndarray, k: int, horizon: int) -> np.ndarray:
@@ -173,8 +182,7 @@ def run_closed_loop(scenario: Scenario, steps: int | None = None,
             "slack": solution.slack_used if solution else 0.0,
             "ocp_cost": solution.cost if solution else float("nan"),
             "solve_ms": solve_ms,
-            "y_warm_r0": float(y[0]), "y_warm_far": float(y[1]),
-            "y_cold_r0": float(y[2]), "y_cold_far": float(y[3]),
+            **sensor_record(y),
         })
         u_prev = u
         if log_every and (k + 1) % log_every == 0:
@@ -283,14 +291,17 @@ def replay_observer(scenario: Scenario, records: list[dict]) -> list[np.ndarray]
     """Re-run the UKF on logged measurements and inputs; returns per-step means.
 
     Deterministic given the recorded (y, u) sequence, so replays reproduce the
-    logged estimates exactly.
+    logged estimates exactly.  A record without a reading or a flow raises
+    ``ScenarioError`` naming the column.
     """
     estimator = _Estimator(scenario)
     u_prev = 0.0
     means = []
-    for rec in records:
-        y = np.array([rec["y_warm_r0"], rec["y_warm_far"],
-                      rec["y_cold_r0"], rec["y_cold_far"]])
+    for k, rec in enumerate(records):
+        for key in (*SENSOR_KEYS, "u_applied"):
+            if rec.get(key) is None:
+                raise ScenarioError(f"results record {k} has no {key!r} value")
+        y = np.array([rec[key] for key in SENSOR_KEYS])
         estimator.step(y, u_prev)
         means.append(estimator.est.mean.copy())
         u_prev = float(rec["u_applied"])

@@ -5,16 +5,22 @@ and the mode is picked by the sign of the flow u (``mode_of``): u > 0 heating
 (warm extraction feeds the heat exchanger, which writes the cold borehole
 entry one step later), u = 0 storing (both aquifers relax, zero input gain),
 u < 0 cooling (the mirror image of heating).
+
+Only a few entries follow the state: the two heat-exchanger rows and the
+convection gains ``b``.  Everything else is a per-config template, built once
+and copied by each hourly ``build_pwa``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import build_extraction_system, build_injection_system
+from .dynamics import (_convection_gain, _upwind_quotients,
+                       build_extraction_system, build_injection_system)
 from .errors import ParameterError
 from .grid import AquiferParams, RadialGrid, validate_state
 from .heat_exchanger import HxParams, linearize_hx
@@ -85,49 +91,83 @@ def pwa_step(model: PwaModel, x: np.ndarray, u: float) -> np.ndarray:
     return model.branch(u).step(x, u)
 
 
-def build_pwa(grid: RadialGrid, params: AquiferParams, hx: HxParams, dt: float,
-              x_ref: np.ndarray, u_ref: float = 0.0) -> PwaModel:
-    """Rebuild the full PWA model at a prediction instant, in one pass.
+@functools.cache
+def _template(grid: RadialGrid, params: AquiferParams,
+              dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """``A (3, n, n)`` and ``f (3, n)`` of the three branches, read-only.
 
-    Every branch starts as storing: the two extraction maps side by side,
-    with no input gain.  Heating and cooling then replace the injected
-    aquifer's rows with its heat-exchanger row (the borehole entry, written
-    from the extracted aquifer's borehole) and its injection cell rows, and
-    give the extracting aquifer its input gain.
-
-    Frozen convection gradients come from the current state estimate x_ref;
-    the heat-exchanger linearizations expand around the estimated
-    extraction-side borehole temperatures and the previously applied flow
-    (clamped to each mode's sign region).
+    Every entry but the heat-exchanger rows' is fixed by the grid, the
+    parameters and ``dt``, so the table is built once per triple from the
+    per-aquifer builders (whose ``A`` and ``f`` do not depend on the
+    reference profile) and shared.  Every branch starts as storing: the two
+    extraction maps side by side.  Heating and cooling then replace the
+    injected aquifer's rows with its injection cell rows and a heat-exchanger
+    row left at zero, which ``build_pwa`` fills each hour.
     """
-    x_ref = validate_state(x_ref, grid.nu)
     m = grid.nu + 1
     n = 2 * m
-    warm_ref, cold_ref = x_ref[:m], x_ref[m:]
-    # Flow into the cold aquifer is q = u, into the warm one q = -u.
-    warm_ex = build_extraction_system(grid, params, warm_ref, -1, dt)
-    cold_ex = build_extraction_system(grid, params, cold_ref, 1, dt)
+    ambient = np.full(m, params.t_amb)
+    ex = build_extraction_system(grid, params, ambient, 1, dt)
+    inj = build_injection_system(grid, params, ambient, 1, dt)
     A = np.zeros((len(MODES), n, n))
-    b = np.zeros((len(MODES), n))
     f = np.empty((len(MODES), n))
-    A[:, :m, :m] = warm_ex.A
-    A[:, m:, m:] = cold_ex.A
-    f[:, :m] = warm_ex.f
-    f[:, m:] = cold_ex.f
-    # Heating extracts from the warm aquifer (rows from 0) and injects into
-    # the cold one (rows from m); cooling the other way round.
-    for mode, ex, src, dst, sign, clamp in (
-            ("heating", warm_ex, 0, m, 1, max),
-            ("cooling", cold_ex, m, 0, -1, min)):
+    A[:, :m, :m] = ex.A
+    A[:, m:, m:] = ex.A
+    f[:, :m] = ex.f
+    f[:, m:] = ex.f
+    for mode, dst in (("heating", m), ("cooling", 0)):
         i = MODES.index(mode)
-        inj = build_injection_system(grid, params, x_ref[dst:dst + m], sign, dt)
-        row = linearize_hx(float(x_ref[src]), clamp(u_ref, 0.0), hx, mode)
-        b[i, src:src + m] = ex.b
         A[i, dst, dst:dst + m] = 0.0
-        A[i, dst, src] = row.a
-        b[i, dst] = row.b
-        f[i, dst] = row.f
+        f[i, dst] = 0.0
         A[i, dst + 1:dst + m, dst:dst + m] = inj.A
-        b[i, dst + 1:dst + m] = inj.b
         f[i, dst + 1:dst + m] = inj.f
+    A.flags.writeable = False
+    f.flags.writeable = False
+    return A, f
+
+
+# Flow into the cold aquifer is q = u, into the warm one q = -u.
+_AQUIFER_FLOW_SIGNS = np.array([[-1.0], [1.0]])
+_AQUIFER_FLOW_SIGNS.flags.writeable = False
+
+
+def build_pwa(grid: RadialGrid, params: AquiferParams, hx: HxParams, dt: float,
+              x_ref: np.ndarray, u_ref: float = 0.0) -> PwaModel:
+    """Rebuild the full PWA model at a prediction instant.
+
+    ``A`` and ``f`` start as copies of the per-config template
+    (``_template``); only the hour's pieces are formed here.  The two
+    heat-exchanger rows set the injected borehole entry from the extracted
+    one; they expand around the estimated extraction-side borehole
+    temperature and the previously applied flow, clamped to each mode's sign
+    region.  ``b`` holds the convection gains under gradients frozen at the
+    current state estimate ``x_ref``: one upwind difference over both
+    aquifers' profiles serves the extraction and the injection gains.  The
+    storing branch has no input gain.
+    """
+    x_ref = validate_state(x_ref, grid.nu)
+    if not math.isfinite(u_ref):
+        raise ParameterError(f"expansion flow must be finite, got {u_ref}")
+    m = grid.nu + 1
+    A_fixed, f_fixed = _template(grid, params, dt)
+    A = A_fixed.copy()
+    f = f_fixed.copy()
+    b = np.zeros(f.shape)
+    quotients = _upwind_quotients(x_ref.reshape(2, m), params.t_amb, grid.dr)
+    ex = _convection_gain(grid, params, dt, _AQUIFER_FLOW_SIGNS, quotients[:, 1:])
+    inj = _convection_gain(grid, params, dt, _AQUIFER_FLOW_SIGNS, quotients[:, :-1])
+    # Heating extracts from the warm aquifer (0, rows from 0) and injects
+    # into the cold one (1, rows from m); cooling the other way round.  The
+    # extracted aquifer's borehole entry follows its cell 1, and so does its
+    # gain.
+    for mode, src, dst, clamp in (("heating", 0, 1, max), ("cooling", 1, 0, min)):
+        i = MODES.index(mode)
+        s, d = src * m, dst * m
+        row = linearize_hx(float(x_ref[s]), clamp(u_ref, 0.0), hx, mode)
+        A[i, d, s] = row.a
+        f[i, d] = row.f
+        b[i, d] = row.b
+        b[i, d + 1:d + m] = inj[dst]
+        b[i, s] = ex[src, 0]
+        b[i, s + 1:s + m] = ex[src]
     return PwaModel(A, b, f, nu=grid.nu)

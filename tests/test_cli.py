@@ -16,11 +16,14 @@ def test_missing_scenario_file_is_usage_error(capsys):
 
 
 # Each value is rejected when the scenario is built: the radial grid, the
-# move blocking, the heat exchanger and the model's explicit step.
+# move blocking, the heat exchanger, the time step and the model's explicit
+# step.
 @pytest.mark.parametrize("line, message", [
     ("nu = 0", "cell count must be >= 1"),
     ("block_1_steps = 0", "at least one step"),
     ("q_b_m3_per_s = -1", "building-side flow must be positive"),
+    ("dt_s = 0", "time step must be finite and positive, got 0.0"),
+    ("dt_s = -3600", "time step must be finite and positive, got -3600.0"),
     ("dt_s = 1e7", "diffusion number"),
 ])
 def test_bad_scenario_value_is_config_error(tmp_path, capsys, line, message):
@@ -165,6 +168,36 @@ def test_observe_replays_run(tmp_path, capsys):
     assert "replayed 3 steps" in text
     deviation = float(text.rsplit(":", 1)[1].replace("K", "").strip())
     assert deviation < 1e-9  # bit-for-bit up to CSV float round trip
+
+
+def test_observe_replays_sim_readings(tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    assert main(["sim", "--steps", "3", "--audit", "--out", str(out)]) == 0
+    records = read_results(str(out))
+    for rec in records:
+        # The readings are the truth plus sensor noise.
+        assert abs(rec["y_warm_r0"] - rec["warm_borehole_truth"]) < 1.0
+        assert abs(rec["y_cold_r0"] - rec["cold_borehole_truth"]) < 1.0
+    capsys.readouterr()
+    assert main(["observe", str(out)]) == 0
+    assert "replayed 3 steps" in capsys.readouterr().out
+
+
+def test_observe_without_sensor_readings_is_error(tmp_path, capsys):
+    bare = tmp_path / "bare.csv"
+    bare.write_text("t,u_applied\n0.0,0.0\n")
+    assert main(["observe", str(bare)]) == 1
+    assert "error: results record 0 has no 'y_warm_r0' value" in \
+        capsys.readouterr().err
+    out = tmp_path / "results.csv"
+    assert main(["run", "--steps", "2", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0] + ","   # blank y_cold_far
+    out.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["observe", str(out)]) == 1
+    assert "error: results record 1 has no 'y_cold_far' value" in \
+        capsys.readouterr().err
 
 
 def test_validate_power(capsys):

@@ -41,6 +41,9 @@ def test_config_validation():
         OcpConfig(warm_bounds=(293.0, 284.0))
     with pytest.raises(ParameterError):
         OcpConfig(q_d=-1.0)
+    for dt in (np.nan, 0.0, -1.0):
+        with pytest.raises(ParameterError, match="time step"):
+            OcpConfig(dt=dt)
 
 
 def test_block_of_step(cfg):

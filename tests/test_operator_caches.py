@@ -8,6 +8,7 @@ from ates_mpc import AquiferParams, OcpConfig, build_grid, power_linear_rows
 from ates_mpc.dynamics import _conduction_stencil
 from ates_mpc.harness import run_closed_loop
 from ates_mpc.plant import _overlap_weights
+from ates_mpc.pwa import _template
 from ates_mpc.scenario import load_scenario
 
 DT = 3600.0
@@ -16,10 +17,14 @@ DT = 3600.0
 def test_closed_loop_builds_each_operator_once():
     _conduction_stencil.cache_clear()
     _overlap_weights.cache_clear()
+    _template.cache_clear()
     run_closed_loop(load_scenario(None), steps=48)
     # One stencil with and one without the inner-face coupling.
     assert _conduction_stencil.cache_info().misses == 2
     assert _overlap_weights.cache_info().misses == 1
+    # One model template; every hourly rebuild reads it.
+    assert _template.cache_info().misses == 1
+    assert _template.cache_info().hits == 48
 
 
 def cached_arrays(grid, params):
@@ -28,7 +33,7 @@ def cached_arrays(grid, params):
     r_now, r_next, _ = power_linear_rows(grid, params, DT)
     x_min, x_max = OcpConfig().state_bounds(grid.nu)
     return [A, f, _overlap_weights(fine, grid), r_now, r_next, x_min, x_max,
-            grid.edges, grid.midpoints, grid.volumes]
+            grid.edges, grid.midpoints, grid.volumes, *_template(grid, params, DT)]
 
 
 def test_cached_arrays_are_read_only(grid, params):
@@ -47,9 +52,10 @@ def test_cache_keys_tell_grids_params_and_dt_apart(grid, params):
             cached = _conduction_stencil(g, p, dt, inner)
             fresh = _conduction_stencil.__wrapped__(g, p, dt, inner)
             assert all(np.array_equal(a, b) for a, b in zip(cached, fresh))
-        cached = power_linear_rows(g, p, dt)
-        fresh = power_linear_rows.__wrapped__(g, p, dt)
-        assert all(np.array_equal(a, b) for a, b in zip(cached, fresh))
+        for cache in (power_linear_rows, _template):
+            cached = cache(g, p, dt)
+            fresh = cache.__wrapped__(g, p, dt)
+            assert all(np.array_equal(a, b) for a, b in zip(cached, fresh))
     for coarse in (grid, other_grid):
         fine = build_grid(coarse.r0, coarse.r_inf, 200, coarse.l)
         assert np.array_equal(_overlap_weights(fine, coarse),
