@@ -127,14 +127,18 @@ def _cmd_observe(args) -> int:
         records = records[:args.steps]
     means = replay_observer(scenario, records)
     nu = scenario.grid.nu
-    max_dev = 0.0
-    for rec, mean in zip(records, means):
-        if rec.get("warm_borehole_est") is not None:
-            max_dev = max(max_dev,
-                          abs(mean[0] - rec["warm_borehole_est"]),
-                          abs(mean[nu + 1] - rec["cold_borehole_est"]))
-    print(f"replayed {len(means)} steps, max deviation from logged "
-          f"estimates: {max_dev:.3e} K")
+    # Only records that hold both logged estimates are compared; a ``sim``
+    # output holds none.
+    deviations = [max(abs(mean[0] - rec["warm_borehole_est"]),
+                      abs(mean[nu + 1] - rec["cold_borehole_est"]))
+                  for rec, mean in zip(records, means)
+                  if rec.get("warm_borehole_est") is not None
+                  and rec.get("cold_borehole_est") is not None]
+    if not deviations:
+        print(f"replayed {len(means)} steps, no logged estimates to compare")
+        return 0
+    print(f"replayed {len(means)} steps, max deviation from logged estimates "
+          f"over {len(deviations)} records: {max(deviations):.3e} K")
     return 0
 
 

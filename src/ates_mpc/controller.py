@@ -7,12 +7,14 @@ their mode names with each block's flow interval and each sequence's
 input-box rows, built once per config.  The cost needs only each sequence's
 predicted powers, so those are condensed for all 27 at once from per-mode
 power rows.  The search is an exact bound-and-prune: each sequence's
-unconstrained minimum bounds its QP from below, QPs are solved in ascending
-bound order, and a sequence whose bound exceeds the best cost so far by more
-than the near-tie tolerance is pruned unsolved.  The cheapest feasible
-sequence wins, exactly as if all 27 were solved; state box constraints are
-softened with a single quadratic slack so the controller always emits an
-input.
+unconstrained minimum bounds its QP from below, and where the minimiser
+breaks a block's flow interval the bound is raised by that one flow bound
+(once, when the sequence first comes up).  Sequences come up best bound
+first; a QP is solved only for a sequence whose bound, raised where it can
+be, is within the near-tie tolerance of the best cost so far, and the rest
+are pruned unsolved.  The cheapest feasible sequence wins, exactly as if all
+27 were solved; state box constraints are softened with a single quadratic
+slack so the controller always emits an input.
 
 A solved sequence's QP is first solved over its input box (and slack)
 alone.  At that optimum the sequence is rolled out once at fixed flows; if
@@ -32,6 +34,7 @@ pressure of a few hundred MWh rather than freezing delivery outright.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -419,8 +422,10 @@ def soft_rows(model: PwaModel, cfg: OcpConfig, x0: np.ndarray,
     return G.reshape(-1, G.shape[-1]), h.reshape(-1)
 
 
-def _lower_bounds(H: np.ndarray, g: np.ndarray, const: np.ndarray) -> np.ndarray:
-    """Unconstrained minimum ``const - g'H^-1 g / 2`` of each sequence's cost.
+def _lower_bounds(H: np.ndarray, g: np.ndarray, const: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Unconstrained minimum ``const - g'H^-1 g / 2`` of each sequence's cost,
+    and its minimiser ``u = -H^-1 g`` over the block inputs.
 
     It bounds the QP optimum from below; the slack has no linear term, so its
     minimum is at zero and only the block inputs enter.  A storing block has
@@ -431,9 +436,38 @@ def _lower_bounds(H: np.ndarray, g: np.ndarray, const: np.ndarray) -> np.ndarray
     try:
         step = np.linalg.solve(H[:, :nb, :nb], g_u[:, :, None])[..., 0]
     except np.linalg.LinAlgError:
-        # A singular block Hessian (zero input weight): bound nothing.
-        return np.full(const.shape, -np.inf)
-    return const - 0.5 * np.sum(g_u * step, axis=1)
+        # A singular block Hessian (zero input weight): bound nothing.  The
+        # minimisers are reported as zero, which lies in every flow
+        # interval, so no bound is raised either.
+        return np.full(const.shape, -np.inf), np.zeros_like(g_u)
+    return const - 0.5 * np.sum(g_u * step, axis=1), -step
+
+
+def _flow_bound_raise(H_u: np.ndarray, u: np.ndarray, lo: np.ndarray,
+                      hi: np.ndarray) -> float:
+    """How far a sequence's unconstrained bound rises when its minimiser
+    ``u`` breaks the flow intervals ``[lo, hi]``: ``max_j (c_j - u_j)^2 /
+    (2 (H_u^-1)_jj)`` with ``c_j`` the end of block j's interval nearest
+    ``u_j`` (0 for a block inside its interval).
+
+    The input box lies in the half-space beyond ``c_j``, over which the
+    quadratic's minimum is exactly the bound plus that term; so the raised
+    bound stays below the box optimum, and equals it when that one flow
+    bound is the box optimum's only active row.  ``H_u`` is the sequence's
+    block Hessian.
+    """
+    gap = np.clip(u, lo, hi) - u
+    return float(np.max(gap * gap / (2.0 * np.diagonal(np.linalg.inv(H_u)))))
+
+
+def _prune_key(bound, const):
+    """A sequence's bound less a margin for rounding in the bound itself; the
+    sequence is pruned once its key exceeds the incumbent's limit.
+
+    The incumbent only falls and costs are >= 0, so its tolerance is at
+    least the final one: a pruned sequence never enters the near-tie set.
+    """
+    return bound - 1e-12 * np.maximum(np.abs(bound), const)
 
 
 def _solve(qp: Qp) -> QpResult:
@@ -449,10 +483,14 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
               model: PwaModel, grid: RadialGrid, params: AquiferParams) -> OcpSolution:
     """Exact bound-and-prune over all blocked mode sequences; returns the best.
 
-    Sequences are solved in ascending order of their unconstrained lower
-    bound.  One whose bound exceeds the incumbent by more than the near-tie
-    tolerance cannot win nor tie, so it is left ``"pruned"`` with its bound
-    as cost.  A solved sequence's QP is solved over its input box; only
+    Sequences are taken from a heap, lowest bound first, starting from
+    their unconstrained lower bounds.  The first time a sequence whose
+    unconstrained minimiser breaks a flow interval comes up, its bound is
+    raised by the flow bound it breaks most (``_flow_bound_raise``) and it
+    goes back on the heap; otherwise its QP is solved.  Once the lowest
+    bound exceeds the incumbent by more than the near-tie tolerance, no
+    sequence left can win nor tie, so each is left ``"pruned"`` with its
+    bound as cost.  A solved sequence's QP is solved over its input box; only
     if the trajectory at that optimum leaves the soft state box is it solved
     again with all its soft rows, so the optimum is that of the full QP.
     The winner's trajectory at its optimum gives ``x_pred``.  A non-finite
@@ -462,25 +500,32 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
     table = sequence_table(cfg)
     pred = condense(model, cfg, x0, power_linear_rows(grid, params, cfg.dt))
     H, g, const = build_cost(pred, demand, b_past, cfg)
-    bounds = _lower_bounds(H, g, const)
+    costs, u_free = _lower_bounds(H, g, const)
 
-    n_seq = bounds.size
+    n_seq = costs.size
     status = np.full(n_seq, "pruned", dtype="U10")
-    costs = bounds.copy()
     flows = np.full((n_seq, nb), np.nan)
     slacks = np.full(n_seq, np.nan)
     kkt = np.full(n_seq, np.nan)
-    # The incumbent only falls and costs are >= 0, so its tolerance is at
-    # least the final one: a pruned sequence never enters the near-tie set.
-    # The margin covers rounding in the bound itself.
-    keys = bounds - 1e-12 * np.maximum(np.abs(bounds), const)
-    order = np.argsort(bounds, kind="stable")
+    heap = list(zip(_prune_key(costs, const).tolist(), range(n_seq)))
+    heapq.heapify(heap)
+    # Sequences whose minimiser breaks a flow interval: their bound is
+    # raised once, when first popped (``_flow_bound_raise``).
+    to_raise = np.any((u_free < table.lo) | (u_free > table.hi),
+                      axis=1).tolist()
     x_min, x_max = cfg.state_bounds(model.nu)
     solved = soft_rows_added = 0
     optimal: dict[int, np.ndarray | None] = {}   # trajectory at the optimum
     incumbent = limit = np.inf
-    for s, key in zip(order.tolist(), keys[order].tolist()):
+    while heap:
+        key, s = heapq.heappop(heap)
         if key > limit:
+            break
+        if to_raise[s]:
+            to_raise[s] = False
+            costs[s] += _flow_bound_raise(H[s, :nb, :nb], u_free[s],
+                                          table.lo[s], table.hi[s])
+            heapq.heappush(heap, (_prune_key(costs[s], const[s]), s))
             continue
         solved += 1
         modes = table.names[s]

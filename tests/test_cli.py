@@ -183,6 +183,32 @@ def test_observe_replays_sim_readings(tmp_path, capsys):
     assert "replayed 3 steps" in capsys.readouterr().out
 
 
+def test_observe_reports_only_the_estimates_it_compared(tmp_path, capsys):
+    # A sim output logs no estimates: nothing is compared, and no deviation
+    # is reported.
+    out = tmp_path / "sim.csv"
+    assert main(["sim", "--steps", "3", "--audit", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["observe", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert "no logged estimates to compare" in text
+    assert "deviation" not in text
+    # In a run output, an hour with a blank estimate is left out.
+    out = tmp_path / "results.csv"
+    assert main(["run", "--steps", "3", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    column = lines[0].split(",").index("cold_borehole_est")
+    cells = lines[2].split(",")
+    cells[column] = ""
+    lines[2] = ",".join(cells)
+    out.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["observe", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert "over 2 records:" in text
+    assert float(text.rsplit(":", 1)[1].replace("K", "").strip()) < 1e-9
+
+
 def test_observe_without_sensor_readings_is_error(tmp_path, capsys):
     bare = tmp_path / "bare.csv"
     bare.write_text("t,u_applied\n0.0,0.0\n")

@@ -145,8 +145,8 @@ def full_row_qp(s, model, cfg, x0, H_s, g_s):
     return Qp(qp.H, qp.g, np.vstack([qp.G, G]), np.concatenate([qp.h, h])), free
 
 
-# Instants where soft state rows bind.  At the first, 10 of the 12 solved
-# candidates break a soft row at their box optimum; at the second the store
+# Instants where soft state rows bind.  At the first, 1 of the 3 solved
+# candidates breaks a soft row at its box optimum; at the second the store
 # starts below the cold box, so all 27 do and the winner uses 0.514 K of
 # slack.
 BINDING = {
@@ -484,12 +484,12 @@ def assert_matches_full_rows(sol, modes, u_blocks, cost):
     assert abs(sol.cost - cost) <= COST_RTOL * max(1.0, abs(cost))
 
 
-def test_bound_and_prune_matches_exhaustive_enumeration(grid, params, hx, cfg):
+def random_instants(grid, params, hx):
+    """216 OCP instants (x0, model, demand, b_past): ambient, charged and
+    smooth random stores, with and without a previous flow and a past
+    balance."""
     rng = np.random.default_rng(4)
-    rows = power_linear_rows(grid, params, DT)
     ambient = np.full(grid.n_states, params.t_amb)
-    names = sequence_table(cfg).names
-    instants = pruned = 0
     for trial in range(216):
         kind = trial % 3
         if kind == 0:
@@ -503,7 +503,14 @@ def test_bound_and_prune_matches_exhaustive_enumeration(grid, params, hx, cfg):
         model = build_pwa(grid, params, hx, DT, x0, float(u_prev))
         demand = rng.uniform(-1.5e6, 2.5e6, 12)
         b_past = rng.uniform(-300.0, 300.0) * 3.6e9 * rng.integers(0, 2)
+        yield x0, model, demand, b_past
 
+
+def test_bound_and_prune_matches_exhaustive_enumeration(grid, params, hx, cfg):
+    rows = power_linear_rows(grid, params, DT)
+    names = sequence_table(cfg).names
+    instants = pruned = 0
+    for x0, model, demand, b_past in random_instants(grid, params, hx):
         pred = condense(model, cfg, x0, rows)
         H, g, const = build_cost(pred, demand, b_past, cfg)
         for s, modes in enumerate(names):
@@ -539,6 +546,52 @@ def test_bound_and_prune_matches_exhaustive_enumeration(grid, params, hx, cfg):
     assert instants >= 200
     # The bound rules out most candidates.
     assert pruned > 0.5 * 27 * instants
+
+
+def test_raised_bound_is_exact_below_the_box_optimum(grid, params, hx, cfg):
+    # A sequence whose unconstrained minimiser breaks a flow interval has its
+    # bound raised by the one flow bound it breaks most.  The raised bound
+    # stays below the box QP's optimum, and equals it when that flow bound
+    # is the optimum's only active one.
+    nb = len(cfg.blocks)
+    table = sequence_table(cfg)
+    rows = power_linear_rows(grid, params, DT)
+    singular = OcpConfig(q_u=0.0)
+    raised = tight = 0
+    for i, (x0, model, demand, b_past) in enumerate(
+            random_instants(grid, params, hx)):
+        pred = condense(model, cfg, x0, rows)
+        H, g, const = build_cost(pred, demand, b_past, cfg)
+        bounds, u = controller._lower_bounds(H, g, const)
+        broken = (u < table.lo) | (u > table.hi)
+        for s in range(len(table.names)):
+            rise = controller._flow_bound_raise(H[s, :nb, :nb], u[s],
+                                                table.lo[s], table.hi[s])
+            assert rise >= 0.0 and (rise > 0.0) == broken[s].any()
+            raised += rise > 0.0
+            qp, free = candidate_qp(s, H[s], g[s], cfg)
+            result = solve_qp(qp)
+            box = result.value + const[s]
+            bound = bounds[s] + rise
+            assert bound <= box + 1e-12 * abs(box)
+            # Rows 2i and 2i + 1 bound the flow of block free[i]; the last
+            # row is the slack's.
+            active = [r for r in result.active_set if r < qp.G.shape[0] - 1]
+            if len(active) == 1 and broken[s, free[active[0] // 2]]:
+                tight += 1
+                assert abs(bound - box) <= 1e-9 * abs(box)
+        if i % 12 == 0:
+            # Without an input weight a storing block's Hessian is singular:
+            # there is no bound, no minimiser outside its interval, and
+            # nothing is pruned.
+            pred_s = condense(model, singular, x0, rows)
+            bounds, u = controller._lower_bounds(
+                *build_cost(pred_s, demand, b_past, singular))
+            assert np.all(bounds == -np.inf)
+            assert np.all((u >= table.lo) & (u <= table.hi))
+            sol = solve_ocp(x0, demand, b_past, singular, model, grid, params)
+            assert not np.any(sol.status == "pruned")
+    assert raised > 0 and tight > 0
 
 
 def breaks_soft_row_at_box_optimum(s, H_s, g_s, model, cfg, x0):
@@ -596,9 +649,9 @@ def test_states_rolled_out_only_for_solved_candidates(grid, params, hx, cfg,
                                                      sol.mode_sequence,
                                                      sol.u_blocks))
         rolled.append(len(rollout_calls))
-    # No soft row binds at the random instants; at the binding one, 10 of
-    # the 12 solved candidates need their soft rows.
-    assert rolled == [0] * 6 + [10]
+    # No soft row binds at the random instants; at the binding one, 1 of
+    # the 3 solved candidates needs its soft rows.
+    assert rolled == [0] * 6 + [1]
 
 
 def kkt_residual_on_all_rows(qp, z):
@@ -657,7 +710,7 @@ def test_binding_soft_rows_match_full_row_reference(grid, params, hx, name,
             assert kkt_residual_on_all_rows(qp, z[free]) <= 1e-9
     assert sol.counts["soft_rows_added"] == 2 * 12 * 42 * len(rollout_calls)
     if name == "cold_floor_277":
-        assert (len(solved), len(rollout_calls)) == (12, 10)
+        assert (len(solved), len(rollout_calls)) == (3, 1)
         assert sol.slack_used == 0.0
     else:
         assert len(solved) == len(rollout_calls) == 27

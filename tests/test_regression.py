@@ -27,8 +27,7 @@ U_TOL = 1e-10       # m^3/s
 B_PAST_TOL = 1e-6   # MWh
 
 
-def closed_loop_records():
-    report = run_closed_loop(load_scenario(None), steps=HOURS)
+def closed_loop_records(report):
     return {"mode": [r["mode"] for r in report.records],
             "u_applied": [float(r["u_applied"]) for r in report.records],
             "B_past_j": [float(r["B_past"]) for r in report.records]}
@@ -37,7 +36,8 @@ def closed_loop_records():
 def test_432h_closed_loop_matches_reference():
     with open(DATA) as f:
         ref = json.load(f)
-    run = closed_loop_records()
+    report = run_closed_loop(load_scenario(None), steps=HOURS)
+    run = closed_loop_records(report)
     assert len(run["mode"]) == len(ref["mode"]) == HOURS
     flipped = [k for k, (a, b) in enumerate(zip(run["mode"], ref["mode"]))
                if a != b]
@@ -46,10 +46,15 @@ def test_432h_closed_loop_matches_reference():
     assert du.max() <= U_TOL
     db = np.abs(np.subtract(run["B_past_j"], ref["B_past_j"])) / J_PER_MWH
     assert db.max() <= B_PAST_TOL
+    # The search's bounds rule out all but about one candidate per hour (438
+    # QPs over the 432 h); a loosened bound shows here as more QPs.
+    assert report.counts["qps_solved"] <= 1.02 * HOURS
 
 
 if __name__ == "__main__":
+    records = closed_loop_records(run_closed_loop(load_scenario(None),
+                                                  steps=HOURS))
     os.makedirs(os.path.dirname(DATA), exist_ok=True)
     with open(DATA, "w") as f:
-        json.dump(closed_loop_records(), f, indent=0)
+        json.dump(records, f, indent=0)
         f.write("\n")
