@@ -17,7 +17,7 @@ from .errors import AtesError, ScenarioError
 from .harness import (demand_window, power_form_study, replay_observer,
                       run_closed_loop, sensor_record)
 from .plant import init_truth, measure, restrict_to_coarse, truth_step
-from .power import EnergyLedger, power_bilinear, update_balance
+from .power import J_PER_MWH, EnergyLedger, power_bilinear, update_balance
 from .pwa import build_pwa, mode_of
 from .scenario import (_DEFAULTS, _config_values, gen_synthetic_demand,
                        read_results, scenario_from_values, write_demand_csv,
@@ -34,8 +34,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _step_count(text: str) -> int:
-    """A count such as ``--steps``, ``--hours`` or ``--log-every``: a
-    nonnegative integer."""
+    """A count or index such as ``--steps``, ``--hours``, ``--log-every`` or
+    ``--at``: a nonnegative integer."""
     try:
         steps = int(text)
     except ValueError:
@@ -57,7 +57,7 @@ def _cmd_run(args) -> int:
     report = run_closed_loop(scenario, steps=args.steps, out_path=args.out,
                              log_every=args.log_every)
     print(f"steps: {report.steps}")
-    print(f"final balance: {report.final_balance_j / 3.6e9:.3f} MWh")
+    print(f"final balance: {report.final_balance_j / J_PER_MWH:.3f} MWh")
     print(f"coverage: {report.coverage:.3f}")
     print(f"solve time median/max: {report.solve_ms_median:.1f}/"
           f"{report.solve_ms_max:.1f} ms")
@@ -87,6 +87,7 @@ def _cmd_sim(args) -> int:
     """Open-loop plant rollout under a prescribed flow schedule."""
     scenario = _load(args)
     steps = args.steps if args.steps is not None else scenario.duration
+    scenario.check_steps(steps)
     if args.schedule:
         flows = _parse_schedule(args.schedule, steps)
     else:
@@ -113,7 +114,7 @@ def _cmd_sim(args) -> int:
     if args.out:
         write_results(args.out, records)
     print(f"simulated {steps} steps, final balance "
-          f"{ledger.b_past / 3.6e9:.3f} MWh")
+          f"{ledger.b_past / J_PER_MWH:.3f} MWh")
     if args.audit:
         print(f"worst maximum-principle excess: {truth.dmp_violation:.3e} K")
     return 0
@@ -144,7 +145,8 @@ def _cmd_observe(args) -> int:
 
 def _cmd_gen_demand(args) -> int:
     demand = gen_synthetic_demand(args.seed, args.hours,
-                                  args.heat_mwh * 3.6e9, args.cold_mwh * 3.6e9)
+                                  args.heat_mwh * J_PER_MWH,
+                                  args.cold_mwh * J_PER_MWH)
     out = args.out or "demand.csv"
     write_demand_csv(out, demand)
     print(f"wrote {demand.size} hourly samples to {out}")
@@ -153,13 +155,11 @@ def _cmd_gen_demand(args) -> int:
 
 def _cmd_validate_power(args) -> int:
     """Compare the bilinear and state-linear power forms along a model rollout."""
-    scenario = _load(args)
-    steps = args.steps if args.steps is not None else 720
-    _, p_bil, p_lin = power_form_study(scenario, steps)
+    _, p_bil, p_lin = power_form_study(_load(args), args.steps)
     peak = float(np.abs(p_bil).max(initial=0.0))
-    mean_err = float(np.abs(p_lin - p_bil).sum()) / max(steps, 1)
+    mean_err = float(np.abs(p_lin - p_bil).sum()) / max(args.steps, 1)
     ratio = mean_err / peak if peak > 0 else 0.0
-    print(f"{steps} model steps: mean |linear - bilinear| = "
+    print(f"{args.steps} model steps: mean |linear - bilinear| = "
           f"{mean_err / 1e3:.1f} kW, peak |P| = {peak / 1e6:.3f} MW "
           f"({ratio:.2%} of peak)")
     return 0 if ratio <= 0.05 else 2
@@ -169,6 +169,9 @@ def _cmd_solve_once(args) -> int:
     """Solve a single OCP from the ambient state and print the plan."""
     scenario = _load(args)
     grid, params, ocp = scenario.grid, scenario.params, scenario.ocp
+    if args.at >= scenario.demand.size:
+        raise ScenarioError(f"--at {args.at} is past the end of the demand "
+                            f"series ({scenario.demand.size} h)")
     x0 = np.full(grid.n_states, params.t_amb)
     model = build_pwa(grid, params, scenario.hx, ocp.dt, x0, 0.0)
     window = demand_window(scenario.demand, args.at, ocp.horizon)
@@ -235,13 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate-power",
                        help="compare bilinear and linear power forms")
     _add_common(p)
-    p.add_argument("--steps", type=_step_count, default=None,
+    p.add_argument("--steps", type=_step_count, default=720,
                    help="number of model steps (default: 720)")
     p.set_defaults(func=_cmd_validate_power)
 
     p = sub.add_parser("solve-once", help="solve one OCP and print the plan")
     _add_common(p)
-    p.add_argument("--at", type=int, default=0,
+    p.add_argument("--at", type=_step_count, default=0,
                    help="demand index the horizon starts at")
     p.set_defaults(func=_cmd_solve_once)
     return parser

@@ -3,24 +3,24 @@
 Move blocking fixes the input to one value per horizon segment, so each of the
 3^3 = 27 blocked mode sequences yields a small dense QP after condensing the
 piecewise-affine dynamics.  The sequences are one table (``sequence_table``):
-their mode names with each block's flow interval and each sequence's
-input-box rows, built once per config.  The cost needs only each sequence's
-predicted powers, so those are condensed for all 27 at once from per-mode
-power rows.  The search is an exact bound-and-prune: each sequence's
-unconstrained minimum bounds its QP from below, and where the minimiser
-breaks a block's flow interval the bound is raised by that one flow bound
-(once, when the sequence first comes up).  Sequences come up best bound
-first; a QP is solved only for a sequence whose bound, raised where it can
-be, is within the near-tie tolerance of the best cost so far, and the rest
-are pruned unsolved.  The cheapest feasible sequence wins, exactly as if all
-27 were solved; state box constraints are softened with a single quadratic
-slack so the controller always emits an input.
+their block modes as indices into ``MODES``, each block's flow interval and
+each sequence's input-box rows, built once per config.  The cost needs only
+each sequence's predicted powers, so those are condensed for all 27 at once
+from per-mode power rows.  The search is an exact bound-and-prune: each
+sequence's unconstrained minimum bounds its QP from below, and where the
+minimiser breaks a block's flow interval the bound is raised by that one
+flow bound (once, when the sequence first comes up).  Sequences come up best
+bound first; a QP is solved only for a sequence whose bound, raised where it
+can be, is within the near-tie tolerance of the best cost so far, and the
+rest are pruned unsolved.  The cheapest feasible sequence wins, exactly as
+if all 27 were solved; state box constraints are softened with a single
+quadratic slack so the controller always emits an input.
 
 A solved sequence's QP is first solved over its input box (and slack)
 alone.  At that optimum the sequence is rolled out once at fixed flows; if
 the trajectory keeps the soft state box, the optimum is the full QP's.
 Otherwise the QP is solved once more with all of the sequence's soft state
-rows (``soft_rows``).
+rows (``soft_rows``); ``trajectory`` steps the states for both.
 
 The objective is evaluated with powers in MW throughout: the tracking term
 compares predicted and demanded power in MW, and the energy-balance term
@@ -49,7 +49,6 @@ from .pwa import MODE_SIGNS, MODES, PwaModel
 from .qp import _FEAS_TOL, Qp, QpResult, solve_qp
 
 W_PER_MW = 1e6
-J_PER_MWH = 3.6e9
 
 
 @dataclass(frozen=True)
@@ -102,9 +101,6 @@ class OcpConfig:
         x_max.flags.writeable = False
         return x_min, x_max
 
-    def block_of_step(self) -> list[int]:
-        return [j for j, length in enumerate(self.blocks) for _ in range(length)]
-
 
 @dataclass(frozen=True)
 class SequenceTable:
@@ -117,7 +113,8 @@ class SequenceTable:
     in the (blocks, slack) vector.  Arrays are read-only.
     """
 
-    names: tuple[tuple[str, ...], ...]   # S sequences of mode names
+    modes: np.ndarray                    # S x n_blocks indices into MODES
+    names: tuple[tuple[str, ...], ...]   # the same, as mode names
     lo: np.ndarray                       # S x n_blocks flow intervals
     hi: np.ndarray
     pumping: np.ndarray                  # S x n_blocks, not storing
@@ -128,7 +125,8 @@ class SequenceTable:
 def sequence_table(cfg: OcpConfig) -> SequenceTable:
     """The config's sequence table, built once per config."""
     nb = len(cfg.blocks)
-    sign = np.array(list(itertools.product(MODE_SIGNS, repeat=nb)))
+    modes = np.array(list(itertools.product(range(len(MODES)), repeat=nb)))
+    sign = np.take(MODE_SIGNS, modes)
     lo = np.where(sign < 0.0, cfg.u_min, 0.0)
     hi = np.where(sign > 0.0, cfg.u_max, 0.0)
     pumping = sign != 0.0
@@ -146,10 +144,10 @@ def sequence_table(cfg: OcpConfig) -> SequenceTable:
         h[2 * i + 1] = np.where(sign_s[j] > 0.0, cfg.u_max, -cfg.u_min)
         G[-1, -1] = -1.0
         boxes.append((G, h, np.append(j, nb)))
-    for a in (lo, hi, pumping, *itertools.chain(*boxes)):
+    for a in (modes, lo, hi, pumping, *itertools.chain(*boxes)):
         a.flags.writeable = False
-    names = tuple(itertools.product(MODES, repeat=nb))
-    return SequenceTable(names, lo, hi, pumping, tuple(boxes))
+    names = tuple(tuple(MODES[i] for i in row) for row in modes.tolist())
+    return SequenceTable(modes, names, lo, hi, pumping, tuple(boxes))
 
 
 @dataclass(frozen=True)
@@ -158,7 +156,7 @@ class PredictionMap:
 
     One map per mode sequence, stacked along the leading axis in
     ``sequence_table`` order.  A sequence's predicted states come from
-    ``rollout``.
+    ``trajectory``.
     """
 
     power_offset: np.ndarray             # S x N, watts
@@ -253,8 +251,8 @@ def condense(model: PwaModel, cfg: OcpConfig, x0: np.ndarray,
     (3^j of them for block j), so each block's powers are one product of
     these rows with its start states, offset and gain columns side by side.
     Only the blocks before the last are stepped, to produce the next block's
-    start states; no sequence's state trajectory is formed (``rollout`` does
-    that, for one sequence).
+    start states; no sequence's state trajectory is formed (``trajectory``
+    does that, for one sequence).
     ``power_rows`` is ``power_linear_rows(grid, params, cfg.dt)``.
     """
     x0 = validate_state(x0, model.nu)
@@ -302,26 +300,6 @@ def condense(model: PwaModel, cfg: OcpConfig, x0: np.ndarray,
     # The grid flattened in C order is the sequence table's order.
     return PredictionMap(p_off.reshape(-1, cfg.horizon),
                          p_gain.reshape(-1, cfg.horizon, nb))
-
-
-def rollout(model: PwaModel, cfg: OcpConfig, x0: np.ndarray,
-            modes: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted states of one mode sequence, affine in the blocked inputs.
-
-    Returns the offsets ((N+1) x n) and gains ((N+1) x n x n_blocks) so that
-    x(k) = offsets[k] + gains[k] @ u_blocks.
-    """
-    nb = len(cfg.blocks)
-    offsets = np.empty((cfg.horizon + 1, model.n))
-    gains = np.zeros((cfg.horizon + 1, model.n, nb))
-    offsets[0] = x0
-    for k, j in enumerate(cfg.block_of_step()):
-        i = MODES.index(modes[j])
-        A = model.A[i]
-        offsets[k + 1] = A @ offsets[k] + model.f[i]
-        gains[k + 1] = A @ gains[k]
-        gains[k + 1, :, j] += model.b[i]
-    return offsets, gains
 
 
 def build_cost(pred: PredictionMap, demand: np.ndarray, b_past: float,
@@ -383,20 +361,24 @@ def candidate_qp(s: int, H: np.ndarray, g: np.ndarray,
 
 
 def trajectory(model: PwaModel, cfg: OcpConfig, x0: np.ndarray,
-               modes: tuple[str, ...], u_blocks: np.ndarray) -> np.ndarray:
+               modes: np.ndarray, u_blocks: np.ndarray,
+               affine: bool = True) -> np.ndarray:
     """Predicted states ((N+1) x n) of one mode sequence at fixed block flows.
 
-    A block's drive ``b u_j + f`` is formed once, so each step is one
-    matrix-vector product and one sum.  (``dot`` costs about half of ``@``
-    on one 42-vector.)
+    ``modes`` is a row of ``sequence_table(cfg).modes``.  A start state
+    ``(n,)`` steps under flows ``(n_blocks,)``, a column stack ``(n, c)``
+    under flows ``(n_blocks, c)``.  A block's drive ``b u_j + f`` (without
+    ``f`` unless ``affine``) is formed once, so each step is one product and
+    one sum.  (``dot`` costs about half of ``@`` on one 42-vector.)
     """
-    x = np.empty((cfg.horizon + 1, model.n))
+    x = np.empty((cfg.horizon + 1,) + np.shape(x0))
     x[0] = x0
     k = 0
-    for mode, u, length in zip(modes, u_blocks, cfg.blocks):
-        i = MODES.index(mode)
+    for i, u, length in zip(modes, u_blocks, cfg.blocks):
         A = model.A[i]
-        drive = model.b[i] * u + model.f[i]
+        drive = np.multiply.outer(model.b[i], u)
+        if affine:
+            drive = (drive.T + model.f[i]).T
         for _ in range(length):
             np.add(A.dot(x[k]), drive, out=x[k + 1])
             k += 1
@@ -404,16 +386,20 @@ def trajectory(model: PwaModel, cfg: OcpConfig, x0: np.ndarray,
 
 
 def soft_rows(model: PwaModel, cfg: OcpConfig, x0: np.ndarray,
-              modes: tuple[str, ...], pumping: np.ndarray
+              modes: np.ndarray, pumping: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
     """Soft state rows ``G z <= h`` of one sequence, over its pumping blocks'
     flows and the slack.
 
     Per predicted step k = 1..N there are n upper rows [gain_k, -1] z <=
-    x_max - off_k, then n lower rows [-gain_k, -1] z <= off_k - x_min, with
-    ``off, gain`` the sequence's ``rollout``.
+    x_max - off_k, then n lower rows [-gain_k, -1] z <= off_k - x_min: the
+    ``trajectory`` at zero flows, and its linear part under unit flows.  (In
+    one column stack beside the gains the offsets would round otherwise.)
     """
-    offsets, gains = rollout(model, cfg, x0, modes)
+    nb = len(cfg.blocks)
+    offsets = trajectory(model, cfg, x0, modes, np.zeros(nb))
+    gains = trajectory(model, cfg, np.zeros((model.n, nb)), modes, np.eye(nb),
+                       affine=False)
     x_min, x_max = cfg.state_bounds(model.nu)
     gains = gains[1:][..., pumping]
     G = np.stack([gains, -gains], axis=1)
@@ -528,7 +514,6 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
             heapq.heappush(heap, (_prune_key(costs[s], const[s]), s))
             continue
         solved += 1
-        modes = table.names[s]
         qp, free = candidate_qp(s, H[s], g[s], cfg)
         result = _solve(qp)
         z = np.zeros(nb + 1)     # storing flows are exactly zero
@@ -538,12 +523,12 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
                                   result.kkt_residual)
         x = None
         if state == "optimal":
-            x = trajectory(model, cfg, x0, modes, z[:nb])
+            x = trajectory(model, cfg, x0, table.modes[s], z[:nb])
             if (max(np.max(x[1:] - x_max), np.max(x_min - x[1:])) - z[nb]
                     > _FEAS_TOL):
                 # The box optimum leaves the soft box: solve the full QP.
                 # Its trajectory is rolled out for the winner only.
-                G, h = soft_rows(model, cfg, x0, modes, free[:-1])
+                G, h = soft_rows(model, cfg, x0, table.modes[s], free[:-1])
                 soft_rows_added += h.size
                 result = _solve(Qp(qp.H, qp.g, np.vstack([qp.G, G]),
                                    np.concatenate([qp.h, h])))
@@ -568,7 +553,7 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
     s = min(near, key=lambda s: (np.count_nonzero(table.pumping[s]),
                                  float(np.linalg.norm(flows[s])),
                                  table.names[s]))
-    modes, total, x_pred = table.names[s], costs[s], optimal[s]
+    total, x_pred = costs[s], optimal[s]
 
     u_blocks = np.clip(flows[s], table.lo[s], table.hi[s])
     # An active zero bound can come back as +-1e-19; its sign would select a
@@ -579,7 +564,7 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
     u_blocks[snap] = 0.0
 
     if x_pred is None or not np.array_equal(u_blocks, flows[s]):
-        x_pred = trajectory(model, cfg, x0, modes, u_blocks)
+        x_pred = trajectory(model, cfg, x0, table.modes[s], u_blocks)
     p_pred = pred.power_offset[s] + pred.power_gain[s] @ u_blocks
 
     demand = np.asarray(demand, dtype=float)
@@ -601,6 +586,6 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
                                     int(snap.sum()), soft_rows_added)))
     for a in (status, costs, flows, slacks, kkt):
         a.flags.writeable = False
-    return OcpSolution(u_blocks, modes, x_pred, p_pred, total, terms,
+    return OcpSolution(u_blocks, table.names[s], x_pred, p_pred, total, terms,
                        slack_used, counts, table.names, status, costs, flows,
                        slacks, kkt)

@@ -20,7 +20,8 @@ from .controller import PLAN_COUNTS, solve_ocp
 from .errors import ControllerFault, ScenarioError
 from .observer import GaussianEstimate, predict, project, update
 from .plant import init_truth, measure, restrict_to_coarse, truth_step
-from .power import EnergyLedger, power_bilinear, power_linear, update_balance
+from .power import (J_PER_MWH, EnergyLedger, power_bilinear, power_linear,
+                    update_balance)
 from .pwa import build_pwa, mode_of, pwa_step
 from .scenario import Scenario, write_results
 
@@ -111,6 +112,7 @@ def run_closed_loop(scenario: Scenario, steps: int | None = None,
     nu = grid.nu
     n = grid.n_states
     steps = scenario.duration if steps is None else steps
+    scenario.check_steps(steps)
 
     truth = init_truth(scenario.truth, grid, params)
     estimator = _Estimator(scenario)
@@ -187,7 +189,7 @@ def run_closed_loop(scenario: Scenario, steps: int | None = None,
         u_prev = u
         if log_every and (k + 1) % log_every == 0:
             logger.info("step %d/%d, B_past %.2f MWh", k + 1, steps,
-                        ledger.b_past / 3.6e9)
+                        ledger.b_past / J_PER_MWH)
 
     def column(key: str) -> np.ndarray:
         return np.array([r[key] for r in records], dtype=float)
@@ -224,9 +226,9 @@ def run_closed_loop(scenario: Scenario, steps: int | None = None,
 def report_summary(report: RunReport) -> dict:
     return {
         "steps": report.steps,
-        "final_balance_mwh": report.final_balance_j / 3.6e9,
-        "delivered_gross_mwh": report.delivered_gross_j / 3.6e9,
-        "demanded_gross_mwh": report.demanded_gross_j / 3.6e9,
+        "final_balance_mwh": report.final_balance_j / J_PER_MWH,
+        "delivered_gross_mwh": report.delivered_gross_j / J_PER_MWH,
+        "demanded_gross_mwh": report.demanded_gross_j / J_PER_MWH,
         "coverage_fraction": report.coverage,
         "ukf_mean_abs_error_max_k": float(report.ukf_mean_abs_error.max()),
         "ukf_max_abs_error_k": float(report.ukf_max_abs_error.max()),
@@ -267,6 +269,7 @@ def power_form_study(scenario: Scenario, steps: int = 720
     closure of the two formulas rather than the start-up transient of filling
     an ambient store with grid-thin injection plumes.
     """
+    scenario.check_steps(steps)
     grid, params, ocp = scenario.grid, scenario.params, scenario.ocp
     warm = _charged_store_profile(grid, params.t_amb, 6.0)
     cold = _charged_store_profile(grid, params.t_amb, -7.0)

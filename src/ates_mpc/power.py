@@ -17,6 +17,8 @@ import numpy as np
 from .errors import ParameterError
 from .grid import AquiferParams, RadialGrid, validate_state
 
+J_PER_MWH = 3.6e9
+
 
 def power_bilinear(x: np.ndarray, u: float, c_w: float) -> float:
     """Delivered power c_w * u * (warm borehole - cold borehole) in watts."""

@@ -22,11 +22,11 @@ from .grid import AquiferParams, RadialGrid, build_grid
 from .heat_exchanger import HxParams
 from .observer import UkfConfig
 from .plant import TruthConfig
+from .power import J_PER_MWH
 
 HOURS_PER_YEAR = 8760
 # Hour 0 of a synthetic demand series: the start of October.
 _DEMAND_START = _dt.datetime(2004, 10, 1, tzinfo=_dt.timezone.utc)
-_J_PER_MWH = 3.6e9
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,14 @@ class Scenario:
     duration: int = HOURS_PER_YEAR
 
     def __post_init__(self):
-        if self.demand.size < self.duration:
+        self.check_steps(self.duration)
+
+    def check_steps(self, steps: int) -> None:
+        """Raise ``ScenarioError`` unless the demand covers ``steps`` hours."""
+        if steps > self.demand.size:
             raise ScenarioError(
-                f"demand series ({self.demand.size} h) shorter than the run "
-                f"duration ({self.duration} h)")
+                f"demand series ({self.demand.size} h) shorter than a run of "
+                f"{steps} steps")
 
 
 _DEFAULTS: dict[str, float] = {
@@ -161,8 +165,8 @@ def scenario_from_values(values: dict) -> Scenario:
     else:
         demand = gen_synthetic_demand(
             values["seed"], max(HOURS_PER_YEAR, duration),
-            values["demand_heat_total_mwh"] * _J_PER_MWH,
-            values["demand_cold_total_mwh"] * _J_PER_MWH)
+            values["demand_heat_total_mwh"] * J_PER_MWH,
+            values["demand_cold_total_mwh"] * J_PER_MWH)
     return Scenario(grid, params, hx, ocp, ukf, truth, demand, duration)
 
 
@@ -255,8 +259,8 @@ def write_demand_csv(path: str, demand: np.ndarray) -> None:
 
 
 def gen_synthetic_demand(seed: int, year_hours: int = HOURS_PER_YEAR,
-                         heat_total: float = 3800.0 * _J_PER_MWH,
-                         cold_total: float = 2200.0 * _J_PER_MWH) -> np.ndarray:
+                         heat_total: float = 3800.0 * J_PER_MWH,
+                         cold_total: float = 2200.0 * J_PER_MWH) -> np.ndarray:
     """Seasonal + daily synthetic demand [W], positive = heat demand.
 
     Hour 0 is the start of October, so the heating season comes first and

@@ -149,7 +149,7 @@ def test_03_power_reformulation_error(scenario):
 
 def _oracle_cost(model, modes, cfg, x0, demand, b_past, u_blocks, grid, params):
     """Objective of a blocked plan, evaluated by direct rollout (batched)."""
-    block_of_step = cfg.block_of_step()
+    block_of_step = np.repeat(np.arange(len(cfg.blocks)), cfg.blocks)
     x = np.broadcast_to(x0, (u_blocks.shape[0], x0.size)).copy()
     track = np.zeros(u_blocks.shape[0])
     p_sum = np.zeros(u_blocks.shape[0])

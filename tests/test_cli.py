@@ -279,6 +279,51 @@ def test_negative_steps_is_usage_error(tmp_path, capsys, command):
     assert "--steps: must be nonnegative" in capsys.readouterr().err
 
 
+def short_demand_config(tmp_path, hours=6):
+    """A scenario config whose demand CSV holds ``hours`` hourly rows."""
+    demand = tmp_path / "d.csv"
+    demand.write_text("timestamp,demand_w\n"
+                      + "".join(f"2004-10-01T{h:02d}:00:00+00:00,1e5\n"
+                                for h in range(hours)))
+    config = tmp_path / "d.cfg"
+    config.write_text(f"demand_csv = {demand}\nduration_steps = {hours}\n")
+    return str(config)
+
+
+# More steps than the demand series holds is a config error, raised before
+# any step runs; validate-power's default is 720 steps.  As many steps as
+# it holds run.
+@pytest.mark.parametrize("command, steps", [("run", 8), ("sim", 8),
+                                            ("validate-power", None)])
+def test_steps_past_the_demand_series_is_error(tmp_path, capsys, command,
+                                               steps):
+    config = short_demand_config(tmp_path)
+    flags = [] if steps is None else ["--steps", str(steps)]
+    assert main([command, "--scenario", config, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: demand series (6 h) shorter than a run "
+                            f"of {steps or 720} steps\n")
+    assert captured.out == ""
+    assert main([command, "--scenario", config, "--steps", "6"]) == 0
+
+
+# A negative index is a usage error, one at or past the end of the 8760 h
+# default series a config error.
+@pytest.mark.parametrize("at", ["-1", "-5", "8760", "99999"])
+def test_solve_once_at_outside_the_demand_series_is_error(capsys, at):
+    assert main(["solve-once", "--at", at]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.endswith(
+        f"--at: must be nonnegative, got {at}\n" if at.startswith("-") else
+        f"error: --at {at} is past the end of the demand series (8760 h)\n")
+    assert captured.out == ""
+
+
+def test_solve_once_at_the_last_demand_hour(capsys):
+    assert main(["solve-once", "--at", "8759"]) == 0
+    assert "mode sequence:" in capsys.readouterr().out
+
+
 def test_non_finite_schedule_is_rejected_before_stepping(tmp_path, capsys):
     out = tmp_path / "sim.csv"
     for schedule in ("0,nan,0", "0,0,inf"):

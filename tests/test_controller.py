@@ -10,8 +10,8 @@ from ates_mpc import (OcpConfig, ParameterError, Qp, SolverError, build_pwa,
                       power_bilinear, pwa_step, solve_ocp, solve_qp)
 from ates_mpc import controller
 from ates_mpc.controller import (W_PER_MW, build_cost, candidate_qp, condense,
-                                 power_linear_rows, rollout, sequence_table,
-                                 soft_rows, trajectory)
+                                 power_linear_rows, sequence_table, soft_rows,
+                                 trajectory)
 from ates_mpc.pwa import MODES, mode_of
 
 from test_acceptance import smooth_random_state
@@ -23,6 +23,20 @@ U_MAX = 0.0277
 @pytest.fixture(scope="module")
 def cfg():
     return OcpConfig()
+
+
+def mode_indices(names):
+    """A sequence of mode names as a row of ``sequence_table(cfg).modes``."""
+    return np.array([MODES.index(name) for name in names])
+
+
+def trajectory_states(model, cfg, x0, modes):
+    """One sequence's offsets and gains, x(k) = offsets[k] + gains[k] @
+    u_blocks, stepped by ``trajectory`` as ``soft_rows`` steps them."""
+    nb = len(cfg.blocks)
+    return (trajectory(model, cfg, x0, modes, np.zeros(nb)),
+            trajectory(model, cfg, np.zeros((model.n, nb)), modes, np.eye(nb),
+                       affine=False))
 
 
 def charged_state(grid, params, warm_lift=6.0, cold_drop=9.0):
@@ -46,10 +60,6 @@ def test_config_validation():
             OcpConfig(dt=dt)
 
 
-def test_block_of_step(cfg):
-    assert cfg.block_of_step() == [0] + [1] * 4 + [2] * 7
-
-
 def test_state_bounds_layout(cfg):
     x_min, x_max = cfg.state_bounds(20)
     assert x_min.shape == (42,)
@@ -65,12 +75,16 @@ def test_condense_dimensions(grid, params, hx, cfg, ambient_state):
                     power_linear_rows(grid, params, DT))
     table = sequence_table(cfg)
     assert table.names == tuple(itertools.product(MODES, repeat=3))
+    assert table.modes.shape == (27, 3) and not table.modes.flags.writeable
+    assert table.names == tuple(tuple(MODES[i] for i in row)
+                                for row in table.modes)
     assert pred.power_offset.shape == (27, 12)
     assert pred.power_gain.shape == (27, 12, 3)
     # States are rolled out per sequence, never for all 27 at once.
     assert not hasattr(pred, "state_offsets")
     assert not hasattr(pred, "state_gains")
-    offsets, gains = rollout(model, cfg, ambient_state, table.names[0])
+    offsets, gains = trajectory_states(model, cfg, ambient_state,
+                                       table.modes[0])
     assert offsets.shape == (13, 42)
     assert gains.shape == (13, 42, 3)
 
@@ -79,9 +93,10 @@ def test_condense_storing_has_zero_gain(grid, params, hx, cfg, ambient_state):
     model = build_pwa(grid, params, hx, DT, ambient_state, 0.0)
     pred = condense(model, cfg, ambient_state,
                     power_linear_rows(grid, params, DT))
-    names = sequence_table(cfg).names
-    s = names.index(("storing", "storing", "storing"))
-    offsets, gains = rollout(model, cfg, ambient_state, names[s])
+    table = sequence_table(cfg)
+    s = table.names.index(("storing", "storing", "storing"))
+    offsets, gains = trajectory_states(model, cfg, ambient_state,
+                                       table.modes[s])
     assert np.all(gains == 0.0)
     assert np.all(pred.power_gain[s] == 0.0)
     # Offsets reproduce the storing rollout.
@@ -90,8 +105,8 @@ def test_condense_storing_has_zero_gain(grid, params, hx, cfg, ambient_state):
         x = pwa_step(model, x, 0.0)
         assert np.allclose(offsets[k + 1], x, atol=1e-9)
     # A storing block has a zero gain column in every sequence.
-    for s, modes in enumerate(names):
-        _, gains = rollout(model, cfg, ambient_state, modes)
+    for s, modes in enumerate(table.names):
+        _, gains = trajectory_states(model, cfg, ambient_state, table.modes[s])
         for j, mode in enumerate(modes):
             if mode == "storing":
                 assert np.all(gains[:, :, j] == 0.0)
@@ -102,13 +117,13 @@ def test_condense_matches_direct_rollout(grid, params, hx, cfg):
     x0 = charged_state(grid, params)
     model = build_pwa(grid, params, hx, DT, x0, 0.01)
     pred = condense(model, cfg, x0, power_linear_rows(grid, params, DT))
-    modes = ("heating", "storing", "cooling")
-    s = sequence_table(cfg).names.index(modes)
-    offsets, gains = rollout(model, cfg, x0, modes)
+    modes = mode_indices(("heating", "storing", "cooling"))
+    s = sequence_table(cfg).names.index(("heating", "storing", "cooling"))
+    offsets, gains = trajectory_states(model, cfg, x0, modes)
     u_blocks = np.array([0.02, 0.0, -0.015])
     x_traj = trajectory(model, cfg, x0, modes, u_blocks)
     assert np.array_equal(x_traj[0], x0)
-    block_of_step = cfg.block_of_step()
+    block_of_step = np.repeat(np.arange(3), cfg.blocks)
     x = x0.copy()
     r_now, r_next, const = power_linear_rows(grid, params, DT)
     for k in range(12):
@@ -124,8 +139,9 @@ def test_condense_matches_direct_rollout(grid, params, hx, cfg):
 
 
 def soft_rows_per_step(states, pumping, cfg, nu):
-    """Reference: every soft box row of a rollout, one predicted step at a
-    time, over the pumping blocks' flows and the slack."""
+    """Reference: every soft box row of a sequence's offsets and gains
+    (``per_step_states``), one predicted step at a time, over the pumping
+    blocks' flows and the slack."""
     x_min, x_max = cfg.state_bounds(nu)
     rows, rhs = [], []
     for k in range(1, cfg.horizon + 1):
@@ -139,9 +155,9 @@ def soft_rows_per_step(states, pumping, cfg, nu):
 def full_row_qp(s, model, cfg, x0, H_s, g_s):
     """Reference: sequence s's box QP with all its soft rows at once."""
     qp, free = candidate_qp(s, H_s, g_s, cfg)
-    modes = sequence_table(cfg).names[s]
-    G, h = soft_rows_per_step(rollout(model, cfg, x0, modes), free[:-1], cfg,
-                              model.nu)
+    modes = sequence_table(cfg).modes[s]
+    G, h = soft_rows_per_step(per_step_states(model, modes, cfg, x0),
+                              free[:-1], cfg, model.nu)
     return Qp(qp.H, qp.g, np.vstack([qp.G, G]), np.concatenate([qp.h, h])), free
 
 
@@ -166,8 +182,8 @@ def binding_instant(grid, params, hx, name):
 def test_soft_rows_match_per_step_reference(grid, params, hx):
     cfg, x0, model, demand = binding_instant(grid, params, hx, "cold_floor_280")
     pred = condense(model, cfg, x0, power_linear_rows(grid, params, DT))
-    modes = ("heating", "storing", "cooling")
-    s = sequence_table(cfg).names.index(modes)
+    s = sequence_table(cfg).names.index(("heating", "storing", "cooling"))
+    modes = sequence_table(cfg).modes[s]
     H, g, _ = build_cost(pred, demand, 0.0, cfg)
     qp, free = candidate_qp(s, H[s], g[s], cfg)
     # The storing block's flow is eliminated: the QP is over blocks 0 and 2
@@ -180,7 +196,7 @@ def test_soft_rows_match_per_step_reference(grid, params, hx):
                                  [0, 0, -1]])
     assert np.array_equal(qp.h, [0.0, U_MAX, 0.0, U_MAX, 0.0])
 
-    states = rollout(model, cfg, x0, modes)
+    states = per_step_states(model, modes, cfg, x0)
     ref_G, ref_h = soft_rows_per_step(states, [0, 2], cfg, grid.nu)
     G, h = soft_rows(model, cfg, x0, modes, free[:-1])
     assert G.shape == (2 * 12 * 42, 3)
@@ -291,9 +307,8 @@ def test_clipped_flows_are_rolled_out_again(grid, params, hx, cfg,
     sol = solve_ocp(x0, demand, 0.0, cfg, model, grid, params)
     assert sol.mode_sequence == exact.mode_sequence
     assert np.all(sol.u_blocks == 0.0)
-    assert np.array_equal(sol.x_pred, trajectory(model, cfg, x0,
-                                                 sol.mode_sequence,
-                                                 sol.u_blocks))
+    assert np.array_equal(sol.x_pred, trajectory(
+        model, cfg, x0, mode_indices(sol.mode_sequence), sol.u_blocks))
 
 
 @pytest.mark.parametrize("demand_entry, b_past", [(np.inf, 0.0),
@@ -342,7 +357,7 @@ def test_predicted_states_satisfy_selected_branch(grid, params, hx, cfg):
     x0 = charged_state(grid, params)
     model = build_pwa(grid, params, hx, DT, x0, 0.0)
     sol = solve_ocp(x0, np.full(12, 1e6), 0.0, cfg, model, grid, params)
-    block_of_step = cfg.block_of_step()
+    block_of_step = np.repeat(np.arange(3), cfg.blocks)
     for k in range(12):
         u = sol.u_blocks[block_of_step[k]]
         assert np.allclose(sol.x_pred[k + 1], pwa_step(model, sol.x_pred[k], u),
@@ -375,20 +390,29 @@ def test_build_cost_feasible_start(grid, params, hx, cfg):
         assert np.all(qp.G @ z0 <= qp.h + 1e-9)
 
 
-def per_sequence_condense(model, modes, cfg, x0, power_rows):
-    """Reference: one sequence's rollout, one step at a time."""
-    r_now, r_next, p_const = power_rows
+def per_step_states(model, modes, cfg, x0):
+    """Reference: one sequence's offsets and gains, x(k) = offsets[k] +
+    gains[k] @ u_blocks, one step at a time.  ``modes`` is a row of
+    ``sequence_table(cfg).modes``."""
     nb = len(cfg.blocks)
     offsets = np.empty((cfg.horizon + 1, model.n))
     gains = np.zeros((cfg.horizon + 1, model.n, nb))
     offsets[0] = x0
-    p_off = np.zeros(cfg.horizon)
-    p_gain = np.zeros((cfg.horizon, nb))
-    for k, j in enumerate(cfg.block_of_step()):
-        i = MODES.index(modes[j])
+    for k, j in enumerate(np.repeat(np.arange(nb), cfg.blocks)):
+        i = modes[j]
         offsets[k + 1] = model.A[i] @ offsets[k] + model.f[i]
         gains[k + 1] = model.A[i] @ gains[k]
         gains[k + 1, :, j] += model.b[i]
+    return offsets, gains
+
+
+def per_sequence_condense(model, modes, cfg, x0, power_rows):
+    """Reference: one sequence's states and power maps, one step at a time."""
+    r_now, r_next, p_const = power_rows
+    offsets, gains = per_step_states(model, modes, cfg, x0)
+    p_off = np.zeros(cfg.horizon)
+    p_gain = np.zeros((cfg.horizon, len(cfg.blocks)))
+    for k in range(cfg.horizon):
         p_off[k] = r_now @ offsets[k] + r_next @ offsets[k + 1] + p_const
         p_gain[k] = r_now @ gains[k] + r_next @ gains[k + 1]
     return offsets, gains, p_off, p_gain
@@ -508,15 +532,16 @@ def random_instants(grid, params, hx):
 
 def test_bound_and_prune_matches_exhaustive_enumeration(grid, params, hx, cfg):
     rows = power_linear_rows(grid, params, DT)
-    names = sequence_table(cfg).names
+    table = sequence_table(cfg)
+    names = table.names
     instants = pruned = 0
     for x0, model, demand, b_past in random_instants(grid, params, hx):
         pred = condense(model, cfg, x0, rows)
         H, g, const = build_cost(pred, demand, b_past, cfg)
         for s, modes in enumerate(names):
             offsets, gains, p_off, p_gain = per_sequence_condense(
-                model, modes, cfg, x0, rows)
-            states = rollout(model, cfg, x0, modes)
+                model, table.modes[s], cfg, x0, rows)
+            states = trajectory_states(model, cfg, x0, table.modes[s])
             assert np.array_equal(states[0], offsets)
             assert np.array_equal(states[1], gains)
             assert_within_dot_rounding(pred.power_offset[s], p_off, rows,
@@ -597,30 +622,30 @@ def test_raised_bound_is_exact_below_the_box_optimum(grid, params, hx, cfg):
 def breaks_soft_row_at_box_optimum(s, H_s, g_s, model, cfg, x0):
     """Reference: whether sequence s's box-only optimum leaves its soft box."""
     qp, free = candidate_qp(s, H_s, g_s, cfg)
-    modes = sequence_table(cfg).names[s]
-    G, h = soft_rows_per_step(rollout(model, cfg, x0, modes), free[:-1], cfg,
-                              model.nu)
+    modes = sequence_table(cfg).modes[s]
+    G, h = soft_rows_per_step(per_step_states(model, modes, cfg, x0),
+                              free[:-1], cfg, model.nu)
     return bool(np.any(G @ solve_qp(qp).z_star - h > 1e-9))
 
 
 @pytest.fixture()
-def rollout_calls(monkeypatch):
-    """The mode sequences whose state gains solve_ocp forms, in call order."""
+def soft_row_calls(monkeypatch):
+    """The mode sequences whose soft rows solve_ocp forms, in call order."""
     calls = []
 
-    def counting(model, cfg, x0, modes):
-        calls.append(modes)
-        return rollout(model, cfg, x0, modes)
+    def counting(model, cfg, x0, modes, pumping):
+        calls.append(tuple(MODES[i] for i in modes))
+        return soft_rows(model, cfg, x0, modes, pumping)
 
-    monkeypatch.setattr(controller, "rollout", counting)
+    monkeypatch.setattr(controller, "soft_rows", counting)
     return calls
 
 
 def test_states_rolled_out_only_for_solved_candidates(grid, params, hx, cfg,
-                                                     rollout_calls):
+                                                     soft_row_calls):
     # condense forms no state trajectory and a solved candidate's QP starts
-    # from its input box: solve_ocp forms a sequence's state gains (rollout)
-    # only when the box optimum breaks a soft row, once, for the full-row
+    # from its input box: solve_ocp forms a sequence's state gains
+    # (soft_rows) only when the box optimum breaks a soft row, once, for the full-row
     # re-solve, and the winner's x_pred is its trajectory at the applied
     # flows.
     rng = np.random.default_rng(11)
@@ -635,7 +660,7 @@ def test_states_rolled_out_only_for_solved_candidates(grid, params, hx, cfg,
     instants.append(binding_instant(grid, params, hx, "cold_floor_277") + (0.0,))
     rolled = []
     for cfg_i, x0, model, demand, b_past in instants:
-        rollout_calls.clear()
+        soft_row_calls.clear()
         sol = solve_ocp(x0, demand, b_past, cfg_i, model, grid, params)
         pred = condense(model, cfg_i, x0, power_linear_rows(grid, params, DT))
         H, g, _ = build_cost(pred, demand, b_past, cfg_i)
@@ -643,12 +668,11 @@ def test_states_rolled_out_only_for_solved_candidates(grid, params, hx, cfg,
                   if rec.status != "pruned"
                   and breaks_soft_row_at_box_optimum(s, H[s], g[s], model,
                                                      cfg_i, x0)]
-        assert sorted(rollout_calls) == sorted(needed)
-        assert sol.counts["soft_rows_added"] == 2 * 12 * 42 * len(rollout_calls)
-        assert np.array_equal(sol.x_pred, trajectory(model, cfg_i, x0,
-                                                     sol.mode_sequence,
-                                                     sol.u_blocks))
-        rolled.append(len(rollout_calls))
+        assert sorted(soft_row_calls) == sorted(needed)
+        assert sol.counts["soft_rows_added"] == 2 * 12 * 42 * len(soft_row_calls)
+        assert np.array_equal(sol.x_pred, trajectory(
+            model, cfg_i, x0, mode_indices(sol.mode_sequence), sol.u_blocks))
+        rolled.append(len(soft_row_calls))
     # No soft row binds at the random instants; at the binding one, 1 of
     # the 3 solved candidates needs its soft rows.
     assert rolled == [0] * 6 + [1]
@@ -676,7 +700,7 @@ def kkt_residual_on_all_rows(qp, z):
 
 @pytest.mark.parametrize("name", sorted(BINDING))
 def test_binding_soft_rows_match_full_row_reference(grid, params, hx, name,
-                                                    rollout_calls):
+                                                    soft_row_calls):
     cfg, x0, model, demand = binding_instant(grid, params, hx, name)
     sol = solve_ocp(x0, demand, 0.0, cfg, model, grid, params)
     pred = condense(model, cfg, x0, power_linear_rows(grid, params, DT))
@@ -708,12 +732,12 @@ def test_binding_soft_rows_match_full_row_reference(grid, params, hx, name,
         assert rec.cost == costs[s]
         if rec.mode_sequence == sol.mode_sequence:
             assert kkt_residual_on_all_rows(qp, z[free]) <= 1e-9
-    assert sol.counts["soft_rows_added"] == 2 * 12 * 42 * len(rollout_calls)
+    assert sol.counts["soft_rows_added"] == 2 * 12 * 42 * len(soft_row_calls)
     if name == "cold_floor_277":
-        assert (len(solved), len(rollout_calls)) == (3, 1)
+        assert (len(solved), len(soft_row_calls)) == (3, 1)
         assert sol.slack_used == 0.0
     else:
-        assert len(solved) == len(rollout_calls) == 27
+        assert len(solved) == len(soft_row_calls) == 27
         assert sol.slack_used == pytest.approx(0.514, abs=1e-3)
 
 
