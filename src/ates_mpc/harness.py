@@ -294,8 +294,9 @@ def replay_observer(scenario: Scenario, records: list[dict]) -> list[np.ndarray]
     """Re-run the UKF on logged measurements and inputs; returns per-step means.
 
     Deterministic given the recorded (y, u) sequence, so replays reproduce the
-    logged estimates exactly.  A record without a reading or a flow raises
-    ``ScenarioError`` naming the column.
+    logged estimates exactly.  A record without a reading or a flow, or with
+    a non-finite flow, raises ``ScenarioError`` naming the column; a
+    non-finite reading makes its hour predict-only.
     """
     estimator = _Estimator(scenario)
     u_prev = 0.0
@@ -304,6 +305,9 @@ def replay_observer(scenario: Scenario, records: list[dict]) -> list[np.ndarray]
         for key in (*SENSOR_KEYS, "u_applied"):
             if rec.get(key) is None:
                 raise ScenarioError(f"results record {k} has no {key!r} value")
+        if not np.isfinite(rec["u_applied"]):
+            raise ScenarioError(f"results record {k} has a non-finite "
+                                f"'u_applied' value: {rec['u_applied']!r}")
         y = np.array([rec[key] for key in SENSOR_KEYS])
         estimator.step(y, u_prev)
         means.append(estimator.est.mean.copy())

@@ -17,7 +17,9 @@ envelope of its old three-point stencil on the same array.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,10 +134,10 @@ def _substep_count(state: TruthState, u: float, dt: float) -> int:
     diff_rate = state.lam_max / (p.c_a * dr**2)
     # Advection speed is retarded by c_w/c_a; the tightest cell pairs the
     # largest velocity (smallest radius) with the half-spacing at the borehole.
-    v_eff = (p.c_w / p.c_a) * abs(u) / (2.0 * np.pi * grid.midpoints[0] * grid.l)
+    v_eff = (p.c_w / p.c_a) * abs(u) / (2.0 * np.pi * grid.midpoints.item(0) * grid.l)
     adv_rate = v_eff / (0.5 * dr)
-    n_sub = max(1, int(np.ceil(dt * diff_rate / _DIFFUSION_LIMIT)),
-                int(np.ceil(dt * adv_rate / _CFL_LIMIT)))
+    n_sub = max(1, math.ceil(dt * diff_rate / _DIFFUSION_LIMIT),
+                math.ceil(dt * adv_rate / _CFL_LIMIT))
     if n_sub > _MAX_SUBSTEPS:
         raise ScenarioError(f"CFL requires {n_sub} substeps (cap {_MAX_SUBSTEPS})")
     return n_sub
@@ -188,45 +190,93 @@ def _flow(state: TruthState, u: float) -> tuple[int | None, np.ndarray | None]:
     return (1 if u > 0.0 else 0), _interior((p.c_w / p.c_a) * v, pad=0.0)
 
 
-def _rates(state: TruthState, d: np.ndarray, inj: int | None,
-           adv: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """dT/dt over the interior and the conduction flux (W, toward growing r)
-    through every edge, both along fields.ravel().
+class _Work(NamedTuple):
+    """One hour's work arrays and fixed views along fields.ravel(), built
+    once per hour by ``_work``; every substep writes into the same arrays."""
 
-    ``d`` is the difference of the flat fields across each edge and
-    ``inj, adv`` come from ``_flow``.  The padding gets rate 0.
-    """
+    k_edge: np.ndarray
+    heat_capacity: np.ndarray
+    dr: float
+    left: np.ndarray            # flat[:-2], flat[1:-1] and flat[2:]: the
+    mid: np.ndarray             # interior and its two stencil neighbours
+    right: np.ndarray
+    upper: np.ndarray           # flat[1:] and flat[:-1]
+    lower: np.ndarray
+    d: np.ndarray               # the fields' difference across each edge
+    flux: np.ndarray
+    flux_out: np.ndarray        # flux[1:] and flux[:-1]
+    flux_in: np.ndarray
+    dead: np.ndarray            # the borehole faces that carry no conduction
+    rates: np.ndarray
+    rates_pad: np.ndarray       # rates[nu:nu + 2], between the rows
+    adv: np.ndarray | None
+    grad: np.ndarray | None
+    upwind: list[tuple[np.ndarray, np.ndarray]]  # (d, grad) slices per row
+
+
+def _work(state: TruthState, inj: int | None, adv: np.ndarray | None) -> _Work:
+    """The work arrays and views of an hour whose injecting row and
+    advection are ``inj, adv`` (from ``_flow``)."""
     nu = state.grid.nu
-    dr = state.grid.dr
-    # The net gain of interior entry i is flux[i + 1] - flux[i]; only the
-    # injecting row's borehole face conducts.
-    flux = state.k_edge * d / dr
-    for r in (0, 1):
-        if r != inj:
-            flux[r * (nu + 2)] = 0.0
-    rates = (flux[1:] - flux[:-1]) / state.heat_capacity
-
+    flat = state.fields.reshape(-1, copy=False)
+    d = np.empty(flat.size - 1)
+    flux = np.empty(flat.size - 1)
+    rates = np.empty(flat.size - 2)
+    # Only the injecting row's borehole face conducts.
+    if inj is None:
+        dead = flux[::nu + 2]
+    else:
+        bh = (1 - inj) * (nu + 2)
+        dead = flux[bh:bh + 1]
+    grad, upwind = None, []
     if adv is not None:
-        # Conservative upwind advection: the volume flow q is radius-free, so
-        # the enthalpy flux through a face is c_w * q * T_upwind and cell
-        # gains telescope exactly (V_i = 2 pi r_i dr l makes v_i/dr the same
-        # as q / (c_a V_i) up to c_w).  Outward flow (injection) takes each
-        # cell's inner edge, the borehole face first; inward flow its outer
-        # edge, the far face last.
-        grad = np.empty(rates.shape)
+        # Outward flow (injection) takes each cell's inner edge, the borehole
+        # face first; inward flow its outer edge, the far face last.
+        grad = np.empty(flat.size - 2)
         for r in (0, 1):
             lo = r * (nu + 1)
             edge = lo + (r != inj)
-            np.divide(d[edge:edge + nu + 1], dr, out=grad[lo:lo + nu + 1])
-        rates -= adv * grad
-    rates[nu:nu + 2] = 0.0
-    return rates, flux
+            upwind.append((d[edge:edge + nu + 1], grad[lo:lo + nu + 1]))
+    return _Work(state.k_edge, state.heat_capacity, state.grid.dr,
+                 flat[:-2], flat[1:-1], flat[2:], flat[1:], flat[:-1],
+                 d, flux, flux[1:], flux[:-1], dead, rates, rates[nu:nu + 2],
+                 adv, grad, upwind)
+
+
+def _rates(w: _Work) -> None:
+    """dT/dt over the interior into ``w.rates`` and the conduction flux (W,
+    toward growing r) through every edge into ``w.flux``, both along
+    fields.ravel(), from the fields' current values.  The padding gets
+    rate 0.
+    """
+    # The net gain of interior entry i is flux[i + 1] - flux[i].
+    np.subtract(w.upper, w.lower, out=w.d)
+    np.multiply(w.k_edge, w.d, out=w.flux)
+    np.divide(w.flux, w.dr, out=w.flux)
+    w.dead.fill(0.0)
+    np.subtract(w.flux_out, w.flux_in, out=w.rates)
+    np.divide(w.rates, w.heat_capacity, out=w.rates)
+    if w.adv is not None:
+        # Conservative upwind advection: the volume flow q is radius-free, so
+        # the enthalpy flux through a face is c_w * q * T_upwind and cell
+        # gains telescope exactly (V_i = 2 pi r_i dr l makes v_i/dr the same
+        # as q / (c_a V_i) up to c_w).
+        for d, grad in w.upwind:
+            np.divide(d, w.dr, out=grad)
+        np.multiply(w.adv, w.grad, out=w.grad)
+        np.subtract(w.rates, w.grad, out=w.rates)
+    w.rates_pad.fill(0.0)
 
 
 def truth_step(state: TruthState, u: float, hx: HxParams, dt: float = 3600.0,
                audit: bool = False) -> TruthState:
-    """Advance both aquifers by one sampling period with explicit substeps."""
-    if not np.isfinite(u):
+    """Advance both aquifers by one sampling period with explicit substeps.
+
+    Each substep is a fixed sequence of in-place ufunc calls on the hour's
+    work arrays (``_work``); the boundary energy and the audit's worst
+    excess accumulate in Python floats and are stored once per hour.
+    """
+    if not math.isfinite(u):
         raise ParameterError(f"flow must be finite, got {u}")
     cfg = state.cfg
     p = state.params
@@ -243,52 +293,65 @@ def truth_step(state: TruthState, u: float, hx: HxParams, dt: float = 3600.0,
     dt_sub = dt / n_sub
     F = state.fields
     F[:, -1] = t_far
-    flat = F.reshape(-1, copy=False)
-    q = (-u, u)                 # warm, cold
     inj, adv = _flow(state, u)
-    if inj is not None:
+    w = _work(state, inj, adv)
+    left, mid, right, flux, rates = w.left, w.mid, w.right, w.flux, w.rates
+    if audit:
+        lo, hi = np.empty(mid.size), np.empty(mid.size)
+        amax = np.maximum.reduce
+    # Enthalpy crosses each boundary face at its upwind temperature: the
+    # borehole entry, and the last cell or t_far at the far face.  Per row r
+    # with flow q = (-u, u)[r]: r, whether the last cell is upwind, c_w * q
+    # and whether r's borehole face conducts.
+    faces = ((0, -u > 0.0, p.c_w * -u, inj == 0),
+             (1, u > 0.0, p.c_w * u, inj == 1))
+    # Zero-gradient borehole entries follow their first cell; synced here
+    # and after every substep, each substep starts with them in sync.
+    if inj is None:
+        entries, firsts = F[:, 0], F[:, 1]
+    else:
         ext = 1 - inj
+        entries, firsts = F[ext, 0:1], F[ext, 1:2]
         t_b = hx.t_b("heating" if inj == 1 else "cooling")
+    entries[...] = firsts
+    energy = state.boundary_energy
+    worst = state.dmp_violation
 
     for _ in range(n_sub):
         # The extraction temperature feeds the nonlinear HX, which sets the
         # injection Dirichlet value of the opposite aquifer this substep.
-        if inj is None:
-            F[:, 0] = F[:, 1]
-        else:
-            F[ext, 0] = F[ext, 1]
-            F[inj, 0] = hx_outlet_temp(F[ext, 0], u, hx.q_b, t_b)
+        if inj is not None:
+            F[inj, 0] = hx_outlet_temp(F.item(ext, 0), u, hx.q_b, t_b)
 
-        d = flat[1:] - flat[:-1]
-        rates, flux = _rates(state, d, inj, adv)
-        t_new = flat[1:-1] + dt_sub * rates
+        _rates(w)
         if audit:
             # Each new value must lie in the envelope of its old three-point
             # stencil (borehole entry and t_far included); the padding keeps
             # its value, inside its own envelope.
-            lo = np.minimum(np.minimum(flat[:-2], flat[1:-1]), flat[2:])
-            hi = np.maximum(np.maximum(flat[:-2], flat[1:-1]), flat[2:])
+            np.minimum(left, mid, out=lo)
+            np.minimum(lo, right, out=lo)
+            np.maximum(left, mid, out=hi)
+            np.maximum(hi, right, out=hi)
+        for r, last_upwind, cw_q, conducts in faces:
+            t_out = F.item(r, nu) if last_upwind else t_far
+            bh = r * (nu + 2)
+            cond_bh = -flux.item(bh) if conducts else 0.0
+            energy += dt_sub * (cw_q * (F.item(r, 0) - t_out)
+                                + flux.item(bh + nu) + cond_bh)
+        np.multiply(dt_sub, rates, out=rates)
+        np.add(mid, rates, out=mid)
+        if audit:
+            np.subtract(mid, hi, out=hi)
+            np.subtract(lo, mid, out=lo)
             # A non-finite field makes both maxima NaN; max keeps a NaN only
             # as its first argument, and a NaN violation is never replaced.
-            excess = float(max((t_new - hi).max(), (lo - t_new).max(), 0.0))
-            if excess > state.dmp_violation or excess != excess:
-                state.dmp_violation = excess
-        # Enthalpy crosses each boundary face at its upwind temperature: the
-        # borehole entry, and the last cell or t_far at the far face.
-        for r in (0, 1):
-            t_out = F[r, -2] if q[r] > 0.0 else t_far
-            enthalpy = p.c_w * q[r] * (F[r, 0] - t_out)
-            bh = r * (nu + 2)
-            cond_bh = -flux[bh] if r == inj else 0.0
-            state.boundary_energy += dt_sub * (enthalpy + flux[bh + nu] + cond_bh)
-        flat[1:-1] = t_new
+            excess = float(max(amax(hi), amax(lo), 0.0))
+            if excess > worst or excess != excess:
+                worst = excess
+        entries[...] = firsts
 
-        # Keep zero-gradient borehole entries in sync with their first cell.
-        if inj is None:
-            F[:, 0] = F[:, 1]
-        else:
-            F[ext, 0] = F[ext, 1]
-
+    state.boundary_energy = energy
+    state.dmp_violation = worst
     state.clock += dt
     return state
 

@@ -250,12 +250,15 @@ def _looks_like_timestamp(cell: str) -> bool:
 
 def write_demand_csv(path: str, demand: np.ndarray) -> None:
     """Hourly demand [W] as timestamped CSV rows from ``_DEMAND_START``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "demand_w"])
-        for k, value in enumerate(np.asarray(demand, dtype=float)):
-            stamp = _DEMAND_START + _dt.timedelta(hours=k)
-            writer.writerow([stamp.isoformat(), repr(float(value))])
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["timestamp", "demand_w"])
+            for k, value in enumerate(np.asarray(demand, dtype=float)):
+                stamp = _DEMAND_START + _dt.timedelta(hours=k)
+                writer.writerow([stamp.isoformat(), repr(float(value))])
+    except OSError as exc:
+        raise ScenarioError(f"cannot write demand to {path!r}: {exc}") from exc
 
 
 def gen_synthetic_demand(seed: int, year_hours: int = HOURS_PER_YEAR,

@@ -226,6 +226,28 @@ def test_observe_without_sensor_readings_is_error(tmp_path, capsys):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_observe_non_finite_flow_is_error(tmp_path, capsys, value):
+    out = tmp_path / "sim.csv"
+    assert main(["sim", "--steps", "4", "--audit", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    header = lines[0].split(",")
+
+    def replay_with(column):
+        cells = lines[2].split(",")
+        cells[header.index(column)] = value
+        out.write_text("\n".join([*lines[:2], ",".join(cells), *lines[3:]]) + "\n")
+        capsys.readouterr()
+        return main(["observe", str(out)])
+
+    assert replay_with("u_applied") == 1
+    assert capsys.readouterr().err == \
+        f"error: results record 1 has a non-finite 'u_applied' value: {float(value)!r}\n"
+    # A non-finite sensor reading makes its hour predict-only.
+    assert replay_with("y_warm_r0") == 0
+    assert "replayed 4 steps" in capsys.readouterr().out
+
+
 def test_validate_power(capsys):
     assert main(["validate-power", "--steps", "200"]) == 0
     assert "mean |linear - bilinear|" in capsys.readouterr().out
@@ -334,6 +356,14 @@ def test_non_finite_schedule_is_rejected_before_stepping(tmp_path, capsys):
         assert "not finite" in captured.err
         assert "simulated" not in captured.out
         assert not out.exists()
+
+
+def test_gen_demand_unwritable_out_is_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "d.csv"
+    assert main(["gen-demand", "--hours", "5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write demand to {str(out)!r}: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_negative_hours_is_usage_error(tmp_path, capsys):

@@ -192,7 +192,7 @@ def reference_cell_rates(field_vals, lam, grid, params, q, t_far, injecting):
 
 
 def test_cell_rates_with_stored_conductances_match_reference(grid, params):
-    from ates_mpc.plant import _flow, _rates
+    from ates_mpc.plant import _flow, _rates, _work
 
     state = init_truth(TruthConfig(seed=11), grid, params)
     rng = np.random.default_rng(4)
@@ -200,14 +200,15 @@ def test_cell_rates_with_stored_conductances_match_reference(grid, params):
     nu = fine.nu
     for lam in (state.lam_warm, state.lam_cold):
         assert np.ptp(lam) > 1.0  # heterogeneous field
-    flat = state.fields.reshape(-1)
     # Heating injects into the cold row and cooling into the warm one, so the
     # flows cover both flow directions with and without injection per row.
     for u in (0.02, -0.02, 0.0):
         state.fields[:, :-1] = 284.85 + 3.0 * rng.standard_normal((2, nu + 1))
         state.fields[:, -1] = 284.9
         inj, adv = _flow(state, u)
-        rates, flux = _rates(state, flat[1:] - flat[:-1], inj, adv)
+        work = _work(state, inj, adv)
+        _rates(work)
+        rates, flux = work.rates, work.flux
         assert np.all(rates[nu:nu + 2] == 0.0)  # the padding between the rows
         for r, lam, q, cells in ((0, state.lam_warm, -u, rates[:nu]),
                                  (1, state.lam_cold, u, rates[nu + 2:])):
@@ -298,6 +299,44 @@ def test_fused_step_matches_per_aquifer_reference(grid, params, hx, audit):
     # Heating, storing, cooling and half flow in both directions.
     flows = [U_MAX] * 3 + [0.0] * 2 + [-U_MAX] * 3 + [0.5 * U_MAX] * 2 \
         + [-0.5 * U_MAX] * 2 + [0.0]
+    for u in flows:
+        truth_step(state, u, hx, DT, audit=audit)
+        ref.step(state, u, hx, DT, audit)
+        assert_same_plant(state, ref)
+    assert state.boundary_energy != 0.0
+
+
+def _substep_change(state, hi_flow):
+    """The flows in [0, hi_flow] just below and at the step of the substep
+    count up to that of ``hi_flow``, by bisection down to adjacent floats."""
+    lo, hi = 0.0, hi_flow
+    top = plant._substep_count(state, hi_flow, DT)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if plant._substep_count(state, mid, DT) < top:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+@pytest.mark.parametrize("audit", [True, False])
+def test_fused_step_matches_reference_over_random_flows(grid, params, hx, audit):
+    """48 seeded flows uniform in [-u_max, u_max], with exact zeros among them
+    and, in both directions, the last flow before and the first after two
+    changes of the substep count."""
+    state = init_truth(TruthConfig(seed=13, t_amb_noise_amp=0.1), grid, params)
+    ref = ReferencePlant(state)
+    flows = list(np.random.default_rng(29).uniform(-U_MAX, U_MAX, 48))
+    flows[5] = flows[17] = flows[30] = 0.0
+    for hi_flow in (0.5 * U_MAX, U_MAX):
+        below, above = _substep_change(state, hi_flow)
+        assert np.nextafter(below, above) == above
+        assert (plant._substep_count(state, below, DT)
+                < plant._substep_count(state, above, DT))
+        flows += [below, above, -above, -below]
+    counts = {plant._substep_count(state, u, DT) for u in flows}
+    assert len(counts) >= 8
     for u in flows:
         truth_step(state, u, hx, DT, audit=audit)
         ref.step(state, u, hx, DT, audit)
