@@ -2,8 +2,7 @@
 
 from .controller import (OcpConfig, OcpSolution, condense, power_linear_rows,
                          solve_ocp)
-from .dynamics import (AffineSubsystem, build_extraction_system,
-                       build_injection_system)
+from .dynamics import build_extraction_system, build_injection_system
 from .errors import (AtesError, ControllerFault, GeometryError,
                      ParameterError, ScenarioError, SolverError,
                      StabilityError)
@@ -27,7 +26,7 @@ from .scenario import (Scenario, gen_synthetic_demand, load_demand_csv,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineBranch", "AffineSubsystem", "AquiferParams", "AtesError",
+    "AffineBranch", "AquiferParams", "AtesError",
     "ControllerFault", "EnergyLedger", "GaussianEstimate", "GeometryError",
     "HxLinearization", "HxParams", "OcpConfig", "OcpSolution",
     "ParameterError", "PwaModel", "Qp", "QpResult", "RadialGrid",

@@ -29,20 +29,19 @@ logger = logging.getLogger(__name__)
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", default=None,
                         help="scenario config file (defaults apply when omitted)")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=_nonnegative_int, default=None,
                         help="override the scenario seed")
 
 
-def _step_count(text: str) -> int:
-    """A count or index such as ``--steps``, ``--hours``, ``--log-every`` or
-    ``--at``: a nonnegative integer."""
+def _nonnegative_int(text: str) -> int:
+    """A count, index or seed such as ``--steps``, ``--at`` or ``--seed``."""
     try:
-        steps = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if steps < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {steps}")
-    return steps
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 def _load(args) -> "Scenario":
@@ -201,34 +200,35 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="closed-loop MPC run against the truth plant")
     _add_common(p)
     p.add_argument("--out", default=None, help="results CSV path")
-    p.add_argument("--steps", type=_step_count, default=None,
+    p.add_argument("--steps", type=_nonnegative_int, default=None,
                    help="number of hourly steps (default: scenario duration)")
-    p.add_argument("--log-every", type=_step_count, default=0,
+    p.add_argument("--log-every", type=_nonnegative_int, default=0,
                    help="log progress every N steps")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("sim", help="open-loop plant rollout with a flow schedule")
     _add_common(p)
     p.add_argument("--out", default=None, help="results CSV path")
-    p.add_argument("--steps", type=_step_count, default=None,
+    p.add_argument("--steps", type=_nonnegative_int, default=None,
                    help="number of hourly steps (default: scenario duration)")
     p.add_argument("--schedule", default=None,
-                   help="comma-separated flows or CSV (second column)")
+                   help="comma-separated flows or CSV (second column); "
+                   "write --schedule=-0.0277,0 when the first flow is negative")
     p.add_argument("--audit", action="store_true",
                    help="check the discrete maximum principle every substep")
     p.set_defaults(func=_cmd_sim)
 
     p = sub.add_parser("observe", help="replay the estimator on logged results")
     _add_common(p)
-    p.add_argument("--steps", type=_step_count, default=None,
+    p.add_argument("--steps", type=_nonnegative_int, default=None,
                    help="replay only the first N records (default: all)")
     p.add_argument("results", help="results CSV from a previous run")
     p.set_defaults(func=_cmd_observe)
 
     p = sub.add_parser("gen-demand", help="write a synthetic hourly demand CSV")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hours", type=_step_count, default=8760)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--hours", type=_nonnegative_int, default=8760)
     p.add_argument("--heat-mwh", type=float,
                    default=_DEFAULTS["demand_heat_total_mwh"])
     p.add_argument("--cold-mwh", type=float,
@@ -238,13 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate-power",
                        help="compare bilinear and linear power forms")
     _add_common(p)
-    p.add_argument("--steps", type=_step_count, default=720,
+    p.add_argument("--steps", type=_nonnegative_int, default=720,
                    help="number of model steps (default: 720)")
     p.set_defaults(func=_cmd_validate_power)
 
     p = sub.add_parser("solve-once", help="solve one OCP and print the plan")
     _add_common(p)
-    p.add_argument("--at", type=_step_count, default=0,
+    p.add_argument("--at", type=_nonnegative_int, default=0,
                    help="demand index the horizon starts at")
     p.set_defaults(func=_cmd_solve_once)
     return parser

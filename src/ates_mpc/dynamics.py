@@ -1,39 +1,28 @@
-"""Per-prediction-instant affine subsystems of a single aquifer.
+"""One aquifer's explicit-Euler step of radial heat transport.
 
-Each builder performs one explicit-Euler step of the radial heat transport
-equation with the convection gradient frozen at the reference profile, so the
-resulting map is affine in the flow u.  Conduction is a conservative
-finite-volume stencil on cylindrical shells; the far-field cell couples to an
-ambient Dirichlet value and the borehole entry depends on the operating
-regime:
+Conduction is a conservative finite-volume stencil on cylindrical shells
+whose far-field cell couples to an ambient Dirichlet value.  Convection is
+an upwind difference with the gradient frozen at a reference profile, so
+the step is affine in the flow u.  The borehole entry depends on the regime:
 
 * extraction/storage: no conductive flux through the inner face, and the
   borehole entry tracks the first cell (zero spatial gradient outflow);
 * injection: the borehole entry is written externally (by the heat exchanger),
   the cells conduct and advect against it as a Dirichlet value.
+
+The builders return a regime's conduction rows ``(A, f)`` only, which
+``pwa._template`` assembles once per config; ``pwa.build_pwa`` alone forms
+the convection gains ``b``, each hour.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Literal
 
 import numpy as np
 
-from .errors import ParameterError, StabilityError
+from .errors import StabilityError
 from .grid import AquiferParams, RadialGrid
-
-Regime = Literal["extraction_or_storage", "injection"]
-
-
-@dataclass(frozen=True)
-class AffineSubsystem:
-    """One aquifer's discrete-time affine map x(k+1) = A x(k) + b u(k) + f."""
-
-    A: np.ndarray = field(repr=False)
-    b: np.ndarray = field(repr=False)
-    f: np.ndarray = field(repr=False)
 
 
 @functools.cache
@@ -115,47 +104,20 @@ def _convection_gain(grid: RadialGrid, params: AquiferParams, dt: float,
         params.c_a * 2.0 * np.pi * grid.midpoints * grid.l)
 
 
-def _build(grid: RadialGrid, params: AquiferParams, x_ref: np.ndarray,
-           flow_sign: int, dt: float, regime: Regime) -> AffineSubsystem:
-    x_ref = np.asarray(x_ref, dtype=float)
-    if x_ref.shape != (grid.nu + 1,):
-        raise ParameterError(
-            f"reference profile must have length {grid.nu + 1}, got shape {x_ref.shape}")
-    if flow_sign not in (-1, 1):
-        raise ParameterError(f"flow_sign must be +1 or -1, got {flow_sign}")
-
-    A_cells, f_cells = _conduction_stencil(grid, params, dt,
-                                           inner_coupled=(regime == "injection"))
-    quotients = _upwind_quotients(x_ref, params.t_amb, grid.dr)
-    g = quotients[:-1] if regime == "injection" else quotients[1:]
-    b_cells = _convection_gain(grid, params, dt, flow_sign, g)
-
-    if regime == "injection":
-        return AffineSubsystem(A_cells, b_cells, f_cells)
-
-    # Extraction/storage keeps the borehole entry, which follows cell 1.
-    A = np.vstack([A_cells[:1], A_cells])
-    b = np.concatenate([b_cells[:1], b_cells])
-    f = np.concatenate([f_cells[:1], f_cells])
-    return AffineSubsystem(A, b, f)
-
-
 def build_extraction_system(grid: RadialGrid, params: AquiferParams,
-                            x_ref: np.ndarray, flow_sign: int,
-                            dt: float) -> AffineSubsystem:
-    """Affine step of one aquifer while fluid is extracted or stored.
-
-    Produces nu+1 rows covering the borehole entry and all cells; q = flow_sign * u.
+                            dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Conduction rows ``(A (nu+1, nu+1), f)`` of one aquifer while fluid is
+    extracted or stored; the borehole entry follows cell 1, so its row
+    copies cell 1's.
     """
-    return _build(grid, params, x_ref, flow_sign, dt, "extraction_or_storage")
+    A, f = _conduction_stencil(grid, params, dt, inner_coupled=False)
+    return np.vstack([A[:1], A]), np.concatenate([f[:1], f])
 
 
 def build_injection_system(grid: RadialGrid, params: AquiferParams,
-                           x_ref: np.ndarray, flow_sign: int,
-                           dt: float) -> AffineSubsystem:
-    """Affine step of one aquifer while fluid is injected.
-
-    Produces only the nu cell rows; the borehole entry is supplied by the heat
-    exchanger and appears as a regular column of A.
+                           dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Conduction rows ``(A (nu, nu+1), f)`` of one aquifer's cells while
+    fluid is injected; the borehole entry is written by the heat exchanger
+    and appears as a regular column of A.
     """
-    return _build(grid, params, x_ref, flow_sign, dt, "injection")
+    return _conduction_stencil(grid, params, dt, inner_coupled=True)

@@ -98,29 +98,27 @@ def _template(grid: RadialGrid, params: AquiferParams,
 
     Every entry but the heat-exchanger rows' is fixed by the grid, the
     parameters and ``dt``, so the table is built once per triple from the
-    per-aquifer builders (whose ``A`` and ``f`` do not depend on the
-    reference profile) and shared.  Every branch starts as storing: the two
-    extraction maps side by side.  Heating and cooling then replace the
-    injected aquifer's rows with its injection cell rows and a heat-exchanger
-    row left at zero, which ``build_pwa`` fills each hour.
+    per-aquifer conduction rows and shared.  Every branch starts as storing:
+    the two extraction maps side by side.  Heating and cooling then replace
+    the injected aquifer's rows with its injection cell rows and a
+    heat-exchanger row left at zero, which ``build_pwa`` fills each hour.
     """
     m = grid.nu + 1
     n = 2 * m
-    ambient = np.full(m, params.t_amb)
-    ex = build_extraction_system(grid, params, ambient, 1, dt)
-    inj = build_injection_system(grid, params, ambient, 1, dt)
+    ex_A, ex_f = build_extraction_system(grid, params, dt)
+    inj_A, inj_f = build_injection_system(grid, params, dt)
     A = np.zeros((len(MODES), n, n))
     f = np.empty((len(MODES), n))
-    A[:, :m, :m] = ex.A
-    A[:, m:, m:] = ex.A
-    f[:, :m] = ex.f
-    f[:, m:] = ex.f
+    A[:, :m, :m] = ex_A
+    A[:, m:, m:] = ex_A
+    f[:, :m] = ex_f
+    f[:, m:] = ex_f
     for mode, dst in (("heating", m), ("cooling", 0)):
         i = MODES.index(mode)
         A[i, dst, dst:dst + m] = 0.0
         f[i, dst] = 0.0
-        A[i, dst + 1:dst + m, dst:dst + m] = inj.A
-        f[i, dst + 1:dst + m] = inj.f
+        A[i, dst + 1:dst + m, dst:dst + m] = inj_A
+        f[i, dst + 1:dst + m] = inj_f
     A.flags.writeable = False
     f.flags.writeable = False
     return A, f

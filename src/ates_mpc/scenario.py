@@ -44,7 +44,9 @@ class Scenario:
         self.check_steps(self.duration)
 
     def check_steps(self, steps: int) -> None:
-        """Raise ``ScenarioError`` unless the demand covers ``steps`` hours."""
+        """Raise ``ScenarioError`` unless the demand covers ``steps`` >= 0 hours."""
+        if steps < 0:
+            raise ScenarioError(f"step count must be nonnegative, got {steps}")
         if steps > self.demand.size:
             raise ScenarioError(
                 f"demand series ({self.demand.size} h) shorter than a run of "
@@ -126,6 +128,8 @@ def scenario_from_values(values: dict) -> Scenario:
     The model's explicit step is checked here, once, by building the
     conduction stencil that every model rebuild shares.
     """
+    if values["seed"] < 0:
+        raise ScenarioError(f"seed must be nonnegative, got {values['seed']}")
     try:
         grid = build_grid(values["r0_m"], values["r_inf_m"], values["nu"],
                           values["filter_length_m"])

@@ -16,8 +16,8 @@ def test_missing_scenario_file_is_usage_error(capsys):
 
 
 # Each value is rejected when the scenario is built: the radial grid, the
-# move blocking, the heat exchanger, the time step and the model's explicit
-# step.
+# move blocking, the heat exchanger, the time step, the model's explicit
+# step and the seed.
 @pytest.mark.parametrize("line, message", [
     ("nu = 0", "cell count must be >= 1"),
     ("block_1_steps = 0", "at least one step"),
@@ -25,6 +25,7 @@ def test_missing_scenario_file_is_usage_error(capsys):
     ("dt_s = 0", "time step must be finite and positive, got 0.0"),
     ("dt_s = -3600", "time step must be finite and positive, got -3600.0"),
     ("dt_s = 1e7", "diffusion number"),
+    ("seed = -1", "seed must be nonnegative, got -1"),
 ])
 def test_bad_scenario_value_is_config_error(tmp_path, capsys, line, message):
     config = tmp_path / "bad.cfg"
@@ -403,3 +404,34 @@ def test_zero_steps_is_valid(tmp_path, capsys):
     assert main(["validate-power", "--steps", "0"]) == 0
     assert main(["observe", "--steps", "0", str(out)]) == 0
     assert "replayed 0 steps" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["run", "sim"])
+def test_negative_duration_is_config_error(tmp_path, capsys, command):
+    config = tmp_path / "neg.cfg"
+    config.write_text("duration_steps = -5\n")
+    assert main([command, "--scenario", str(config)]) == 1
+    assert capsys.readouterr().err == \
+        "error: step count must be nonnegative, got -5\n"
+
+
+@pytest.mark.parametrize("argv", [["run", "--steps", "1", "--seed", "-1"],
+                                  ["gen-demand", "--hours", "5", "--seed", "-2"]])
+def test_negative_seed_flag_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert "--seed: must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sim_schedule_starting_with_cooling(tmp_path, capsys):
+    """A schedule that starts with a negative flow is passed with ``=``, as
+    the option's help says; a separate argument would read as an option."""
+    assert main(["sim", "--help"]) == 0
+    assert "--schedule=-0.0277,0" in capsys.readouterr().out
+    out = tmp_path / "sim.csv"
+    assert main(["sim", "--steps", "3", "--schedule=-0.0277,0,0.0277",
+                 "--out", str(out)]) == 0
+    records = read_results(str(out))
+    assert [r["u_applied"] for r in records] == [-0.0277, 0.0, 0.0277]
+    assert [r["mode"] for r in records] == ["cooling", "storing", "heating"]

@@ -1,90 +1,112 @@
 import numpy as np
 import pytest
 
-from ates_mpc import (AquiferParams, ParameterError, StabilityError,
-                      build_extraction_system, build_grid,
-                      build_injection_system)
+from ates_mpc import (ParameterError, StabilityError, build_extraction_system,
+                      build_grid, build_injection_system, build_pwa)
+from ates_mpc.pwa import MODES
 
 DT = 3600.0
 U_MAX = 0.0277
+HEAT, COOL = MODES.index("heating"), MODES.index("cooling")
 
 
 def ambient_profile(grid, params):
     return np.full(grid.nu + 1, params.t_amb)
 
 
+def gains(grid, params, hx, warm, cold):
+    """Convection gains of ``build_pwa``'s branches frozen at the profiles
+    ``warm`` and ``cold``.  The warm aquifer sees q = -u, the cold one q = u;
+    heating extracts from the warm aquifer and injects into the cold one,
+    cooling the other way round.  An extraction gain covers the borehole
+    entry and the cells, an injection gain the cells only."""
+    m = grid.nu + 1
+    b = build_pwa(grid, params, hx, DT, np.concatenate([warm, cold])).b
+    return {"warm_ex": b[HEAT, :m], "cold_ex": b[COOL, m:],
+            "warm_inj": b[COOL, 1:m], "cold_inj": b[HEAT, m + 1:]}
+
+
 def test_ambient_fixed_point_extraction(grid, params):
     x = ambient_profile(grid, params)
-    sys = build_extraction_system(grid, params, x, -1, DT)
-    x_next = sys.A @ x + sys.b * 0.0 + sys.f
+    A, f = build_extraction_system(grid, params, DT)
+    x_next = A @ x + f
     assert np.max(np.abs(x_next - x)) <= 1e-9
 
 
 def test_ambient_fixed_point_injection_cells(grid, params):
     x = ambient_profile(grid, params)
-    sys = build_injection_system(grid, params, x, 1, DT)
-    cells_next = sys.A @ x + sys.f
+    A, f = build_injection_system(grid, params, DT)
+    cells_next = A @ x + f
     assert np.allclose(cells_next, params.t_amb, atol=1e-12)
 
 
 def test_stability_number_small(grid, params):
     number = params.lam * DT / (params.c_a * grid.dr**2)
     assert number == pytest.approx(3.18e-4, rel=2e-2)
-    build_extraction_system(grid, params, ambient_profile(grid, params), -1, DT)
+    build_extraction_system(grid, params, DT)
 
 
 def test_stability_violation_raises(params):
     fine = build_grid(0.4, 60.0, 2000, 38.0)
     with pytest.raises(StabilityError):
-        build_extraction_system(fine, params, np.full(2001, params.t_amb), -1, 1e7)
+        build_extraction_system(fine, params, 1e7)
 
 
-def test_injection_dimensions(grid, params):
-    sys = build_injection_system(grid, params, ambient_profile(grid, params), 1, DT)
-    assert sys.A.shape == (20, 21)
-    assert sys.b.shape == (20,)
-    assert sys.f.shape == (20,)
+def test_injection_dimensions(grid, params, hx):
+    A, f = build_injection_system(grid, params, DT)
+    x = ambient_profile(grid, params)
+    assert A.shape == (20, 21)
+    assert gains(grid, params, hx, x, x)["cold_inj"].shape == (20,)
+    assert f.shape == (20,)
+    assert A[0, 0] > 0.0  # cell 1 conducts against the written borehole entry
 
 
 def test_extraction_dimensions(grid, params):
-    sys = build_extraction_system(grid, params, ambient_profile(grid, params), -1, DT)
-    assert sys.A.shape == (21, 21)
-    assert np.array_equal(sys.A[0], sys.A[1])  # borehole tracks cell 1
+    A, f = build_extraction_system(grid, params, DT)
+    assert A.shape == (21, 21)
+    assert np.array_equal(A[0], A[1])  # borehole tracks cell 1
+    assert f[0] == f[1]
+    assert not A[:, 0].any()  # no conduction through the inner face
 
 
-def test_affinity_superposition(grid, params):
+def test_affinity_superposition(grid, params, hx):
     rng = np.random.default_rng(3)
     x_ref = params.t_amb + 2.0 * rng.standard_normal(grid.nu + 1)
-    sys = build_extraction_system(grid, params, x_ref, -1, DT)
+    A, f = build_extraction_system(grid, params, DT)
+    b = gains(grid, params, hx, x_ref, ambient_profile(grid, params))["warm_ex"]
 
     def step(x, u):
-        return sys.A @ x + sys.b * u + sys.f
+        return A @ x + b * u + f
 
     x1 = params.t_amb + rng.standard_normal(grid.nu + 1)
     x2 = params.t_amb + rng.standard_normal(grid.nu + 1)
     u1, u2 = 0.013, -0.009
-    a, b = 0.3, 0.7
-    lhs = step(a * x1 + b * x2, a * u1 + b * u2)
-    rhs = a * step(x1, u1) + b * step(x2, u2) + (1 - a - b) * sys.f
+    a, c = 0.3, 0.7
+    lhs = step(a * x1 + c * x2, a * u1 + c * u2)
+    rhs = a * step(x1, u1) + c * step(x2, u2) + (1 - a - c) * f
     assert np.max(np.abs(lhs - rhs)) < 1e-9  # 1e-12 relative on ~300 K values
 
 
-def test_flow_sign_flips_input_gain(grid, params):
+def test_flow_sign_flips_input_gain(grid, params, hx):
+    """The same profile in both aquifers: q = -u in the warm one and q = u in
+    the cold one, so the gains are opposite and the conduction rows equal."""
     rng = np.random.default_rng(4)
     x_ref = params.t_amb + rng.standard_normal(grid.nu + 1)
-    plus = build_extraction_system(grid, params, x_ref, 1, DT)
-    minus = build_extraction_system(grid, params, x_ref, -1, DT)
-    assert np.allclose(plus.b, -minus.b)
-    assert np.array_equal(plus.A, minus.A)
-    assert np.array_equal(plus.f, minus.f)
+    m = grid.nu + 1
+    model = build_pwa(grid, params, hx, DT, np.concatenate([x_ref, x_ref]))
+    g = gains(grid, params, hx, x_ref, x_ref)
+    assert np.allclose(g["cold_ex"], -g["warm_ex"])
+    assert np.allclose(g["cold_inj"], -g["warm_inj"])
+    assert np.array_equal(model.A[HEAT, :m, :m], model.A[COOL, m:, m:])
+    assert np.array_equal(model.f[HEAT, :m], model.f[COOL, m:])
 
 
 def test_discrete_maximum_principle_storing(grid, params):
     rng = np.random.default_rng(5)
     x = params.t_amb + 3.0 * rng.standard_normal(grid.nu + 1)
     x[0] = x[1]
-    sys = build_extraction_system(grid, params, x, -1, DT)
-    x_next = sys.A @ x + sys.f
+    A, f = build_extraction_system(grid, params, DT)
+    x_next = A @ x + f
     padded = np.concatenate([x, [params.t_amb]])
     for i in range(1, grid.nu + 1):
         lo = min(padded[i - 1], padded[i], padded[i + 1])
@@ -92,14 +114,16 @@ def test_discrete_maximum_principle_storing(grid, params):
         assert lo - 1e-9 <= x_next[i] <= hi + 1e-9
 
 
-def test_injection_front_monotone_and_bounded(grid, params):
+def test_injection_front_monotone_and_bounded(grid, params, hx):
     """24 h of injecting fluid 10 K above ambient at the flow bound."""
     t_hot = params.t_amb + 10.0
-    x = np.full(grid.nu + 1, params.t_amb)
+    A, f = build_injection_system(grid, params, DT)
+    warm = ambient_profile(grid, params)
+    x = ambient_profile(grid, params)
     x[0] = t_hot
     for _ in range(24):
-        sys = build_injection_system(grid, params, x, 1, DT)
-        cells = sys.A @ x + sys.b * U_MAX + sys.f
+        b = gains(grid, params, hx, warm, x)["cold_inj"]
+        cells = A @ x + b * U_MAX + f
         x = np.concatenate([[t_hot], cells])
     assert np.all(np.diff(x) <= 1e-9)
     assert np.all(x >= params.t_amb - 1e-9)
@@ -107,15 +131,15 @@ def test_injection_front_monotone_and_bounded(grid, params):
     assert x[1] > params.t_amb + 1.0  # the front actually moved
 
 
-def test_frozen_gradient_matches_nonlinear_step(grid, params):
+def test_frozen_gradient_matches_nonlinear_step(grid, params, hx):
     """One affine step vs the same upwind step with the true (moving) gradient."""
-    rng = np.random.default_rng(6)
     radii = np.concatenate([[grid.r0], grid.midpoints])
     x = params.t_amb + 2.0 * np.exp(-(radii - grid.r0) / 15.0)
     x[0] = x[1]
+    A, f = build_extraction_system(grid, params, DT)
+    b = gains(grid, params, hx, x, ambient_profile(grid, params))["warm_ex"]
     for u in (U_MAX, 0.0123, -U_MAX):
-        sys = build_extraction_system(grid, params, x, -1, DT)
-        affine = sys.A @ x + sys.b * u + sys.f
+        affine = A @ x + b * u + f
         # Nonlinear reference: identical conduction, gradient re-evaluated at
         # the advected state (here the same state, so the difference is pure
         # Taylor truncation of the frozen-gradient convection).
@@ -126,8 +150,7 @@ def test_frozen_gradient_matches_nonlinear_step(grid, params):
         g[-1] = (params.t_amb - cells[-1]) / grid.dr
         conv = -DT * params.c_w * q * g / (
             params.c_a * 2.0 * np.pi * grid.midpoints * grid.l)
-        sys0 = build_extraction_system(grid, params, x, -1, DT)
-        base = sys0.A @ x + sys0.f
+        base = A @ x + f
         nonlinear = base[1:] + conv
         assert np.max(np.abs(affine[1:] - nonlinear)) < 1e-3
 
@@ -147,10 +170,8 @@ def test_coarse_step_matches_fine_oracle(grid, params, hx):
     truth.cold[0] = truth.cold[1]
     x0 = restrict_to_coarse(truth, grid)
 
-    warm_sys = build_extraction_system(grid, params, x0[:21], -1, DT)
-    cold_sys = build_extraction_system(grid, params, x0[21:], 1, DT)
-    pred = np.concatenate([warm_sys.A @ x0[:21] + warm_sys.f,
-                           cold_sys.A @ x0[21:] + cold_sys.f])
+    A, f = build_extraction_system(grid, params, DT)
+    pred = np.concatenate([A @ x0[:21] + f, A @ x0[21:] + f])
     truth_step(truth, 0.0, hx, DT)
     ref = restrict_to_coarse(truth, grid)
     # Compare the cell values; the borehole entries tie to different radii on
@@ -159,8 +180,9 @@ def test_coarse_step_matches_fine_oracle(grid, params, hx):
     assert np.max(np.abs(pred[cells] - ref[cells])) < 1e-2
 
 
-def test_bad_reference_profile(grid, params):
-    with pytest.raises(ParameterError):
-        build_extraction_system(grid, params, np.zeros(5), -1, DT)
-    with pytest.raises(ParameterError):
-        build_extraction_system(grid, params, np.full(21, 284.85), 2, DT)
+def test_bad_reference_profile(grid, params, hx):
+    """The convection gains' reference is the stacked state ``build_pwa`` takes."""
+    with pytest.raises(ParameterError, match="length 42"):
+        build_pwa(grid, params, hx, DT, np.zeros(5))
+    with pytest.raises(ParameterError, match="length 42"):
+        build_pwa(grid, params, hx, DT, ambient_profile(grid, params))

@@ -154,16 +154,31 @@ def test_rollout_with_precharged_warm_store_stays_in_bounds(grid, params, hx):
     assert np.all(x[21:] <= 284.85 + 1e-6)
 
 
+def aquifer_gains(grid, params, profile, sign):
+    """Extraction gain (borehole entry and cells) and injection gain (cells)
+    of one aquifer under q = sign * u, with gradients frozen at ``profile``
+    by plain differences (the far cell's outer neighbour is ambient)."""
+    padded = np.append(profile, params.t_amb)
+    gains = []
+    for g in ((padded[2:] - padded[1:-1]) / grid.dr,
+              (padded[1:-1] - padded[:-2]) / grid.dr):
+        gains.append(-DT * params.c_w * sign * g / (
+            params.c_a * 2.0 * np.pi * grid.midpoints * grid.l))
+    ex_b, inj_b = gains
+    return np.concatenate([ex_b[:1], ex_b]), inj_b
+
+
 def blockwise_branches(grid, params, hx, x_ref, u_ref):
     """Reference: the three branches in ``MODES`` order, each assembled block
-    by block from the aquifer subsystems and heat-exchanger rows."""
+    by block from the aquifers' conduction rows, their convection gains and
+    the heat-exchanger rows."""
     m = grid.nu + 1
     n = 2 * m
     warm_ref, cold_ref = x_ref[:m], x_ref[m:]
-    warm_ex = build_extraction_system(grid, params, warm_ref, -1, DT)
-    warm_inj = build_injection_system(grid, params, warm_ref, -1, DT)
-    cold_ex = build_extraction_system(grid, params, cold_ref, 1, DT)
-    cold_inj = build_injection_system(grid, params, cold_ref, 1, DT)
+    ex_A, ex_f = build_extraction_system(grid, params, DT)
+    inj_A, inj_f = build_injection_system(grid, params, DT)
+    warm_ex, warm_inj = aquifer_gains(grid, params, warm_ref, -1.0)
+    cold_ex, cold_inj = aquifer_gains(grid, params, cold_ref, 1.0)
     hx_heat = linearize_hx(float(warm_ref[0]), max(u_ref, 0.0), hx, "heating")
     hx_cool = linearize_hx(float(cold_ref[0]), min(u_ref, 0.0), hx, "cooling")
     w = slice(0, m)
@@ -174,23 +189,23 @@ def blockwise_branches(grid, params, hx, x_ref, u_ref):
     A1 = np.zeros((n, n))
     b1 = np.zeros(n)
     f1 = np.zeros(n)
-    A1[w, w] = warm_ex.A
-    b1[w] = warm_ex.b
-    f1[w] = warm_ex.f
+    A1[w, w] = ex_A
+    b1[w] = warm_ex
+    f1[w] = ex_f
     A1[m, 0] = hx_heat.a
     b1[m] = hx_heat.b
     f1[m] = hx_heat.f
-    A1[m + 1:, c] = cold_inj.A
-    b1[m + 1:] = cold_inj.b
-    f1[m + 1:] = cold_inj.f
+    A1[m + 1:, c] = inj_A
+    b1[m + 1:] = cold_inj
+    f1[m + 1:] = inj_f
 
     # Storing: block-diagonal extraction maps, no input gain.
     A2 = np.zeros((n, n))
     f2 = np.zeros(n)
-    A2[w, w] = warm_ex.A
-    A2[c, c] = cold_ex.A
-    f2[:m] = warm_ex.f
-    f2[m:] = cold_ex.f
+    A2[w, w] = ex_A
+    A2[c, c] = ex_A
+    f2[:m] = ex_f
+    f2[m:] = ex_f
 
     # Cooling: HX row writing the warm borehole from the cold borehole, warm
     # injection cell rows, cold extraction rows.
@@ -200,12 +215,12 @@ def blockwise_branches(grid, params, hx, x_ref, u_ref):
     A3[0, m] = hx_cool.a
     b3[0] = hx_cool.b
     f3[0] = hx_cool.f
-    A3[1:m, w] = warm_inj.A
-    b3[1:m] = warm_inj.b
-    f3[1:m] = warm_inj.f
-    A3[c, c] = cold_ex.A
-    b3[m:] = cold_ex.b
-    f3[m:] = cold_ex.f
+    A3[1:m, w] = inj_A
+    b3[1:m] = warm_inj
+    f3[1:m] = inj_f
+    A3[c, c] = ex_A
+    b3[m:] = cold_ex
+    f3[m:] = ex_f
     return [(A1, b1, f1), (A2, np.zeros(n), f2), (A3, b3, f3)]
 
 
