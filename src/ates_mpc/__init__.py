@@ -2,7 +2,6 @@
 
 from .controller import (OcpConfig, OcpSolution, condense, power_linear_rows,
                          solve_ocp)
-from .dynamics import build_extraction_system, build_injection_system
 from .errors import (AtesError, ControllerFault, GeometryError,
                      ParameterError, ScenarioError, SolverError,
                      StabilityError)
@@ -17,7 +16,8 @@ from .plant import (TruthConfig, TruthState, init_truth, measure,
                     restrict_to_coarse, truth_step)
 from .power import (EnergyLedger, power_bilinear, power_linear,
                     storage_weights, update_balance)
-from .pwa import AffineBranch, PwaModel, build_pwa, pwa_step
+from .pwa import (AffineBranch, PwaModel, build_extraction_system,
+                  build_injection_system, build_pwa, pwa_step)
 from .qp import Qp, QpResult, solve_qp
 from .scenario import (Scenario, gen_synthetic_demand, load_demand_csv,
                        load_scenario, read_results, scenario_from_values,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 
 import numpy as np
@@ -64,13 +65,14 @@ def _cmd_run(args) -> int:
 
 
 def _parse_schedule(text: str, steps: int) -> np.ndarray:
-    """Comma-separated flows, or a CSV whose second column holds flows."""
+    """A CSV whose second column holds flows (an existing file or a ``.csv``
+    name), or else comma-separated flows, one or more."""
     try:
-        if "," in text and not text.endswith(".csv"):
-            values = np.array([float(v) for v in text.split(",")])
-        else:
+        if text.endswith(".csv") or os.path.isfile(text):
             values = np.loadtxt(text, delimiter=",", skiprows=1, usecols=1,
                                 ndmin=1)
+        else:
+            values = np.array([float(v) for v in text.split(",")])
     except (OSError, ValueError) as exc:
         raise ScenarioError(f"cannot parse schedule {text!r}: {exc}") from exc
     bad = np.flatnonzero(~np.isfinite(values))

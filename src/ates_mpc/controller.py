@@ -546,7 +546,10 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
                 limit = incumbent + 1e-9 * max(1.0, abs(incumbent))
 
     if not optimal:
-        raise ControllerFault("all candidate mode sequences infeasible")
+        raise ControllerFault(
+            f"all {n_seq} candidate mode sequences failed: "
+            f"{np.count_nonzero(status == 'infeasible')} infeasible, "
+            f"{np.count_nonzero(status == 'stalled')} stalled")
 
     tol = 1e-9 * max(1.0, abs(incumbent))
     near = [s for s in optimal if costs[s] <= incumbent + tol]

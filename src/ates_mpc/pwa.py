@@ -1,5 +1,16 @@
 """Three-branch piecewise-affine model over the stacked warm+cold state.
 
+Each aquifer steps by explicit Euler on radial heat transport.  Conduction
+is a conservative finite-volume stencil on cylindrical shells whose far-field
+cell couples to an ambient Dirichlet value.  Convection is an upwind
+difference with the gradient frozen at a reference profile, so the step is
+affine in the flow u.  The borehole entry depends on the regime:
+
+* extraction or storing: no conductive flux through the inner face, and the
+  borehole entry follows cell 1 (zero spatial gradient outflow);
+* injection: the heat exchanger writes the borehole entry, and the cells
+  conduct and advect against it as a Dirichlet value.
+
 The model is one table of affine branches, one per mode in ``MODES`` order,
 and the mode is picked by the sign of the flow u (``mode_of``): u > 0 heating
 (warm extraction feeds the heat exchanger, which writes the cold borehole
@@ -8,7 +19,7 @@ u < 0 cooling (the mirror image of heating).
 
 Only a few entries follow the state: the two heat-exchanger rows and the
 convection gains ``b``.  Everything else is a per-config template, built once
-and copied by each hourly ``build_pwa``.
+from each regime's conduction rows and copied by each hourly ``build_pwa``.
 """
 
 from __future__ import annotations
@@ -19,9 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import (_convection_gain, _upwind_quotients,
-                       build_extraction_system, build_injection_system)
-from .errors import ParameterError
+from .errors import ParameterError, StabilityError
 from .grid import AquiferParams, RadialGrid, validate_state
 from .heat_exchanger import HxParams, linearize_hx
 
@@ -92,6 +101,75 @@ def pwa_step(model: PwaModel, x: np.ndarray, u: float) -> np.ndarray:
 
 
 @functools.cache
+def _conduction_stencil(grid: RadialGrid, params: AquiferParams, dt: float,
+                        inner_coupled: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Cell rows of the conduction update.
+
+    Returns (A_cells, f_cells) with A_cells of shape (nu, nu+1) acting on the
+    full per-aquifer state (borehole + cells) and f_cells holding the far-field
+    Dirichlet contribution.  ``inner_coupled`` switches the conductive flux
+    through the inner face of cell 1 (on during injection, off otherwise).
+    The stencil depends only on its arguments, so it is built once per grid,
+    parameters and ``dt`` and shared read-only; so is the check that the
+    explicit step keeps the diffusion number below 1/2.
+    """
+    nu = grid.nu
+    dr = grid.dr
+    lam = params.lam
+    number = lam * dt / (params.c_a * dr**2)
+    if number >= 0.5:
+        raise StabilityError(
+            f"diffusion number {number:.3g} >= 0.5 "
+            f"(lambda={lam}, dt={dt}, c_a={params.c_a}, dr={dr:.3g})")
+    coeff = 2.0 * np.pi * grid.l * lam * dt / (params.c_a * grid.volumes)
+
+    A = np.zeros((nu, nu + 1))
+    f = np.zeros(nu)
+    A[np.arange(nu), np.arange(1, nu + 1)] = 1.0
+
+    for i in range(nu):  # cell index i, state column i + 1
+        c = i + 1
+        if i > 0:
+            k_in = coeff[i] * grid.edges[i] / dr
+            A[i, c] -= k_in
+            A[i, c - 1] += k_in
+        elif inner_coupled:
+            k_in = coeff[i] * grid.edges[0] / (grid.midpoints[0] - grid.r0)
+            A[i, c] -= k_in
+            A[i, 0] += k_in
+        if i < nu - 1:
+            k_out = coeff[i] * grid.edges[i + 1] / dr
+            A[i, c] -= k_out
+            A[i, c + 1] += k_out
+        else:
+            k_out = coeff[i] * grid.edges[nu] / (grid.r_inf - grid.midpoints[nu - 1])
+            A[i, c] -= k_out
+            f[i] += k_out * params.t_amb
+    A.flags.writeable = False
+    f.flags.writeable = False
+    return A, f
+
+
+def build_extraction_system(grid: RadialGrid, params: AquiferParams,
+                            dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Conduction rows ``(A (nu+1, nu+1), f)`` of one aquifer while fluid is
+    extracted or stored; the borehole entry follows cell 1, so its row
+    copies cell 1's.
+    """
+    A, f = _conduction_stencil(grid, params, dt, inner_coupled=False)
+    return np.vstack([A[:1], A]), np.concatenate([f[:1], f])
+
+
+def build_injection_system(grid: RadialGrid, params: AquiferParams,
+                           dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Conduction rows ``(A (nu, nu+1), f)`` of one aquifer's cells while
+    fluid is injected; the borehole entry is written by the heat exchanger
+    and appears as a regular column of A.
+    """
+    return _conduction_stencil(grid, params, dt, inner_coupled=True)
+
+
+@functools.cache
 def _template(grid: RadialGrid, params: AquiferParams,
               dt: float) -> tuple[np.ndarray, np.ndarray]:
     """``A (3, n, n)`` and ``f (3, n)`` of the three branches, read-only.
@@ -124,11 +202,6 @@ def _template(grid: RadialGrid, params: AquiferParams,
     return A, f
 
 
-# Flow into the cold aquifer is q = u, into the warm one q = -u.
-_AQUIFER_FLOW_SIGNS = np.array([[-1.0], [1.0]])
-_AQUIFER_FLOW_SIGNS.flags.writeable = False
-
-
 def build_pwa(grid: RadialGrid, params: AquiferParams, hx: HxParams, dt: float,
               x_ref: np.ndarray, u_ref: float = 0.0) -> PwaModel:
     """Rebuild the full PWA model at a prediction instant.
@@ -151,9 +224,20 @@ def build_pwa(grid: RadialGrid, params: AquiferParams, hx: HxParams, dt: float,
     A = A_fixed.copy()
     f = f_fixed.copy()
     b = np.zeros(f.shape)
-    quotients = _upwind_quotients(x_ref.reshape(2, m), params.t_amb, grid.dr)
-    ex = _convection_gain(grid, params, dt, _AQUIFER_FLOW_SIGNS, quotients[:, 1:])
-    inj = _convection_gain(grid, params, dt, _AQUIFER_FLOW_SIGNS, quotients[:, :-1])
+    # Difference quotients along both profiles, each padded with the ambient
+    # value past its far cell: entry j is (x[j+1] - x[j]) / dr, j = 0..nu.
+    quotients = np.diff(x_ref.reshape(2, m), append=params.t_amb) / grid.dr
+    # Flow q = -u enters the warm aquifer and q = u the cold one, and its
+    # convection term is -c_w/(c_a 2 pi r l) * g * q.
+    scale = -dt * params.c_w * np.array([[-1.0], [1.0]])
+    shells = params.c_a * 2.0 * np.pi * grid.midpoints * grid.l
+    # Extraction draws fluid inward and upwinds against the outer neighbour,
+    # so cell i reads entry i+1 (the far cell sees the ambient value).
+    # Injection pushes outward and upwinds against the inner neighbour, so
+    # cell i reads entry i (cell 1 sees the borehole entry).  Boundary cells
+    # use the full spacing, so the enthalpy fluxes telescope exactly.
+    ex = scale * quotients[:, 1:] / shells
+    inj = scale * quotients[:, :-1] / shells
     # Heating extracts from the warm aquifer (0, rows from 0) and injects
     # into the cold one (1, rows from m); cooling the other way round.  The
     # extracted aquifer's borehole entry follows its cell 1, and so does its

@@ -16,13 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controller import OcpConfig
-from .dynamics import _conduction_stencil
 from .errors import GeometryError, ParameterError, ScenarioError, StabilityError
 from .grid import AquiferParams, RadialGrid, build_grid
 from .heat_exchanger import HxParams
 from .observer import UkfConfig
 from .plant import TruthConfig
 from .power import J_PER_MWH
+from .pwa import build_extraction_system
 
 HOURS_PER_YEAR = 8760
 # Hour 0 of a synthetic demand series: the start of October.
@@ -126,7 +126,7 @@ def scenario_from_values(values: dict) -> Scenario:
     """Scenario of config values; an inadmissible value raises ScenarioError.
 
     The model's explicit step is checked here, once, by building the
-    conduction stencil that every model rebuild shares.
+    extraction conduction rows whose stencil every model rebuild shares.
     """
     if values["seed"] < 0:
         raise ScenarioError(f"seed must be nonnegative, got {values['seed']}")
@@ -149,7 +149,7 @@ def scenario_from_values(values: dict) -> Scenario:
             q_u=values["q_u"], q_d=values["q_d"], q_e=values["q_e"],
             balance_hours=values["balance_window_h"],
             slack_weight=values["slack_weight_per_k2"])
-        _conduction_stencil(grid, params, ocp.dt, inner_coupled=False)
+        build_extraction_system(grid, params, ocp.dt)
         ukf = UkfConfig.for_grid(
             values["nu"], kappa=values["ukf_kappa"],
             process_var=values["process_noise_var_k2"],

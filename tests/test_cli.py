@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from ates_mpc import controller
 from ates_mpc.cli import main
+from ates_mpc.errors import SolverError
 from ates_mpc.scenario import (_DEFAULTS, _INT_KEYS, load_demand_csv,
                                read_results)
 
@@ -435,3 +437,33 @@ def test_sim_schedule_starting_with_cooling(tmp_path, capsys):
     records = read_results(str(out))
     assert [r["u_applied"] for r in records] == [-0.0277, 0.0, 0.0277]
     assert [r["mode"] for r in records] == ["cooling", "storing", "heating"]
+
+
+def test_sim_one_flow_schedule(tmp_path, capsys):
+    """A single flow is an inline schedule, not a file name."""
+    out = tmp_path / "sim.csv"
+    assert main(["sim", "--steps", "1", "--schedule=-0.0277",
+                 "--out", str(out)]) == 0
+    assert [r["u_applied"] for r in read_results(str(out))] == [-0.0277]
+
+
+def test_sim_schedule_from_existing_file(tmp_path, capsys):
+    """An existing file is read as a CSV whatever its suffix."""
+    flows = tmp_path / "flows.txt"
+    flows.write_text("t,u\n0,0.01\n3600,-0.01\n")
+    out = tmp_path / "sim.csv"
+    assert main(["sim", "--steps", "2", "--schedule", str(flows),
+                 "--out", str(out)]) == 0
+    assert [r["u_applied"] for r in read_results(str(out))] == [0.01, -0.01]
+
+
+def test_solve_once_with_every_candidate_failing(capsys, monkeypatch):
+    """A controller fault ends solve-once with one error line and exit 2."""
+    def stall(qp):
+        raise SolverError("forced stall")
+
+    monkeypatch.setattr(controller, "solve_qp", stall)
+    assert main(["solve-once"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: all 27 candidate mode sequences failed: "
+                   "0 infeasible, 27 stalled\n")

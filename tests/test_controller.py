@@ -6,8 +6,9 @@ import pytest
 
 from scipy.optimize import nnls
 
-from ates_mpc import (OcpConfig, ParameterError, Qp, SolverError, build_pwa,
-                      power_bilinear, pwa_step, solve_ocp, solve_qp)
+from ates_mpc import (ControllerFault, OcpConfig, ParameterError, Qp,
+                      QpResult, SolverError, build_pwa, power_bilinear,
+                      pwa_step, solve_ocp, solve_qp)
 from ates_mpc import controller
 from ates_mpc.controller import (W_PER_MW, build_cost, candidate_qp, condense,
                                  power_linear_rows, sequence_table, soft_rows,
@@ -309,6 +310,55 @@ def test_clipped_flows_are_rolled_out_again(grid, params, hx, cfg,
     assert np.all(sol.u_blocks == 0.0)
     assert np.array_equal(sol.x_pred, trajectory(
         model, cfg, x0, mode_indices(sol.mode_sequence), sol.u_blocks))
+
+
+def test_stalled_candidate_drops_out(grid, params, hx, cfg, monkeypatch):
+    # The first QP solved stalls: its sequence is recorded as stalled and
+    # counted, and the plan is the best of the sequences left.
+    calls = []
+
+    def stall_first(qp):
+        calls.append(qp)
+        if len(calls) == 1:
+            raise SolverError("forced stall")
+        return solve_qp(qp)
+
+    x0 = charged_state(grid, params)
+    model = build_pwa(grid, params, hx, DT, x0, 0.0)
+    demand = np.full(12, 1e6)
+    exact = solve_ocp(x0, demand, 0.0, cfg, model, grid, params)
+    monkeypatch.setattr(controller, "solve_qp", stall_first)
+    sol = solve_ocp(x0, demand, 0.0, cfg, model, grid, params)
+    stalled = [r for r in sol.per_candidate if r.status == "stalled"]
+    assert len(stalled) == 1 and stalled[0].cost == np.inf
+    assert sol.counts["stalled_candidates"] == 1
+    winner = next(r for r in sol.per_candidate
+                  if r.mode_sequence == sol.mode_sequence)
+    assert winner.status == "optimal" and winner.cost == sol.cost
+    assert sol.mode_sequence != stalled[0].mode_sequence
+    assert sol.cost >= exact.cost
+
+
+def test_every_candidate_failing_is_a_controller_fault(grid, params, hx, cfg,
+                                                       monkeypatch):
+    # Every QP fails, alternately stalled and infeasible; the fault names
+    # both counts.
+    calls = []
+
+    def failing(qp):
+        calls.append(qp)
+        if len(calls) % 2:
+            raise SolverError("forced stall")
+        return QpResult(np.full(qp.m, np.nan), np.inf, "infeasible", np.inf, ())
+
+    x0 = charged_state(grid, params)
+    model = build_pwa(grid, params, hx, DT, x0, 0.0)
+    monkeypatch.setattr(controller, "solve_qp", failing)
+    with pytest.raises(ControllerFault) as info:
+        solve_ocp(x0, np.full(12, 1e6), 0.0, cfg, model, grid, params)
+    assert len(calls) == 27
+    assert str(info.value) == ("all 27 candidate mode sequences failed: "
+                               "13 infeasible, 14 stalled")
 
 
 @pytest.mark.parametrize("demand_entry, b_past", [(np.inf, 0.0),

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from ates_mpc import AquiferParams, OcpConfig, build_grid, power_linear_rows
-from ates_mpc.dynamics import _conduction_stencil
 from ates_mpc.harness import run_closed_loop
 from ates_mpc.plant import _overlap_weights
-from ates_mpc.pwa import _template
+from ates_mpc.pwa import _conduction_stencil, _template
 from ates_mpc.scenario import load_scenario
 
 DT = 3600.0

@@ -10,7 +10,7 @@ from scipy.optimize import minimize
 
 import ates_mpc
 from ates_mpc import Qp, solve_qp
-from ates_mpc.errors import ParameterError
+from ates_mpc.errors import ParameterError, SolverError
 
 
 def test_active_bound():
@@ -40,6 +40,15 @@ def test_infeasible_returns_status():
     res = solve_qp(qp)
     assert res.status == "infeasible"
     assert res.value == np.inf
+
+
+def test_iteration_cap_raises(monkeypatch):
+    # A solve that reaches the iteration cap raises instead of returning.
+    monkeypatch.setattr(ates_mpc.qp, "_iteration_cap", lambda m, p: 0)
+    qp = Qp(H=np.array([[1.0]]), g=np.zeros(1),
+            G=np.array([[-1.0]]), h=np.array([-1.0]))
+    with pytest.raises(SolverError, match="iteration cap 0 exceeded"):
+        solve_qp(qp)
 
 
 def test_infeasible_in_several_dimensions():
