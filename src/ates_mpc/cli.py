@@ -24,8 +24,6 @@ from .scenario import (_DEFAULTS, _config_values, gen_synthetic_demand,
                        read_results, scenario_from_values, write_demand_csv,
                        write_results)
 
-logger = logging.getLogger(__name__)
-
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", default=None,
@@ -54,8 +52,7 @@ def _load(args) -> "Scenario":
 
 def _cmd_run(args) -> int:
     scenario = _load(args)
-    report = run_closed_loop(scenario, steps=args.steps, out_path=args.out,
-                             log_every=args.log_every)
+    report = run_closed_loop(scenario, steps=args.steps, out_path=args.out)
     print(f"steps: {report.steps}")
     print(f"final balance: {report.final_balance_j / J_PER_MWH:.3f} MWh")
     print(f"coverage: {report.coverage:.3f}")
@@ -196,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ates-mpc",
         description="Closed-loop aquifer thermal storage simulation and MPC.")
-    parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="closed-loop MPC run against the truth plant")
@@ -204,8 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="results CSV path")
     p.add_argument("--steps", type=_nonnegative_int, default=None,
                    help="number of hourly steps (default: scenario duration)")
-    p.add_argument("--log-every", type=_nonnegative_int, default=0,
-                   help="log progress every N steps")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("sim", help="open-loop plant rollout with a flow schedule")
@@ -258,9 +252,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except ScenarioError as exc:

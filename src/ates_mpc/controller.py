@@ -55,8 +55,7 @@ W_PER_MW = 1e6
 class OcpConfig:
     dt: float = 3600.0
     blocks: tuple[int, ...] = (1, 4, 7)
-    u_min: float = -0.0277
-    u_max: float = 0.0277
+    u_max: float = 0.0277  # flow limit of either direction [m^3/s]
     warm_bounds: tuple[float, float] = (284.85, 293.15)
     cold_bounds: tuple[float, float] = (273.15, 284.85)
     q_u: float = 1.0
@@ -69,20 +68,29 @@ class OcpConfig:
     balance_hours: float = 80.0
 
     def __post_init__(self):
+        # Each check is written so that a NaN fails it.
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ParameterError(f"time step must be finite and positive, got {self.dt}")
-        if self.balance_hours <= 0.0:
-            raise ParameterError("balance_hours must be positive")
+        if not self.balance_hours > 0.0:
+            raise ParameterError(
+                f"balance_hours must be positive, got {self.balance_hours!r}")
         if min(self.blocks) < 1:
             raise ParameterError(
                 f"every block must hold at least one step, got {self.blocks}")
-        if not (self.u_min < 0.0 < self.u_max):
-            raise ParameterError("need u_min < 0 < u_max")
+        if not self.u_max > 0.0:
+            raise ParameterError(f"u_max must be positive, got {self.u_max!r}")
         for lo, hi in (self.warm_bounds, self.cold_bounds):
-            if lo >= hi:
-                raise ParameterError("state bounds must be ordered")
-        if min(self.q_u, self.q_d, self.q_e, self.slack_weight) < 0.0:
+            if not lo < hi:
+                raise ParameterError(
+                    f"state bounds must be ordered, got {(lo, hi)!r}")
+        if not all(w >= 0.0 for w in (self.q_u, self.q_d, self.q_e,
+                                      self.slack_weight)):
             raise ParameterError("weights must be nonnegative")
+
+    @property
+    def u_min(self) -> float:
+        """The cooling flow limit, -u_max."""
+        return -self.u_max
 
     @property
     def horizon(self) -> int:
@@ -107,7 +115,7 @@ class SequenceTable:
     """The blocked mode sequences of a config and what depends only on them.
 
     Sequences are in ``itertools.product(MODES, repeat=n_blocks)`` order.
-    Each block's flow interval is its mode's sign region of [u_min, u_max];
+    Each block's flow interval is its mode's sign region of [-u_max, u_max];
     ``boxes[s]`` holds sequence s's input-box rows ``G, h`` over its pumping
     blocks' flows and the slack, and the indices ``free`` of those variables
     in the (blocks, slack) vector.  Arrays are read-only.
@@ -141,7 +149,7 @@ def sequence_table(cfg: OcpConfig) -> SequenceTable:
         i = np.arange(j.size)
         G[2 * i, i] = -sign_s[j]
         G[2 * i + 1, i] = sign_s[j]
-        h[2 * i + 1] = np.where(sign_s[j] > 0.0, cfg.u_max, -cfg.u_min)
+        h[2 * i + 1] = cfg.u_max
         G[-1, -1] = -1.0
         boxes.append((G, h, np.append(j, nb)))
     for a in (modes, lo, hi, pumping, *itertools.chain(*boxes)):
@@ -562,8 +570,7 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
     # An active zero bound can come back as +-1e-19; its sign would select a
     # pumping branch in the model, the filter and the recorded mode while the
     # plant pumps nothing.
-    snap = (u_blocks != 0.0) & (np.abs(u_blocks)
-                                <= 1e-12 * max(cfg.u_max, -cfg.u_min))
+    snap = (u_blocks != 0.0) & (np.abs(u_blocks) <= 1e-12 * cfg.u_max)
     u_blocks[snap] = 0.0
 
     if x_pred is None or not np.array_equal(u_blocks, flows[s]):

@@ -72,10 +72,14 @@ class AquiferParams:
     t_amb: float
 
     def __post_init__(self):
-        if min(self.c_a, self.c_w, self.c_r, self.lam) <= 0.0:
+        # Written so that a NaN fails the checks too.
+        if not all(v > 0.0 for v in (self.c_a, self.c_w, self.c_r, self.lam)):
             raise ParameterError("heat capacities and conduction coefficient must be positive")
         if not (0.0 <= self.phi <= 1.0):
             raise ParameterError(f"porosity must lie in [0, 1], got {self.phi}")
+        if not (math.isfinite(self.t_amb) and self.t_amb > 0.0):
+            raise ParameterError(
+                f"ambient temperature must be finite and positive, got {self.t_amb}")
 
     @classmethod
     def from_constituents(cls, phi: float, c_w: float, c_r: float,

@@ -106,8 +106,7 @@ class _Estimator:
 
 
 def run_closed_loop(scenario: Scenario, steps: int | None = None,
-                    out_path: str | None = None,
-                    log_every: int = 0) -> RunReport:
+                    out_path: str | None = None) -> RunReport:
     grid, params, ocp = scenario.grid, scenario.params, scenario.ocp
     nu = grid.nu
     n = grid.n_states
@@ -157,12 +156,11 @@ def run_closed_loop(scenario: Scenario, steps: int | None = None,
                             float(np.max(est.mean - x_max)),
                             float(np.max(x_min - est.mean)))
 
-        x_before = est.mean.copy()
         truth_step(truth, u, scenario.hx, ocp.dt)
-        x_next_est = pwa_step(model, x_before, u)
+        x_next_est = pwa_step(model, est.mean, u)
 
-        p_bil = power_bilinear(x_before, u, params.c_w)
-        p_lin = power_linear(x_before, x_next_est, grid, params, ocp.dt)
+        p_bil = power_bilinear(est.mean, u, params.c_w)
+        p_lin = power_linear(est.mean, x_next_est, grid, params, ocp.dt)
         update_balance(ledger, p_bil, (k + 1) * ocp.dt)
 
         abs_err_sum += err
@@ -187,9 +185,6 @@ def run_closed_loop(scenario: Scenario, steps: int | None = None,
             **sensor_record(y),
         })
         u_prev = u
-        if log_every and (k + 1) % log_every == 0:
-            logger.info("step %d/%d, B_past %.2f MWh", k + 1, steps,
-                        ledger.b_past / J_PER_MWH)
 
     def column(key: str) -> np.ndarray:
         return np.array([r[key] for r in records], dtype=float)
@@ -257,7 +252,7 @@ def _charged_store_profile(grid, t_amb: float, amplitude: float,
     return vals
 
 
-def power_form_study(scenario: Scenario, steps: int = 720
+def power_form_study(scenario: Scenario, steps: int
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Roll the prediction model under a demand-proportional flow schedule.
 

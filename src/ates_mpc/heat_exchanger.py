@@ -35,9 +35,10 @@ class HxParams:
     t_b_cooling: float
 
     def __post_init__(self):
-        if self.q_b <= 0.0:
+        # Written so that a NaN fails the checks too.
+        if not self.q_b > 0.0:
             raise ParameterError(f"building-side flow must be positive, got {self.q_b}")
-        if self.t_b_heating <= 0.0 or self.t_b_cooling <= 0.0:
+        if not (self.t_b_heating > 0.0 and self.t_b_cooling > 0.0):
             raise ParameterError("building-side temperatures must be positive kelvins")
 
     def t_b(self, mode: Mode) -> float:

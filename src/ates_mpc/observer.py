@@ -34,12 +34,12 @@ class GaussianEstimate:
 
 @dataclass(frozen=True)
 class UkfConfig:
-    """Sigma-point spread, noise variances and the sensor selection matrix."""
+    """Sensor selection matrix, sigma-point spread and noise variances."""
 
+    C: np.ndarray
     kappa: float = 5.0
     process_var: float = 0.05**2
     measurement_var: float = 0.01**2
-    C: np.ndarray | None = None
 
     def __post_init__(self):
         # Zero process noise is a deterministic model; the innovation
@@ -49,7 +49,7 @@ class UkfConfig:
                 f"need process variance >= 0 and measurement variance > 0, got "
                 f"{self.process_var!r} and {self.measurement_var!r}")
         # The sigma-point weights need n + kappa > 0 over the n states.
-        if self.C is not None and not self.kappa > -self.C.shape[1]:
+        if not self.kappa > -self.C.shape[1]:
             raise ParameterError(f"kappa must exceed -{self.C.shape[1]} (minus "
                                  f"the state count), got {self.kappa!r}")
 
@@ -61,11 +61,6 @@ class UkfConfig:
         for row, idx in enumerate((0, nu, nu + 1, 2 * nu + 1)):
             C[row, idx] = 1.0
         return C
-
-    @classmethod
-    def for_grid(cls, nu: int, kappa: float = 5.0, process_var: float = 0.05**2,
-                 measurement_var: float = 0.01**2) -> "UkfConfig":
-        return cls(kappa, process_var, measurement_var, cls.sensor_matrix(nu))
 
 
 @dataclass(frozen=True)
@@ -124,8 +119,6 @@ def predict(est: GaussianEstimate, step_fn: Callable[[np.ndarray], np.ndarray],
     input is baked in by the caller, so every point traverses the same
     branch).
     """
-    if cfg.C is None:
-        raise ParameterError("UkfConfig.C must be set; use UkfConfig.for_grid")
     points, weights = sigma_points(est, cfg.kappa)
     propagated = step_fn(points)
     mean = weights @ propagated

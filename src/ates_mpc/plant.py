@@ -68,7 +68,6 @@ class TruthState:
     k_edge: np.ndarray
     heat_capacity: np.ndarray
     lam_max: float
-    t_amb_current: float
     clock: float = 0.0
     boundary_energy: float = 0.0
     dmp_violation: float = 0.0  # worst audit excess seen so far [K]
@@ -120,7 +119,6 @@ def init_truth(cfg: TruthConfig, coarse: RadialGrid, params: AquiferParams) -> T
         # Any nonzero padding will do: _rates zeroes the padding's rates.
         heat_capacity=_interior(params.c_a * grid.volumes, pad=1.0),
         lam_max=float(max(lam_warm.max(), lam_cold.max())),
-        t_amb_current=params.t_amb,
         sensor_cells=(0, far_cell),
         rng_t_amb=np.random.default_rng(seeds[1]),
         rng_sensor=np.random.default_rng(seeds[2]),
@@ -268,7 +266,7 @@ def _rates(w: _Work) -> None:
     w.rates_pad.fill(0.0)
 
 
-def truth_step(state: TruthState, u: float, hx: HxParams, dt: float = 3600.0,
+def truth_step(state: TruthState, u: float, hx: HxParams, dt: float,
                audit: bool = False) -> TruthState:
     """Advance both aquifers by one sampling period with explicit substeps.
 
@@ -282,12 +280,10 @@ def truth_step(state: TruthState, u: float, hx: HxParams, dt: float = 3600.0,
     p = state.params
     nu = state.grid.nu
 
+    t_far = p.t_amb
     if cfg.t_amb_noise_amp > 0.0:
-        state.t_amb_current = p.t_amb + state.rng_t_amb.uniform(
-            -cfg.t_amb_noise_amp, cfg.t_amb_noise_amp)
-    else:
-        state.t_amb_current = p.t_amb
-    t_far = state.t_amb_current
+        t_far = p.t_amb + state.rng_t_amb.uniform(-cfg.t_amb_noise_amp,
+                                                  cfg.t_amb_noise_amp)
 
     n_sub = _substep_count(state, u, dt)
     dt_sub = dt / n_sub

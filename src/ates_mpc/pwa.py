@@ -203,7 +203,7 @@ def _template(grid: RadialGrid, params: AquiferParams,
 
 
 def build_pwa(grid: RadialGrid, params: AquiferParams, hx: HxParams, dt: float,
-              x_ref: np.ndarray, u_ref: float = 0.0) -> PwaModel:
+              x_ref: np.ndarray, u_ref: float) -> PwaModel:
     """Rebuild the full PWA model at a prediction instant.
 
     ``A`` and ``f`` start as copies of the per-config template

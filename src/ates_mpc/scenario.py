@@ -143,15 +143,15 @@ def scenario_from_values(values: dict) -> Scenario:
             dt=values["dt_s"],
             blocks=(values["block_1_steps"], values["block_2_steps"],
                     values["block_3_steps"]),
-            u_min=-values["u_max_m3_per_s"], u_max=values["u_max_m3_per_s"],
+            u_max=values["u_max_m3_per_s"],
             warm_bounds=(values["warm_min_k"], values["warm_max_k"]),
             cold_bounds=(values["cold_min_k"], values["cold_max_k"]),
             q_u=values["q_u"], q_d=values["q_d"], q_e=values["q_e"],
             balance_hours=values["balance_window_h"],
             slack_weight=values["slack_weight_per_k2"])
         build_extraction_system(grid, params, ocp.dt)
-        ukf = UkfConfig.for_grid(
-            values["nu"], kappa=values["ukf_kappa"],
+        ukf = UkfConfig(
+            UkfConfig.sensor_matrix(values["nu"]), kappa=values["ukf_kappa"],
             process_var=values["process_noise_var_k2"],
             measurement_var=values["measurement_noise_var_k2"])
         truth = TruthConfig(
@@ -265,9 +265,8 @@ def write_demand_csv(path: str, demand: np.ndarray) -> None:
         raise ScenarioError(f"cannot write demand to {path!r}: {exc}") from exc
 
 
-def gen_synthetic_demand(seed: int, year_hours: int = HOURS_PER_YEAR,
-                         heat_total: float = 3800.0 * J_PER_MWH,
-                         cold_total: float = 2200.0 * J_PER_MWH) -> np.ndarray:
+def gen_synthetic_demand(seed: int, year_hours: int, heat_total: float,
+                         cold_total: float) -> np.ndarray:
     """Seasonal + daily synthetic demand [W], positive = heat demand.
 
     Hour 0 is the start of October, so the heating season comes first and

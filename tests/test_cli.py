@@ -387,12 +387,6 @@ def test_non_finite_demand_total_is_error(tmp_path, capsys, flag):
     assert not out.exists()
 
 
-def test_negative_log_every_is_usage_error(tmp_path, capsys):
-    assert main(["run", "--steps", "1", "--log-every", "-1"]) == 1
-    assert "--log-every: must be nonnegative" in capsys.readouterr().err
-    assert main(["run", "--steps", "1", "--log-every", "0"]) == 0
-
-
 def test_zero_steps_is_valid(tmp_path, capsys):
     out = tmp_path / "results.csv"
     assert main(["run", "--steps", "0", "--out", str(out)]) == 0

@@ -50,8 +50,10 @@ def charged_state(grid, params, warm_lift=6.0, cold_drop=9.0):
 def test_config_validation():
     with pytest.raises(ParameterError):
         OcpConfig(blocks=(0, 4, 7))
-    with pytest.raises(ParameterError):
-        OcpConfig(u_min=0.01)
+    for u_max in (0.0, -0.01, np.nan):
+        with pytest.raises(ParameterError, match="u_max"):
+            OcpConfig(u_max=u_max)
+    assert OcpConfig(u_max=0.01).u_min == -0.01
     with pytest.raises(ParameterError):
         OcpConfig(warm_bounds=(293.0, 284.0))
     with pytest.raises(ParameterError):
@@ -59,6 +61,16 @@ def test_config_validation():
     for dt in (np.nan, 0.0, -1.0):
         with pytest.raises(ParameterError, match="time step"):
             OcpConfig(dt=dt)
+
+
+@pytest.mark.parametrize("kw", [dict(balance_hours=np.nan),
+                                dict(warm_bounds=(np.nan, 293.0)),
+                                dict(cold_bounds=(273.15, np.nan)),
+                                dict(q_u=np.nan), dict(q_e=np.nan),
+                                dict(slack_weight=np.nan)])
+def test_config_rejects_nan(kw):
+    with pytest.raises(ParameterError):
+        OcpConfig(**kw)
 
 
 def test_state_bounds_layout(cfg):

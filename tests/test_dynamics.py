@@ -21,7 +21,7 @@ def gains(grid, params, hx, warm, cold):
     cooling the other way round.  An extraction gain covers the borehole
     entry and the cells, an injection gain the cells only."""
     m = grid.nu + 1
-    b = build_pwa(grid, params, hx, DT, np.concatenate([warm, cold])).b
+    b = build_pwa(grid, params, hx, DT, np.concatenate([warm, cold]), 0.0).b
     return {"warm_ex": b[HEAT, :m], "cold_ex": b[COOL, m:],
             "warm_inj": b[COOL, 1:m], "cold_inj": b[HEAT, m + 1:]}
 
@@ -93,7 +93,7 @@ def test_flow_sign_flips_input_gain(grid, params, hx):
     rng = np.random.default_rng(4)
     x_ref = params.t_amb + rng.standard_normal(grid.nu + 1)
     m = grid.nu + 1
-    model = build_pwa(grid, params, hx, DT, np.concatenate([x_ref, x_ref]))
+    model = build_pwa(grid, params, hx, DT, np.concatenate([x_ref, x_ref]), 0.0)
     g = gains(grid, params, hx, x_ref, x_ref)
     assert np.allclose(g["cold_ex"], -g["warm_ex"])
     assert np.allclose(g["cold_inj"], -g["warm_inj"])
@@ -183,6 +183,6 @@ def test_coarse_step_matches_fine_oracle(grid, params, hx):
 def test_bad_reference_profile(grid, params, hx):
     """The convection gains' reference is the stacked state ``build_pwa`` takes."""
     with pytest.raises(ParameterError, match="length 42"):
-        build_pwa(grid, params, hx, DT, np.zeros(5))
+        build_pwa(grid, params, hx, DT, np.zeros(5), 0.0)
     with pytest.raises(ParameterError, match="length 42"):
-        build_pwa(grid, params, hx, DT, ambient_profile(grid, params))
+        build_pwa(grid, params, hx, DT, ambient_profile(grid, params), 0.0)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ates_mpc import (GeometryError, ParameterError, build_grid,
-                      effective_heat_capacity, validate_state)
+from ates_mpc import (AquiferParams, GeometryError, ParameterError,
+                      build_grid, effective_heat_capacity, validate_state)
 
 
 def test_standard_grid_spacing_and_cells():
@@ -57,6 +57,19 @@ def test_effective_heat_capacity_limits():
 def test_effective_heat_capacity_bad_porosity():
     with pytest.raises(ParameterError):
         effective_heat_capacity(1.5, 4.2e6, 4.575e6)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("c_a", math.nan), ("c_w", math.nan), ("lam", math.nan),
+    ("t_amb", math.nan), ("t_amb", math.inf), ("t_amb", 0.0),
+    ("t_amb", -284.85)])
+def test_aquifer_params_rejected(field, value):
+    kw = dict(c_a=4.4625e6, c_w=4.2e6, c_r=4.575e6, phi=0.3, lam=3.5,
+              t_amb=284.85)
+    AquiferParams(**kw)
+    kw[field] = value
+    with pytest.raises(ParameterError):
+        AquiferParams(**kw)
 
 
 def test_validate_state():

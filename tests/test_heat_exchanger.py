@@ -26,6 +26,13 @@ def test_nonpositive_building_flow_rejected():
         HxParams(q_b=-0.1, t_b_heating=274.0, t_b_cooling=293.0)
 
 
+@pytest.mark.parametrize("args", [(np.nan, 274.0, 293.0),
+                                  (0.1, np.nan, 293.0), (0.1, 274.0, np.nan)])
+def test_nan_building_side_rejected(args):
+    with pytest.raises(ParameterError):
+        HxParams(*args)
+
+
 def test_convex_combination_property():
     rng = np.random.default_rng(0)
     for _ in range(200):

@@ -49,9 +49,9 @@ def test_sensor_matrix_layout():
     assert C.sum() == 4.0
 
 
-@pytest.mark.parametrize("kw", [dict(process_var=-1.0),
-                                dict(measurement_var=0.0),
-                                dict(measurement_var=float("nan")),
+@pytest.mark.parametrize("kw", [dict(process_var=-1.0, C=np.eye(2)),
+                                dict(measurement_var=0.0, C=np.eye(2)),
+                                dict(measurement_var=float("nan"), C=np.eye(2)),
                                 dict(kappa=-2.0, C=np.eye(2))])
 def test_config_rejects_values_outside_noise_domains(kw):
     with pytest.raises(ParameterError):
@@ -59,9 +59,8 @@ def test_config_rejects_values_outside_noise_domains(kw):
 
 
 def test_predict_requires_sensor_matrix():
-    est = GaussianEstimate(np.zeros(2), np.eye(2))
-    with pytest.raises(ParameterError):
-        predict(est, lambda x: x, UkfConfig())
+    with pytest.raises(TypeError):
+        UkfConfig()
 
 
 def test_predict_delta_prior_mean():
@@ -126,7 +125,7 @@ def test_predict_steps_all_sigma_points_in_one_call(grid, params, hx):
     M = 0.05 * rng.standard_normal((42, 42))
     est = GaussianEstimate(x_ref + 0.1 * rng.standard_normal(42),
                            M @ M.T + 1e-3 * np.eye(42))
-    cfg = UkfConfig.for_grid(grid.nu)
+    cfg = UkfConfig(UkfConfig.sensor_matrix(grid.nu))
     for u in (0.02, 0.0, -0.02):
         model = build_pwa(grid, params, hx, 3600.0, x_ref, u)
         shapes = []

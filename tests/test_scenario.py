@@ -97,7 +97,8 @@ def test_demand_csv_empty_rejected(tmp_path):
 
 
 def test_demand_round_trip(tmp_path):
-    demand = gen_synthetic_demand(3, year_hours=100)
+    demand = gen_synthetic_demand(3, 100, 3800.0 * J_PER_MWH,
+                                  2200.0 * J_PER_MWH)
     path = tmp_path / "demand.csv"
     write_demand_csv(str(path), demand)
     back = load_demand_csv(str(path))
@@ -127,8 +128,9 @@ def test_synthetic_demand_balanced_case():
 
 
 def test_synthetic_demand_deterministic_and_seasonal():
-    a = gen_synthetic_demand(4, 8760)
-    b = gen_synthetic_demand(4, 8760)
+    heat, cold = 3800.0 * J_PER_MWH, 2200.0 * J_PER_MWH
+    a = gen_synthetic_demand(4, 8760, heat, cold)
+    b = gen_synthetic_demand(4, 8760, heat, cold)
     assert np.array_equal(a, b)
     # Heating season (winter, around hour 2560) vs cooling season (summer).
     assert a[2000:3000].mean() > 0.0
