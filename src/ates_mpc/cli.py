@@ -25,13 +25,6 @@ from .scenario import (_DEFAULTS, _config_values, gen_synthetic_demand,
                        write_results)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scenario", default=None,
-                        help="scenario config file (defaults apply when omitted)")
-    parser.add_argument("--seed", type=_nonnegative_int, default=None,
-                        help="override the scenario seed")
-
-
 def _nonnegative_int(text: str) -> int:
     """A count, index or seed such as ``--steps``, ``--at`` or ``--seed``."""
     try:
@@ -194,16 +187,26 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ates-mpc",
         description="Closed-loop aquifer thermal storage simulation and MPC.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Parents of the subcommands that load a scenario.  A seed draws only
+    # the demand and the truth plant, so ``observe``, which replays logged
+    # readings, takes ``--scenario`` alone.
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--scenario", default=None,
+                          help="scenario config file (defaults apply when omitted)")
+    scenario.set_defaults(seed=None)
+    seeded = argparse.ArgumentParser(add_help=False, parents=[scenario])
+    seeded.add_argument("--seed", type=_nonnegative_int, default=None,
+                        help="override the scenario seed")
 
-    p = sub.add_parser("run", help="closed-loop MPC run against the truth plant")
-    _add_common(p)
+    p = sub.add_parser("run", parents=[seeded],
+                       help="closed-loop MPC run against the truth plant")
     p.add_argument("--out", default=None, help="results CSV path")
     p.add_argument("--steps", type=_nonnegative_int, default=None,
                    help="number of hourly steps (default: scenario duration)")
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("sim", help="open-loop plant rollout with a flow schedule")
-    _add_common(p)
+    p = sub.add_parser("sim", parents=[seeded],
+                       help="open-loop plant rollout with a flow schedule")
     p.add_argument("--out", default=None, help="results CSV path")
     p.add_argument("--steps", type=_nonnegative_int, default=None,
                    help="number of hourly steps (default: scenario duration)")
@@ -214,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check the discrete maximum principle every substep")
     p.set_defaults(func=_cmd_sim)
 
-    p = sub.add_parser("observe", help="replay the estimator on logged results")
-    _add_common(p)
+    p = sub.add_parser("observe", parents=[scenario],
+                       help="replay the estimator on logged results")
     p.add_argument("--steps", type=_nonnegative_int, default=None,
                    help="replay only the first N records (default: all)")
     p.add_argument("results", help="results CSV from a previous run")
@@ -231,15 +234,14 @@ def build_parser() -> argparse.ArgumentParser:
                    default=_DEFAULTS["demand_cold_total_mwh"])
     p.set_defaults(func=_cmd_gen_demand)
 
-    p = sub.add_parser("validate-power",
+    p = sub.add_parser("validate-power", parents=[seeded],
                        help="compare bilinear and linear power forms")
-    _add_common(p)
     p.add_argument("--steps", type=_nonnegative_int, default=720,
                    help="number of model steps (default: 720)")
     p.set_defaults(func=_cmd_validate_power)
 
-    p = sub.add_parser("solve-once", help="solve one OCP and print the plan")
-    _add_common(p)
+    p = sub.add_parser("solve-once", parents=[seeded],
+                       help="solve one OCP and print the plan")
     p.add_argument("--at", type=_nonnegative_int, default=0,
                    help="demand index the horizon starts at")
     p.set_defaults(func=_cmd_solve_once)

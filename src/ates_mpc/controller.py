@@ -9,12 +9,13 @@ each sequence's predicted powers, so those are condensed for all 27 at once
 from per-mode power rows.  The search is an exact bound-and-prune: each
 sequence's unconstrained minimum bounds its QP from below, and where the
 minimiser breaks a block's flow interval the bound is raised by that one
-flow bound (once, when the sequence first comes up).  Sequences come up best
-bound first; a QP is solved only for a sequence whose bound, raised where it
-can be, is within the near-tie tolerance of the best cost so far, and the
-rest are pruned unsolved.  The cheapest feasible sequence wins, exactly as
-if all 27 were solved; state box constraints are softened with a single
-quadratic slack so the controller always emits an input.
+flow bound.  All 27 bounds are raised up front and the sequences visited in
+one sorted pass, ascending raised bound; a QP is solved only for a sequence
+whose bound is within the near-tie tolerance of the best cost so far, and
+the rest are pruned unsolved, reporting their raised bound.  The cheapest
+feasible sequence wins, exactly as if all 27 were solved; state box
+constraints are softened with a single quadratic slack so the controller
+always emits an input.
 
 A solved sequence's QP is first solved over its input box (and slack)
 alone.  At that optimum the sequence is rolled out once at fixed flows; if
@@ -34,7 +35,6 @@ pressure of a few hundred MWh rather than freezing delivery outright.
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -196,8 +196,9 @@ class OcpSolution:
 
     The table has one read-only row per mode sequence, in ``sequences``
     order: the candidate's status (``"optimal"``, ``"infeasible"``,
-    ``"stalled"`` or ``"pruned"``), its cost (its lower bound when pruned),
-    block flows, slack and KKT residual (NaN where pruned or failed).
+    ``"stalled"`` or ``"pruned"``), its cost (its raised lower bound when
+    pruned), block flows, slack and KKT residual (NaN where pruned or
+    failed).
     """
 
     u_blocks: np.ndarray
@@ -416,47 +417,40 @@ def soft_rows(model: PwaModel, cfg: OcpConfig, x0: np.ndarray,
     return G.reshape(-1, G.shape[-1]), h.reshape(-1)
 
 
-def _lower_bounds(H: np.ndarray, g: np.ndarray, const: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Unconstrained minimum ``const - g'H^-1 g / 2`` of each sequence's cost,
-    and its minimiser ``u = -H^-1 g`` over the block inputs.
+def _lower_bounds(H: np.ndarray, g: np.ndarray, const: np.ndarray,
+                  lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """A lower bound on each sequence's QP optimum: the cost's unconstrained
+    minimum ``const - g'H^-1 g / 2``, raised where its minimiser ``u = -H^-1
+    g`` breaks the flow intervals ``[lo, hi]``.
 
-    It bounds the QP optimum from below; the slack has no linear term, so its
-    minimum is at zero and only the block inputs enter.  A storing block has
-    a zero gain column and a zero gradient entry, so it contributes nothing.
+    The slack has no linear term, so its minimum is at zero and only the
+    block inputs enter; a storing block has a zero gain column and a zero
+    gradient entry, so it contributes nothing.  The raise is ``max_j (c_j -
+    u_j)^2 / (2 (H_u^-1)_jj)`` with ``c_j`` the end of block j's interval
+    nearest ``u_j`` (0 for a block inside its interval) and ``H_u`` the
+    block Hessian.  The input box lies in the half-space beyond ``c_j``,
+    over which the quadratic's minimum is exactly the unconstrained one plus
+    that term; so the raised bound stays below the box optimum, and equals
+    it when that one flow bound is the box optimum's only active row.
     """
     nb = H.shape[1] - 1
     g_u = g[:, :nb]
     try:
-        step = np.linalg.solve(H[:, :nb, :nb], g_u[:, :, None])[..., 0]
+        H_inv = np.linalg.inv(H[:, :nb, :nb])
     except np.linalg.LinAlgError:
-        # A singular block Hessian (zero input weight): bound nothing.  The
-        # minimisers are reported as zero, which lies in every flow
-        # interval, so no bound is raised either.
-        return np.full(const.shape, -np.inf), np.zeros_like(g_u)
-    return const - 0.5 * np.sum(g_u * step, axis=1), -step
-
-
-def _flow_bound_raise(H_u: np.ndarray, u: np.ndarray, lo: np.ndarray,
-                      hi: np.ndarray) -> float:
-    """How far a sequence's unconstrained bound rises when its minimiser
-    ``u`` breaks the flow intervals ``[lo, hi]``: ``max_j (c_j - u_j)^2 /
-    (2 (H_u^-1)_jj)`` with ``c_j`` the end of block j's interval nearest
-    ``u_j`` (0 for a block inside its interval).
-
-    The input box lies in the half-space beyond ``c_j``, over which the
-    quadratic's minimum is exactly the bound plus that term; so the raised
-    bound stays below the box optimum, and equals it when that one flow
-    bound is the box optimum's only active row.  ``H_u`` is the sequence's
-    block Hessian.
-    """
+        # A singular block Hessian (zero input weight): bound nothing.
+        return np.full(const.shape, -np.inf)
+    u = -(H_inv @ g_u[:, :, None])[..., 0]
     gap = np.clip(u, lo, hi) - u
-    return float(np.max(gap * gap / (2.0 * np.diagonal(np.linalg.inv(H_u)))))
+    rise = np.max(gap * gap / (2.0 * np.diagonal(H_inv, axis1=1, axis2=2)),
+                  axis=1)
+    return const + 0.5 * np.sum(g_u * u, axis=1) + rise
 
 
 def _prune_key(bound, const):
-    """A sequence's bound less a margin for rounding in the bound itself; the
-    sequence is pruned once its key exceeds the incumbent's limit.
+    """A sequence's raised bound less a margin for rounding in the bound
+    itself; sequences are visited in ascending key, and the search stops at
+    the first key above the incumbent's limit.
 
     The incumbent only falls and costs are >= 0, so its tolerance is at
     least the final one: a pruned sequence never enters the near-tie set.
@@ -477,60 +471,45 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
               model: PwaModel, grid: RadialGrid, params: AquiferParams) -> OcpSolution:
     """Exact bound-and-prune over all blocked mode sequences; returns the best.
 
-    Sequences are taken from a heap, lowest bound first, starting from
-    their unconstrained lower bounds.  The first time a sequence whose
-    unconstrained minimiser breaks a flow interval comes up, its bound is
-    raised by the flow bound it breaks most (``_flow_bound_raise``) and it
-    goes back on the heap; otherwise its QP is solved.  Once the lowest
-    bound exceeds the incumbent by more than the near-tie tolerance, no
-    sequence left can win nor tie, so each is left ``"pruned"`` with its
-    bound as cost.  A solved sequence's QP is solved over its input box; only
-    if the trajectory at that optimum leaves the soft state box is it solved
-    again with all its soft rows, so the optimum is that of the full QP.
-    The winner's trajectory at its optimum gives ``x_pred``.  A non-finite
-    demand window or ``b_past`` raises ``ParameterError``.
+    Each sequence's bound is its cost's unconstrained minimum, raised by the
+    flow bound its minimiser breaks most (``_lower_bounds``).  Sequences are
+    visited in one sorted pass, ascending raised bound, and a QP is solved
+    for each until the next bound exceeds the incumbent by more than the
+    near-tie tolerance: no sequence left can win nor tie, so each is left
+    ``"pruned"`` with its raised bound as cost.  A solved sequence's QP is
+    solved over its input box; only if the trajectory at that optimum leaves
+    the soft state box is it solved again with all its soft rows, so the
+    optimum is that of the full QP.  The winner's trajectory at its optimum
+    gives ``x_pred``.  A non-finite demand window or ``b_past`` raises
+    ``ParameterError``.
     """
     nb = len(cfg.blocks)
     table = sequence_table(cfg)
     pred = condense(model, cfg, x0, power_linear_rows(grid, params, cfg.dt))
     H, g, const = build_cost(pred, demand, b_past, cfg)
-    costs, u_free = _lower_bounds(H, g, const)
+    costs = _lower_bounds(H, g, const, table.lo, table.hi)
 
     n_seq = costs.size
     status = np.full(n_seq, "pruned", dtype="U10")
     flows = np.full((n_seq, nb), np.nan)
     slacks = np.full(n_seq, np.nan)
     kkt = np.full(n_seq, np.nan)
-    heap = list(zip(_prune_key(costs, const).tolist(), range(n_seq)))
-    heapq.heapify(heap)
-    # Sequences whose minimiser breaks a flow interval: their bound is
-    # raised once, when first popped (``_flow_bound_raise``).
-    to_raise = np.any((u_free < table.lo) | (u_free > table.hi),
-                      axis=1).tolist()
+    keys = _prune_key(costs, const)
     x_min, x_max = cfg.state_bounds(model.nu)
     solved = soft_rows_added = 0
     optimal: dict[int, np.ndarray | None] = {}   # trajectory at the optimum
     incumbent = limit = np.inf
-    while heap:
-        key, s = heapq.heappop(heap)
-        if key > limit:
+    for s in np.argsort(keys, kind="stable").tolist():
+        if keys[s] > limit:
             break
-        if to_raise[s]:
-            to_raise[s] = False
-            costs[s] += _flow_bound_raise(H[s, :nb, :nb], u_free[s],
-                                          table.lo[s], table.hi[s])
-            heapq.heappush(heap, (_prune_key(costs[s], const[s]), s))
-            continue
         solved += 1
         qp, free = candidate_qp(s, H[s], g[s], cfg)
         result = _solve(qp)
         z = np.zeros(nb + 1)     # storing flows are exactly zero
         # A failed result carries value inf and NaN in the QP's variables.
         z[free] = result.z_star
-        state, total, residual = (result.status, result.value + const[s],
-                                  result.kkt_residual)
         x = None
-        if state == "optimal":
+        if result.status == "optimal":
             x = trajectory(model, cfg, x0, table.modes[s], z[:nb])
             if (max(np.max(x[1:] - x_max), np.max(x_min - x[1:])) - z[nb]
                     > _FEAS_TOL):
@@ -541,13 +520,11 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
                 result = _solve(Qp(qp.H, qp.g, np.vstack([qp.G, G]),
                                    np.concatenate([qp.h, h])))
                 z[free] = result.z_star
-                state, total, residual = (result.status,
-                                          result.value + const[s],
-                                          result.kkt_residual)
                 x = None
-        status[s], costs[s], kkt[s] = state, total, residual
+        total = result.value + const[s]
+        status[s], costs[s], kkt[s] = result.status, total, result.kkt_residual
         flows[s], slacks[s] = z[:nb], z[nb]
-        if state == "optimal":
+        if result.status == "optimal":
             optimal[s] = x
             if total < incumbent:
                 incumbent = total

@@ -62,21 +62,18 @@ def build_grid(r0: float, r_inf: float, nu: int, l: float) -> RadialGrid:
 
 @dataclass(frozen=True)
 class AquiferParams:
-    """Volumetric heat capacities, porosity, conduction and ambient temperature."""
+    """Effective and water volumetric heat capacities, conduction and
+    ambient temperature."""
 
     c_a: float
     c_w: float
-    c_r: float
-    phi: float
     lam: float
     t_amb: float
 
     def __post_init__(self):
         # Written so that a NaN fails the checks too.
-        if not all(v > 0.0 for v in (self.c_a, self.c_w, self.c_r, self.lam)):
+        if not all(v > 0.0 for v in (self.c_a, self.c_w, self.lam)):
             raise ParameterError("heat capacities and conduction coefficient must be positive")
-        if not (0.0 <= self.phi <= 1.0):
-            raise ParameterError(f"porosity must lie in [0, 1], got {self.phi}")
         if not (math.isfinite(self.t_amb) and self.t_amb > 0.0):
             raise ParameterError(
                 f"ambient temperature must be finite and positive, got {self.t_amb}")
@@ -84,13 +81,16 @@ class AquiferParams:
     @classmethod
     def from_constituents(cls, phi: float, c_w: float, c_r: float,
                           lam: float, t_amb: float) -> "AquiferParams":
-        return cls(effective_heat_capacity(phi, c_w, c_r), c_w, c_r, phi, lam, t_amb)
+        return cls(effective_heat_capacity(phi, c_w, c_r), c_w, lam, t_amb)
 
 
 def effective_heat_capacity(phi: float, c_w: float, c_r: float) -> float:
     """Porosity-weighted mix of water and rock volumetric heat capacities."""
+    # Written so that a NaN fails the checks too.
     if not (0.0 <= phi <= 1.0):
         raise ParameterError(f"porosity must lie in [0, 1], got {phi}")
+    if not (c_w > 0.0 and c_r > 0.0):
+        raise ParameterError("water and rock heat capacities must be positive")
     return phi * c_w + (1.0 - phi) * c_r
 
 

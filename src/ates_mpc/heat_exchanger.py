@@ -40,6 +40,10 @@ class HxParams:
             raise ParameterError(f"building-side flow must be positive, got {self.q_b}")
         if not (self.t_b_heating > 0.0 and self.t_b_cooling > 0.0):
             raise ParameterError("building-side temperatures must be positive kelvins")
+        if not self.t_b_heating < self.t_b_cooling:
+            raise ParameterError(
+                "building-side heating inlet must be colder than the cooling "
+                f"inlet, got {self.t_b_heating} and {self.t_b_cooling}")
 
     def t_b(self, mode: Mode) -> float:
         return self.t_b_heating if mode == "heating" else self.t_b_cooling

@@ -18,12 +18,16 @@ def test_missing_scenario_file_is_usage_error(capsys):
 
 
 # Each value is rejected when the scenario is built: the radial grid, the
-# move blocking, the heat exchanger, the time step, the model's explicit
-# step and the seed.
+# move blocking, the heat exchanger, the aquifer's constituents, the time
+# step, the model's explicit step and the seed.
 @pytest.mark.parametrize("line, message", [
     ("nu = 0", "cell count must be >= 1"),
     ("block_1_steps = 0", "at least one step"),
     ("q_b_m3_per_s = -1", "building-side flow must be positive"),
+    ("t_building_heating_k = 300\nt_building_cooling_k = 270",
+     "heating inlet must be colder than the cooling inlet"),
+    ("c_r_j_per_m3_k = -1", "heat capacities must be positive"),
+    ("porosity = 1.5", "porosity must lie in [0, 1], got 1.5"),
     ("dt_s = 0", "time step must be finite and positive, got 0.0"),
     ("dt_s = -3600", "time step must be finite and positive, got -3600.0"),
     ("dt_s = 1e7", "diffusion number"),
@@ -171,6 +175,16 @@ def test_observe_replays_run(tmp_path, capsys):
     assert "replayed 3 steps" in text
     deviation = float(text.rsplit(":", 1)[1].replace("K", "").strip())
     assert deviation < 1e-9  # bit-for-bit up to CSV float round trip
+
+
+def test_observe_seed_is_usage_error(tmp_path, capsys):
+    # A seed draws only the demand and the truth plant, and a replay reads
+    # neither, so observe does not take one.
+    out = tmp_path / "results.csv"
+    assert main(["run", "--steps", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["observe", "--seed", "7", str(out)]) == 1
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 def test_observe_replays_sim_readings(tmp_path, capsys):

@@ -622,12 +622,15 @@ def test_bound_and_prune_matches_exhaustive_enumeration(grid, params, hx, cfg):
         modes, u_blocks, cost, costs = exhaustive_solve(
             pred, model, x0, demand, b_past, cfg)
         assert_matches_full_rows(sol, modes, u_blocks, cost)
+        bounds = controller._lower_bounds(H, g, const, table.lo, table.hi)
         for s, rec in enumerate(sol.per_candidate):
             assert rec.mode_sequence == names[s]
             if rec.status == "pruned":
                 pruned += 1
                 assert np.all(np.isnan(rec.u_blocks))
                 assert not rec.u_blocks.flags.writeable
+                # A pruned row reports its raised bound.
+                assert rec.cost == bounds[s]
                 assert rec.cost <= costs[s] + 1e-12 * max(1.0, abs(costs[s]))
         instants += 1
     assert instants >= 200
@@ -649,33 +652,34 @@ def test_raised_bound_is_exact_below_the_box_optimum(grid, params, hx, cfg):
             random_instants(grid, params, hx)):
         pred = condense(model, cfg, x0, rows)
         H, g, const = build_cost(pred, demand, b_past, cfg)
-        bounds, u = controller._lower_bounds(H, g, const)
+        bounds = controller._lower_bounds(H, g, const, table.lo, table.hi)
+        # The unconstrained minimiser and minimum over the block inputs.
+        g_u = g[:, :nb]
+        u = -(np.linalg.inv(H[:, :nb, :nb]) @ g_u[:, :, None])[..., 0]
+        rise = bounds - (const + 0.5 * np.sum(g_u * u, axis=1))
         broken = (u < table.lo) | (u > table.hi)
+        assert np.all(rise >= 0.0)
+        assert np.array_equal(rise > 0.0, broken.any(axis=1))
+        raised += np.count_nonzero(rise)
         for s in range(len(table.names)):
-            rise = controller._flow_bound_raise(H[s, :nb, :nb], u[s],
-                                                table.lo[s], table.hi[s])
-            assert rise >= 0.0 and (rise > 0.0) == broken[s].any()
-            raised += rise > 0.0
             qp, free = candidate_qp(s, H[s], g[s], cfg)
             result = solve_qp(qp)
             box = result.value + const[s]
-            bound = bounds[s] + rise
-            assert bound <= box + 1e-12 * abs(box)
+            assert bounds[s] <= box + 1e-12 * abs(box)
             # Rows 2i and 2i + 1 bound the flow of block free[i]; the last
             # row is the slack's.
             active = [r for r in result.active_set if r < qp.G.shape[0] - 1]
             if len(active) == 1 and broken[s, free[active[0] // 2]]:
                 tight += 1
-                assert abs(bound - box) <= 1e-9 * abs(box)
+                assert abs(bounds[s] - box) <= 1e-9 * abs(box)
         if i % 12 == 0:
             # Without an input weight a storing block's Hessian is singular:
-            # there is no bound, no minimiser outside its interval, and
-            # nothing is pruned.
+            # there is no bound, and nothing is pruned.
             pred_s = condense(model, singular, x0, rows)
-            bounds, u = controller._lower_bounds(
-                *build_cost(pred_s, demand, b_past, singular))
+            bounds = controller._lower_bounds(
+                *build_cost(pred_s, demand, b_past, singular),
+                table.lo, table.hi)
             assert np.all(bounds == -np.inf)
-            assert np.all((u >= table.lo) & (u <= table.hi))
             sol = solve_ocp(x0, demand, b_past, singular, model, grid, params)
             assert not np.any(sol.status == "pruned")
     assert raised > 0 and tight > 0

@@ -59,13 +59,21 @@ def test_effective_heat_capacity_bad_porosity():
         effective_heat_capacity(1.5, 4.2e6, 4.575e6)
 
 
+@pytest.mark.parametrize("args", [(math.nan, 4.2e6, 4.575e6),
+                                  (0.3, 0.0, 4.575e6), (0.3, math.nan, 4.575e6),
+                                  (0.3, 4.2e6, -1.0), (0.3, 4.2e6, math.nan)])
+def test_effective_heat_capacity_bad_constituent(args):
+    # The rock capacity is read only here, so it is checked here.
+    with pytest.raises(ParameterError):
+        effective_heat_capacity(*args)
+
+
 @pytest.mark.parametrize("field, value", [
     ("c_a", math.nan), ("c_w", math.nan), ("lam", math.nan),
     ("t_amb", math.nan), ("t_amb", math.inf), ("t_amb", 0.0),
     ("t_amb", -284.85)])
 def test_aquifer_params_rejected(field, value):
-    kw = dict(c_a=4.4625e6, c_w=4.2e6, c_r=4.575e6, phi=0.3, lam=3.5,
-              t_amb=284.85)
+    kw = dict(c_a=4.4625e6, c_w=4.2e6, lam=3.5, t_amb=284.85)
     AquiferParams(**kw)
     kw[field] = value
     with pytest.raises(ParameterError):

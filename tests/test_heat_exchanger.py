@@ -33,6 +33,15 @@ def test_nan_building_side_rejected(args):
         HxParams(*args)
 
 
+@pytest.mark.parametrize("t_b_heating, t_b_cooling", [(300.0, 270.0),
+                                                      (293.0, 293.0)])
+def test_inverted_building_pair_rejected(t_b_heating, t_b_cooling):
+    # The heating inlet is the cold building return, so it lies below the
+    # cooling inlet.
+    with pytest.raises(ParameterError, match="heating inlet must be colder"):
+        HxParams(0.1, t_b_heating, t_b_cooling)
+
+
 def test_convex_combination_property():
     rng = np.random.default_rng(0)
     for _ in range(200):
