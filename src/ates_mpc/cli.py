@@ -20,9 +20,9 @@ from .harness import (demand_window, power_form_study, replay_observer,
 from .plant import init_truth, measure, restrict_to_coarse, truth_step
 from .power import J_PER_MWH, EnergyLedger, power_bilinear, update_balance
 from .pwa import build_pwa, mode_of
-from .scenario import (_DEFAULTS, _config_values, gen_synthetic_demand,
-                       read_results, scenario_from_values, write_demand_csv,
-                       write_results)
+from .scenario import (_DEFAULTS, HOURS_PER_YEAR, _config_values,
+                       gen_synthetic_demand, read_results,
+                       scenario_from_values, write_demand_csv, write_results)
 
 
 def _nonnegative_int(text: str) -> int:
@@ -226,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-demand", help="write a synthetic hourly demand CSV")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--hours", type=_nonnegative_int, default=8760)
+    p.add_argument("--seed", type=_nonnegative_int, default=_DEFAULTS["seed"])
+    p.add_argument("--hours", type=_nonnegative_int, default=HOURS_PER_YEAR)
     p.add_argument("--heat-mwh", type=float,
                    default=_DEFAULTS["demand_heat_total_mwh"])
     p.add_argument("--cold-mwh", type=float,

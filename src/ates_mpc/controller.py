@@ -26,10 +26,11 @@ rows (``soft_rows``); ``trajectory`` steps the states for both.
 The objective is evaluated with powers in MW throughout: the tracking term
 compares predicted and demanded power in MW, and the energy-balance term
 expresses its energy argument as the equivalent average power over the
-horizon, also in MW.  Under this common scale the default weights (q_u = 1,
-q_d = 1994.4e-6, q_e = 1e-3) trade off sensibly: the controller tracks the
-demand closely while the accumulated balance acts as a seasonal restoring
-pressure of a few hundred MWh rather than freezing delivery outright.
+horizon, also in MW.  Under this common scale the reference weights (the
+keys ``q_u``, ``q_d`` and ``q_e`` of ``scenario._DEFAULTS``) trade off
+sensibly: the controller tracks the demand closely while the accumulated
+balance acts as a seasonal restoring pressure of a few hundred MWh rather
+than freezing delivery outright.
 """
 
 from __future__ import annotations
@@ -53,19 +54,19 @@ W_PER_MW = 1e6
 
 @dataclass(frozen=True)
 class OcpConfig:
-    dt: float = 3600.0
-    blocks: tuple[int, ...] = (1, 4, 7)
-    u_max: float = 0.0277  # flow limit of either direction [m^3/s]
-    warm_bounds: tuple[float, float] = (284.85, 293.15)
-    cold_bounds: tuple[float, float] = (273.15, 284.85)
-    q_u: float = 1.0
-    q_d: float = 1994.4e-6
-    q_e: float = 0.001
-    slack_weight: float = 1e6
+    dt: float
+    blocks: tuple[int, ...]
+    u_max: float  # flow limit of either direction [m^3/s]
+    warm_bounds: tuple[float, float]
+    cold_bounds: tuple[float, float]
+    q_u: float
+    q_d: float
+    q_e: float
+    slack_weight: float
     # Averaging window [h] that converts the accumulated energy balance into
     # an equivalent power on the tracking term's scale; it sets how strongly
     # a given stored imbalance pushes back against demand tracking.
-    balance_hours: float = 80.0
+    balance_hours: float
 
     def __post_init__(self):
         # Each check is written so that a NaN fails it.

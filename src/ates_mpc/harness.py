@@ -50,11 +50,11 @@ class RunReport:
     solve_ms_median: float
     solve_ms_max: float
     steps: int
-    est_bound_violation_k: float = 0.0  # worst estimate excursion past the box [K]
-    u_abs_max: float = 0.0
-    counts: dict[str, int] = field(default_factory=dict)
-    error_series: np.ndarray = field(repr=False, default=None)  # spatial-mean |err| per step
-    records: list[dict] = field(repr=False, default_factory=list)
+    est_bound_violation_k: float  # worst estimate excursion past the box [K]
+    u_abs_max: float
+    counts: dict[str, int]
+    error_series: np.ndarray = field(repr=False)  # spatial-mean |err| per step
+    records: list[dict] = field(repr=False)
 
 
 # Results columns of the four sensor readings, in ``measure`` order.
@@ -237,8 +237,11 @@ def report_summary(report: RunReport) -> dict:
     }
 
 
-def _charged_store_profile(grid, t_amb: float, amplitude: float,
-                           length_scale: float = 26.0) -> np.ndarray:
+# Width [m] of the charged stores' Gaussian thermal fronts.
+_FRONT_LENGTH_M = 26.0
+
+
+def _charged_store_profile(grid, t_amb: float, amplitude: float) -> np.ndarray:
     """Shell-volume averages of a Gaussian thermal front around the borehole.
 
     Finite-volume states are shell averages, so the analytic profile is
@@ -247,7 +250,7 @@ def _charged_store_profile(grid, t_amb: float, amplitude: float,
     vals = np.zeros(grid.nu)
     for i in range(grid.nu):
         r = np.linspace(grid.edges[i], grid.edges[i + 1], 65)
-        f = t_amb + amplitude * np.exp(-((r - grid.r0) / length_scale) ** 2)
+        f = t_amb + amplitude * np.exp(-((r - grid.r0) / _FRONT_LENGTH_M) ** 2)
         vals[i] = np.trapezoid(f * r, r) / np.trapezoid(r, r)
     return vals
 

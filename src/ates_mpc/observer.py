@@ -37,9 +37,9 @@ class UkfConfig:
     """Sensor selection matrix, sigma-point spread and noise variances."""
 
     C: np.ndarray
-    kappa: float = 5.0
-    process_var: float = 0.05**2
-    measurement_var: float = 0.01**2
+    kappa: float
+    process_var: float
+    measurement_var: float
 
     def __post_init__(self):
         # Zero process noise is a deterministic model; the innovation

@@ -34,11 +34,11 @@ _MAX_SUBSTEPS = 10_000
 
 @dataclass(frozen=True)
 class TruthConfig:
-    nu_fine: int = 200
-    lambda_bounds: tuple[float, float] = (3.0, 5.0)
-    t_amb_noise_amp: float = 0.1
-    sensor_sigma: float = 0.01
-    seed: int = 0
+    nu_fine: int
+    lambda_bounds: tuple[float, float]
+    t_amb_noise_amp: float
+    sensor_sigma: float
+    seed: int
 
     def __post_init__(self):
         lo, hi = self.lambda_bounds

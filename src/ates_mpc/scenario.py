@@ -1,9 +1,11 @@
 """Scenario configuration, demand series handling and results persistence.
 
 Config files are flat UTF-8 ``key = value`` text with units spelled out in
-the key names; every field has a default matching the reference
-parameterization, so an empty file is a valid scenario.  Demand series are
-two-column CSV (ISO-8601 UTC timestamp, power in W, positive = heat demand).
+the key names.  ``_DEFAULTS`` is the one table of the reference
+parameterization: every key falls back to it, so an empty file is a valid
+scenario, and no config dataclass carries a default of its own.  Demand
+series are two-column CSV (ISO-8601 UTC timestamp, power in W, positive =
+heat demand).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class Scenario:
     ukf: UkfConfig
     truth: TruthConfig
     demand: np.ndarray = field(repr=False)          # W, hourly
-    duration: int = HOURS_PER_YEAR
+    duration: int
 
     def __post_init__(self):
         self.check_steps(self.duration)
@@ -53,7 +55,7 @@ class Scenario:
                 f"{steps} steps")
 
 
-_DEFAULTS: dict[str, float] = {
+_DEFAULTS: dict[str, float | int] = {
     "r0_m": 0.4,
     "r_inf_m": 60.0,
     "nu": 20,
@@ -94,8 +96,6 @@ _DEFAULTS: dict[str, float] = {
     "demand_cold_total_mwh": 2200.0,
 }
 _STRING_KEYS = {"demand_csv"}
-_INT_KEYS = {"nu", "nu_fine", "seed", "duration_steps", "block_1_steps",
-             "block_2_steps", "block_3_steps"}
 
 
 def _parse_config_text(text: str) -> dict:
@@ -114,7 +114,8 @@ def _parse_config_text(text: str) -> dict:
         if key not in _DEFAULTS:
             raise ScenarioError(f"line {lineno}: unknown config key {key!r}")
         try:
-            values[key] = int(val) if key in _INT_KEYS else float(val)
+            values[key] = (int(val) if type(_DEFAULTS[key]) is int
+                           else float(val))
         except ValueError as exc:
             raise ScenarioError(f"line {lineno}: bad value for {key!r}: {val!r}") from exc
         if not math.isfinite(values[key]):

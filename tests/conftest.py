@@ -2,13 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ates_mpc import AquiferParams, HxParams, build_grid
+from ates_mpc import AquiferParams, HxParams, build_grid, load_scenario
 
 # Property tests draw the same examples on every run and keep no example
 # database, so the suite stays reproducible and quick.
 settings.register_profile("deterministic", derandomize=True, deadline=None,
                           database=None, max_examples=200)
 settings.load_profile("deterministic")
+
+
+@pytest.fixture(scope="session")
+def reference():
+    """The reference scenario: every config value at its default.  Tests
+    that need a config derive it from here with ``dataclasses.replace``."""
+    return load_scenario(None)
 
 
 @pytest.fixture(scope="session")

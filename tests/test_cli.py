@@ -4,8 +4,7 @@ import pytest
 from ates_mpc import controller
 from ates_mpc.cli import main
 from ates_mpc.errors import SolverError
-from ates_mpc.scenario import (_DEFAULTS, _INT_KEYS, load_demand_csv,
-                               read_results)
+from ates_mpc.scenario import _DEFAULTS, load_demand_csv, read_results
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -42,7 +41,7 @@ def test_bad_scenario_value_is_config_error(tmp_path, capsys, line, message):
 
 
 # Every float key rejects a non-finite value where the config is read.
-FLOAT_KEYS = [key for key in _DEFAULTS if key not in _INT_KEYS]
+FLOAT_KEYS = [key for key, value in _DEFAULTS.items() if type(value) is not int]
 
 
 @pytest.mark.parametrize("key", FLOAT_KEYS)

@@ -6,9 +6,9 @@ import pytest
 
 from scipy.optimize import nnls
 
-from ates_mpc import (ControllerFault, OcpConfig, ParameterError, Qp,
-                      QpResult, SolverError, build_pwa, power_bilinear,
-                      pwa_step, solve_ocp, solve_qp)
+from ates_mpc import (ControllerFault, ParameterError, Qp, QpResult,
+                      SolverError, build_pwa, power_bilinear, pwa_step,
+                      solve_ocp, solve_qp)
 from ates_mpc import controller
 from ates_mpc.controller import (W_PER_MW, build_cost, candidate_qp, condense,
                                  power_linear_rows, sequence_table, soft_rows,
@@ -22,8 +22,8 @@ U_MAX = 0.0277
 
 
 @pytest.fixture(scope="module")
-def cfg():
-    return OcpConfig()
+def cfg(reference):
+    return reference.ocp
 
 
 def mode_indices(names):
@@ -47,20 +47,20 @@ def charged_state(grid, params, warm_lift=6.0, cold_drop=9.0):
     return np.concatenate([warm, cold])
 
 
-def test_config_validation():
+def test_config_validation(cfg):
     with pytest.raises(ParameterError):
-        OcpConfig(blocks=(0, 4, 7))
+        dataclasses.replace(cfg, blocks=(0, 4, 7))
     for u_max in (0.0, -0.01, np.nan):
         with pytest.raises(ParameterError, match="u_max"):
-            OcpConfig(u_max=u_max)
-    assert OcpConfig(u_max=0.01).u_min == -0.01
+            dataclasses.replace(cfg, u_max=u_max)
+    assert dataclasses.replace(cfg, u_max=0.01).u_min == -0.01
     with pytest.raises(ParameterError):
-        OcpConfig(warm_bounds=(293.0, 284.0))
+        dataclasses.replace(cfg, warm_bounds=(293.0, 284.0))
     with pytest.raises(ParameterError):
-        OcpConfig(q_d=-1.0)
+        dataclasses.replace(cfg, q_d=-1.0)
     for dt in (np.nan, 0.0, -1.0):
         with pytest.raises(ParameterError, match="time step"):
-            OcpConfig(dt=dt)
+            dataclasses.replace(cfg, dt=dt)
 
 
 @pytest.mark.parametrize("kw", [dict(balance_hours=np.nan),
@@ -68,9 +68,9 @@ def test_config_validation():
                                 dict(cold_bounds=(273.15, np.nan)),
                                 dict(q_u=np.nan), dict(q_e=np.nan),
                                 dict(slack_weight=np.nan)])
-def test_config_rejects_nan(kw):
+def test_config_rejects_nan(cfg, kw):
     with pytest.raises(ParameterError):
-        OcpConfig(**kw)
+        dataclasses.replace(cfg, **kw)
 
 
 def test_state_bounds_layout(cfg):
@@ -184,16 +184,17 @@ BINDING = {
 }
 
 
-def binding_instant(grid, params, hx, name):
+def binding_instant(grid, params, hx, cfg, name):
     cold_bounds, warm_lift, cold_drop = BINDING[name]
-    cfg = OcpConfig(cold_bounds=cold_bounds)
+    cfg = dataclasses.replace(cfg, cold_bounds=cold_bounds)
     x0 = charged_state(grid, params, warm_lift, cold_drop)
     model = build_pwa(grid, params, hx, DT, x0, 0.0)
     return cfg, x0, model, np.full(12, -2.5e6)
 
 
-def test_soft_rows_match_per_step_reference(grid, params, hx):
-    cfg, x0, model, demand = binding_instant(grid, params, hx, "cold_floor_280")
+def test_soft_rows_match_per_step_reference(grid, params, hx, cfg):
+    cfg, x0, model, demand = binding_instant(grid, params, hx, cfg,
+                                             "cold_floor_280")
     pred = condense(model, cfg, x0, power_linear_rows(grid, params, DT))
     s = sequence_table(cfg).names.index(("heating", "storing", "cooling"))
     modes = sequence_table(cfg).modes[s]
@@ -227,8 +228,8 @@ def test_soft_rows_match_per_step_reference(grid, params, hx):
         broken)
 
 
-def test_pure_input_penalty_prefers_zero_flow(grid, params, hx):
-    cfg = OcpConfig(q_d=0.0, q_e=0.0)
+def test_pure_input_penalty_prefers_zero_flow(grid, params, hx, cfg):
+    cfg = dataclasses.replace(cfg, q_d=0.0, q_e=0.0)
     x0 = charged_state(grid, params)
     model = build_pwa(grid, params, hx, DT, x0, 0.0)
     sol = solve_ocp(x0, np.zeros(12), 0.0, cfg, model, grid, params)
@@ -646,7 +647,7 @@ def test_raised_bound_is_exact_below_the_box_optimum(grid, params, hx, cfg):
     nb = len(cfg.blocks)
     table = sequence_table(cfg)
     rows = power_linear_rows(grid, params, DT)
-    singular = OcpConfig(q_u=0.0)
+    singular = dataclasses.replace(cfg, q_u=0.0)
     raised = tight = 0
     for i, (x0, model, demand, b_past) in enumerate(
             random_instants(grid, params, hx)):
@@ -723,7 +724,8 @@ def test_states_rolled_out_only_for_solved_candidates(grid, params, hx, cfg,
         instants.append((cfg, x0, build_pwa(grid, params, hx, DT, x0, 0.0),
                          rng.uniform(-1.5e6, 2.5e6, 12),
                          rng.uniform(-300.0, 300.0) * 3.6e9))
-    instants.append(binding_instant(grid, params, hx, "cold_floor_277") + (0.0,))
+    instants.append(binding_instant(grid, params, hx, cfg, "cold_floor_277")
+                    + (0.0,))
     rolled = []
     for cfg_i, x0, model, demand, b_past in instants:
         soft_row_calls.clear()
@@ -765,9 +767,9 @@ def kkt_residual_on_all_rows(qp, z):
 
 
 @pytest.mark.parametrize("name", sorted(BINDING))
-def test_binding_soft_rows_match_full_row_reference(grid, params, hx, name,
+def test_binding_soft_rows_match_full_row_reference(grid, params, hx, cfg, name,
                                                     soft_row_calls):
-    cfg, x0, model, demand = binding_instant(grid, params, hx, name)
+    cfg, x0, model, demand = binding_instant(grid, params, hx, cfg, name)
     sol = solve_ocp(x0, demand, 0.0, cfg, model, grid, params)
     pred = condense(model, cfg, x0, power_linear_rows(grid, params, DT))
     modes, u_blocks, cost, costs = exhaustive_solve(pred, model, x0, demand,
@@ -807,10 +809,10 @@ def test_binding_soft_rows_match_full_row_reference(grid, params, hx, name,
         assert sol.slack_used == pytest.approx(0.514, abs=1e-3)
 
 
-def test_singular_block_cost_solves_every_candidate(grid, params, hx):
+def test_singular_block_cost_solves_every_candidate(grid, params, hx, cfg):
     # Without an input weight a storing block's Hessian row is zero, so no
     # unconstrained bound exists and nothing may be pruned.
-    cfg = OcpConfig(q_u=0.0)
+    cfg = dataclasses.replace(cfg, q_u=0.0)
     x0 = charged_state(grid, params)
     model = build_pwa(grid, params, hx, DT, x0, 0.0)
     demand = np.full(12, 8e5)
@@ -822,7 +824,8 @@ def test_singular_block_cost_solves_every_candidate(grid, params, hx):
     assert_matches_full_rows(sol, modes, u_blocks, cost)
 
 
-def test_weightless_inputs_take_the_hessian_shift(grid, params, hx, monkeypatch):
+def test_weightless_inputs_take_the_hessian_shift(grid, params, hx, cfg,
+                                                  monkeypatch):
     # With q_u = 0 the storing blocks are eliminated and the pumping blocks'
     # Hessian is still positive definite; with every input weight at zero it
     # is zero, has no Cholesky factor and must be shifted.  The all-storing
@@ -842,7 +845,7 @@ def test_weightless_inputs_take_the_hessian_shift(grid, params, hx, monkeypatch)
         return out
 
     monkeypatch.setattr(qp_module, "_regularize", recording)
-    cfg = OcpConfig(q_u=0.0, q_d=0.0, q_e=0.0)
+    cfg = dataclasses.replace(cfg, q_u=0.0, q_d=0.0, q_e=0.0)
     x0 = charged_state(grid, params)
     model = build_pwa(grid, params, hx, DT, x0, 0.0)
     sol = solve_ocp(x0, np.full(12, 8e5), 0.0, cfg, model, grid, params)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ates_mpc import (AquiferParams, GeometryError, ParameterError,
-                      build_grid, effective_heat_capacity, validate_state)
+from ates_mpc import AquiferParams, GeometryError, ParameterError, build_grid
+from ates_mpc.grid import effective_heat_capacity, validate_state
 
 
 def test_standard_grid_spacing_and_cells():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ates_mpc import HxParams, ParameterError, hx_outlet_temp, linearize_hx
+from ates_mpc import HxParams, ParameterError, hx_outlet_temp
+from ates_mpc.heat_exchanger import linearize_hx
 
 
 def test_zero_ates_flow_returns_building_inlet():

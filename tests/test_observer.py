@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ates_mpc import (GaussianEstimate, ParameterError, UkfConfig, build_pwa,
-                      predict, project, pwa_step, sigma_points, update)
-from ates_mpc.observer import repair_psd
+                      predict, project, pwa_step, update)
+from ates_mpc.observer import repair_psd, sigma_points
 
 
 def make_affine(rng, n):
@@ -53,9 +55,9 @@ def test_sensor_matrix_layout():
                                 dict(measurement_var=0.0, C=np.eye(2)),
                                 dict(measurement_var=float("nan"), C=np.eye(2)),
                                 dict(kappa=-2.0, C=np.eye(2))])
-def test_config_rejects_values_outside_noise_domains(kw):
+def test_config_rejects_values_outside_noise_domains(reference, kw):
     with pytest.raises(ParameterError):
-        UkfConfig(**kw)
+        dataclasses.replace(reference.ukf, **kw)
 
 
 def test_predict_requires_sensor_matrix():
@@ -63,21 +65,21 @@ def test_predict_requires_sensor_matrix():
         UkfConfig()
 
 
-def test_predict_delta_prior_mean():
-    cfg = UkfConfig(C=np.eye(2), process_var=0.0)
+def test_predict_delta_prior_mean(reference):
+    cfg = dataclasses.replace(reference.ukf, C=np.eye(2), process_var=0.0)
     est = GaussianEstimate(np.array([1.0, -1.0]), np.zeros((2, 2)))
     step = lambda x: 2.0 * x + 1.0
     pred = predict(est, step, cfg)
     assert np.allclose(pred.mean, step(est.mean), atol=1e-12)
 
 
-def test_predict_innovation_covariance_identity():
+def test_predict_innovation_covariance_identity(reference):
     rng = np.random.default_rng(1)
     n = 5
     A, b, f = make_affine(rng, n)
     C = np.zeros((2, n))
     C[0, 0] = C[1, n - 1] = 1.0
-    cfg = UkfConfig(C=C)
+    cfg = dataclasses.replace(reference.ukf, C=C)
     M = rng.standard_normal((n, n))
     cov = M @ M.T + np.eye(n)
     est = GaussianEstimate(rng.standard_normal(n), cov)
@@ -88,13 +90,13 @@ def test_predict_innovation_covariance_identity():
                        + cfg.measurement_var * np.eye(2), atol=1e-9)
 
 
-def test_ukf_equals_kalman_on_affine_branch():
+def test_ukf_equals_kalman_on_affine_branch(reference):
     rng = np.random.default_rng(2)
     n = 8
     A, b, f = make_affine(rng, n)
     C = np.zeros((3, n))
     C[0, 0] = C[1, 3] = C[2, 7] = 1.0
-    cfg = UkfConfig(C=C)
+    cfg = dataclasses.replace(reference.ukf, C=C)
     mean = rng.standard_normal(n)
     M = rng.standard_normal((n, n))
     cov = M @ M.T + np.eye(n)
@@ -117,7 +119,8 @@ def test_ukf_equals_kalman_on_affine_branch():
         assert np.max(np.abs(est_ukf.cov - cov_kf)) < 1e-8
 
 
-def test_predict_steps_all_sigma_points_in_one_call(grid, params, hx):
+def test_predict_steps_all_sigma_points_in_one_call(grid, params, hx,
+                                                    reference):
     # A warm front and a cold one, so every branch sees a non-trivial state.
     rng = np.random.default_rng(5)
     x_ref = params.t_amb + np.concatenate([4.0 * np.exp(-np.arange(21) / 6.0),
@@ -125,7 +128,7 @@ def test_predict_steps_all_sigma_points_in_one_call(grid, params, hx):
     M = 0.05 * rng.standard_normal((42, 42))
     est = GaussianEstimate(x_ref + 0.1 * rng.standard_normal(42),
                            M @ M.T + 1e-3 * np.eye(42))
-    cfg = UkfConfig(UkfConfig.sensor_matrix(grid.nu))
+    cfg = reference.ukf
     for u in (0.02, 0.0, -0.02):
         model = build_pwa(grid, params, hx, 3600.0, x_ref, u)
         shapes = []
@@ -149,11 +152,11 @@ def test_predict_steps_all_sigma_points_in_one_call(grid, params, hx):
         assert np.array_equal(pred.cov_xy, cov @ cfg.C.T)
 
 
-def test_update_zero_innovation():
+def test_update_zero_innovation(reference):
     rng = np.random.default_rng(3)
     n = 4
     C = np.eye(2, n)
-    cfg = UkfConfig(C=C)
+    cfg = dataclasses.replace(reference.ukf, C=C)
     M = rng.standard_normal((n, n))
     est = GaussianEstimate(rng.standard_normal(n), M @ M.T + np.eye(n))
     pred = predict(est, lambda x: x, cfg)
@@ -162,13 +165,13 @@ def test_update_zero_innovation():
     assert np.trace(post.cov) < np.trace(pred.cov)
 
 
-def test_one_covariance_factorization_per_predict(monkeypatch):
+def test_one_covariance_factorization_per_predict(reference, monkeypatch):
     # predict and update only symmetrise the covariance; sigma_points is the
     # one place that factors it, once per predict.
     rng = np.random.default_rng(6)
     n = 6
     A, _, f = make_affine(rng, n)
-    cfg = UkfConfig(C=np.eye(2, n))
+    cfg = dataclasses.replace(reference.ukf, C=np.eye(2, n))
     M = rng.standard_normal((n, n))
     est = GaussianEstimate(rng.standard_normal(n), M @ M.T + np.eye(n))
     calls = []
@@ -187,10 +190,11 @@ def test_one_covariance_factorization_per_predict(monkeypatch):
     assert calls == [(n, n), (n, n)]
 
 
-def test_update_with_huge_measurement_noise_is_noop():
+def test_update_with_huge_measurement_noise_is_noop(reference):
     rng = np.random.default_rng(4)
     n = 4
-    cfg = UkfConfig(C=np.eye(2, n), measurement_var=1e12)
+    cfg = dataclasses.replace(reference.ukf, C=np.eye(2, n),
+                              measurement_var=1e12)
     est = GaussianEstimate(rng.standard_normal(n), np.eye(n))
     pred = predict(est, lambda x: x, cfg)
     post = update(pred, pred.y_hat + 5.0)

@@ -4,7 +4,8 @@ once and shared read-only; a cached result equals a fresh build."""
 import numpy as np
 import pytest
 
-from ates_mpc import AquiferParams, OcpConfig, build_grid, power_linear_rows
+from ates_mpc import AquiferParams, build_grid
+from ates_mpc.controller import power_linear_rows
 from ates_mpc.harness import run_closed_loop
 from ates_mpc.plant import _overlap_weights
 from ates_mpc.pwa import _conduction_stencil, _template
@@ -26,17 +27,17 @@ def test_closed_loop_builds_each_operator_once():
     assert _template.cache_info().hits == 48
 
 
-def cached_arrays(grid, params):
+def cached_arrays(grid, params, ocp):
     fine = build_grid(grid.r0, grid.r_inf, 200, grid.l)
     A, f = _conduction_stencil(grid, params, DT, True)
     r_now, r_next, _ = power_linear_rows(grid, params, DT)
-    x_min, x_max = OcpConfig().state_bounds(grid.nu)
+    x_min, x_max = ocp.state_bounds(grid.nu)
     return [A, f, _overlap_weights(fine, grid), r_now, r_next, x_min, x_max,
             grid.edges, grid.midpoints, grid.volumes, *_template(grid, params, DT)]
 
 
-def test_cached_arrays_are_read_only(grid, params):
-    for arr in cached_arrays(grid, params):
+def test_cached_arrays_are_read_only(grid, params, reference):
+    for arr in cached_arrays(grid, params, reference.ocp):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -21,21 +22,21 @@ def quiet_config(**kw):
 @pytest.mark.parametrize("kw", [dict(t_amb_noise_amp=-0.1),
                                 dict(sensor_sigma=-0.01),
                                 dict(sensor_sigma=float("nan"))])
-def test_config_rejects_negative_noise(kw):
+def test_config_rejects_negative_noise(reference, kw):
     with pytest.raises(ParameterError):
-        TruthConfig(**kw)
+        dataclasses.replace(reference.truth, **kw)
 
 
-def test_init_deterministic(grid, params):
-    cfg = TruthConfig(seed=7)
+def test_init_deterministic(grid, params, reference):
+    cfg = dataclasses.replace(reference.truth, seed=7)
     a = init_truth(cfg, grid, params)
     b = init_truth(cfg, grid, params)
     assert np.array_equal(a.lam_warm, b.lam_warm)
     assert np.array_equal(a.lam_cold, b.lam_cold)
 
 
-def test_lambda_field_statistics(grid, params):
-    cfg = TruthConfig(nu_fine=10_000, seed=1)
+def test_lambda_field_statistics(grid, params, reference):
+    cfg = dataclasses.replace(reference.truth, nu_fine=10_000, seed=1)
     state = init_truth(cfg, grid, params)
     lam = np.concatenate([state.lam_warm, state.lam_cold])
     assert lam.min() >= 3.0
@@ -43,15 +44,16 @@ def test_lambda_field_statistics(grid, params):
     assert lam.mean() == pytest.approx(4.0, abs=0.05)
 
 
-def test_initial_fields_at_ambient(grid, params):
-    state = init_truth(TruthConfig(), grid, params)
+def test_initial_fields_at_ambient(grid, params, reference):
+    state = init_truth(reference.truth, grid, params)
     assert np.all(state.warm == 284.85)
     assert np.all(state.cold == 284.85)
 
 
-def test_fine_grid_coarser_than_prediction_rejected(grid, params):
+def test_fine_grid_coarser_than_prediction_rejected(grid, params, reference):
     with pytest.raises(ScenarioError):
-        init_truth(TruthConfig(nu_fine=10), grid, params)
+        init_truth(dataclasses.replace(reference.truth, nu_fine=10), grid,
+                   params)
 
 
 def test_ambient_is_fixed_point_without_noise(grid, params, hx):
@@ -95,8 +97,9 @@ def test_measurement_order_and_exactness(grid, params):
     assert y[3] == state.cold[far]
 
 
-def test_measurement_noise_statistics(grid, params):
-    state = init_truth(TruthConfig(sensor_sigma=0.01, seed=3), grid, params)
+def test_measurement_noise_statistics(grid, params, reference):
+    cfg = dataclasses.replace(reference.truth, sensor_sigma=0.01, seed=3)
+    state = init_truth(cfg, grid, params)
     samples = np.array([measure(state) for _ in range(10_000)])
     sigma = samples.std(axis=0)
     assert np.all(np.abs(sigma - 0.01) < 0.0005)  # within 5%
@@ -121,10 +124,11 @@ def test_energy_bookkeeping_closes(grid, params, hx):
         energy, booked = state.internal_energy(), state.boundary_energy
 
 
-def test_truth_and_prediction_model_diverge(grid, params, hx):
+def test_truth_and_prediction_model_diverge(grid, params, hx, reference):
     from ates_mpc import build_pwa, pwa_step
 
-    state = init_truth(TruthConfig(seed=0, sensor_sigma=0.0), grid, params)
+    cfg = dataclasses.replace(reference.truth, seed=0, sensor_sigma=0.0)
+    state = init_truth(cfg, grid, params)
     x = restrict_to_coarse(state, grid)
     u_prev = 0.0
     for k in range(24):
@@ -138,8 +142,8 @@ def test_truth_and_prediction_model_diverge(grid, params, hx):
     assert gap > 0.0
 
 
-def test_restrict_to_coarse_shape(grid, params):
-    state = init_truth(TruthConfig(), grid, params)
+def test_restrict_to_coarse_shape(grid, params, reference):
+    state = init_truth(reference.truth, grid, params)
     x = restrict_to_coarse(state, grid)
     assert x.shape == (42,)
     assert np.all(x == 284.85)
@@ -191,10 +195,12 @@ def reference_cell_rates(field_vals, lam, grid, params, q, t_far, injecting):
     return rates, cond_far, cond_bh
 
 
-def test_cell_rates_with_stored_conductances_match_reference(grid, params):
+def test_cell_rates_with_stored_conductances_match_reference(grid, params,
+                                                             reference):
     from ates_mpc.plant import _flow, _rates, _work
 
-    state = init_truth(TruthConfig(seed=11), grid, params)
+    state = init_truth(dataclasses.replace(reference.truth, seed=11), grid,
+                       params)
     rng = np.random.default_rng(4)
     fine = state.grid
     nu = fine.nu
@@ -293,8 +299,10 @@ def assert_same_plant(state, ref):
 
 
 @pytest.mark.parametrize("audit", [True, False])
-def test_fused_step_matches_per_aquifer_reference(grid, params, hx, audit):
-    state = init_truth(TruthConfig(seed=5, t_amb_noise_amp=0.1), grid, params)
+def test_fused_step_matches_per_aquifer_reference(grid, params, hx, reference,
+                                                  audit):
+    cfg = dataclasses.replace(reference.truth, seed=5, t_amb_noise_amp=0.1)
+    state = init_truth(cfg, grid, params)
     ref = ReferencePlant(state)
     # Heating, storing, cooling and half flow in both directions.
     flows = [U_MAX] * 3 + [0.0] * 2 + [-U_MAX] * 3 + [0.5 * U_MAX] * 2 \
@@ -321,11 +329,13 @@ def _substep_change(state, hi_flow):
 
 
 @pytest.mark.parametrize("audit", [True, False])
-def test_fused_step_matches_reference_over_random_flows(grid, params, hx, audit):
+def test_fused_step_matches_reference_over_random_flows(grid, params, hx,
+                                                        reference, audit):
     """48 seeded flows uniform in [-u_max, u_max], with exact zeros among them
     and, in both directions, the last flow before and the first after two
     changes of the substep count."""
-    state = init_truth(TruthConfig(seed=13, t_amb_noise_amp=0.1), grid, params)
+    cfg = dataclasses.replace(reference.truth, seed=13, t_amb_noise_amp=0.1)
+    state = init_truth(cfg, grid, params)
     ref = ReferencePlant(state)
     flows = list(np.random.default_rng(29).uniform(-U_MAX, U_MAX, 48))
     flows[5] = flows[17] = flows[30] = 0.0
@@ -344,8 +354,9 @@ def test_fused_step_matches_reference_over_random_flows(grid, params, hx, audit)
     assert state.boundary_energy != 0.0
 
 
-def test_fused_audit_reports_a_cfl_violation(grid, params, hx, monkeypatch):
-    state = init_truth(TruthConfig(seed=5), grid, params)
+def test_fused_audit_reports_a_cfl_violation(grid, params, hx, reference,
+                                             monkeypatch):
+    state = init_truth(dataclasses.replace(reference.truth, seed=5), grid, params)
     ref = ReferencePlant(state)
     for u in (U_MAX, -U_MAX):
         truth_step(state, u, hx, DT, audit=True)
@@ -387,10 +398,11 @@ def test_writes_through_field_views_steer_the_step(grid, params, hx):
     assert state.warm[-1] != params.t_amb
 
 
-def test_restriction_equals_per_aquifer_matrix_products(grid, params):
+def test_restriction_equals_per_aquifer_matrix_products(grid, params,
+                                                        reference):
     from ates_mpc.plant import _overlap_weights
 
-    state = init_truth(TruthConfig(), grid, params)
+    state = init_truth(reference.truth, grid, params)
     rng = np.random.default_rng(8)
     W = _overlap_weights(state.grid, grid)
     for _ in range(20):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ates_mpc import (EnergyLedger, ParameterError, build_pwa, power_bilinear,
-                      power_linear, pwa_step, storage_weights, update_balance)
+                      power_linear, pwa_step, update_balance)
+from ates_mpc.power import storage_weights
 
 DT = 3600.0
 

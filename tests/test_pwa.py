@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ates_mpc import (OcpConfig, ParameterError, build_extraction_system,
-                      build_grid, build_injection_system, build_pwa,
-                      hx_outlet_temp, linearize_hx, pwa_step)
+from ates_mpc import (ParameterError, build_extraction_system, build_grid,
+                      build_injection_system, build_pwa, hx_outlet_temp,
+                      pwa_step)
+from ates_mpc.heat_exchanger import linearize_hx
 from ates_mpc.pwa import MODES
 
 DT = 3600.0
@@ -224,7 +225,12 @@ def blockwise_branches(grid, params, hx, x_ref, u_ref):
     return [(A1, b1, f1), (A2, np.zeros(n), f2), (A3, b3, f3)]
 
 
-def reference_state(grid, params, state):
+@pytest.fixture(scope="module")
+def ocp(reference):
+    return reference.ocp
+
+
+def reference_state(grid, params, ocp, state):
     """An ambient, a charged or a random stacked state inside the state box."""
     if state == "ambient":
         return np.full(grid.n_states, params.t_amb)
@@ -233,17 +239,18 @@ def reference_state(grid, params, state):
         bump = np.exp(-(radii - grid.r0) / 15.0)
         return np.concatenate([params.t_amb + 6.0 * bump,
                                params.t_amb - 9.0 * bump])
-    x_min, x_max = OcpConfig().state_bounds(grid.nu)
+    x_min, x_max = ocp.state_bounds(grid.nu)
     return np.random.default_rng(grid.nu).uniform(x_min, x_max)
 
 
 @pytest.mark.parametrize("u_ref", (-U_MAX, 0.0, U_MAX, -0.3 * U_MAX, 0.3 * U_MAX))
 @pytest.mark.parametrize("state", ("ambient", "charged", "random"))
-def test_one_pass_build_matches_blockwise_assembly(grid, params, hx, state, u_ref):
+def test_one_pass_build_matches_blockwise_assembly(grid, params, hx, ocp, state,
+                                                   u_ref):
     """The template plus the hour's pieces equals a block-by-block assembly,
     on the default grid and on a finer one."""
     for g in (grid, build_grid(grid.r0, grid.r_inf, 30, grid.l)):
-        x_ref = reference_state(g, params, state)
+        x_ref = reference_state(g, params, ocp, state)
         model = build_pwa(g, params, hx, DT, x_ref, u_ref)
         reference = blockwise_branches(g, params, hx, x_ref, u_ref)
         for i, (A, b, f) in enumerate(reference):

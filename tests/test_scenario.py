@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from ates_mpc import (ScenarioError, gen_synthetic_demand, load_demand_csv,
-                      load_scenario, read_results, write_demand_csv,
-                      write_results)
-from ates_mpc.scenario import _parse_config_text, scenario_from_values
+from ates_mpc import (ScenarioError, gen_synthetic_demand, load_scenario,
+                      read_results, write_demand_csv, write_results)
+from ates_mpc.scenario import (_DEFAULTS, _parse_config_text,
+                               load_demand_csv, scenario_from_values)
 
 J_PER_MWH = 3.6e9
 
@@ -28,8 +28,36 @@ def test_empty_config_gives_standard_defaults(tmp_path):
     assert sc.ocp.q_e == 0.001
     assert sc.ocp.warm_bounds == (284.85, 293.15)
     assert sc.ocp.cold_bounds == (273.15, 284.85)
+    assert sc.ocp.blocks == (1, 4, 7)
+    assert sc.ocp.slack_weight == 1e6
+    assert sc.ocp.balance_hours == 80.0
     assert sc.ukf.kappa == 5.0
+    assert sc.ukf.process_var == 0.05**2
+    assert sc.ukf.measurement_var == 0.01**2
+    assert sc.truth.nu_fine == 200
+    assert sc.truth.lambda_bounds == (3.0, 5.0)
+    assert sc.truth.t_amb_noise_amp == 0.1
+    assert sc.truth.sensor_sigma == 0.01
+    assert sc.truth.seed == 0
     assert sc.duration == 8760
+
+
+def scenario_fingerprint(sc):
+    """The configs' reprs and the demand's bytes of a scenario."""
+    configs = (sc.grid, sc.params, sc.hx, sc.ocp, sc.ukf, sc.truth, sc.duration)
+    return repr(configs), sc.demand.tobytes()
+
+
+# ``_DEFAULTS`` is the one table of reference values, so a key that is parsed
+# but never read would go unnoticed: a nearby admissible value of each key
+# must change the scenario built from it.
+@pytest.mark.parametrize("key", list(_DEFAULTS))
+def test_every_config_key_reaches_the_scenario(reference, key):
+    values = _parse_config_text("")
+    default = values[key]
+    values[key] = default + 1 if type(default) is int else default * 0.99
+    assert (scenario_fingerprint(scenario_from_values(values))
+            != scenario_fingerprint(reference))
 
 
 def test_none_path_equals_empty_config(tmp_path):
