@@ -1,9 +1,8 @@
 """Closed-loop aquifer thermal energy storage: simulation, estimation, MPC."""
 
 from .controller import OcpConfig, OcpSolution, solve_ocp
-from .errors import (AtesError, ControllerFault, GeometryError,
-                     ParameterError, ScenarioError, SolverError,
-                     StabilityError)
+from .errors import (AtesError, ControllerFault, ParameterError,
+                     ScenarioError, SolverError)
 from .grid import AquiferParams, RadialGrid, build_grid
 from .harness import RunReport, demand_window, replay_observer, run_closed_loop
 from .heat_exchanger import HxParams, hx_outlet_temp
@@ -22,15 +21,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AquiferParams", "AtesError", "ControllerFault", "EnergyLedger",
-    "GaussianEstimate", "GeometryError", "HxParams", "OcpConfig",
-    "OcpSolution", "ParameterError", "PwaModel", "Qp", "QpResult",
-    "RadialGrid", "RunReport", "Scenario", "ScenarioError", "SolverError",
-    "StabilityError", "TruthConfig", "build_extraction_system", "build_grid",
-    "build_injection_system", "build_pwa", "demand_window",
-    "gen_synthetic_demand", "hx_outlet_temp", "init_truth", "load_scenario",
-    "measure", "power_bilinear", "power_linear", "predict", "project",
-    "pwa_step", "read_results", "replay_observer", "restrict_to_coarse",
-    "run_closed_loop", "scenario_from_values", "solve_ocp", "solve_qp",
-    "truth_step", "update", "update_balance", "write_demand_csv",
-    "write_results",
+    "GaussianEstimate", "HxParams", "OcpConfig", "OcpSolution",
+    "ParameterError", "PwaModel", "Qp", "QpResult", "RadialGrid", "RunReport",
+    "Scenario", "ScenarioError", "SolverError", "TruthConfig",
+    "build_extraction_system", "build_grid", "build_injection_system",
+    "build_pwa", "demand_window", "gen_synthetic_demand", "hx_outlet_temp",
+    "init_truth", "load_scenario", "measure", "power_bilinear", "power_linear",
+    "predict", "project", "pwa_step", "read_results", "replay_observer",
+    "restrict_to_coarse", "run_closed_loop", "scenario_from_values",
+    "solve_ocp", "solve_qp", "truth_step", "update", "update_balance",
+    "write_demand_csv", "write_results",
 ]

@@ -20,9 +20,8 @@ from .harness import (demand_window, power_form_study, replay_observer,
 from .plant import init_truth, measure, restrict_to_coarse, truth_step
 from .power import J_PER_MWH, EnergyLedger, power_bilinear, update_balance
 from .pwa import build_pwa, mode_of
-from .scenario import (_DEFAULTS, HOURS_PER_YEAR, _config_values,
-                       gen_synthetic_demand, read_results,
-                       scenario_from_values, write_demand_csv, write_results)
+from .scenario import (_config_values, read_results, scenario_from_values,
+                       write_demand_csv, write_results)
 
 
 def _nonnegative_int(text: str) -> int:
@@ -135,9 +134,11 @@ def _cmd_observe(args) -> int:
 
 
 def _cmd_gen_demand(args) -> int:
-    demand = gen_synthetic_demand(args.seed, args.hours,
-                                  args.heat_mwh * J_PER_MWH,
-                                  args.cold_mwh * J_PER_MWH)
+    """Write the first hours of the scenario's demand series."""
+    scenario = _load(args)
+    steps = args.steps if args.steps is not None else scenario.duration
+    scenario.check_steps(steps)
+    demand = scenario.demand[:steps]
     out = args.out or "demand.csv"
     write_demand_csv(out, demand)
     print(f"wrote {demand.size} hourly samples to {out}")
@@ -224,14 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("results", help="results CSV from a previous run")
     p.set_defaults(func=_cmd_observe)
 
-    p = sub.add_parser("gen-demand", help="write a synthetic hourly demand CSV")
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=_nonnegative_int, default=_DEFAULTS["seed"])
-    p.add_argument("--hours", type=_nonnegative_int, default=HOURS_PER_YEAR)
-    p.add_argument("--heat-mwh", type=float,
-                   default=_DEFAULTS["demand_heat_total_mwh"])
-    p.add_argument("--cold-mwh", type=float,
-                   default=_DEFAULTS["demand_cold_total_mwh"])
+    p = sub.add_parser("gen-demand", parents=[seeded],
+                       help="write the scenario's hourly demand CSV")
+    p.add_argument("--out", default=None,
+                   help="demand CSV path (default: demand.csv)")
+    p.add_argument("--steps", type=_nonnegative_int, default=None,
+                   help="number of hourly samples (default: scenario duration)")
     p.set_defaults(func=_cmd_gen_demand)
 
     p = sub.add_parser("validate-power", parents=[seeded],

@@ -5,16 +5,9 @@ class AtesError(Exception):
     """Base class for all toolkit errors."""
 
 
-class GeometryError(AtesError):
-    """Invalid radial geometry (nonpositive or inverted radii, bad cell count)."""
-
-
 class ParameterError(AtesError):
-    """Physical parameter outside its admissible range."""
-
-
-class StabilityError(AtesError):
-    """Explicit time step violates the diffusion stability limit."""
+    """Physical parameter, radial geometry or explicit time step outside its
+    admissible range."""
 
 
 class SolverError(AtesError):

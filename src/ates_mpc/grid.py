@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GeometryError, ParameterError
+from .errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,11 @@ class RadialGrid:
 def build_grid(r0: float, r_inf: float, nu: int, l: float) -> RadialGrid:
     """Build a uniformly spaced radial grid with exact cylindrical-shell volumes."""
     if not (0.0 < r0 < r_inf):
-        raise GeometryError(f"need 0 < r0 < r_inf, got r0={r0}, r_inf={r_inf}")
+        raise ParameterError(f"need 0 < r0 < r_inf, got r0={r0}, r_inf={r_inf}")
     if nu < 1:
-        raise GeometryError(f"cell count must be >= 1, got {nu}")
+        raise ParameterError(f"cell count must be >= 1, got {nu}")
     if l <= 0.0:
-        raise GeometryError(f"filter length must be positive, got {l}")
+        raise ParameterError(f"filter length must be positive, got {l}")
     edges = np.linspace(r0, r_inf, nu + 1)
     midpoints = 0.5 * (edges[:-1] + edges[1:])
     volumes = math.pi * (edges[1:] ** 2 - edges[:-1] ** 2) * l

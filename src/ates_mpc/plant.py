@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -68,7 +67,6 @@ class TruthState:
     k_edge: np.ndarray
     heat_capacity: np.ndarray
     lam_max: float
-    clock: float = 0.0
     boundary_energy: float = 0.0
     dmp_violation: float = 0.0  # worst audit excess seen so far [K]
     sensor_cells: tuple[int, int] = (0, 0)
@@ -92,17 +90,13 @@ class TruthState:
         return float(c_a * (v @ self.warm[1:] + v @ self.cold[1:]))
 
 
-def fine_grid(coarse: RadialGrid, nu_fine: int) -> RadialGrid:
-    return build_grid(coarse.r0, coarse.r_inf, nu_fine, coarse.l)
-
-
 def init_truth(cfg: TruthConfig, coarse: RadialGrid, params: AquiferParams) -> TruthState:
     """Uniform ambient fields with a seeded heterogeneous conduction field."""
     if cfg.nu_fine < coarse.nu:
         raise ScenarioError(
             f"fine grid must be at least as fine as the prediction grid "
             f"({cfg.nu_fine} < {coarse.nu})")
-    grid = fine_grid(coarse, cfg.nu_fine)
+    grid = build_grid(coarse.r0, coarse.r_inf, cfg.nu_fine, coarse.l)
     seeds = np.random.SeedSequence(cfg.seed).spawn(3)
     rng_lambda = np.random.default_rng(seeds[0])
     lo, hi = cfg.lambda_bounds
@@ -116,7 +110,7 @@ def init_truth(cfg: TruthConfig, coarse: RadialGrid, params: AquiferParams) -> T
         fields=np.full((2, grid.nu + 2), params.t_amb),
         lam_warm=lam_warm, lam_cold=lam_cold,
         k_edge=_conductances(np.stack([lam_warm, lam_cold]), grid),
-        # Any nonzero padding will do: _rates zeroes the padding's rates.
+        # Any nonzero padding will do: truth_step zeroes the padding's rates.
         heat_capacity=_interior(params.c_a * grid.volumes, pad=1.0),
         lam_max=float(max(lam_warm.max(), lam_cold.max())),
         sensor_cells=(0, far_cell),
@@ -174,111 +168,21 @@ def _conductances(lam: np.ndarray, grid: RadialGrid) -> np.ndarray:
     return k.ravel()[:-1]
 
 
-def _flow(state: TruthState, u: float) -> tuple[int | None, np.ndarray | None]:
-    """The injecting row and (c_w / c_a) * v over the interior for flow ``u``.
-
-    Heating (u > 0) extracts warm water and injects into the cold row,
-    cooling the reverse; the water velocity is v = q / (2 pi r l) with
-    q = (-u, u).  Storing gives (None, None).
-    """
-    if u == 0.0:
-        return None, None
-    grid, p = state.grid, state.params
-    v = np.array([[-u], [u]]) / (2.0 * np.pi * grid.l * grid.midpoints)
-    return (1 if u > 0.0 else 0), _interior((p.c_w / p.c_a) * v, pad=0.0)
-
-
-class _Work(NamedTuple):
-    """One hour's work arrays and fixed views along fields.ravel(), built
-    once per hour by ``_work``; every substep writes into the same arrays."""
-
-    k_edge: np.ndarray
-    heat_capacity: np.ndarray
-    dr: float
-    left: np.ndarray            # flat[:-2], flat[1:-1] and flat[2:]: the
-    mid: np.ndarray             # interior and its two stencil neighbours
-    right: np.ndarray
-    upper: np.ndarray           # flat[1:] and flat[:-1]
-    lower: np.ndarray
-    d: np.ndarray               # the fields' difference across each edge
-    flux: np.ndarray
-    flux_out: np.ndarray        # flux[1:] and flux[:-1]
-    flux_in: np.ndarray
-    dead: np.ndarray            # the borehole faces that carry no conduction
-    rates: np.ndarray
-    rates_pad: np.ndarray       # rates[nu:nu + 2], between the rows
-    adv: np.ndarray | None
-    grad: np.ndarray | None
-    upwind: list[tuple[np.ndarray, np.ndarray]]  # (d, grad) slices per row
-
-
-def _work(state: TruthState, inj: int | None, adv: np.ndarray | None) -> _Work:
-    """The work arrays and views of an hour whose injecting row and
-    advection are ``inj, adv`` (from ``_flow``)."""
-    nu = state.grid.nu
-    flat = state.fields.reshape(-1, copy=False)
-    d = np.empty(flat.size - 1)
-    flux = np.empty(flat.size - 1)
-    rates = np.empty(flat.size - 2)
-    # Only the injecting row's borehole face conducts.
-    if inj is None:
-        dead = flux[::nu + 2]
-    else:
-        bh = (1 - inj) * (nu + 2)
-        dead = flux[bh:bh + 1]
-    grad, upwind = None, []
-    if adv is not None:
-        # Outward flow (injection) takes each cell's inner edge, the borehole
-        # face first; inward flow its outer edge, the far face last.
-        grad = np.empty(flat.size - 2)
-        for r in (0, 1):
-            lo = r * (nu + 1)
-            edge = lo + (r != inj)
-            upwind.append((d[edge:edge + nu + 1], grad[lo:lo + nu + 1]))
-    return _Work(state.k_edge, state.heat_capacity, state.grid.dr,
-                 flat[:-2], flat[1:-1], flat[2:], flat[1:], flat[:-1],
-                 d, flux, flux[1:], flux[:-1], dead, rates, rates[nu:nu + 2],
-                 adv, grad, upwind)
-
-
-def _rates(w: _Work) -> None:
-    """dT/dt over the interior into ``w.rates`` and the conduction flux (W,
-    toward growing r) through every edge into ``w.flux``, both along
-    fields.ravel(), from the fields' current values.  The padding gets
-    rate 0.
-    """
-    # The net gain of interior entry i is flux[i + 1] - flux[i].
-    np.subtract(w.upper, w.lower, out=w.d)
-    np.multiply(w.k_edge, w.d, out=w.flux)
-    np.divide(w.flux, w.dr, out=w.flux)
-    w.dead.fill(0.0)
-    np.subtract(w.flux_out, w.flux_in, out=w.rates)
-    np.divide(w.rates, w.heat_capacity, out=w.rates)
-    if w.adv is not None:
-        # Conservative upwind advection: the volume flow q is radius-free, so
-        # the enthalpy flux through a face is c_w * q * T_upwind and cell
-        # gains telescope exactly (V_i = 2 pi r_i dr l makes v_i/dr the same
-        # as q / (c_a V_i) up to c_w).
-        for d, grad in w.upwind:
-            np.divide(d, w.dr, out=grad)
-        np.multiply(w.adv, w.grad, out=w.grad)
-        np.subtract(w.rates, w.grad, out=w.rates)
-    w.rates_pad.fill(0.0)
-
-
 def truth_step(state: TruthState, u: float, hx: HxParams, dt: float,
                audit: bool = False) -> TruthState:
     """Advance both aquifers by one sampling period with explicit substeps.
 
-    Each substep is a fixed sequence of in-place ufunc calls on the hour's
-    work arrays (``_work``); the boundary energy and the audit's worst
-    excess accumulate in Python floats and are stored once per hour.
+    The hour's work arrays and their views along fields.ravel() are built
+    once; each substep is a fixed sequence of in-place ufunc calls on them.
+    The boundary energy and the audit's worst excess accumulate in Python
+    floats and are stored once per hour.
     """
     if not math.isfinite(u):
         raise ParameterError(f"flow must be finite, got {u}")
     cfg = state.cfg
     p = state.params
-    nu = state.grid.nu
+    grid = state.grid
+    nu, dr = grid.nu, grid.dr
 
     t_far = p.t_amb
     if cfg.t_amb_noise_amp > 0.0:
@@ -289,9 +193,45 @@ def truth_step(state: TruthState, u: float, hx: HxParams, dt: float,
     dt_sub = dt / n_sub
     F = state.fields
     F[:, -1] = t_far
-    inj, adv = _flow(state, u)
-    w = _work(state, inj, adv)
-    left, mid, right, flux, rates = w.left, w.mid, w.right, w.flux, w.rates
+    flat = F.reshape(-1, copy=False)
+    # left, mid and right are the interior and its two stencil neighbours;
+    # d is the fields' difference across each edge, the conduction flux (W,
+    # toward growing r) runs through every edge and rates is dT/dt over the
+    # interior, where the net gain of entry i is flux[i + 1] - flux[i].
+    left, mid, right, upper, lower = (flat[:-2], flat[1:-1], flat[2:],
+                                      flat[1:], flat[:-1])
+    d = np.empty(flat.size - 1)
+    flux = np.empty(flat.size - 1)
+    flux_out, flux_in = flux[1:], flux[:-1]
+    rates = np.empty(flat.size - 2)
+    rates_pad = rates[nu:nu + 2]  # between the rows; its rate stays 0
+    k_edge, heat_capacity = state.k_edge, state.heat_capacity
+    # Heating (u > 0) extracts warm water and injects into the cold row,
+    # cooling the reverse; the water velocity is v = q / (2 pi r l) with
+    # q = (-u, u).  Only the injecting row's borehole face conducts, and
+    # zero-gradient borehole entries follow their first cell: synced here
+    # and after every substep, each substep starts with them in sync.
+    inj = None if u == 0.0 else (1 if u > 0.0 else 0)
+    if inj is None:
+        dead = flux[::nu + 2]
+        entries, firsts = F[:, 0], F[:, 1]
+    else:
+        ext = 1 - inj
+        bh = ext * (nu + 2)
+        dead = flux[bh:bh + 1]
+        entries, firsts = F[ext, 0:1], F[ext, 1:2]
+        t_b = hx.t_b("heating" if inj == 1 else "cooling")
+        v = np.array([[-u], [u]]) / (2.0 * np.pi * grid.l * grid.midpoints)
+        adv = _interior((p.c_w / p.c_a) * v, pad=0.0)
+        # Outward flow (injection) takes each cell's inner edge, the borehole
+        # face first; inward flow its outer edge, the far face last.
+        grad = np.empty(flat.size - 2)
+        upwind = []
+        for r in (0, 1):
+            cell = r * (nu + 1)
+            edge = cell + (r != inj)
+            upwind.append((d[edge:edge + nu + 1], grad[cell:cell + nu + 1]))
+    entries[...] = firsts
     if audit:
         lo, hi = np.empty(mid.size), np.empty(mid.size)
         amax = np.maximum.reduce
@@ -301,15 +241,6 @@ def truth_step(state: TruthState, u: float, hx: HxParams, dt: float,
     # and whether r's borehole face conducts.
     faces = ((0, -u > 0.0, p.c_w * -u, inj == 0),
              (1, u > 0.0, p.c_w * u, inj == 1))
-    # Zero-gradient borehole entries follow their first cell; synced here
-    # and after every substep, each substep starts with them in sync.
-    if inj is None:
-        entries, firsts = F[:, 0], F[:, 1]
-    else:
-        ext = 1 - inj
-        entries, firsts = F[ext, 0:1], F[ext, 1:2]
-        t_b = hx.t_b("heating" if inj == 1 else "cooling")
-    entries[...] = firsts
     energy = state.boundary_energy
     worst = state.dmp_violation
 
@@ -319,7 +250,22 @@ def truth_step(state: TruthState, u: float, hx: HxParams, dt: float,
         if inj is not None:
             F[inj, 0] = hx_outlet_temp(F.item(ext, 0), u, hx.q_b, t_b)
 
-        _rates(w)
+        np.subtract(upper, lower, out=d)
+        np.multiply(k_edge, d, out=flux)
+        np.divide(flux, dr, out=flux)
+        dead.fill(0.0)
+        np.subtract(flux_out, flux_in, out=rates)
+        np.divide(rates, heat_capacity, out=rates)
+        if inj is not None:
+            # Conservative upwind advection: the volume flow q is radius-free,
+            # so the enthalpy flux through a face is c_w * q * T_upwind and
+            # cell gains telescope exactly (V_i = 2 pi r_i dr l makes v_i/dr
+            # the same as q / (c_a V_i) up to c_w).
+            for d_row, grad_row in upwind:
+                np.divide(d_row, dr, out=grad_row)
+            np.multiply(adv, grad, out=grad)
+            np.subtract(rates, grad, out=rates)
+        rates_pad.fill(0.0)
         if audit:
             # Each new value must lie in the envelope of its old three-point
             # stencil (borehole entry and t_far included); the padding keeps
@@ -348,7 +294,6 @@ def truth_step(state: TruthState, u: float, hx: HxParams, dt: float,
 
     state.boundary_energy = energy
     state.dmp_violation = worst
-    state.clock += dt
     return state
 
 

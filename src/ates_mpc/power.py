@@ -24,7 +24,7 @@ def power_bilinear(x: np.ndarray, u: float, c_w: float) -> float:
     """Delivered power c_w * u * (warm borehole - cold borehole) in watts."""
     x = np.asarray(x, dtype=float)
     nu = x.size // 2 - 1
-    return c_w * u * (x[0] - x[nu + 1])
+    return float(c_w * u * (x[0] - x[nu + 1]))
 
 
 def storage_weights(grid: RadialGrid) -> np.ndarray:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, StabilityError
+from .errors import ParameterError
 from .grid import AquiferParams, RadialGrid, validate_state
 from .heat_exchanger import HxParams, linearize_hx
 
@@ -118,7 +118,7 @@ def _conduction_stencil(grid: RadialGrid, params: AquiferParams, dt: float,
     lam = params.lam
     number = lam * dt / (params.c_a * dr**2)
     if number >= 0.5:
-        raise StabilityError(
+        raise ParameterError(
             f"diffusion number {number:.3g} >= 0.5 "
             f"(lambda={lam}, dt={dt}, c_a={params.c_a}, dr={dr:.3g})")
     coeff = 2.0 * np.pi * grid.l * lam * dt / (params.c_a * grid.volumes)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controller import OcpConfig
-from .errors import GeometryError, ParameterError, ScenarioError, StabilityError
+from .errors import ParameterError, ScenarioError
 from .grid import AquiferParams, RadialGrid, build_grid
 from .heat_exchanger import HxParams
 from .observer import UkfConfig
@@ -161,7 +161,7 @@ def scenario_from_values(values: dict) -> Scenario:
                            values["lambda_max_w_per_m_k"]),
             t_amb_noise_amp=values["t_amb_noise_amp_k"],
             sensor_sigma=values["sensor_sigma_k"], seed=values["seed"])
-    except (GeometryError, ParameterError, StabilityError) as exc:
+    except ParameterError as exc:
         raise ScenarioError(str(exc)) from exc
 
     duration = values["duration_steps"]

@@ -4,7 +4,8 @@ import pytest
 from ates_mpc import controller
 from ates_mpc.cli import main
 from ates_mpc.errors import SolverError
-from ates_mpc.scenario import _DEFAULTS, load_demand_csv, read_results
+from ates_mpc.scenario import (_DEFAULTS, _parse_config_text, load_demand_csv,
+                               read_results, scenario_from_values)
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -94,10 +95,13 @@ def test_bad_demand_csv_value_is_config_error(tmp_path, capsys, value,
 
 def test_gen_demand_writes_csv(tmp_path, capsys):
     out = tmp_path / "demand.csv"
-    assert main(["gen-demand", "--out", str(out), "--hours", "72",
+    assert main(["gen-demand", "--out", str(out), "--steps", "72",
                  "--seed", "9"]) == 0
     series = load_demand_csv(str(out))
     assert series.size == 72
+    # The seeded scenario's own demand, every value read back exactly.
+    demand = scenario_from_values(_parse_config_text("seed = 9")).demand
+    assert np.array_equal(series, demand[:72])
 
 
 # The ``run`` sidecar's keys, in the order it writes them.
@@ -376,27 +380,39 @@ def test_non_finite_schedule_is_rejected_before_stepping(tmp_path, capsys):
 
 def test_gen_demand_unwritable_out_is_error(tmp_path, capsys):
     out = tmp_path / "missing" / "d.csv"
-    assert main(["gen-demand", "--hours", "5", "--out", str(out)]) == 1
+    assert main(["gen-demand", "--steps", "5", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write demand to {str(out)!r}: ")
     assert len(err.splitlines()) == 1
 
 
-def test_negative_hours_is_usage_error(tmp_path, capsys):
+def test_gen_demand_steps_bounds(tmp_path, capsys):
     out = tmp_path / "demand.csv"
-    assert main(["gen-demand", "--hours", "-3", "--out", str(out)]) == 1
-    assert "--hours: must be nonnegative" in capsys.readouterr().err
+    assert main(["gen-demand", "--steps", "-3", "--out", str(out)]) == 1
+    assert "--steps: must be nonnegative" in capsys.readouterr().err
     assert not out.exists()
-    assert main(["gen-demand", "--hours", "0", "--out", str(out)]) == 0
+    assert main(["gen-demand", "--steps", "0", "--out", str(out)]) == 0
     assert "wrote 0 hourly samples" in capsys.readouterr().out
+    config = short_demand_config(tmp_path)
+    assert main(["gen-demand", "--scenario", config, "--steps", "7",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: demand series (6 h) shorter than a run of 7 steps\n"
+    assert main(["gen-demand", "--scenario", config, "--out", str(out)]) == 0
+    assert "wrote 6 hourly samples" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("flag", ["--heat-mwh=nan", "--cold-mwh=inf",
-                                  "--heat-mwh=-inf"])
-def test_non_finite_demand_total_is_error(tmp_path, capsys, flag):
+@pytest.mark.parametrize("line", ["demand_heat_total_mwh = nan",
+                                  "demand_cold_total_mwh = inf",
+                                  "demand_heat_total_mwh = -inf"],
+                         ids=["heat-nan", "cold-inf", "heat-minus-inf"])
+def test_non_finite_demand_total_is_error(tmp_path, capsys, line):
+    config = tmp_path / "totals.cfg"
+    config.write_text(line + "\n")
     out = tmp_path / "demand.csv"
-    assert main(["gen-demand", flag, "--out", str(out)]) == 1
-    assert "finite and nonnegative" in capsys.readouterr().err
+    assert main(["gen-demand", "--scenario", str(config),
+                 "--out", str(out)]) == 1
+    assert "must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -425,7 +441,7 @@ def test_negative_duration_is_config_error(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("argv", [["run", "--steps", "1", "--seed", "-1"],
-                                  ["gen-demand", "--hours", "5", "--seed", "-2"]])
+                                  ["gen-demand", "--steps", "5", "--seed", "-2"]])
 def test_negative_seed_flag_is_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 1

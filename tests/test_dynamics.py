@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ates_mpc import (ParameterError, StabilityError, build_extraction_system,
-                      build_grid, build_injection_system, build_pwa)
+from ates_mpc import (ParameterError, build_extraction_system, build_grid,
+                      build_injection_system, build_pwa)
 from ates_mpc.pwa import MODES
 
 DT = 3600.0
@@ -48,7 +48,7 @@ def test_stability_number_small(grid, params):
 
 def test_stability_violation_raises(params):
     fine = build_grid(0.4, 60.0, 2000, 38.0)
-    with pytest.raises(StabilityError):
+    with pytest.raises(ParameterError, match="diffusion number"):
         build_extraction_system(fine, params, 1e7)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ates_mpc import AquiferParams, GeometryError, ParameterError, build_grid
+from ates_mpc import AquiferParams, ParameterError, build_grid
 from ates_mpc.grid import effective_heat_capacity, validate_state
 
 
@@ -41,7 +41,7 @@ def test_n_states():
 @pytest.mark.parametrize("args", [(0.0, 60.0, 20, 38.0), (60.0, 0.4, 20, 38.0),
                                   (0.4, 60.0, 0, 38.0), (0.4, 60.0, 20, 0.0)])
 def test_bad_geometry_rejected(args):
-    with pytest.raises(GeometryError):
+    with pytest.raises(ParameterError):
         build_grid(*args)
 
 

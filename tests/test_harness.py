@@ -135,6 +135,16 @@ def test_report_sums_plan_counts(monkeypatch):
     assert summary[-len(expected):] == list(expected.items())
 
 
+def test_summary_and_ledger_figures_are_python_numbers():
+    report = run_closed_loop(small_scenario(), steps=2)
+    summary = harness.report_summary(report)
+    assert {key: type(value) for key, value in summary.items()
+            if type(value) not in (int, float)} == {}
+    for rec in report.records:
+        assert type(rec["P_bilinear"]) is float
+        assert type(rec["B_past"]) is float
+
+
 def test_non_finite_reading_makes_a_predict_only_step(monkeypatch):
     real_measure, real_predict, real_project = (harness.measure, harness.predict,
                                                 harness.project)

@@ -195,37 +195,26 @@ def reference_cell_rates(field_vals, lam, grid, params, q, t_far, injecting):
     return rates, cond_far, cond_bh
 
 
-def test_cell_rates_with_stored_conductances_match_reference(grid, params,
-                                                             reference):
-    from ates_mpc.plant import _flow, _rates, _work
-
-    state = init_truth(dataclasses.replace(reference.truth, seed=11), grid,
-                       params)
+def test_cell_rates_with_stored_conductances_match_reference(grid, params, hx,
+                                                             reference,
+                                                             monkeypatch):
+    """One substep from random fields matches the reference rates formed
+    from the lambda fields on every call."""
+    cfg = dataclasses.replace(reference.truth, seed=11, t_amb_noise_amp=0.0)
+    state = init_truth(cfg, grid, params)
     rng = np.random.default_rng(4)
-    fine = state.grid
-    nu = fine.nu
+    nu = state.grid.nu
     for lam in (state.lam_warm, state.lam_cold):
         assert np.ptp(lam) > 1.0  # heterogeneous field
+    monkeypatch.setattr(plant, "_substep_count", lambda *args: 1)
     # Heating injects into the cold row and cooling into the warm one, so the
     # flows cover both flow directions with and without injection per row.
     for u in (0.02, -0.02, 0.0):
         state.fields[:, :-1] = 284.85 + 3.0 * rng.standard_normal((2, nu + 1))
-        state.fields[:, -1] = 284.9
-        inj, adv = _flow(state, u)
-        work = _work(state, inj, adv)
-        _rates(work)
-        rates, flux = work.rates, work.flux
-        assert np.all(rates[nu:nu + 2] == 0.0)  # the padding between the rows
-        for r, lam, q, cells in ((0, state.lam_warm, -u, rates[:nu]),
-                                 (1, state.lam_cold, u, rates[nu + 2:])):
-            injecting = r == inj
-            ref = reference_cell_rates(state.fields[r, :-1], lam, fine, params,
-                                       q, 284.9, injecting)
-            assert injecting == (q > 0.0)
-            assert np.array_equal(cells, ref[0])
-            bh = r * (nu + 2)
-            assert flux[bh + nu] == ref[1]
-            assert (-flux[bh] if injecting else 0.0) == ref[2]
+        ref = ReferencePlant(state)
+        truth_step(state, u, hx, DT, audit=True)
+        ref.step(state, u, hx, DT, True)
+        assert_same_plant(state, ref)
     assert state.lam_max == max(state.lam_warm.max(), state.lam_cold.max())
 
 
@@ -239,7 +228,6 @@ class ReferencePlant:
         self.rng_t_amb = copy.deepcopy(state.rng_t_amb)
         self.boundary_energy = state.boundary_energy
         self.dmp_violation = state.dmp_violation
-        self.clock = state.clock
 
     def step(self, state, u, hx, dt, audit):
         """``state`` supplies the grid, parameters, lambda fields and the
@@ -287,7 +275,6 @@ class ReferencePlant:
             else:
                 self.warm[0] = self.warm[1]
                 self.cold[0] = self.cold[1]
-        self.clock += dt
 
 
 def assert_same_plant(state, ref):
@@ -295,7 +282,6 @@ def assert_same_plant(state, ref):
     assert np.array_equal(state.cold, ref.cold)
     assert state.boundary_energy == ref.boundary_energy
     assert state.dmp_violation == ref.dmp_violation
-    assert state.clock == ref.clock
 
 
 @pytest.mark.parametrize("audit", [True, False])
