@@ -44,12 +44,15 @@ def _load(args) -> "Scenario":
 
 def _cmd_run(args) -> int:
     scenario = _load(args)
-    report = run_closed_loop(scenario, steps=args.steps, out_path=args.out)
-    print(f"steps: {report.steps}")
-    print(f"final balance: {report.final_balance_j / J_PER_MWH:.3f} MWh")
-    print(f"coverage: {report.coverage:.3f}")
-    print(f"solve time median/max: {report.solve_ms_median:.1f}/"
-          f"{report.solve_ms_max:.1f} ms")
+    report = run_closed_loop(scenario, steps=args.steps)
+    summary = report.summary
+    if args.out is not None:
+        write_results(args.out, report.records, summary=summary)
+    print(f"steps: {summary['steps']}")
+    print(f"final balance: {summary['final_balance_mwh']:.3f} MWh")
+    print(f"coverage: {summary['coverage_fraction']:.3f}")
+    print(f"solve time median/max: {summary['solve_ms_median']:.1f}/"
+          f"{summary['solve_ms_max']:.1f} ms")
     return 0
 
 
@@ -76,8 +79,7 @@ def _parse_schedule(text: str, steps: int) -> np.ndarray:
 def _cmd_sim(args) -> int:
     """Open-loop plant rollout under a prescribed flow schedule."""
     scenario = _load(args)
-    steps = args.steps if args.steps is not None else scenario.duration
-    scenario.check_steps(steps)
+    steps = scenario.check_steps(args.steps)
     if args.schedule:
         flows = _parse_schedule(args.schedule, steps)
     else:
@@ -136,8 +138,7 @@ def _cmd_observe(args) -> int:
 def _cmd_gen_demand(args) -> int:
     """Write the first hours of the scenario's demand series."""
     scenario = _load(args)
-    steps = args.steps if args.steps is not None else scenario.duration
-    scenario.check_steps(steps)
+    steps = scenario.check_steps(args.steps)
     demand = scenario.demand[:steps]
     out = args.out or "demand.csv"
     write_demand_csv(out, demand)

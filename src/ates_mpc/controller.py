@@ -43,11 +43,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ControllerFault, ParameterError, SolverError
+from .errors import ControllerFault, ParameterError
 from .grid import AquiferParams, RadialGrid, validate_state
 from .power import storage_weights
 from .pwa import MODE_SIGNS, MODES, PwaModel
-from .qp import _FEAS_TOL, Qp, QpResult, solve_qp
+from .qp import _FEAS_TOL, Qp, solve_qp
 
 W_PER_MW = 1e6
 
@@ -459,15 +459,6 @@ def _prune_key(bound, const):
     return bound - 1e-12 * np.maximum(np.abs(bound), const)
 
 
-def _solve(qp: Qp) -> QpResult:
-    """``solve_qp``, with a stall returned as a failed result: a stalled
-    candidate drops out and the remaining sequences compete."""
-    try:
-        return solve_qp(qp)
-    except SolverError:
-        return QpResult(np.full(qp.m, np.nan), np.inf, "stalled", np.inf, ())
-
-
 def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
               model: PwaModel, grid: RadialGrid, params: AquiferParams) -> OcpSolution:
     """Exact bound-and-prune over all blocked mode sequences; returns the best.
@@ -505,7 +496,7 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
             break
         solved += 1
         qp, free = candidate_qp(s, H[s], g[s], cfg)
-        result = _solve(qp)
+        result = solve_qp(qp)
         z = np.zeros(nb + 1)     # storing flows are exactly zero
         # A failed result carries value inf and NaN in the QP's variables.
         z[free] = result.z_star
@@ -518,8 +509,8 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
                 # Its trajectory is rolled out for the winner only.
                 G, h = soft_rows(model, cfg, x0, table.modes[s], free[:-1])
                 soft_rows_added += h.size
-                result = _solve(Qp(qp.H, qp.g, np.vstack([qp.G, G]),
-                                   np.concatenate([qp.h, h])))
+                result = solve_qp(Qp(qp.H, qp.g, np.vstack([qp.G, G]),
+                                     np.concatenate([qp.h, h])))
                 z[free] = result.z_star
                 x = None
         total = result.value + const[s]

@@ -10,10 +10,6 @@ class ParameterError(AtesError):
     admissible range."""
 
 
-class SolverError(AtesError):
-    """QP solver failed to converge within its iteration cap."""
-
-
 class ControllerFault(AtesError):
     """All candidate mode sequences infeasible; caller should fall back to u = 0."""
 

@@ -23,36 +23,26 @@ from .plant import init_truth, measure, restrict_to_coarse, truth_step
 from .power import (J_PER_MWH, EnergyLedger, power_bilinear, power_linear,
                     update_balance)
 from .pwa import build_pwa, mode_of, pwa_step
-from .scenario import Scenario, write_results
+from .scenario import Scenario
 
 logger = logging.getLogger(__name__)
 
 
 @dataclass
 class RunReport:
-    """Run-level statistics of ``run_closed_loop`` and its per-hour records.
+    """Figures of ``run_closed_loop`` and its per-hour records.
 
-    ``counts`` holds the run's counters in the order the summary sidecar
-    prints them: steps whose OCP faulted and fell back to storing
-    (``controller_faults``), the ``PLAN_COUNTS`` of the returned plans
-    summed over the run, and non-finite readings run as predict-only steps
-    (``sensor_faults``).
+    ``summary`` is the run's sidecar, in the order it is written: the run
+    figures (energies in MWh, solve times in ms), then the counters: steps
+    whose OCP faulted and fell back to storing (``controller_faults``), the
+    ``PLAN_COUNTS`` of the returned plans summed over the run, and non-finite
+    readings run as predict-only steps (``sensor_faults``).
     """
 
-    final_balance_j: float
-    delivered_gross_j: float
-    demanded_gross_j: float
-    coverage: float
+    summary: dict[str, int | float]
     ukf_mean_abs_error: np.ndarray   # per stacked state entry [K]
     ukf_max_abs_error: np.ndarray
-    power_error_mean_w: float
-    power_error_std_w: float
-    solve_ms_median: float
-    solve_ms_max: float
-    steps: int
     est_bound_violation_k: float  # worst estimate excursion past the box [K]
-    u_abs_max: float
-    counts: dict[str, int]
     error_series: np.ndarray = field(repr=False)  # spatial-mean |err| per step
     records: list[dict] = field(repr=False)
 
@@ -105,13 +95,11 @@ class _Estimator:
         return used
 
 
-def run_closed_loop(scenario: Scenario, steps: int | None = None,
-                    out_path: str | None = None) -> RunReport:
+def run_closed_loop(scenario: Scenario, steps: int | None = None) -> RunReport:
     grid, params, ocp = scenario.grid, scenario.params, scenario.ocp
     nu = grid.nu
     n = grid.n_states
-    steps = scenario.duration if steps is None else steps
-    scenario.check_steps(steps)
+    steps = scenario.check_steps(steps)
 
     truth = init_truth(scenario.truth, grid, params)
     estimator = _Estimator(scenario)
@@ -193,48 +181,28 @@ def run_closed_loop(scenario: Scenario, steps: int | None = None,
     solve_times = column("solve_ms")
     delivered_gross = float(np.abs(column("P_bilinear")).sum() * ocp.dt)
     demanded_gross = float(np.abs(column("D")).sum() * ocp.dt)
-    coverage = delivered_gross / demanded_gross if demanded_gross > 0 else 0.0
-
-    report = RunReport(
-        final_balance_j=ledger.b_past,
-        delivered_gross_j=delivered_gross,
-        demanded_gross_j=demanded_gross,
-        coverage=coverage,
-        ukf_mean_abs_error=abs_err_sum / max(steps, 1),
-        ukf_max_abs_error=abs_err_max,
-        power_error_mean_w=float(np.abs(power_errors).mean()) if steps else 0.0,
-        power_error_std_w=float(power_errors.std()) if steps else 0.0,
-        solve_ms_median=float(np.median(solve_times)) if steps else 0.0,
-        solve_ms_max=float(solve_times.max()) if steps else 0.0,
-        steps=steps,
-        est_bound_violation_k=est_violation,
-        u_abs_max=float(max((abs(r["u_applied"]) for r in records), default=0.0)),
-        counts=counts,
-        error_series=err_series,
-        records=records,
-    )
-    if out_path is not None:
-        write_results(out_path, records, summary=report_summary(report))
-    return report
-
-
-def report_summary(report: RunReport) -> dict:
-    return {
-        "steps": report.steps,
-        "final_balance_mwh": report.final_balance_j / J_PER_MWH,
-        "delivered_gross_mwh": report.delivered_gross_j / J_PER_MWH,
-        "demanded_gross_mwh": report.demanded_gross_j / J_PER_MWH,
-        "coverage_fraction": report.coverage,
-        "ukf_mean_abs_error_max_k": float(report.ukf_mean_abs_error.max()),
-        "ukf_max_abs_error_k": float(report.ukf_max_abs_error.max()),
-        "power_error_mean_w": report.power_error_mean_w,
-        "power_error_std_w": report.power_error_std_w,
-        "solve_ms_median": report.solve_ms_median,
-        "solve_ms_max": report.solve_ms_max,
-        "est_bound_violation_k": report.est_bound_violation_k,
-        "u_abs_max": report.u_abs_max,
-        **report.counts,
+    mean_abs_error = abs_err_sum / max(steps, 1)
+    summary = {
+        "steps": steps,
+        "final_balance_mwh": ledger.b_past / J_PER_MWH,
+        "delivered_gross_mwh": delivered_gross / J_PER_MWH,
+        "demanded_gross_mwh": demanded_gross / J_PER_MWH,
+        "coverage_fraction": (delivered_gross / demanded_gross
+                              if demanded_gross > 0 else 0.0),
+        "ukf_mean_abs_error_max_k": float(mean_abs_error.max()),
+        "ukf_max_abs_error_k": float(abs_err_max.max()),
+        "power_error_mean_w": (float(np.abs(power_errors).mean())
+                               if steps else 0.0),
+        "power_error_std_w": float(power_errors.std()) if steps else 0.0,
+        "solve_ms_median": float(np.median(solve_times)) if steps else 0.0,
+        "solve_ms_max": float(solve_times.max()) if steps else 0.0,
+        "est_bound_violation_k": est_violation,
+        "u_abs_max": float(max((abs(r["u_applied"]) for r in records),
+                               default=0.0)),
+        **counts,
     }
+    return RunReport(summary, mean_abs_error, abs_err_max, est_violation,
+                     err_series, records)
 
 
 # Width [m] of the charged stores' Gaussian thermal fronts.

@@ -210,15 +210,13 @@ def truth_step(state: TruthState, u: float, hx: HxParams, dt: float,
     # cooling the reverse; the water velocity is v = q / (2 pi r l) with
     # q = (-u, u).  Only the injecting row's borehole face conducts, and
     # zero-gradient borehole entries follow their first cell: synced here
-    # and after every substep, each substep starts with them in sync.
+    # and after every substep, each substep starts with them in sync, so
+    # the flux through their faces is exactly 0.
     inj = None if u == 0.0 else (1 if u > 0.0 else 0)
     if inj is None:
-        dead = flux[::nu + 2]
         entries, firsts = F[:, 0], F[:, 1]
     else:
         ext = 1 - inj
-        bh = ext * (nu + 2)
-        dead = flux[bh:bh + 1]
         entries, firsts = F[ext, 0:1], F[ext, 1:2]
         t_b = hx.t_b("heating" if inj == 1 else "cooling")
         v = np.array([[-u], [u]]) / (2.0 * np.pi * grid.l * grid.midpoints)
@@ -253,7 +251,6 @@ def truth_step(state: TruthState, u: float, hx: HxParams, dt: float,
         np.subtract(upper, lower, out=d)
         np.multiply(k_edge, d, out=flux)
         np.divide(flux, dr, out=flux)
-        dead.fill(0.0)
         np.subtract(flux_out, flux_in, out=rates)
         np.divide(rates, heat_capacity, out=rates)
         if inj is not None:

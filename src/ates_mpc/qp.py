@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, SolverError
+from .errors import ParameterError
 
 _FEAS_TOL = 1e-9
 # A row whose part outside the span of the active rows (in the H^-1 metric)
@@ -53,7 +53,7 @@ class Qp:
 class QpResult:
     z_star: np.ndarray
     value: float
-    status: str  # "optimal" | "infeasible"
+    status: str  # "optimal" | "infeasible" | "stalled"
     kkt_residual: float
     active_set: tuple[int, ...]
     iterations: int = 0  # rows added plus rows dropped
@@ -76,9 +76,14 @@ def _regularize(H: np.ndarray) -> np.ndarray:
     return np.linalg.cholesky(H)
 
 
+def _failed(m: int, status: str, iterations: int) -> QpResult:
+    """A failed solve: NaN in the m variables, infinite value and residual."""
+    return QpResult(np.full(m, np.nan), np.inf, status, np.inf, (), iterations)
+
+
 def _iteration_cap(m: int, p: int) -> int:
     # Active-set iterations scale with the constraint count; a tight cap keeps
-    # a degenerate stall cheap (callers treat the raised error as a failed
+    # a degenerate stall cheap (callers treat a stalled result as a failed
     # candidate).
     return 100 + 10 * m + 2 * p
 
@@ -96,7 +101,7 @@ def _kkt_residual(qp: Qp, z: np.ndarray, G: np.ndarray, rows: list[int],
 
 
 def solve_qp(qp: Qp) -> QpResult:
-    """Dual active-set solve; returns status 'infeasible' instead of raising.
+    """Dual active-set solve; a failure is a status, not an exception.
 
     With ``H = L L'`` and ``J = L^-1``, adding row ``a`` with multiplier ``t``
     moves ``z`` along ``-J' r`` and the active multipliers along ``-w``,
@@ -105,16 +110,18 @@ def solve_qp(qp: Qp) -> QpResult:
     falls at rate ``|r|^2``; the step stops when it reaches zero (the row
     enters) or when an active multiplier reaches zero (that row leaves and
     the same row is tried again).  ``r = 0`` with no multiplier to reduce
-    means no ``z`` satisfies the row together with the active ones.  Raises
-    ``SolverError`` past the iteration cap.
+    means no ``z`` satisfies the row together with the active ones
+    (``"infeasible"``).  A Hessian with no factor, or a solve that reaches
+    the iteration cap, is ``"stalled"``.  Either failure has NaN ``z`` and
+    an infinite value.
     """
     G = np.asarray(qp.G, dtype=float).reshape(-1, qp.m)
     h = np.asarray(qp.h, dtype=float)
     m = qp.m
     try:
         J = np.linalg.inv(_regularize(np.asarray(qp.H, dtype=float)))
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("Hessian not positive definite after regularisation") from exc
+    except np.linalg.LinAlgError:
+        return _failed(m, "stalled", 0)
     z = -(J.T @ (J @ np.asarray(qp.g, dtype=float)))
     work: list[int] = []       # active rows, in the order they entered
     lam = np.zeros(0)          # their multipliers
@@ -165,8 +172,7 @@ def solve_qp(qp: Qp) -> QpResult:
                 t, drop = t_full, -1
             z = z - t * (J.T @ r)
         elif drop < 0:
-            return QpResult(np.full(m, np.nan), np.inf, "infeasible", np.inf, (),
-                            iterations=it + 1)
+            return _failed(m, "infeasible", it + 1)
         lam = np.maximum(lam - t * w, 0.0)
         t_add += t
         if drop < 0:
@@ -178,4 +184,4 @@ def solve_qp(qp: Qp) -> QpResult:
             lam = np.delete(lam, drop)
         it += 1
 
-    raise SolverError(f"active-set iteration cap {_iteration_cap(m, h.size)} exceeded")
+    return _failed(m, "stalled", it)

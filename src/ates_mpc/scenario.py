@@ -45,14 +45,18 @@ class Scenario:
     def __post_init__(self):
         self.check_steps(self.duration)
 
-    def check_steps(self, steps: int) -> None:
-        """Raise ``ScenarioError`` unless the demand covers ``steps`` >= 0 hours."""
+    def check_steps(self, steps: int | None) -> int:
+        """``steps``, or the duration for ``None``; raises ``ScenarioError``
+        unless the demand covers that many hours, at least 0."""
+        if steps is None:
+            steps = self.duration
         if steps < 0:
             raise ScenarioError(f"step count must be nonnegative, got {steps}")
         if steps > self.demand.size:
             raise ScenarioError(
                 f"demand series ({self.demand.size} h) shorter than a run of "
                 f"{steps} steps")
+        return steps
 
 
 _DEFAULTS: dict[str, float | int] = {

@@ -328,13 +328,15 @@ def test_08_energy_balance_versus_greedy(scenario, year_run, greedy_run):
     heat = float(demand.clip(0.0, None).sum() * 3600.0)
     cold = float(-demand.clip(None, 0.0).sum() * 3600.0)
     imbalance_frac = abs(heat - cold) / (heat + cold)
-    mpc_frac = abs(year_run.final_balance_j) / year_run.delivered_gross_j
-    greedy_frac = abs(greedy_run.final_balance_j) / greedy_run.delivered_gross_j
+    mpc, greedy = year_run.summary, greedy_run.summary
+    mpc_frac = abs(mpc["final_balance_mwh"]) / mpc["delivered_gross_mwh"]
+    greedy_frac = (abs(greedy["final_balance_mwh"])
+                   / greedy["delivered_gross_mwh"])
     ok = imbalance_frac >= 0.10 and mpc_frac <= 0.05 and greedy_frac >= 0.10
     print(f"\n[8] demand imbalance {imbalance_frac:.1%} (>= 10%); final "
-          f"balance: controller {year_run.final_balance_j/3.6e9:+.1f} MWh = "
+          f"balance: controller {mpc['final_balance_mwh']:+.1f} MWh = "
           f"{mpc_frac:.1%} of delivered (<= 5%), greedy "
-          f"{greedy_run.final_balance_j/3.6e9:+.1f} MWh = {greedy_frac:.1%} "
+          f"{greedy['final_balance_mwh']:+.1f} MWh = {greedy_frac:.1%} "
           f"(>= 10%) " + ("PASS" if ok else "FAIL"))
     assert imbalance_frac >= 0.10
     assert mpc_frac <= 0.05
@@ -343,25 +345,27 @@ def test_08_energy_balance_versus_greedy(scenario, year_run, greedy_run):
 
 def test_09_constraints_held_all_year(year_run):
     slack = max(r["slack"] for r in year_run.records)
+    u_abs_max = year_run.summary["u_abs_max"]
     ok = (year_run.est_bound_violation_k <= 0.5 and slack <= 0.5
-          and year_run.u_abs_max <= U_MAX + 1e-12)
+          and u_abs_max <= U_MAX + 1e-12)
     print(f"\n[9] estimated temperatures within aquifer boxes up to "
           f"{year_run.est_bound_violation_k:.2e} K (slack budget 0.5 K, max "
           f"predicted slack {slack:.2e} K); applied |u| max "
-          f"{year_run.u_abs_max:.4f} (<= {U_MAX}) " + ("PASS" if ok else "FAIL"))
+          f"{u_abs_max:.4f} (<= {U_MAX}) " + ("PASS" if ok else "FAIL"))
     assert year_run.est_bound_violation_k <= 0.5
     assert slack <= 0.5
-    assert year_run.u_abs_max <= U_MAX + 1e-12
+    assert u_abs_max <= U_MAX + 1e-12
 
 
 def test_10_solver_speed(year_run):
-    ok = year_run.solve_ms_median <= 100.0 and year_run.solve_ms_max <= 1000.0
+    median, worst = (year_run.summary["solve_ms_median"],
+                     year_run.summary["solve_ms_max"])
+    ok = median <= 100.0 and worst <= 1000.0
     print(f"\n[10] per-instant solve time over 8760 instants: median "
-          f"{year_run.solve_ms_median:.1f} ms (<= 100), max "
-          f"{year_run.solve_ms_max:.1f} ms (<= 1000) "
+          f"{median:.1f} ms (<= 100), max {worst:.1f} ms (<= 1000) "
           + ("PASS" if ok else "FAIL"))
-    assert year_run.solve_ms_median <= 100.0
-    assert year_run.solve_ms_max <= 1000.0
+    assert median <= 100.0
+    assert worst <= 1000.0
 
 
 def test_11_maximum_principle_mixed_week(scenario):

@@ -3,7 +3,7 @@ import pytest
 
 from ates_mpc import controller
 from ates_mpc.cli import main
-from ates_mpc.errors import SolverError
+from ates_mpc.qp import QpResult
 from ates_mpc.scenario import (_DEFAULTS, _parse_config_text, load_demand_csv,
                                read_results, scenario_from_values)
 
@@ -483,7 +483,7 @@ def test_sim_schedule_from_existing_file(tmp_path, capsys):
 def test_solve_once_with_every_candidate_failing(capsys, monkeypatch):
     """A controller fault ends solve-once with one error line and exit 2."""
     def stall(qp):
-        raise SolverError("forced stall")
+        return QpResult(np.full(qp.m, np.nan), np.inf, "stalled", np.inf, ())
 
     monkeypatch.setattr(controller, "solve_qp", stall)
     assert main(["solve-once"]) == 2

@@ -7,8 +7,8 @@ import pytest
 from scipy.optimize import nnls
 
 from ates_mpc import (ControllerFault, ParameterError, Qp, QpResult,
-                      SolverError, build_pwa, power_bilinear, pwa_step,
-                      solve_ocp, solve_qp)
+                      build_pwa, power_bilinear, pwa_step, solve_ocp,
+                      solve_qp)
 from ates_mpc import controller
 from ates_mpc.controller import (W_PER_MW, build_cost, candidate_qp, condense,
                                  power_linear_rows, sequence_table, soft_rows,
@@ -333,7 +333,7 @@ def test_stalled_candidate_drops_out(grid, params, hx, cfg, monkeypatch):
     def stall_first(qp):
         calls.append(qp)
         if len(calls) == 1:
-            raise SolverError("forced stall")
+            return QpResult(np.full(qp.m, np.nan), np.inf, "stalled", np.inf, ())
         return solve_qp(qp)
 
     x0 = charged_state(grid, params)
@@ -361,7 +361,7 @@ def test_every_candidate_failing_is_a_controller_fault(grid, params, hx, cfg,
     def failing(qp):
         calls.append(qp)
         if len(calls) % 2:
-            raise SolverError("forced stall")
+            return QpResult(np.full(qp.m, np.nan), np.inf, "stalled", np.inf, ())
         return QpResult(np.full(qp.m, np.nan), np.inf, "infeasible", np.inf, ())
 
     x0 = charged_state(grid, params)
@@ -536,10 +536,7 @@ def exhaustive_solve(pred, model, x0, demand, b_past, cfg):
     solved = []
     for s, modes in enumerate(table.names):
         qp, free = full_row_qp(s, model, cfg, x0, H[s], g[s])
-        try:
-            res = solve_qp(qp)
-        except SolverError:
-            continue
+        res = solve_qp(qp)
         if res.status == "optimal":
             z = np.zeros(4)
             z[free] = res.z_star

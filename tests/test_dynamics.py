@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from ates_mpc import (ParameterError, build_extraction_system, build_grid,
-                      build_injection_system, build_pwa)
-from ates_mpc.pwa import MODES
+from ates_mpc import ParameterError, build_grid, build_pwa
+from ates_mpc.pwa import MODES, build_extraction_system, build_injection_system
 
 DT = 3600.0
 U_MAX = 0.0277

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from ates_mpc import harness
 from ates_mpc.errors import ControllerFault
 from ates_mpc.observer import GaussianEstimate, project
+from ates_mpc.power import J_PER_MWH
 from ates_mpc.harness import (demand_window, power_form_study, replay_observer,
                               run_closed_loop)
 from ates_mpc.scenario import _parse_config_text, scenario_from_values
@@ -27,25 +30,25 @@ def test_zero_demand_run_stays_storing():
     report = run_closed_loop(sc, steps=24)
     flows = np.array([r["u_applied"] for r in report.records])
     assert np.all(flows == 0.0)
-    assert abs(report.final_balance_j) <= 3.6e6  # 1 kWh
+    assert abs(report.summary["final_balance_mwh"]) <= 1e-3  # 1 kWh
 
 
 def test_run_deterministic():
     a = run_closed_loop(small_scenario(), steps=6)
     b = run_closed_loop(small_scenario(), steps=6)
-    assert a.final_balance_j == b.final_balance_j
+    assert a.summary["final_balance_mwh"] == b.summary["final_balance_mwh"]
     assert [r["u_applied"] for r in a.records] == \
         [r["u_applied"] for r in b.records]
 
 
 def test_report_shapes_and_ledger_length():
     report = run_closed_loop(small_scenario(), steps=5)
-    assert report.steps == 5
+    assert report.summary["steps"] == 5
     assert len(report.records) == 5
     assert report.error_series.shape == (5,)
     assert report.ukf_mean_abs_error.shape == (42,)
     assert np.all(report.ukf_mean_abs_error <= report.ukf_max_abs_error)
-    assert report.solve_ms_max >= report.solve_ms_median > 0.0
+    assert report.summary["solve_ms_max"] >= report.summary["solve_ms_median"] > 0.0
 
 
 def test_applied_flow_respects_bounds():
@@ -93,10 +96,10 @@ def test_controller_fault_falls_back_to_storing(monkeypatch):
     assert report.records[2]["mode"] == "storing"
     assert np.isnan(report.records[2]["ocp_cost"])
     assert np.isfinite(report.records[3]["ocp_cost"])  # planning resumed
-    assert report.counts["controller_faults"] == 1
-    assert normal.counts["controller_faults"] == 0
-    assert report.counts["qps_solved"] >= 5  # at least one per planned step
-    assert report.counts["stalled_candidates"] == 0
+    assert report.summary["controller_faults"] == 1
+    assert normal.summary["controller_faults"] == 0
+    assert report.summary["qps_solved"] >= 5  # at least one per planned step
+    assert report.summary["stalled_candidates"] == 0
 
 
 def test_report_sums_plan_counts(monkeypatch):
@@ -128,16 +131,39 @@ def test_report_sums_plan_counts(monkeypatch):
         for key, n in sol.counts.items():
             expected[key] = expected.get(key, 0) + n
     expected["sensor_faults"] = 1
-    assert list(report.counts.items()) == list(expected.items())
-    assert min(report.counts.values()) >= 1
     # The summary ends with the counts, keys and order as they are.
-    summary = list(harness.report_summary(report).items())
-    assert summary[-len(expected):] == list(expected.items())
+    counts = list(report.summary.items())[-len(expected):]
+    assert counts == list(expected.items())
+    assert min(n for _, n in counts) >= 1
+
+
+def test_summary_figures_match_the_records():
+    report = run_closed_loop(small_scenario(), steps=12)
+    summary, records = report.summary, report.records
+    dt = small_scenario().ocp.dt
+    flows = [r["u_applied"] for r in records]
+    assert any(u != 0.0 for u in flows)  # some hours pump
+    p_bil = np.array([r["P_bilinear"] for r in records])
+    errors = np.array([r["P_linear"] for r in records]) - p_bil
+    delivered = math.fsum(abs(p) * dt for p in p_bil) / J_PER_MWH
+    demanded = math.fsum(abs(r["D"]) * dt for r in records) / J_PER_MWH
+    approx = functools.partial(pytest.approx, rel=1e-12)
+    assert summary["steps"] == len(records) == 12
+    assert summary["final_balance_mwh"] == records[-1]["B_past"] / J_PER_MWH
+    assert summary["delivered_gross_mwh"] == approx(delivered)
+    assert summary["demanded_gross_mwh"] == approx(demanded)
+    assert summary["coverage_fraction"] == approx(delivered / demanded)
+    assert summary["power_error_mean_w"] == approx(np.mean(np.abs(errors)))
+    assert summary["power_error_std_w"] == approx(np.std(errors))
+    assert summary["u_abs_max"] == max(map(abs, flows))
+    assert summary["est_bound_violation_k"] == report.est_bound_violation_k
+    assert summary["ukf_mean_abs_error_max_k"] == report.ukf_mean_abs_error.max()
+    assert summary["ukf_max_abs_error_k"] == report.ukf_max_abs_error.max()
 
 
 def test_summary_and_ledger_figures_are_python_numbers():
     report = run_closed_loop(small_scenario(), steps=2)
-    summary = harness.report_summary(report)
+    summary = report.summary
     assert {key: type(value) for key, value in summary.items()
             if type(value) not in (int, float)} == {}
     for rec in report.records:
@@ -172,7 +198,7 @@ def test_non_finite_reading_makes_a_predict_only_step(monkeypatch):
     sc = small_scenario()
     report = run_closed_loop(sc, steps=8)
     assert len(report.records) == 8
-    assert report.counts["sensor_faults"] == 1
+    assert report.summary["sensor_faults"] == 1
     assert np.isnan(report.records[3]["y_warm_far"])
     for est in estimates:
         assert np.all(np.isfinite(est.mean)) and np.all(np.isfinite(est.cov))
@@ -182,7 +208,7 @@ def test_non_finite_reading_makes_a_predict_only_step(monkeypatch):
     assert np.array_equal(estimates[3].mean, expected.mean)
     assert np.array_equal(estimates[3].cov, expected.cov)
     assert np.all(np.isfinite(report.error_series))
-    assert run_closed_loop(sc, steps=8).counts["sensor_faults"] == 0
+    assert run_closed_loop(sc, steps=8).summary["sensor_faults"] == 0
 
 
 def test_filter_error_is_consistent_with_its_covariance(monkeypatch):

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ates_mpc import (ParameterError, build_extraction_system, build_grid,
-                      build_injection_system, build_pwa, hx_outlet_temp,
+from ates_mpc import (ParameterError, build_grid, build_pwa, hx_outlet_temp,
                       pwa_step)
 from ates_mpc.heat_exchanger import linearize_hx
-from ates_mpc.pwa import MODES
+from ates_mpc.pwa import (MODES, build_extraction_system,
+                          build_injection_system)
 
 DT = 3600.0
 U_MAX = 0.0277

@@ -10,7 +10,7 @@ from scipy.optimize import minimize
 
 import ates_mpc
 from ates_mpc import Qp, solve_qp
-from ates_mpc.errors import ParameterError, SolverError
+from ates_mpc.errors import ParameterError
 
 
 def test_active_bound():
@@ -42,13 +42,27 @@ def test_infeasible_returns_status():
     assert res.value == np.inf
 
 
-def test_iteration_cap_raises(monkeypatch):
-    # A solve that reaches the iteration cap raises instead of returning.
+def test_iteration_cap_returns_stalled(monkeypatch):
+    # A solve that reaches the iteration cap returns a failed result.
     monkeypatch.setattr(ates_mpc.qp, "_iteration_cap", lambda m, p: 0)
     qp = Qp(H=np.array([[1.0]]), g=np.zeros(1),
             G=np.array([[-1.0]]), h=np.array([-1.0]))
-    with pytest.raises(SolverError, match="iteration cap 0 exceeded"):
-        solve_qp(qp)
+    res = solve_qp(qp)
+    assert res.status == "stalled"
+    assert np.all(np.isnan(res.z_star)) and res.z_star.shape == (1,)
+    assert res.value == np.inf
+
+
+def test_unfactorable_hessian_returns_stalled(monkeypatch):
+    def no_factor(H):
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(ates_mpc.qp, "_regularize", no_factor)
+    res = solve_qp(Qp(H=np.eye(2), g=np.ones(2), G=np.zeros((0, 2)),
+                      h=np.zeros(0)))
+    assert res.status == "stalled" and res.iterations == 0
+    assert np.all(np.isnan(res.z_star)) and res.z_star.shape == (2,)
+    assert res.value == np.inf and res.kkt_residual == np.inf
 
 
 def test_infeasible_in_several_dimensions():

@@ -48,7 +48,7 @@ def test_432h_closed_loop_matches_reference():
     assert db.max() <= B_PAST_TOL
     # The search's bounds rule out all but about one candidate per hour (438
     # QPs over the 432 h); a loosened bound shows here as more QPs.
-    assert report.counts["qps_solved"] <= 1.02 * HOURS
+    assert report.summary["qps_solved"] <= 1.02 * HOURS
 
 
 if __name__ == "__main__":
