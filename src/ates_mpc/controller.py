@@ -118,8 +118,9 @@ class SequenceTable:
     Sequences are in ``itertools.product(MODES, repeat=n_blocks)`` order.
     Each block's flow interval is its mode's sign region of [-u_max, u_max];
     ``boxes[s]`` holds sequence s's input-box rows ``G, h`` over its pumping
-    blocks' flows and the slack, and the indices ``free`` of those variables
-    in the (blocks, slack) vector.  Arrays are read-only.
+    blocks' flows and the slack, the indices ``free`` of those variables in
+    the (blocks, slack) vector and their ``np.ix_(free, free)`` pair, which
+    picks the QP's Hessian out of the sequence's.  Arrays are read-only.
     """
 
     modes: np.ndarray                    # S x n_blocks indices into MODES
@@ -127,7 +128,8 @@ class SequenceTable:
     lo: np.ndarray                       # S x n_blocks flow intervals
     hi: np.ndarray
     pumping: np.ndarray                  # S x n_blocks, not storing
-    boxes: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    boxes: tuple[tuple[np.ndarray, np.ndarray, np.ndarray,
+                       tuple[np.ndarray, np.ndarray]], ...]
 
 
 @functools.cache
@@ -152,8 +154,12 @@ def sequence_table(cfg: OcpConfig) -> SequenceTable:
         G[2 * i + 1, i] = sign_s[j]
         h[2 * i + 1] = cfg.u_max
         G[-1, -1] = -1.0
-        boxes.append((G, h, np.append(j, nb)))
-    for a in (modes, lo, hi, pumping, *itertools.chain(*boxes)):
+        free = np.append(j, nb)
+        ix = np.ix_(free, free)
+        for a in (G, h, free, *ix):
+            a.flags.writeable = False
+        boxes.append((G, h, free, ix))
+    for a in (modes, lo, hi, pumping):
         a.flags.writeable = False
     names = tuple(tuple(MODES[i] for i in row) for row in modes.tolist())
     return SequenceTable(modes, names, lo, hi, pumping, tuple(boxes))
@@ -366,8 +372,8 @@ def candidate_qp(s: int, H: np.ndarray, g: np.ndarray,
     the QP is over the pumping blocks' flows and the slack.  Returns the Qp
     and the indices of its variables in the (blocks, slack) vector.
     """
-    G, h, free = sequence_table(cfg).boxes[s]
-    return Qp(H[np.ix_(free, free)], g[free], G, h), free
+    G, h, free, ix = sequence_table(cfg).boxes[s]
+    return Qp(H[ix], g[free], G, h), free
 
 
 def trajectory(model: PwaModel, cfg: OcpConfig, x0: np.ndarray,

@@ -87,7 +87,7 @@ class _Estimator:
         """
         predicted = predict(self.est, lambda x: pwa_step(self.model, x, u_prev),
                             self.scenario.ukf)
-        used = bool(np.all(np.isfinite(y)))
+        used = bool(np.isfinite(y).all())
         est = (update(predicted, y) if used
                else GaussianEstimate(predicted.mean, predicted.cov))
         self.est = project(est, *self.bounds)

@@ -9,11 +9,16 @@ State bounds are enforced by clipping the mean (estimate projection); the
 covariance is left as it is, so box-pinned states keep their uncertainty.
 ``predict`` and ``update`` only symmetrise the covariance; ``sigma_points``
 is the one place that factors it, and it repairs it (``repair_psd``) only
-when the factorization fails.
+when the factorization fails.  The sigma weights are built once per
+``(n, kappa)`` and read-only; each hour the noise variances are added to the
+diagonals in place and each symmetrisation forms one new array, with every
+product in the operand order of the plain expressions, so the results are
+theirs bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -72,6 +77,13 @@ class PredictedMoments:
     cov_yy: np.ndarray
 
 
+def _symmetrized(cov: np.ndarray) -> np.ndarray:
+    """``0.5 * (cov + cov.T)``, formed in one new array."""
+    sym = cov + cov.T
+    sym *= 0.5
+    return sym
+
+
 def repair_psd(cov: np.ndarray) -> np.ndarray:
     """Symmetrize and, if needed, push tiny negative eigenvalues back to zero.
 
@@ -79,7 +91,7 @@ def repair_psd(cov: np.ndarray) -> np.ndarray:
     positive definite, so it is returned as it is; only a failed one pays
     for the eigenvalues.
     """
-    cov = 0.5 * (cov + cov.T)
+    cov = _symmetrized(cov)
     try:
         np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
@@ -89,12 +101,22 @@ def repair_psd(cov: np.ndarray) -> np.ndarray:
     return cov
 
 
+@functools.cache
+def _sigma_weights(n: int, kappa: float) -> np.ndarray:
+    """Weights of the 2n+1 symmetric sigma points, built once and read-only."""
+    scale = n + kappa
+    weights = np.full(2 * n + 1, 0.5 / scale)
+    weights[0] = kappa / scale
+    weights.flags.writeable = False
+    return weights
+
+
 def sigma_points(est: GaussianEstimate, kappa: float
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric Julier sigma set: (2n+1, n) points and their weights."""
+    """Symmetric Julier sigma set: (2n+1, n) points and their read-only weights."""
     n = est.n
     scale = n + kappa
-    cov = 0.5 * (est.cov + est.cov.T)
+    cov = _symmetrized(est.cov)
     try:
         L = np.linalg.cholesky(scale * cov)
     except np.linalg.LinAlgError:
@@ -103,11 +125,9 @@ def sigma_points(est: GaussianEstimate, kappa: float
         L = V * np.sqrt(np.clip(w, 0.0, None))
     points = np.empty((2 * n + 1, n))
     points[0] = est.mean
-    points[1:n + 1] = est.mean + L.T
-    points[n + 1:] = est.mean - L.T
-    weights = np.full(2 * n + 1, 0.5 / scale)
-    weights[0] = kappa / scale
-    return points, weights
+    np.add(est.mean, L.T, out=points[1:n + 1])
+    np.subtract(est.mean, L.T, out=points[n + 1:])
+    return points, _sigma_weights(n, kappa)
 
 
 def predict(est: GaussianEstimate, step_fn: Callable[[np.ndarray], np.ndarray],
@@ -124,21 +144,30 @@ def predict(est: GaussianEstimate, step_fn: Callable[[np.ndarray], np.ndarray],
     mean = weights @ propagated
     centered = propagated - mean
     cov = (centered.T * weights) @ centered
-    cov = cov + cfg.process_var * np.eye(est.n)
-    cov = 0.5 * (cov + cov.T)
+    cov.flat[::est.n + 1] += cfg.process_var
+    cov = _symmetrized(cov)
     y_hat = cfg.C @ mean
     cov_xy = cov @ cfg.C.T
-    cov_yy = cfg.C @ cov @ cfg.C.T + cfg.measurement_var * np.eye(cfg.C.shape[0])
+    cov_yy = cfg.C @ cov @ cfg.C.T
+    cov_yy.flat[::cov_yy.shape[0] + 1] += cfg.measurement_var
     return PredictedMoments(mean, cov, y_hat, cov_xy, cov_yy)
 
 
 def update(predicted: PredictedMoments, y: np.ndarray) -> GaussianEstimate:
-    """Measurement update with gain W = cov_xy cov_yy^{-1}."""
+    """Measurement update with gain W = cov_xy cov_yy^{-1}.
+
+    ``y`` holds one reading per sensor, in the order of ``y_hat``.
+    """
     y = np.asarray(y, dtype=float)
+    if y.shape != predicted.y_hat.shape:
+        raise ParameterError(f"need {predicted.y_hat.size} sensor readings, got "
+                             f"shape {y.shape}")
     gain = np.linalg.solve(predicted.cov_yy, predicted.cov_xy.T).T
-    mean = predicted.mean + gain @ (y - predicted.y_hat)
-    cov = predicted.cov - gain @ predicted.cov_yy @ gain.T
-    return GaussianEstimate(mean, 0.5 * (cov + cov.T))
+    mean = gain @ (y - predicted.y_hat)
+    mean += predicted.mean
+    cov = gain @ predicted.cov_yy @ gain.T
+    np.subtract(predicted.cov, cov, out=cov)
+    return GaussianEstimate(mean, _symmetrized(cov))
 
 
 def project(est: GaussianEstimate, x_min: np.ndarray, x_max: np.ndarray
@@ -150,6 +179,7 @@ def project(est: GaussianEstimate, x_min: np.ndarray, x_max: np.ndarray
     """
     x_min = np.asarray(x_min, dtype=float)
     x_max = np.asarray(x_max, dtype=float)
-    if np.any(x_min > x_max):
+    # Written so that a NaN bound fails it too.
+    if not (x_min <= x_max).all():
         raise ParameterError("state bounds must be ordered")
-    return GaussianEstimate(np.clip(est.mean, x_min, x_max), est.cov)
+    return GaussianEstimate(est.mean.clip(x_min, x_max), est.cov)

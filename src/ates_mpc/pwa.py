@@ -20,6 +20,9 @@ u < 0 cooling (the mirror image of heating).
 Only a few entries follow the state: the two heat-exchanger rows and the
 convection gains ``b``.  Everything else is a per-config template, built once
 from each regime's conduction rows and copied by each hourly ``build_pwa``.
+The flow scale and shell factors of the convection gains are built once per
+config too; each hour scales and divides its difference quotients by them in
+place.
 """
 
 from __future__ import annotations
@@ -50,13 +53,6 @@ class AffineBranch:
     A: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
     f: np.ndarray = field(repr=False)
-
-    def step(self, x: np.ndarray, u: float) -> np.ndarray:
-        """Successor of a state ``(n,)`` or of each row of a stack ``(m, n)``.
-
-        ``np.matvec`` rounds each row like ``A @ row``; ``X @ A.T`` does not.
-        """
-        return np.matvec(self.A, x) + self.b * u + self.f
 
 
 @dataclass(frozen=True)
@@ -93,11 +89,17 @@ def pwa_step(model: PwaModel, x: np.ndarray, u: float) -> np.ndarray:
     if x.ndim not in (1, 2) or x.shape[-1] != model.n:
         raise ParameterError(
             f"stacked state must have length {model.n}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ParameterError("stacked state contains non-finite values")
     if not math.isfinite(u):
         raise ParameterError(f"flow must be finite, got {u}")
-    return model.branch(u).step(x, u)
+    # MODE_SIGNS is (1, 0, -1), so the branch of u sits at 1 - sign(u).
+    # ``np.matvec`` rounds each row like ``A @ row``; ``X @ A.T`` does not.
+    i = 1 - (u > 0) + (u < 0)
+    x_next = np.matvec(model.A[i], x)
+    x_next += model.b[i] * u
+    x_next += model.f[i]
+    return x_next
 
 
 @functools.cache
@@ -202,6 +204,18 @@ def _template(grid: RadialGrid, params: AquiferParams,
     return A, f
 
 
+@functools.cache
+def _convection_factors(grid: RadialGrid, params: AquiferParams,
+                        dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-aquifer flow scale ``(2, 1)`` and shell factors ``(nu,)`` of the
+    convection gains, built once per grid, parameters and ``dt``, read-only."""
+    scale = -dt * params.c_w * np.array([[-1.0], [1.0]])
+    shells = params.c_a * 2.0 * np.pi * grid.midpoints * grid.l
+    scale.flags.writeable = False
+    shells.flags.writeable = False
+    return scale, shells
+
+
 def build_pwa(grid: RadialGrid, params: AquiferParams, hx: HxParams, dt: float,
               x_ref: np.ndarray, u_ref: float) -> PwaModel:
     """Rebuild the full PWA model at a prediction instant.
@@ -221,23 +235,25 @@ def build_pwa(grid: RadialGrid, params: AquiferParams, hx: HxParams, dt: float,
         raise ParameterError(f"expansion flow must be finite, got {u_ref}")
     m = grid.nu + 1
     A_fixed, f_fixed = _template(grid, params, dt)
+    scale, shells = _convection_factors(grid, params, dt)
     A = A_fixed.copy()
     f = f_fixed.copy()
     b = np.zeros(f.shape)
     # Difference quotients along both profiles, each padded with the ambient
     # value past its far cell: entry j is (x[j+1] - x[j]) / dr, j = 0..nu.
-    quotients = np.diff(x_ref.reshape(2, m), append=params.t_amb) / grid.dr
+    padded = np.empty((2, m + 1))
+    padded[:, :m] = x_ref.reshape(2, m)
+    padded[:, m] = params.t_amb
+    quotients = padded[:, 1:] - padded[:, :-1]
+    quotients /= grid.dr
     # Flow q = -u enters the warm aquifer and q = u the cold one, and its
     # convection term is -c_w/(c_a 2 pi r l) * g * q.
-    scale = -dt * params.c_w * np.array([[-1.0], [1.0]])
-    shells = params.c_a * 2.0 * np.pi * grid.midpoints * grid.l
+    quotients *= scale
     # Extraction draws fluid inward and upwinds against the outer neighbour,
     # so cell i reads entry i+1 (the far cell sees the ambient value).
     # Injection pushes outward and upwinds against the inner neighbour, so
     # cell i reads entry i (cell 1 sees the borehole entry).  Boundary cells
     # use the full spacing, so the enthalpy fluxes telescope exactly.
-    ex = scale * quotients[:, 1:] / shells
-    inj = scale * quotients[:, :-1] / shells
     # Heating extracts from the warm aquifer (0, rows from 0) and injects
     # into the cold one (1, rows from m); cooling the other way round.  The
     # extracted aquifer's borehole entry follows its cell 1, and so does its
@@ -249,7 +265,7 @@ def build_pwa(grid: RadialGrid, params: AquiferParams, hx: HxParams, dt: float,
         A[i, d, s] = row.a
         f[i, d] = row.f
         b[i, d] = row.b
-        b[i, d + 1:d + m] = inj[dst]
-        b[i, s] = ex[src, 0]
-        b[i, s + 1:s + m] = ex[src]
+        np.divide(quotients[dst, :-1], shells, out=b[i, d + 1:d + m])
+        np.divide(quotients[src, 1:], shells, out=b[i, s + 1:s + m])
+        b[i, s] = b[i, s + 1]
     return PwaModel(A, b, f, nu=grid.nu)

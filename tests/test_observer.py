@@ -152,6 +152,81 @@ def test_predict_steps_all_sigma_points_in_one_call(grid, params, hx,
         assert np.array_equal(pred.cov_xy, cov @ cfg.C.T)
 
 
+@pytest.mark.parametrize("selector", ("unit", "general"))
+def test_moments_and_update_match_written_out_expressions(grid, params, hx,
+                                                          reference, selector):
+    """The sigma set, the predicted moments and the update bit for bit against
+    the expressions written out, for the unit sensor selector and for a
+    general C; no input array is written to."""
+    rng = np.random.default_rng(8)
+    x_ref = params.t_amb + np.concatenate([4.0 * np.exp(-np.arange(21) / 6.0),
+                                           -3.0 * np.exp(-np.arange(21) / 8.0)])
+    M = 0.05 * rng.standard_normal((42, 42))
+    est = GaussianEstimate(x_ref + 0.1 * rng.standard_normal(42),
+                           M @ M.T + 1e-3 * np.eye(42))
+    cfg = reference.ukf
+    if selector == "general":
+        cfg = dataclasses.replace(cfg, C=rng.standard_normal((4, 42)))
+    C, Q, R = cfg.C, cfg.process_var, cfg.measurement_var
+    u = 0.02
+    model = build_pwa(grid, params, hx, 3600.0, x_ref, u)
+    prior = (est.mean.copy(), est.cov.copy())
+    pred = predict(est, lambda x: pwa_step(model, x, u), cfg)
+
+    scale = 42 + cfg.kappa
+    L = np.linalg.cholesky(scale * (0.5 * (est.cov + est.cov.T)))
+    points = np.vstack([est.mean, est.mean + L.T, est.mean - L.T])
+    weights = np.full(85, 0.5 / scale)
+    weights[0] = cfg.kappa / scale
+    propagated = pwa_step(model, points, u)
+    mean = weights @ propagated
+    centered = propagated - mean
+    cov = (centered.T * weights) @ centered + Q * np.eye(42)
+    cov = 0.5 * (cov + cov.T)
+    y_hat, cov_xy = C @ mean, cov @ C.T
+    cov_yy = C @ cov @ C.T + R * np.eye(4)
+    assert np.array_equal(pred.mean, mean)
+    assert np.array_equal(pred.cov, cov)
+    assert np.array_equal(pred.y_hat, y_hat)
+    assert np.array_equal(pred.cov_xy, cov_xy)
+    assert np.array_equal(pred.cov_yy, cov_yy)
+
+    y = y_hat + 0.05 * rng.standard_normal(4)
+    moments = [a.copy() for a in (pred.mean, pred.cov, pred.y_hat, pred.cov_xy,
+                                  pred.cov_yy)]
+    post = update(pred, y)
+    gain = np.linalg.solve(cov_yy, cov_xy.T).T
+    post_cov = cov - gain @ cov_yy @ gain.T
+    assert np.array_equal(post.mean, mean + gain @ (y - y_hat))
+    assert np.array_equal(post.cov, 0.5 * (post_cov + post_cov.T))
+
+    assert np.array_equal(est.mean, prior[0]) and np.array_equal(est.cov, prior[1])
+    for before, after in zip(moments, (pred.mean, pred.cov, pred.y_hat,
+                                       pred.cov_xy, pred.cov_yy)):
+        assert np.array_equal(before, after)
+
+
+def test_sigma_points_fallback_on_an_indefinite_covariance():
+    """A covariance with no Cholesky factor takes the eigenvalue square root
+    of the repaired matrix, bit for bit as written out."""
+    rng = np.random.default_rng(9)
+    n, kappa = 6, 3.0
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    cov = (V * [2.0, 1.0, 0.5, 0.1, 0.0, -1e-3]) @ V.T
+    cov[0, 1] += 1e-14
+    est = GaussianEstimate(rng.standard_normal(n), cov)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(0.5 * (cov + cov.T))
+    points, weights = sigma_points(est, kappa)
+    w, V = np.linalg.eigh((n + kappa) * reference_repair(0.5 * (cov + cov.T)))
+    L = V * np.sqrt(np.clip(w, 0.0, None))
+    assert np.array_equal(points, np.vstack([est.mean, est.mean + L.T,
+                                             est.mean - L.T]))
+    assert weights[0] == kappa / (n + kappa)
+    assert np.all(weights[1:] == 0.5 / (n + kappa))
+    assert not weights.flags.writeable
+
+
 def test_update_zero_innovation(reference):
     rng = np.random.default_rng(3)
     n = 4
@@ -249,6 +324,24 @@ def test_project_bad_bounds():
     est = GaussianEstimate(np.zeros(2), np.eye(2))
     with pytest.raises(ParameterError):
         project(est, np.ones(2), np.zeros(2))
+
+
+def test_project_nan_bound():
+    est = GaussianEstimate(np.ones(3), np.eye(3))
+    with pytest.raises(ParameterError):
+        project(est, [np.nan, 0.0, 0.0], [5.0, 5.0, 5.0])
+    with pytest.raises(ParameterError):
+        project(est, np.zeros(3), [5.0, np.nan, 5.0])
+
+
+@pytest.mark.parametrize("y", [285.0, np.full(3, 285.0), np.full(5, 285.0),
+                               np.full((4, 1), 285.0)])
+def test_update_rejects_a_reading_of_the_wrong_shape(reference, y):
+    # One reading per sensor: a scalar would otherwise broadcast to all four.
+    est = GaussianEstimate(np.full(42, 284.85), np.eye(42))
+    pred = predict(est, lambda x: x, reference.ukf)
+    with pytest.raises(ParameterError, match="4 sensor readings"):
+        update(pred, y)
 
 
 def test_repair_psd():

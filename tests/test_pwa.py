@@ -46,6 +46,17 @@ def test_branch_selection_by_sign(model):
             assert view.shape == stack[i].shape
 
 
+def test_step_follows_the_branch_of_the_sign_of_u(grid, params, hx):
+    rng = np.random.default_rng(12)
+    model = build_pwa(grid, params, hx, DT, params.t_amb + rng.standard_normal(42),
+                      0.5 * U_MAX)
+    stack = params.t_amb + rng.standard_normal((5, 42))
+    for u, i in ((1e-12, HEAT), (U_MAX, HEAT), (-1e-12, COOL), (-U_MAX, COOL),
+                 (0.0, STORE), (-0.0, STORE)):
+        written_out = np.matvec(model.A[i], stack) + model.b[i] * u + model.f[i]
+        assert np.array_equal(pwa_step(model, stack, u), written_out)
+
+
 def test_heating_step_writes_hx_output_to_cold_borehole(grid, params, hx, ambient_state):
     model = build_pwa(grid, params, hx, DT, ambient_state, U_MAX)
     x_next = pwa_step(model, ambient_state, U_MAX)
@@ -97,10 +108,10 @@ def test_affinity_superposition(model):
     x1 = 284.85 + rng.standard_normal(42)
     x2 = 284.85 + rng.standard_normal(42)
     a, b = 0.4, 0.6
-    for branch in (model.branch(1.0), model.branch(-1.0)):
-        u1, u2 = 0.01, 0.02
-        lhs = branch.step(a * x1 + b * x2, a * u1 + b * u2)
-        rhs = a * branch.step(x1, u1) + b * branch.step(x2, u2)
+    for sign in (1.0, -1.0):
+        u1, u2 = 0.01 * sign, 0.02 * sign
+        lhs = pwa_step(model, a * x1 + b * x2, a * u1 + b * u2)
+        rhs = a * pwa_step(model, x1, u1) + b * pwa_step(model, x2, u2)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
@@ -257,6 +268,27 @@ def test_one_pass_build_matches_blockwise_assembly(grid, params, hx, ocp, state,
             assert np.array_equal(model.A[i], A)
             assert np.array_equal(model.b[i], b)
             assert np.array_equal(model.f[i], f)
+
+
+@pytest.mark.parametrize("state", ("ambient", "charged", "random"))
+def test_convection_gains_match_diff_quotients(grid, params, hx, ocp, state):
+    """``b`` bit for bit against gains formed from ``np.diff`` quotients
+    padded with the ambient value; ``x_ref`` is not written to."""
+    m = grid.nu + 1
+    x_ref = reference_state(grid, params, ocp, state)
+    before = x_ref.copy()
+    model = build_pwa(grid, params, hx, DT, x_ref, 0.3 * U_MAX)
+    quotients = np.diff(x_ref.reshape(2, m), append=params.t_amb) / grid.dr
+    scale = -DT * params.c_w * np.array([[-1.0], [1.0]])
+    shells = params.c_a * 2.0 * np.pi * grid.midpoints * grid.l
+    ex = scale * quotients[:, 1:] / shells
+    inj = scale * quotients[:, :-1] / shells
+    assert np.array_equal(model.b[HEAT, :m], np.append(ex[0, 0], ex[0]))
+    assert np.array_equal(model.b[HEAT, m + 1:], inj[1])
+    assert np.array_equal(model.b[COOL, m:], np.append(ex[1, 0], ex[1]))
+    assert np.array_equal(model.b[COOL, 1:m], inj[0])
+    assert not model.b[STORE].any()
+    assert np.array_equal(x_ref, before)
 
 
 @pytest.mark.parametrize("u_ref", (np.nan, np.inf, -np.inf))
