@@ -165,19 +165,6 @@ def sequence_table(cfg: OcpConfig) -> SequenceTable:
     return SequenceTable(modes, names, lo, hi, pumping, tuple(boxes))
 
 
-@dataclass(frozen=True)
-class PredictionMap:
-    """Affine maps from the blocked inputs to predicted powers.
-
-    One map per mode sequence, stacked along the leading axis in
-    ``sequence_table`` order.  A sequence's predicted states come from
-    ``trajectory``.
-    """
-
-    power_offset: np.ndarray             # S x N, watts
-    power_gain: np.ndarray               # S x N x n_blocks, watts per (m^3/s)
-
-
 class CandidateRecord(NamedTuple):
     """One row of a plan's search table (``OcpSolution.per_candidate``)."""
 
@@ -254,8 +241,11 @@ def power_linear_rows(grid: RadialGrid, params: AquiferParams, dt: float
 
 
 def condense(model: PwaModel, cfg: OcpConfig, x0: np.ndarray,
-             power_rows: tuple[np.ndarray, np.ndarray, float]) -> PredictionMap:
-    """Power maps of every mode sequence, from per-mode power rows.
+             power_rows: tuple[np.ndarray, np.ndarray, float]
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Affine maps from the blocked inputs to every sequence's predicted
+    powers, from per-mode power rows: the offsets (S x N, watts) and gains
+    (S x N x n_blocks, watts per m^3/s), in ``sequence_table`` order.
 
     A step in mode m from x(k) delivers P(k) = c_m . x(k) + d_m u + e_m, with
     c_m = r_now + r_next A_m, d_m = r_next . b_m and e_m = r_next . f_m +
@@ -314,13 +304,14 @@ def condense(model: PwaModel, cfg: OcpConfig, x0: np.ndarray,
                 states[..., 1 + j] += b
             starts = states.reshape(-1, model.n, 1 + nb)
     # The grid flattened in C order is the sequence table's order.
-    return PredictionMap(p_off.reshape(-1, cfg.horizon),
-                         p_gain.reshape(-1, cfg.horizon, nb))
+    return p_off.reshape(-1, cfg.horizon), p_gain.reshape(-1, cfg.horizon, nb)
 
 
-def build_cost(pred: PredictionMap, demand: np.ndarray, b_past: float,
-               cfg: OcpConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quadratic cost of every sequence over (block inputs, shared slack).
+def build_cost(power: tuple[np.ndarray, np.ndarray], demand: np.ndarray,
+               b_past: float, cfg: OcpConfig
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Quadratic cost of every sequence over (block inputs, shared slack),
+    from the power maps ``condense`` returns.
 
     Returns the stacked Hessians (S x nv x nv), gradients (S x nv) and
     constant offsets (S,).  A demand window of another size than the
@@ -332,18 +323,19 @@ def build_cost(pred: PredictionMap, demand: np.ndarray, b_past: float,
         raise ParameterError(f"demand must have {cfg.horizon} entries, got {demand.size}")
     if not (np.isfinite(demand).all() and math.isfinite(b_past)):
         raise ParameterError("demand window and B_past must be finite")
+    p_off, p_gain = power
     nb = len(cfg.blocks)
     nv = nb + 1  # blocks + slack
-    n_seq = pred.power_offset.shape[0]
+    n_seq = p_off.shape[0]
 
-    p_gain_mw = pred.power_gain / W_PER_MW
-    p_err_mw = (pred.power_offset - demand) / W_PER_MW
+    p_gain_mw = p_gain / W_PER_MW
+    p_err_mw = (p_off - demand) / W_PER_MW
     # Balance argument (dt * sum P + B_past) expressed as an equivalent
     # average power in MW over the balance window, so it shares the tracking
     # term's scale.
     balance_s = cfg.balance_hours * 3600.0
     e_gain = cfg.dt * p_gain_mw.sum(axis=1) / balance_s
-    e_off = (cfg.dt * pred.power_offset.sum(axis=1) + b_past) / (balance_s * W_PER_MW)
+    e_off = (cfg.dt * p_off.sum(axis=1) + b_past) / (balance_s * W_PER_MW)
     block_len = np.asarray(cfg.blocks, dtype=float)
 
     weighted_t = cfg.q_d * p_gain_mw.transpose(0, 2, 1)
@@ -360,20 +352,6 @@ def build_cost(pred: PredictionMap, demand: np.ndarray, b_past: float,
     const = (cfg.q_d * np.vecdot(p_err_mw, p_err_mw)
              + cfg.q_e * np.float_power(e_off, 2))
     return H, g, const
-
-
-def candidate_qp(s: int, H: np.ndarray, g: np.ndarray,
-                 cfg: OcpConfig) -> tuple[Qp, np.ndarray]:
-    """Box QP of sequence ``s`` of ``sequence_table(cfg)``: its cost ``H, g``
-    with the input-box and slack rows only (``soft_rows`` builds the soft
-    state rows).
-
-    A storing block's flow is fixed at zero, so its variable is eliminated:
-    the QP is over the pumping blocks' flows and the slack.  Returns the Qp
-    and the indices of its variables in the (blocks, slack) vector.
-    """
-    G, h, free, ix = sequence_table(cfg).boxes[s]
-    return Qp(H[ix], g[free], G, h), free
 
 
 def trajectory(model: PwaModel, cfg: OcpConfig, x0: np.ndarray,
@@ -454,17 +432,6 @@ def _lower_bounds(H: np.ndarray, g: np.ndarray, const: np.ndarray,
     return const + 0.5 * np.sum(g_u * u, axis=1) + rise
 
 
-def _prune_key(bound, const):
-    """A sequence's raised bound less a margin for rounding in the bound
-    itself; sequences are visited in ascending key, and the search stops at
-    the first key above the incumbent's limit.
-
-    The incumbent only falls and costs are >= 0, so its tolerance is at
-    least the final one: a pruned sequence never enters the near-tie set.
-    """
-    return bound - 1e-12 * np.maximum(np.abs(bound), const)
-
-
 def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
               model: PwaModel, grid: RadialGrid, params: AquiferParams) -> OcpSolution:
     """Exact bound-and-prune over all blocked mode sequences; returns the best.
@@ -483,8 +450,9 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
     """
     nb = len(cfg.blocks)
     table = sequence_table(cfg)
-    pred = condense(model, cfg, x0, power_linear_rows(grid, params, cfg.dt))
-    H, g, const = build_cost(pred, demand, b_past, cfg)
+    p_off, p_gain = power = condense(model, cfg, x0,
+                                     power_linear_rows(grid, params, cfg.dt))
+    H, g, const = build_cost(power, demand, b_past, cfg)
     costs = _lower_bounds(H, g, const, table.lo, table.hi)
 
     n_seq = costs.size
@@ -492,7 +460,12 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
     flows = np.full((n_seq, nb), np.nan)
     slacks = np.full(n_seq, np.nan)
     kkt = np.full(n_seq, np.nan)
-    keys = _prune_key(costs, const)
+    # Sequences are visited in ascending key, a raised bound less a margin
+    # for rounding in the bound itself, and the search stops at the first key
+    # above the incumbent's limit.  The incumbent only falls and costs are
+    # >= 0, so its tolerance is at least the final one: a pruned sequence
+    # never enters the near-tie set.
+    keys = costs - 1e-12 * np.maximum(np.abs(costs), const)
     x_min, x_max = cfg.state_bounds(model.nu)
     solved = soft_rows_added = 0
     optimal: dict[int, np.ndarray | None] = {}   # trajectory at the optimum
@@ -501,7 +474,10 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
         if keys[s] > limit:
             break
         solved += 1
-        qp, free = candidate_qp(s, H[s], g[s], cfg)
+        # The box QP: a storing block's flow is fixed at zero, so the QP is
+        # over the pumping blocks' flows and the slack (``free``).
+        G, h, free, ix = table.boxes[s]
+        qp = Qp(H[s][ix], g[s][free], G, h)
         result = solve_qp(qp)
         z = np.zeros(nb + 1)     # storing flows are exactly zero
         # A failed result carries value inf and NaN in the QP's variables.
@@ -513,10 +489,10 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
                     > _FEAS_TOL):
                 # The box optimum leaves the soft box: solve the full QP.
                 # Its trajectory is rolled out for the winner only.
-                G, h = soft_rows(model, cfg, x0, table.modes[s], free[:-1])
-                soft_rows_added += h.size
-                result = solve_qp(Qp(qp.H, qp.g, np.vstack([qp.G, G]),
-                                     np.concatenate([qp.h, h])))
+                G_x, h_x = soft_rows(model, cfg, x0, table.modes[s], free[:-1])
+                soft_rows_added += h_x.size
+                result = solve_qp(Qp(qp.H, qp.g, np.vstack([G, G_x]),
+                                     np.concatenate([h, h_x])))
                 z[free] = result.z_star
                 x = None
         total = result.value + const[s]
@@ -550,7 +526,7 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
 
     if x_pred is None or not np.array_equal(u_blocks, flows[s]):
         x_pred = trajectory(model, cfg, x0, table.modes[s], u_blocks)
-    p_pred = pred.power_offset[s] + pred.power_gain[s] @ u_blocks
+    p_pred = p_off[s] + p_gain[s] @ u_blocks
 
     demand = np.asarray(demand, dtype=float)
     slack_used = max(0.0, float(np.max(x_pred[1:] - x_max)),

@@ -9,11 +9,11 @@ State bounds are enforced by clipping the mean (estimate projection); the
 covariance is left as it is, so box-pinned states keep their uncertainty.
 ``predict`` and ``update`` only symmetrise the covariance; ``sigma_points``
 is the one place that factors it, and it repairs it (``repair_psd``) only
-when the factorization fails.  The sigma weights are built once per
-``(n, kappa)`` and read-only; each hour the noise variances are added to the
-diagonals in place and each symmetrisation forms one new array, with every
-product in the operand order of the plain expressions, so the results are
-theirs bit for bit.
+when the factorization fails.  The sigma weights are built once per ``n``
+and read-only; each hour the noise variances are added to the diagonals in
+place and each symmetrisation forms one new array, with every product in
+the operand order of the plain expressions, so the results are theirs bit
+for bit.
 """
 
 from __future__ import annotations
@@ -25,6 +25,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError
+
+# Sigma-point spread.  Any kappa > -n gives the same moments for an affine
+# step, which every step of the filter is, so it is no setting; 5.0 keeps
+# the reference estimates' bits.
+_KAPPA = 5.0
 
 
 @dataclass(frozen=True)
@@ -39,10 +44,9 @@ class GaussianEstimate:
 
 @dataclass(frozen=True)
 class UkfConfig:
-    """Sensor selection matrix, sigma-point spread and noise variances."""
+    """Sensor selection matrix and noise variances."""
 
     C: np.ndarray
-    kappa: float
     process_var: float
     measurement_var: float
 
@@ -53,10 +57,6 @@ class UkfConfig:
             raise ParameterError(
                 f"need process variance >= 0 and measurement variance > 0, got "
                 f"{self.process_var!r} and {self.measurement_var!r}")
-        # The sigma-point weights need n + kappa > 0 over the n states.
-        if not self.kappa > -self.C.shape[1]:
-            raise ParameterError(f"kappa must exceed -{self.C.shape[1]} (minus "
-                                 f"the state count), got {self.kappa!r}")
 
     @staticmethod
     def sensor_matrix(nu: int) -> np.ndarray:
@@ -102,20 +102,19 @@ def repair_psd(cov: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _sigma_weights(n: int, kappa: float) -> np.ndarray:
+def _sigma_weights(n: int) -> np.ndarray:
     """Weights of the 2n+1 symmetric sigma points, built once and read-only."""
-    scale = n + kappa
+    scale = n + _KAPPA
     weights = np.full(2 * n + 1, 0.5 / scale)
-    weights[0] = kappa / scale
+    weights[0] = _KAPPA / scale
     weights.flags.writeable = False
     return weights
 
 
-def sigma_points(est: GaussianEstimate, kappa: float
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def sigma_points(est: GaussianEstimate) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric Julier sigma set: (2n+1, n) points and their read-only weights."""
     n = est.n
-    scale = n + kappa
+    scale = n + _KAPPA
     cov = _symmetrized(est.cov)
     try:
         L = np.linalg.cholesky(scale * cov)
@@ -127,7 +126,7 @@ def sigma_points(est: GaussianEstimate, kappa: float
     points[0] = est.mean
     np.add(est.mean, L.T, out=points[1:n + 1])
     np.subtract(est.mean, L.T, out=points[n + 1:])
-    return points, _sigma_weights(n, kappa)
+    return points, _sigma_weights(n)
 
 
 def predict(est: GaussianEstimate, step_fn: Callable[[np.ndarray], np.ndarray],
@@ -139,7 +138,7 @@ def predict(est: GaussianEstimate, step_fn: Callable[[np.ndarray], np.ndarray],
     input is baked in by the caller, so every point traverses the same
     branch).
     """
-    points, weights = sigma_points(est, cfg.kappa)
+    points, weights = sigma_points(est)
     propagated = step_fn(points)
     mean = weights @ propagated
     centered = propagated - mean

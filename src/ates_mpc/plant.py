@@ -96,6 +96,12 @@ def init_truth(cfg: TruthConfig, coarse: RadialGrid, params: AquiferParams) -> T
         raise ScenarioError(
             f"fine grid must be at least as fine as the prediction grid "
             f"({cfg.nu_fine} < {coarse.nu})")
+    # The far field is drawn from t_amb +- amp; one at or below 0 K is no
+    # temperature.
+    if not cfg.t_amb_noise_amp < params.t_amb:
+        raise ScenarioError(
+            f"ambient noise amplitude must be below the ambient temperature "
+            f"({cfg.t_amb_noise_amp} >= {params.t_amb})")
     grid = build_grid(coarse.r0, coarse.r_inf, cfg.nu_fine, coarse.l)
     seeds = np.random.SeedSequence(cfg.seed).spawn(3)
     rng_lambda = np.random.default_rng(seeds[0])

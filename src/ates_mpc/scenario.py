@@ -1,11 +1,11 @@
 """Scenario configuration, demand series handling and results persistence.
 
-Config files are flat UTF-8 ``key = value`` text with units spelled out in
-the key names.  ``_DEFAULTS`` is the one table of the reference
-parameterization: every key falls back to it, so an empty file is a valid
-scenario, and no config dataclass carries a default of its own.  Demand
-series are two-column CSV (ISO-8601 UTC timestamp, power in W, positive =
-heat demand).
+Config files are flat UTF-8 ``key = value`` text, each key set at most
+once, with units spelled out in the key names.  ``_DEFAULTS`` is the one
+table of the reference parameterization: every key falls back to it, so an
+empty file is a valid scenario, and no config dataclass carries a default of
+its own.  Demand series are two-column CSV (ISO-8601 UTC timestamp, power
+in W, positive = heat demand).
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ _DEFAULTS: dict[str, float | int] = {
     "q_e": 0.001,
     "balance_window_h": 80.0,
     "slack_weight_per_k2": 1e6,
-    "ukf_kappa": 5.0,
     "process_noise_var_k2": 0.05**2,
     "measurement_noise_var_k2": 0.01**2,
     "nu_fine": 200,
@@ -105,6 +104,7 @@ _STRING_KEYS = {"demand_csv"}
 def _parse_config_text(text: str) -> dict:
     values: dict[str, object] = dict(_DEFAULTS)
     values["demand_csv"] = None
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -112,6 +112,10 @@ def _parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ScenarioError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = (part.strip() for part in line.partition("="))
+        if key in first_line:
+            raise ScenarioError(f"line {lineno}: config key {key!r} repeats "
+                                f"line {first_line[key]}")
+        first_line[key] = lineno
         if key in _STRING_KEYS:
             values[key] = val
             continue
@@ -156,7 +160,7 @@ def scenario_from_values(values: dict) -> Scenario:
             slack_weight=values["slack_weight_per_k2"])
         build_extraction_system(grid, params, ocp.dt)
         ukf = UkfConfig(
-            UkfConfig.sensor_matrix(values["nu"]), kappa=values["ukf_kappa"],
+            UkfConfig.sensor_matrix(values["nu"]),
             process_var=values["process_noise_var_k2"],
             measurement_var=values["measurement_noise_var_k2"])
         truth = TruthConfig(

@@ -19,7 +19,8 @@ def test_missing_scenario_file_is_usage_error(capsys):
 
 # Each value is rejected when the scenario is built: the radial grid, the
 # move blocking, the heat exchanger, the aquifer's constituents, the time
-# step, the model's explicit step and the seed.
+# step, the model's explicit step and the seed.  A key set twice and a key
+# the config table lacks are rejected where the config is read.
 @pytest.mark.parametrize("line, message", [
     ("nu = 0", "cell count must be >= 1"),
     ("block_1_steps = 0", "at least one step"),
@@ -32,6 +33,8 @@ def test_missing_scenario_file_is_usage_error(capsys):
     ("dt_s = -3600", "time step must be finite and positive, got -3600.0"),
     ("dt_s = 1e7", "diffusion number"),
     ("seed = -1", "seed must be nonnegative, got -1"),
+    ("seed = 1\nseed = 2", "line 2: config key 'seed' repeats line 1"),
+    ("ukf_kappa = 5", "unknown config key 'ukf_kappa'"),
 ])
 def test_bad_scenario_value_is_config_error(tmp_path, capsys, line, message):
     config = tmp_path / "bad.cfg"
@@ -55,13 +58,11 @@ def test_non_finite_config_value_is_config_error(tmp_path, capsys, key):
 
 
 # The noise values' domains, checked by ``UkfConfig`` and ``TruthConfig``:
-# process variance nonnegative, measurement variance positive, ``n + kappa >
-# 0`` over the 42 stacked states, ambient noise amplitude and sensor sigma
-# nonnegative.
+# process variance nonnegative, measurement variance positive, ambient noise
+# amplitude and sensor sigma nonnegative.
 @pytest.mark.parametrize("key, value, message", [
     ("process_noise_var_k2", "-1", "need process variance >= 0"),
     ("measurement_noise_var_k2", "0", "measurement variance > 0"),
-    ("ukf_kappa", "-42", "kappa must exceed -42"),
     ("t_amb_noise_amp_k", "-0.1", "must be nonnegative, got -0.1"),
     ("sensor_sigma_k", "-0.01", "must be nonnegative, got 0.1 and -0.01"),
 ])
@@ -72,6 +73,21 @@ def test_noise_value_outside_its_domain_is_config_error(tmp_path, capsys, key,
     assert main(["run", "--scenario", str(config), "--steps", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+# The far field is drawn from t_amb +- amp, so an amplitude at or above the
+# ambient temperature could draw one at or below 0 K; ``init_truth`` rejects
+# it for every command that builds the plant.
+@pytest.mark.parametrize("command", ["run", "sim"])
+def test_noise_amplitude_at_ambient_is_config_error(tmp_path, capsys, command):
+    t_amb = _DEFAULTS["t_amb_k"]
+    config = tmp_path / "amp.cfg"
+    config.write_text(f"t_amb_noise_amp_k = {t_amb!r}\n")
+    assert main([command, "--scenario", str(config), "--steps", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "ambient noise amplitude" in err
+    config.write_text(f"t_amb_noise_amp_k = {float(np.nextafter(t_amb, 0.0))!r}\n")
+    assert main([command, "--scenario", str(config), "--steps", "2"]) == 0
 
 
 # An empty or NaN demand value is interpolated; these are errors.

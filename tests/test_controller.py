@@ -10,7 +10,7 @@ from ates_mpc import (ControllerFault, ParameterError, Qp, QpResult,
                       build_pwa, power_bilinear, pwa_step, solve_ocp,
                       solve_qp)
 from ates_mpc import controller
-from ates_mpc.controller import (W_PER_MW, build_cost, candidate_qp, condense,
+from ates_mpc.controller import (W_PER_MW, build_cost, condense,
                                  power_linear_rows, sequence_table, soft_rows,
                                  trajectory)
 from ates_mpc.pwa import MODES, mode_of
@@ -84,18 +84,18 @@ def test_state_bounds_layout(cfg):
 
 def test_condense_dimensions(grid, params, hx, cfg, ambient_state):
     model = build_pwa(grid, params, hx, DT, ambient_state, 0.0)
-    pred = condense(model, cfg, ambient_state,
-                    power_linear_rows(grid, params, DT))
+    power = condense(model, cfg, ambient_state,
+                     power_linear_rows(grid, params, DT))
     table = sequence_table(cfg)
     assert table.names == tuple(itertools.product(MODES, repeat=3))
     assert table.modes.shape == (27, 3) and not table.modes.flags.writeable
     assert table.names == tuple(tuple(MODES[i] for i in row)
                                 for row in table.modes)
-    assert pred.power_offset.shape == (27, 12)
-    assert pred.power_gain.shape == (27, 12, 3)
-    # States are rolled out per sequence, never for all 27 at once.
-    assert not hasattr(pred, "state_offsets")
-    assert not hasattr(pred, "state_gains")
+    # Only the power maps come back: states are rolled out per sequence,
+    # never for all 27 at once.
+    p_off, p_gain = power
+    assert p_off.shape == (27, 12)
+    assert p_gain.shape == (27, 12, 3)
     offsets, gains = trajectory_states(model, cfg, ambient_state,
                                        table.modes[0])
     assert offsets.shape == (13, 42)
@@ -104,14 +104,14 @@ def test_condense_dimensions(grid, params, hx, cfg, ambient_state):
 
 def test_condense_storing_has_zero_gain(grid, params, hx, cfg, ambient_state):
     model = build_pwa(grid, params, hx, DT, ambient_state, 0.0)
-    pred = condense(model, cfg, ambient_state,
-                    power_linear_rows(grid, params, DT))
+    _, p_gain = condense(model, cfg, ambient_state,
+                         power_linear_rows(grid, params, DT))
     table = sequence_table(cfg)
     s = table.names.index(("storing", "storing", "storing"))
     offsets, gains = trajectory_states(model, cfg, ambient_state,
                                        table.modes[s])
     assert np.all(gains == 0.0)
-    assert np.all(pred.power_gain[s] == 0.0)
+    assert np.all(p_gain[s] == 0.0)
     # Offsets reproduce the storing rollout.
     x = ambient_state.copy()
     for k in range(12):
@@ -123,13 +123,13 @@ def test_condense_storing_has_zero_gain(grid, params, hx, cfg, ambient_state):
         for j, mode in enumerate(modes):
             if mode == "storing":
                 assert np.all(gains[:, :, j] == 0.0)
-                assert np.all(pred.power_gain[s, :, j] == 0.0)
+                assert np.all(p_gain[s, :, j] == 0.0)
 
 
 def test_condense_matches_direct_rollout(grid, params, hx, cfg):
     x0 = charged_state(grid, params)
     model = build_pwa(grid, params, hx, DT, x0, 0.01)
-    pred = condense(model, cfg, x0, power_linear_rows(grid, params, DT))
+    p_off, p_gain = condense(model, cfg, x0, power_linear_rows(grid, params, DT))
     modes = mode_indices(("heating", "storing", "cooling"))
     s = sequence_table(cfg).names.index(("heating", "storing", "cooling"))
     offsets, gains = trajectory_states(model, cfg, x0, modes)
@@ -146,7 +146,7 @@ def test_condense_matches_direct_rollout(grid, params, hx, cfg):
         assert np.allclose(x_next_cond, x_next_direct, atol=1e-8)
         assert np.allclose(x_traj[k + 1], x_next_direct, atol=1e-8)
         p_direct = r_now @ x + r_next @ x_next_direct + const
-        p_cond = pred.power_offset[s, k] + pred.power_gain[s, k] @ u_blocks
+        p_cond = p_off[s, k] + p_gain[s, k] @ u_blocks
         assert p_cond == pytest.approx(p_direct, abs=1e-3)
         x = x_next_direct
 
@@ -167,11 +167,12 @@ def soft_rows_per_step(states, pumping, cfg, nu):
 
 def full_row_qp(s, model, cfg, x0, H_s, g_s):
     """Reference: sequence s's box QP with all its soft rows at once."""
-    qp, free = candidate_qp(s, H_s, g_s, cfg)
+    box_G, box_h, free, ix = sequence_table(cfg).boxes[s]
     modes = sequence_table(cfg).modes[s]
     G, h = soft_rows_per_step(per_step_states(model, modes, cfg, x0),
                               free[:-1], cfg, model.nu)
-    return Qp(qp.H, qp.g, np.vstack([qp.G, G]), np.concatenate([qp.h, h])), free
+    return Qp(H_s[ix], g_s[free], np.vstack([box_G, G]),
+              np.concatenate([box_h, h])), free
 
 
 # Instants where soft state rows bind.  At the first, 1 of the 3 solved
@@ -195,17 +196,17 @@ def binding_instant(grid, params, hx, cfg, name):
 def test_soft_rows_match_per_step_reference(grid, params, hx, cfg):
     cfg, x0, model, demand = binding_instant(grid, params, hx, cfg,
                                              "cold_floor_280")
-    pred = condense(model, cfg, x0, power_linear_rows(grid, params, DT))
+    power = condense(model, cfg, x0, power_linear_rows(grid, params, DT))
     s = sequence_table(cfg).names.index(("heating", "storing", "cooling"))
     modes = sequence_table(cfg).modes[s]
-    H, g, _ = build_cost(pred, demand, 0.0, cfg)
-    qp, free = candidate_qp(s, H[s], g[s], cfg)
+    H, g, _ = build_cost(power, demand, 0.0, cfg)
+    box_G, box_h, free, ix = sequence_table(cfg).boxes[s]
+    qp = Qp(H[s][ix], g[s][free], box_G, box_h)
     # The storing block's flow is eliminated: the QP is over blocks 0 and 2
     # and the slack.  Its rows are the input box, the bound at zero first,
     # then slack >= 0.
     assert free.tolist() == [0, 2, 3]
     assert np.array_equal(qp.H, H[s][np.ix_(free, free)])
-    assert np.array_equal(qp.g, g[s][free])
     assert np.array_equal(qp.G, [[-1, 0, 0], [1, 0, 0], [0, 1, 0], [0, -1, 0],
                                  [0, 0, -1]])
     assert np.array_equal(qp.h, [0.0, U_MAX, 0.0, U_MAX, 0.0])
@@ -441,8 +442,8 @@ def test_determinism(grid, params, hx, cfg):
 def test_build_cost_feasible_start(grid, params, hx, cfg):
     x0 = charged_state(grid, params)
     model = build_pwa(grid, params, hx, DT, x0, 0.0)
-    pred = condense(model, cfg, x0, power_linear_rows(grid, params, DT))
-    H, g, const = build_cost(pred, np.full(12, 1e6), 0.0, cfg)
+    power = condense(model, cfg, x0, power_linear_rows(grid, params, DT))
+    H, g, const = build_cost(power, np.full(12, 1e6), 0.0, cfg)
     assert np.all(np.isfinite(const))
     for s in range(27):
         # Zero flows with the slack covering the worst open-loop violation
@@ -522,7 +523,7 @@ def per_sequence_cost(p_off, p_gain, demand, b_past, cfg):
     return H, g, const
 
 
-def exhaustive_solve(pred, model, x0, demand, b_past, cfg):
+def exhaustive_solve(power, model, x0, demand, b_past, cfg):
     """Reference: solve all 27 QPs on all their rows and pick with the
     near-tie rule.
 
@@ -530,7 +531,7 @@ def exhaustive_solve(pred, model, x0, demand, b_past, cfg):
     exactly zero) and cost, and every candidate's cost (inf where its QP
     failed).
     """
-    H, g, const = build_cost(pred, demand, b_past, cfg)
+    H, g, const = build_cost(power, demand, b_past, cfg)
     table = sequence_table(cfg)
     costs = np.full(len(table.names), np.inf)
     solved = []
@@ -596,29 +597,28 @@ def test_bound_and_prune_matches_exhaustive_enumeration(grid, params, hx, cfg):
     names = table.names
     instants = pruned = 0
     for x0, model, demand, b_past in random_instants(grid, params, hx):
-        pred = condense(model, cfg, x0, rows)
-        H, g, const = build_cost(pred, demand, b_past, cfg)
+        power = condense(model, cfg, x0, rows)
+        H, g, const = build_cost(power, demand, b_past, cfg)
         for s, modes in enumerate(names):
             offsets, gains, p_off, p_gain = per_sequence_condense(
                 model, table.modes[s], cfg, x0, rows)
             states = trajectory_states(model, cfg, x0, table.modes[s])
             assert np.array_equal(states[0], offsets)
             assert np.array_equal(states[1], gains)
-            assert_within_dot_rounding(pred.power_offset[s], p_off, rows,
-                                       offsets)
-            assert_within_dot_rounding(pred.power_gain[s], p_gain, rows, gains)
+            assert_within_dot_rounding(power[0][s], p_off, rows, offsets)
+            assert_within_dot_rounding(power[1][s], p_gain, rows, gains)
             storing = [j for j, mode in enumerate(modes) if mode == "storing"]
-            assert np.all(pred.power_gain[s][:, storing] == 0.0)
+            assert np.all(power[1][s][:, storing] == 0.0)
             # The cost is built from the condensed maps as they are.
             H_s, g_s, const_s = per_sequence_cost(
-                pred.power_offset[s], pred.power_gain[s], demand, b_past, cfg)
+                power[0][s], power[1][s], demand, b_past, cfg)
             assert np.array_equal(H[s], H_s)
             assert np.array_equal(g[s], g_s)
             assert const[s] == const_s
 
         sol = solve_ocp(x0, demand, b_past, cfg, model, grid, params)
         modes, u_blocks, cost, costs = exhaustive_solve(
-            pred, model, x0, demand, b_past, cfg)
+            power, model, x0, demand, b_past, cfg)
         assert_matches_full_rows(sol, modes, u_blocks, cost)
         bounds = controller._lower_bounds(H, g, const, table.lo, table.hi)
         for s, rec in enumerate(sol.per_candidate):
@@ -648,8 +648,8 @@ def test_raised_bound_is_exact_below_the_box_optimum(grid, params, hx, cfg):
     raised = tight = 0
     for i, (x0, model, demand, b_past) in enumerate(
             random_instants(grid, params, hx)):
-        pred = condense(model, cfg, x0, rows)
-        H, g, const = build_cost(pred, demand, b_past, cfg)
+        power = condense(model, cfg, x0, rows)
+        H, g, const = build_cost(power, demand, b_past, cfg)
         bounds = controller._lower_bounds(H, g, const, table.lo, table.hi)
         # The unconstrained minimiser and minimum over the block inputs.
         g_u = g[:, :nb]
@@ -660,7 +660,8 @@ def test_raised_bound_is_exact_below_the_box_optimum(grid, params, hx, cfg):
         assert np.array_equal(rise > 0.0, broken.any(axis=1))
         raised += np.count_nonzero(rise)
         for s in range(len(table.names)):
-            qp, free = candidate_qp(s, H[s], g[s], cfg)
+            G, h, free, ix = table.boxes[s]
+            qp = Qp(H[s][ix], g[s][free], G, h)
             result = solve_qp(qp)
             box = result.value + const[s]
             assert bounds[s] <= box + 1e-12 * abs(box)
@@ -673,9 +674,9 @@ def test_raised_bound_is_exact_below_the_box_optimum(grid, params, hx, cfg):
         if i % 12 == 0:
             # Without an input weight a storing block's Hessian is singular:
             # there is no bound, and nothing is pruned.
-            pred_s = condense(model, singular, x0, rows)
+            power_s = condense(model, singular, x0, rows)
             bounds = controller._lower_bounds(
-                *build_cost(pred_s, demand, b_past, singular),
+                *build_cost(power_s, demand, b_past, singular),
                 table.lo, table.hi)
             assert np.all(bounds == -np.inf)
             sol = solve_ocp(x0, demand, b_past, singular, model, grid, params)
@@ -685,7 +686,8 @@ def test_raised_bound_is_exact_below_the_box_optimum(grid, params, hx, cfg):
 
 def breaks_soft_row_at_box_optimum(s, H_s, g_s, model, cfg, x0):
     """Reference: whether sequence s's box-only optimum leaves its soft box."""
-    qp, free = candidate_qp(s, H_s, g_s, cfg)
+    box_G, box_h, free, ix = sequence_table(cfg).boxes[s]
+    qp = Qp(H_s[ix], g_s[free], box_G, box_h)
     modes = sequence_table(cfg).modes[s]
     G, h = soft_rows_per_step(per_step_states(model, modes, cfg, x0),
                               free[:-1], cfg, model.nu)
@@ -727,8 +729,8 @@ def test_states_rolled_out_only_for_solved_candidates(grid, params, hx, cfg,
     for cfg_i, x0, model, demand, b_past in instants:
         soft_row_calls.clear()
         sol = solve_ocp(x0, demand, b_past, cfg_i, model, grid, params)
-        pred = condense(model, cfg_i, x0, power_linear_rows(grid, params, DT))
-        H, g, _ = build_cost(pred, demand, b_past, cfg_i)
+        power = condense(model, cfg_i, x0, power_linear_rows(grid, params, DT))
+        H, g, _ = build_cost(power, demand, b_past, cfg_i)
         needed = [rec.mode_sequence for s, rec in enumerate(sol.per_candidate)
                   if rec.status != "pruned"
                   and breaks_soft_row_at_box_optimum(s, H[s], g[s], model,
@@ -768,8 +770,8 @@ def test_binding_soft_rows_match_full_row_reference(grid, params, hx, cfg, name,
                                                     soft_row_calls):
     cfg, x0, model, demand = binding_instant(grid, params, hx, cfg, name)
     sol = solve_ocp(x0, demand, 0.0, cfg, model, grid, params)
-    pred = condense(model, cfg, x0, power_linear_rows(grid, params, DT))
-    modes, u_blocks, cost, costs = exhaustive_solve(pred, model, x0, demand,
+    power = condense(model, cfg, x0, power_linear_rows(grid, params, DT))
+    modes, u_blocks, cost, costs = exhaustive_solve(power, model, x0, demand,
                                                     0.0, cfg)
     # A candidate whose box optimum breaks a soft row is solved again on the
     # reference's own rows, in its order, so the winner and every solved
@@ -777,7 +779,7 @@ def test_binding_soft_rows_match_full_row_reference(grid, params, hx, cfg, name,
     assert sol.mode_sequence == modes
     assert np.array_equal(sol.u_blocks, u_blocks)
     assert sol.cost == cost
-    H, g, _ = build_cost(pred, demand, 0.0, cfg)
+    H, g, _ = build_cost(power, demand, 0.0, cfg)
     solved = []
     for s, rec in enumerate(sol.per_candidate):
         if rec.status == "pruned":
@@ -815,8 +817,8 @@ def test_singular_block_cost_solves_every_candidate(grid, params, hx, cfg):
     demand = np.full(12, 8e5)
     sol = solve_ocp(x0, demand, 0.0, cfg, model, grid, params)
     assert all(rec.status != "pruned" for rec in sol.per_candidate)
-    pred = condense(model, cfg, x0, power_linear_rows(grid, params, DT))
-    modes, u_blocks, cost, _ = exhaustive_solve(pred, model, x0, demand, 0.0,
+    power = condense(model, cfg, x0, power_linear_rows(grid, params, DT))
+    modes, u_blocks, cost, _ = exhaustive_solve(power, model, x0, demand, 0.0,
                                                 cfg)
     assert_matches_full_rows(sol, modes, u_blocks, cost)
 

@@ -17,7 +17,7 @@ def make_affine(rng, n):
 
 def test_sigma_points_scalar_example():
     est = GaussianEstimate(np.zeros(1), np.eye(1))
-    points, weights = sigma_points(est, 5.0)
+    points, weights = sigma_points(est)
     assert sorted(points.ravel()) == pytest.approx(
         sorted([0.0, np.sqrt(6.0), -np.sqrt(6.0)]))
     assert weights[0] == pytest.approx(5.0 / 6.0)
@@ -31,7 +31,7 @@ def test_sigma_points_moment_matching():
     mean = rng.standard_normal(n)
     M = rng.standard_normal((n, n))
     cov = M @ M.T + np.eye(n)
-    points, weights = sigma_points(GaussianEstimate(mean, cov), 5.0)
+    points, weights = sigma_points(GaussianEstimate(mean, cov))
     assert np.allclose(weights @ points, mean, atol=1e-10)
     centered = points - mean
     assert np.allclose((centered.T * weights) @ centered, cov, atol=1e-9)
@@ -39,7 +39,7 @@ def test_sigma_points_moment_matching():
 
 def test_sigma_points_zero_covariance():
     mean = np.array([1.0, 2.0])
-    points, _ = sigma_points(GaussianEstimate(mean, np.zeros((2, 2))), 5.0)
+    points, _ = sigma_points(GaussianEstimate(mean, np.zeros((2, 2))))
     assert np.allclose(points, mean)
 
 
@@ -53,8 +53,7 @@ def test_sensor_matrix_layout():
 
 @pytest.mark.parametrize("kw", [dict(process_var=-1.0, C=np.eye(2)),
                                 dict(measurement_var=0.0, C=np.eye(2)),
-                                dict(measurement_var=float("nan"), C=np.eye(2)),
-                                dict(kappa=-2.0, C=np.eye(2))])
+                                dict(measurement_var=float("nan"), C=np.eye(2))])
 def test_config_rejects_values_outside_noise_domains(reference, kw):
     with pytest.raises(ParameterError):
         dataclasses.replace(reference.ukf, **kw)
@@ -140,7 +139,7 @@ def test_predict_steps_all_sigma_points_in_one_call(grid, params, hx,
         pred = predict(est, step, cfg)
         assert shapes == [(85, 42)]
         # Reference: the sigma points stepped one at a time.
-        points, weights = sigma_points(est, cfg.kappa)
+        points, weights = sigma_points(est)
         propagated = np.stack([pwa_step(model, p, u) for p in points])
         mean = weights @ propagated
         centered = propagated - mean
@@ -173,11 +172,11 @@ def test_moments_and_update_match_written_out_expressions(grid, params, hx,
     prior = (est.mean.copy(), est.cov.copy())
     pred = predict(est, lambda x: pwa_step(model, x, u), cfg)
 
-    scale = 42 + cfg.kappa
+    scale = 42 + 5.0
     L = np.linalg.cholesky(scale * (0.5 * (est.cov + est.cov.T)))
     points = np.vstack([est.mean, est.mean + L.T, est.mean - L.T])
     weights = np.full(85, 0.5 / scale)
-    weights[0] = cfg.kappa / scale
+    weights[0] = 5.0 / scale
     propagated = pwa_step(model, points, u)
     mean = weights @ propagated
     centered = propagated - mean
@@ -210,14 +209,14 @@ def test_sigma_points_fallback_on_an_indefinite_covariance():
     """A covariance with no Cholesky factor takes the eigenvalue square root
     of the repaired matrix, bit for bit as written out."""
     rng = np.random.default_rng(9)
-    n, kappa = 6, 3.0
+    n, kappa = 6, 5.0  # the filter's fixed sigma-point spread
     V = np.linalg.qr(rng.standard_normal((n, n)))[0]
     cov = (V * [2.0, 1.0, 0.5, 0.1, 0.0, -1e-3]) @ V.T
     cov[0, 1] += 1e-14
     est = GaussianEstimate(rng.standard_normal(n), cov)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(0.5 * (cov + cov.T))
-    points, weights = sigma_points(est, kappa)
+    points, weights = sigma_points(est)
     w, V = np.linalg.eigh((n + kappa) * reference_repair(0.5 * (cov + cov.T)))
     L = V * np.sqrt(np.clip(w, 0.0, None))
     assert np.array_equal(points, np.vstack([est.mean, est.mean + L.T,

@@ -31,7 +31,6 @@ def test_empty_config_gives_standard_defaults(tmp_path):
     assert sc.ocp.blocks == (1, 4, 7)
     assert sc.ocp.slack_weight == 1e6
     assert sc.ocp.balance_hours == 80.0
-    assert sc.ukf.kappa == 5.0
     assert sc.ukf.process_var == 0.05**2
     assert sc.ukf.measurement_var == 0.01**2
     assert sc.truth.nu_fine == 200
