@@ -173,7 +173,6 @@ class CandidateRecord(NamedTuple):
     cost: float
     u_blocks: np.ndarray
     slack: float
-    kkt_residual: float
 
 
 # The counts each plan reports, in order: candidate QPs solved, candidates
@@ -191,8 +190,7 @@ class OcpSolution:
     The table has one read-only row per mode sequence, in ``sequences``
     order: the candidate's status (``"optimal"``, ``"infeasible"``,
     ``"stalled"`` or ``"pruned"``), its cost (its raised lower bound when
-    pruned), block flows, slack and KKT residual (NaN where pruned or
-    failed).
+    pruned), block flows and slack (NaN where pruned or failed).
     """
 
     u_blocks: np.ndarray
@@ -208,14 +206,13 @@ class OcpSolution:
     costs: np.ndarray                    # S
     flows: np.ndarray                    # S x n_blocks
     slacks: np.ndarray                   # S
-    kkt_residuals: np.ndarray            # S
 
     @property
     def per_candidate(self) -> tuple[CandidateRecord, ...]:
         """The table as one record per sequence, built on access."""
         return tuple(map(CandidateRecord, self.sequences, self.status.tolist(),
                          self.costs.tolist(), self.flows,
-                         self.slacks.tolist(), self.kkt_residuals.tolist()))
+                         self.slacks.tolist()))
 
 
 @functools.cache
@@ -247,50 +244,58 @@ def condense(model: PwaModel, cfg: OcpConfig, x0: np.ndarray,
     powers, from per-mode power rows: the offsets (S x N, watts) and gains
     (S x N x n_blocks, watts per m^3/s), in ``sequence_table`` order.
 
-    A step in mode m from x(k) delivers P(k) = c_m . x(k) + d_m u + e_m, with
-    c_m = r_now + r_next A_m, d_m = r_next . b_m and e_m = r_next . f_m +
-    const.  All three modes are formed at once from the model's branch
-    stack, whose ``MODES`` order the rows share.  Move blocking holds a
-    block's mode fixed, so its i-th step delivers (c_m A_m^i) . x_start
-    plus the running sums of c_m A_m^t f_m and c_m A_m^t b_m over t < i.
-    A block's start states depend only on the modes of the blocks before it
-    (3^j of them for block j), so each block's powers are one product of
-    these rows with its start states, offset and gain columns side by side.
-    Only the blocks before the last are stepped, to produce the next block's
+    The step is written in homogeneous coordinates: mode m's matrix
+    M_m = [[A_m, f_m, b_m], [0, 1, 0], [0, 0, 1]] maps [x; 1; u] to
+    [x+; 1; u], and a step from x(k) delivers P(k) = c_m . [x(k); 1; u]
+    with c_m = [r_now + r_next A_m, r_next . f_m + const, r_next . b_m].
+    All three modes are formed at once from the model's branch stack, whose
+    ``MODES`` order the rows share.  Move blocking holds a block's mode
+    fixed, so its i-th step delivers (c_m M_m^i) . [x_start; 1; u]; the last
+    two entries of that row are the step's affine terms.  A block's start
+    states depend only on the modes of the blocks before it (3^j of them for
+    block j), so each block's powers are one product of these rows with its
+    start states, offset and gain columns side by side: the offset column
+    carries the constant 1, and the input row holds the current block's
+    flow, 1 in its gain column and 0 elsewhere.  A storing block's b_m is
+    zero, so its gain column stays exactly zero.  Only the blocks before the
+    last are stepped, one product per step, to produce the next block's
     start states; no sequence's state trajectory is formed (``trajectory``
     does that, for one sequence).
     ``power_rows`` is ``power_linear_rows(grid, params, cfg.dt)``.
     """
     x0 = validate_state(x0, model.nu)
     nb = len(cfg.blocks)
+    n = model.n
     r_now, r_next, p_const = power_rows
-    A, b, f = model.A, model.b, model.f
 
-    # rows[m, i] = c_m A_m^i for i below the longest block; terms[m, i] holds
-    # the i-th step's affine terms, e_m and d_m plus the running sums of
-    # rows . f_m and rows . b_m.
-    rows = np.empty((len(MODES), max(cfg.blocks), model.n))
-    rows[:, 0] = r_now + r_next @ A
+    M = np.zeros((len(MODES), n + 2, n + 2))
+    M[:, :n, :n] = model.A
+    M[:, :n, n] = model.f
+    M[:, :n, n + 1] = model.b
+    M[:, n, n] = M[:, n + 1, n + 1] = 1.0
+    # rows[m, i] = c_m M_m^i for i below the longest block.
+    rows = np.empty((len(MODES), max(cfg.blocks), n + 2))
+    rows[:, 0] = r_next @ M[:, :n]
+    rows[:, 0, :n] += r_now
+    rows[:, 0, n] += p_const
     for i in range(1, rows.shape[1]):
-        rows[:, i] = (rows[:, i - 1, None, :] @ A)[:, 0]
-    drive = np.stack([f, b], axis=-1)
-    terms = np.zeros(rows.shape[:2] + (2,))
-    terms[:, 1:] = np.cumsum((rows @ drive)[:, :-1], axis=1)
-    terms += (r_next @ drive + [p_const, 0.0])[:, None]
+        rows[:, i] = (rows[:, i - 1, None, :] @ M)[:, 0]
 
     grid_shape = (len(MODES),) * nb
     p_off = np.empty(grid_shape + (cfg.horizon,))
     p_gain = np.empty(grid_shape + (cfg.horizon, nb))
     # Start states of the current block, one per mode prefix: column 0 is
     # the offset, column 1 + j the gain of block j.
-    starts = np.zeros((1, model.n, 1 + nb))
-    starts[0, :, 0] = x0
+    starts = np.zeros((1, n + 2, 1 + nb))
+    starts[0, :n, 0] = x0
+    starts[0, n, 0] = 1.0
     k = 0
     for j, length in enumerate(cfg.blocks):
+        # The input row now stands for block j's flow.
+        starts[:, n + 1] = 0.0
+        starts[:, n + 1, 1 + j] = 1.0
         # powers[p, m, i]: i-th step of block j in mode m from start p.
         powers = rows[None, :, :length] @ starts[:, None]
-        powers[..., 0] += terms[:, :length, 0]
-        powers[..., 1 + j] += terms[:, :length, 1]
         # The block's powers hold for every mode of the blocks after it.
         prefix = grid_shape[:j + 1] + (1,) * (nb - 1 - j) + (length,)
         p_off[..., k:k + length] = powers[..., 0].reshape(prefix)
@@ -299,12 +304,19 @@ def condense(model: PwaModel, cfg: OcpConfig, x0: np.ndarray,
         if j + 1 < nb:
             states = starts[:, None]
             for _ in range(length):
-                states = A @ states
-                states[..., 0] += f
-                states[..., 1 + j] += b
-            starts = states.reshape(-1, model.n, 1 + nb)
+                states = M @ states
+            starts = states.reshape(-1, n + 2, 1 + nb)
     # The grid flattened in C order is the sequence table's order.
     return p_off.reshape(-1, cfg.horizon), p_gain.reshape(-1, cfg.horizon, nb)
+
+
+@functools.cache
+def _input_weight(cfg: OcpConfig) -> np.ndarray:
+    """The pumping term's block Hessian diag(q_u * block length), built once
+    per config (read-only)."""
+    weight = np.diag(cfg.q_u * np.asarray(cfg.blocks, dtype=float))
+    weight.flags.writeable = False
+    return weight
 
 
 def build_cost(power: tuple[np.ndarray, np.ndarray], demand: np.ndarray,
@@ -336,13 +348,11 @@ def build_cost(power: tuple[np.ndarray, np.ndarray], demand: np.ndarray,
     balance_s = cfg.balance_hours * 3600.0
     e_gain = cfg.dt * p_gain_mw.sum(axis=1) / balance_s
     e_off = (cfg.dt * p_off.sum(axis=1) + b_past) / (balance_s * W_PER_MW)
-    block_len = np.asarray(cfg.blocks, dtype=float)
 
     weighted_t = cfg.q_d * p_gain_mw.transpose(0, 2, 1)
     H = np.zeros((n_seq, nv, nv))
     g = np.zeros((n_seq, nv))
-    H[:, :nb, :nb] = 2.0 * (weighted_t @ p_gain_mw
-                            + np.diag(cfg.q_u * block_len)
+    H[:, :nb, :nb] = 2.0 * (weighted_t @ p_gain_mw + _input_weight(cfg)
                             + cfg.q_e * (e_gain[:, :, None] * e_gain[:, None, :]))
     g[:, :nb] = 2.0 * (np.matmul(weighted_t, p_err_mw[:, :, None])[..., 0]
                        + cfg.q_e * e_off[:, None] * e_gain)
@@ -459,7 +469,6 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
     status = np.full(n_seq, "pruned", dtype="U10")
     flows = np.full((n_seq, nb), np.nan)
     slacks = np.full(n_seq, np.nan)
-    kkt = np.full(n_seq, np.nan)
     # Sequences are visited in ascending key, a raised bound less a margin
     # for rounding in the bound itself, and the search stops at the first key
     # above the incumbent's limit.  The incumbent only falls and costs are
@@ -485,7 +494,7 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
         x = None
         if result.status == "optimal":
             x = trajectory(model, cfg, x0, table.modes[s], z[:nb])
-            if (max(np.max(x[1:] - x_max), np.max(x_min - x[1:])) - z[nb]
+            if (max((x[1:] - x_max).max(), (x_min - x[1:]).max()) - z[nb]
                     > _FEAS_TOL):
                 # The box optimum leaves the soft box: solve the full QP.
                 # Its trajectory is rolled out for the winner only.
@@ -496,7 +505,7 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
                 z[free] = result.z_star
                 x = None
         total = result.value + const[s]
-        status[s], costs[s], kkt[s] = result.status, total, result.kkt_residual
+        status[s], costs[s] = result.status, total
         flows[s], slacks[s] = z[:nb], z[nb]
         if result.status == "optimal":
             optimal[s] = x
@@ -512,9 +521,9 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
 
     tol = 1e-9 * max(1.0, abs(incumbent))
     near = [s for s in optimal if costs[s] <= incumbent + tol]
-    s = min(near, key=lambda s: (np.count_nonzero(table.pumping[s]),
-                                 float(np.linalg.norm(flows[s])),
-                                 table.names[s]))
+    s = near[0] if len(near) == 1 else min(
+        near, key=lambda s: (np.count_nonzero(table.pumping[s]),
+                             float(np.linalg.norm(flows[s])), table.names[s]))
     total, x_pred = costs[s], optimal[s]
 
     u_blocks = np.clip(flows[s], table.lo[s], table.hi[s])
@@ -529,8 +538,8 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
     p_pred = p_off[s] + p_gain[s] @ u_blocks
 
     demand = np.asarray(demand, dtype=float)
-    slack_used = max(0.0, float(np.max(x_pred[1:] - x_max)),
-                     float(np.max(x_min - x_pred[1:])))
+    slack_used = max(0.0, float((x_pred[1:] - x_max).max()),
+                     float((x_min - x_pred[1:]).max()))
     p_mw = p_pred / W_PER_MW
     d_mw = demand / W_PER_MW
     e_avg_mw = (cfg.dt * p_pred.sum() + b_past) / (cfg.balance_hours * 3600.0
@@ -545,8 +554,8 @@ def solve_ocp(x0: np.ndarray, demand: np.ndarray, b_past: float, cfg: OcpConfig,
     counts = dict(zip(PLAN_COUNTS, (solved,
                                     int(np.count_nonzero(status == "stalled")),
                                     int(snap.sum()), soft_rows_added)))
-    for a in (status, costs, flows, slacks, kkt):
+    for a in (status, costs, flows, slacks):
         a.flags.writeable = False
     return OcpSolution(u_blocks, table.names[s], x_pred, p_pred, total, terms,
                        slack_used, counts, table.names, status, costs, flows,
-                       slacks, kkt)
+                       slacks)

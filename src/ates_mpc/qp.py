@@ -91,11 +91,15 @@ def _iteration_cap(m: int, p: int) -> int:
 def _kkt_residual(qp: Qp, z: np.ndarray, G: np.ndarray, rows: list[int],
                   lam: np.ndarray, slack: np.ndarray) -> float:
     """Worst KKT violation of ``z`` with multipliers ``lam`` on ``rows`` of
-    ``G`` (zero elsewhere); ``slack`` is ``G z - h``."""
-    stat = qp.H @ z + qp.g + lam @ G[rows]
+    ``G`` (zero elsewhere); ``slack`` is ``G z - h``.  With no rows the
+    multiplier terms are zero and are not formed."""
+    stat = qp.H @ z + qp.g
     scale = max(1.0, float(np.abs(qp.g).max(initial=0.0)))
-    return max(float(np.abs(stat).max()) / scale,
-               max(0.0, float(slack.max(initial=0.0))),
+    primal = max(0.0, float(slack.max(initial=0.0)))
+    if not rows:
+        return max(float(np.abs(stat).max()) / scale, primal)
+    stat += lam @ G[rows]
+    return max(float(np.abs(stat).max()) / scale, primal,
                max(0.0, float((-lam).max(initial=0.0))),
                float(np.abs(lam * slack[rows]).max(initial=0.0)) / scale)
 
@@ -132,8 +136,10 @@ def solve_qp(qp: Qp) -> QpResult:
     while it < _iteration_cap(m, h.size):
         if add < 0:
             slack = G @ z - h
-            viol = slack.copy()
-            viol[work] = -np.inf
+            viol = slack
+            if work:
+                viol = slack.copy()
+                viol[work] = -np.inf
             add = int(np.argmax(viol)) if h.size else -1
             if add < 0 or viol[add] <= _FEAS_TOL:
                 if work and slack[work].any():

@@ -636,6 +636,33 @@ def test_bound_and_prune_matches_exhaustive_enumeration(grid, params, hx, cfg):
     assert pruned > 0.5 * 27 * instants
 
 
+@pytest.mark.parametrize("blocks", [(1, 4, 7), (2, 3, 1), (1, 1, 1), (5,),
+                                    (2, 2), (3, 1, 1, 2)],
+                         ids=lambda blocks: "-".join(map(str, blocks)))
+def test_condense_matches_per_sequence_reference_on_any_layout(
+        grid, params, hx, cfg, blocks):
+    # The input row of the start states is reset at each block, so which
+    # gain column a block's steps fill depends on the layout.
+    cfg = dataclasses.replace(cfg, blocks=blocks)
+    rows = power_linear_rows(grid, params, DT)
+    table = sequence_table(cfg)
+    for x0, u_prev in ((charged_state(grid, params), 0.01),
+                       (np.full(grid.n_states, params.t_amb), -0.02)):
+        model = build_pwa(grid, params, hx, DT, x0, u_prev)
+        p_off, p_gain = condense(model, cfg, x0, rows)
+        assert p_off.shape == (3 ** len(blocks), cfg.horizon)
+        assert p_gain.shape == p_off.shape + (len(blocks),)
+        for s, modes in enumerate(table.modes):
+            offsets, gains, ref_off, ref_gain = per_sequence_condense(
+                model, modes, cfg, x0, rows)
+            assert_within_dot_rounding(p_off[s], ref_off, rows, offsets)
+            assert_within_dot_rounding(p_gain[s], ref_gain, rows, gains)
+            # Exact zeros where the reference has them: a storing block's
+            # column, and any block's column before its first step.
+            assert np.all(p_gain[s][:, ~table.pumping[s]] == 0.0)
+            assert np.array_equal(p_gain[s] == 0.0, ref_gain == 0.0)
+
+
 def test_raised_bound_is_exact_below_the_box_optimum(grid, params, hx, cfg):
     # A sequence whose unconstrained minimiser breaks a flow interval has its
     # bound raised by the one flow bound it breaks most.  The raised bound

@@ -297,3 +297,62 @@ def test_positive_definite_hessian_is_factored_once(monkeypatch):
             G=np.array([[1.0, 1.0]]), h=np.array([0.5]))
     assert solve_qp(qp).status == "optimal"
     assert calls == [(2, 2)]
+
+
+def kkt_residual_written_out(qp, z, rows, lam):
+    """The solver's KKT residual in full: stationarity and complementarity
+    with the multipliers ``lam`` on ``rows`` (zero elsewhere), relative to
+    the largest gradient entry, then row violation and multiplier sign."""
+    slack = qp.G @ z - qp.h
+    stat = qp.H @ z + qp.g + lam @ qp.G[rows]
+    scale = max(1.0, float(np.abs(qp.g).max(initial=0.0)))
+    return max(float(np.abs(stat).max()) / scale,
+               max(0.0, float(slack.max(initial=0.0))),
+               max(0.0, float((-lam).max(initial=0.0))),
+               float(np.abs(lam * slack[rows]).max(initial=0.0)) / scale)
+
+
+@pytest.mark.parametrize("case", ["free", "grazing", "active"])
+def test_kkt_residual_matches_its_definition(case, monkeypatch):
+    # With no active row the solver skips the multiplier terms; the residual,
+    # the minimiser and the value must be those of the full definition.
+    # "grazing": the minimiser breaks row 0 by less than the feasibility
+    # tolerance, so no row enters and the residual is that violation.
+    seen = []
+    kkt_residual = ates_mpc.qp._kkt_residual
+
+    def spy(qp, z, G, rows, lam, slack):
+        seen.append((z, list(rows), lam.copy()))
+        return kkt_residual(qp, z, G, rows, lam, slack)
+
+    monkeypatch.setattr(ates_mpc.qp, "_kkt_residual", spy)
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        m = int(rng.integers(1, 6))
+        M = rng.standard_normal((m, m))
+        H = M @ M.T + 0.5 * np.eye(m)
+        g = rng.standard_normal(m)
+        G = rng.standard_normal((8, m))
+        J = np.linalg.inv(np.linalg.cholesky(H))
+        z_free = -(J.T @ (J @ g))
+        # The rows hold with a margin at a point that is z_free itself, or
+        # lies beyond row 0 far enough that z_free breaks that row.
+        step = -2.0 * G[0] / (G[0] @ G[0]) if case == "active" else np.zeros(m)
+        h = G @ (z_free + step) + rng.uniform(0.1, 1.0, 8)
+        if case == "grazing":
+            h[0] = G[0] @ z_free - 5e-10
+        qp = Qp(H=H, g=g, G=G, h=h)
+        res = solve_qp(qp)
+        assert res.status == "optimal"
+        z, rows, lam = seen.pop()
+        assert z is res.z_star and sorted(rows) == list(res.active_set)
+        if case == "active":
+            assert rows
+        else:
+            assert rows == [] and lam.size == 0 and res.iterations == 0
+            assert np.array_equal(res.z_star, z_free)
+        if case == "grazing":
+            assert 0.0 < res.kkt_residual <= 1e-9
+        assert res.kkt_residual == kkt_residual_written_out(qp, z, rows, lam)
+        assert res.value == (0.5 * float(res.z_star @ H @ res.z_star)
+                             + float(g @ res.z_star))

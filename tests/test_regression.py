@@ -4,9 +4,12 @@ The reference in ``tests/data/closed_loop_432h.json`` holds each hour's
 applied mode, flow and accumulated balance of the default scenario.  A change
 that only moves rounding keeps every mode and stays far inside the bounds; a
 change of behaviour flips a mode or moves a flow well past them.  The bounds
-sit above the figures of a known rounding perturbation (swapping the branch
-step's ``np.matvec`` for ``X @ A.T`` moved u by at most 2.6e-12 m^3/s and
-B_past by 4.6e-10 MWh) and far below any mode flip.
+sit above the figures of known rounding perturbations and far below any
+mode flip.  Swapping the branch step's ``np.matvec`` for ``X @ A.T`` moved
+u by at most 2.6e-12 m^3/s and B_past by 4.6e-10 MWh.  Writing ``condense``
+in homogeneous coordinates (the affine terms summed as matrix products
+instead of running sums) moved u by at most 1.4e-16 m^3/s and B_past by
+4.3e-13 MWh.
 
 Regenerate the reference (only for an intended change of behaviour) with
 ``PYTHONPATH=src python tests/test_regression.py``.
