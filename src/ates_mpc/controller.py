@@ -25,12 +25,13 @@ rows (``soft_rows``); ``trajectory`` steps the states for both.
 
 The objective is evaluated with powers in MW throughout: the tracking term
 compares predicted and demanded power in MW, and the energy-balance term
-expresses its energy argument as the equivalent average power over the
-horizon, also in MW.  Under this common scale the reference weights (the
-keys ``q_u``, ``q_d`` and ``q_e`` of ``scenario._DEFAULTS``) trade off
-sensibly: the controller tracks the demand closely while the accumulated
-balance acts as a seasonal restoring pressure of a few hundred MWh rather
-than freezing delivery outright.
+expresses its energy argument as the equivalent average power over an 80 h
+window (``OcpConfig.balance_hours``), also in MW.  Under this common scale
+the reference weights (the keys ``q_u``, ``q_d`` and ``q_e`` of
+``scenario._DEFAULTS``) trade off sensibly: the controller tracks the demand
+closely while the accumulated balance acts as a seasonal restoring pressure
+of a few hundred MWh rather than freezing delivery outright.  The hourly
+step ``OcpConfig.dt`` and the window are units, not settings.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -54,7 +55,13 @@ W_PER_MW = 1e6
 
 @dataclass(frozen=True)
 class OcpConfig:
-    dt: float
+    # Units, not settings: the plant, the model, the ledger and the demand
+    # series all step by dt [s], and the balance term averages the stored
+    # energy over balance_hours [h] into a power on the tracking term's scale.
+    # Like W_PER_MW, the window is a unit: the cost reads it only as
+    # q_e / balance_hours^2, so q_e alone weights the balance term.
+    dt: ClassVar[float] = 3600.0
+    balance_hours: ClassVar[float] = 80.0
     blocks: tuple[int, ...]
     u_max: float  # flow limit of either direction [m^3/s]
     warm_bounds: tuple[float, float]
@@ -63,19 +70,10 @@ class OcpConfig:
     q_d: float
     q_e: float
     slack_weight: float
-    # Averaging window [h] that converts the accumulated energy balance into
-    # an equivalent power on the tracking term's scale; it sets how strongly
-    # a given stored imbalance pushes back against demand tracking.
-    balance_hours: float
 
     def __post_init__(self):
         # Each check is written so that a NaN fails it.
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ParameterError(f"time step must be finite and positive, got {self.dt}")
-        if not self.balance_hours > 0.0:
-            raise ParameterError(
-                f"balance_hours must be positive, got {self.balance_hours!r}")
-        if min(self.blocks) < 1:
+        if not (self.blocks and min(self.blocks) >= 1):
             raise ParameterError(
                 f"every block must hold at least one step, got {self.blocks}")
         if not self.u_max > 0.0:

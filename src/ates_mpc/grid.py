@@ -49,7 +49,7 @@ def build_grid(r0: float, r_inf: float, nu: int, l: float) -> RadialGrid:
         raise ParameterError(f"need 0 < r0 < r_inf, got r0={r0}, r_inf={r_inf}")
     if nu < 1:
         raise ParameterError(f"cell count must be >= 1, got {nu}")
-    if l <= 0.0:
+    if not l > 0.0:  # a NaN fails it too
         raise ParameterError(f"filter length must be positive, got {l}")
     edges = np.linspace(r0, r_inf, nu + 1)
     midpoints = 0.5 * (edges[:-1] + edges[1:])

@@ -60,7 +60,7 @@ class HxLinearization:
 
 def hx_outlet_temp(t_in: float, u: float, q_b: float, t_b: float) -> float:
     """Nonlinear ATES-side outlet temperature of the heat exchanger."""
-    if q_b <= 0.0:
+    if not q_b > 0.0:  # a NaN fails it too
         raise ParameterError(f"building-side flow must be positive, got {q_b}")
     return q_b / (q_b + abs(u)) * (t_b - t_in) + t_in
 
@@ -73,7 +73,7 @@ def linearize_hx(t_in_ref: float, u_ref: float, params: HxParams, mode: Mode) ->
     (or vice versa) is rejected.
     """
     sign = 1.0 if mode == "heating" else -1.0
-    if u_ref * sign < 0.0:
+    if not u_ref * sign >= 0.0:  # a NaN fails it too
         raise ParameterError(
             f"expansion flow {u_ref} contradicts the sign region of mode '{mode}'")
     t_b = params.t_b(mode)

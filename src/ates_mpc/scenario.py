@@ -4,8 +4,9 @@ Config files are flat UTF-8 ``key = value`` text, each key set at most
 once, with units spelled out in the key names.  ``_DEFAULTS`` is the one
 table of the reference parameterization: every key falls back to it, so an
 empty file is a valid scenario, and no config dataclass carries a default of
-its own.  Demand series are two-column CSV (ISO-8601 UTC timestamp, power
-in W, positive = heat demand).
+its own.  The hourly step and the balance window are units, constants of
+``OcpConfig``, not keys.  Demand series are two-column CSV (ISO-8601 UTC
+timestamp one hour after the row before, power in W, positive = heat demand).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .power import J_PER_MWH
 from .pwa import build_extraction_system
 
 HOURS_PER_YEAR = 8760
+_STEP = _dt.timedelta(seconds=OcpConfig.dt)
 # Hour 0 of a synthetic demand series: the start of October.
 _DEMAND_START = _dt.datetime(2004, 10, 1, tzinfo=_dt.timezone.utc)
 
@@ -73,7 +75,6 @@ _DEFAULTS: dict[str, float | int] = {
     "t_building_heating_k": 274.0,
     "t_building_cooling_k": 293.0,
     "u_max_m3_per_s": 0.0277,
-    "dt_s": 3600.0,
     "block_1_steps": 1,
     "block_2_steps": 4,
     "block_3_steps": 7,
@@ -84,7 +85,6 @@ _DEFAULTS: dict[str, float | int] = {
     "q_u": 1.0,
     "q_d": 1994.4e-6,
     "q_e": 0.001,
-    "balance_window_h": 80.0,
     "slack_weight_per_k2": 1e6,
     "process_noise_var_k2": 0.05**2,
     "measurement_noise_var_k2": 0.01**2,
@@ -149,14 +149,12 @@ def scenario_from_values(values: dict) -> Scenario:
         hx = HxParams(values["q_b_m3_per_s"], values["t_building_heating_k"],
                       values["t_building_cooling_k"])
         ocp = OcpConfig(
-            dt=values["dt_s"],
             blocks=(values["block_1_steps"], values["block_2_steps"],
                     values["block_3_steps"]),
             u_max=values["u_max_m3_per_s"],
             warm_bounds=(values["warm_min_k"], values["warm_max_k"]),
             cold_bounds=(values["cold_min_k"], values["cold_max_k"]),
             q_u=values["q_u"], q_d=values["q_d"], q_e=values["q_e"],
-            balance_hours=values["balance_window_h"],
             slack_weight=values["slack_weight_per_k2"])
         build_extraction_system(grid, params, ocp.dt)
         ukf = UkfConfig(
@@ -212,7 +210,8 @@ def _parse_timestamp(text: str) -> _dt.datetime:
 
 def load_demand_csv(path: str) -> np.ndarray:
     """Hourly demand in W; empty and NaN value fields are linearly
-    interpolated, and an infinite one is an error."""
+    interpolated, and an infinite one is an error.  Consecutive timestamps
+    must be exactly one step (``OcpConfig.dt``) apart."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -240,8 +239,8 @@ def load_demand_csv(path: str) -> np.ndarray:
                                 f"is not finite")
         values.append(value)
     for a, b in zip(stamps, stamps[1:]):
-        if b <= a:
-            raise ScenarioError(f"demand timestamps must be strictly increasing "
+        if b - a != _STEP:
+            raise ScenarioError(f"demand timestamps must be one hour apart "
                                 f"({a.isoformat()} then {b.isoformat()})")
     series = np.asarray(values, dtype=float)
     missing = np.isnan(series)
@@ -268,7 +267,7 @@ def write_demand_csv(path: str, demand: np.ndarray) -> None:
             writer = csv.writer(fh)
             writer.writerow(["timestamp", "demand_w"])
             for k, value in enumerate(np.asarray(demand, dtype=float)):
-                stamp = _DEMAND_START + _dt.timedelta(hours=k)
+                stamp = _DEMAND_START + k * _STEP
                 writer.writerow([stamp.isoformat(), repr(float(value))])
     except OSError as exc:
         raise ScenarioError(f"cannot write demand to {path!r}: {exc}") from exc
@@ -298,9 +297,8 @@ def gen_synthetic_demand(seed: int, year_hours: int, heat_total: float,
     raw = seasonal * daily * noise
     pos = np.clip(raw, 0.0, None)
     neg = np.clip(raw, None, 0.0)
-    dt = 3600.0
-    pos_sum = pos.sum() * dt
-    neg_sum = -neg.sum() * dt
+    pos_sum = pos.sum() * OcpConfig.dt
+    neg_sum = -neg.sum() * OcpConfig.dt
     demand = np.zeros(year_hours)
     if pos_sum > 0.0 and heat_total > 0.0:
         demand += pos * (heat_total / pos_sum)

@@ -1,3 +1,5 @@
+import datetime
+
 import numpy as np
 import pytest
 
@@ -18,9 +20,10 @@ def test_missing_scenario_file_is_usage_error(capsys):
 
 
 # Each value is rejected when the scenario is built: the radial grid, the
-# move blocking, the heat exchanger, the aquifer's constituents, the time
-# step, the model's explicit step and the seed.  A key set twice and a key
-# the config table lacks are rejected where the config is read.
+# move blocking, the heat exchanger, the aquifer's constituents, the model's
+# explicit step and the seed.  A key set twice and a key the config table
+# lacks are rejected where the config is read: the hourly step and the
+# balance window are units, so ``dt_s`` and ``balance_window_h`` are not keys.
 @pytest.mark.parametrize("line, message", [
     ("nu = 0", "cell count must be >= 1"),
     ("block_1_steps = 0", "at least one step"),
@@ -29,12 +32,12 @@ def test_missing_scenario_file_is_usage_error(capsys):
      "heating inlet must be colder than the cooling inlet"),
     ("c_r_j_per_m3_k = -1", "heat capacities must be positive"),
     ("porosity = 1.5", "porosity must lie in [0, 1], got 1.5"),
-    ("dt_s = 0", "time step must be finite and positive, got 0.0"),
-    ("dt_s = -3600", "time step must be finite and positive, got -3600.0"),
-    ("dt_s = 1e7", "diffusion number"),
+    ("lambda_w_per_m_k = 1e5", "diffusion number"),
     ("seed = -1", "seed must be nonnegative, got -1"),
     ("seed = 1\nseed = 2", "line 2: config key 'seed' repeats line 1"),
     ("ukf_kappa = 5", "unknown config key 'ukf_kappa'"),
+    ("dt_s = 3600", "unknown config key 'dt_s'"),
+    ("balance_window_h = 80", "unknown config key 'balance_window_h'"),
 ])
 def test_bad_scenario_value_is_config_error(tmp_path, capsys, line, message):
     config = tmp_path / "bad.cfg"
@@ -109,6 +112,27 @@ def test_bad_demand_csv_value_is_config_error(tmp_path, capsys, value,
     assert message in err
 
 
+# The model steps hourly, so a demand CSV's rows must be exactly one hour
+# apart: a gap, a repeated stamp or a half-hourly series is a config error
+# that names both stamps.
+@pytest.mark.parametrize("hours, first", [
+    ([0, 1, 3, 4], 1), ([0, 1, 1, 2], 1), ([0, 0.5, 1, 1.5], 0),
+], ids=["gap_2h", "repeat", "half_hourly"])
+def test_demand_csv_off_the_hour_is_config_error(tmp_path, capsys, hours,
+                                                 first):
+    start = datetime.datetime(2004, 10, 1, tzinfo=datetime.timezone.utc)
+    stamps = [(start + datetime.timedelta(hours=h)).isoformat() for h in hours]
+    demand = tmp_path / "d.csv"
+    demand.write_text("timestamp,demand_w\n"
+                      + "".join(f"{stamp},1e5\n" for stamp in stamps))
+    config = tmp_path / "d.cfg"
+    config.write_text(f"demand_csv = {demand}\nduration_steps = 2\n")
+    assert main(["run", "--scenario", str(config), "--steps", "1"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: demand timestamps must be one hour apart "
+        f"({stamps[first]} then {stamps[first + 1]})\n")
+
+
 def test_gen_demand_writes_csv(tmp_path, capsys):
     out = tmp_path / "demand.csv"
     assert main(["gen-demand", "--out", str(out), "--steps", "72",
@@ -118,6 +142,10 @@ def test_gen_demand_writes_csv(tmp_path, capsys):
     # The seeded scenario's own demand, every value read back exactly.
     demand = scenario_from_values(_parse_config_text("seed = 9")).demand
     assert np.array_equal(series, demand[:72])
+    # Its rows are one model step apart, so a scenario runs on it.
+    config = tmp_path / "d.cfg"
+    config.write_text(f"demand_csv = {out}\nduration_steps = 72\n")
+    assert main(["run", "--scenario", str(config), "--steps", "2"]) == 0
 
 
 # The ``run`` sidecar's keys, in the order it writes them.

@@ -7,12 +7,13 @@ import pytest
 from scipy.optimize import nnls
 
 from ates_mpc import (ControllerFault, ParameterError, Qp, QpResult,
-                      build_pwa, power_bilinear, pwa_step, solve_ocp,
-                      solve_qp)
+                      build_grid, build_pwa, hx_outlet_temp, power_bilinear,
+                      pwa_step, solve_ocp, solve_qp)
 from ates_mpc import controller
 from ates_mpc.controller import (W_PER_MW, build_cost, condense,
                                  power_linear_rows, sequence_table, soft_rows,
                                  trajectory)
+from ates_mpc.heat_exchanger import linearize_hx
 from ates_mpc.pwa import MODES, mode_of
 
 from test_acceptance import smooth_random_state
@@ -58,12 +59,9 @@ def test_config_validation(cfg):
         dataclasses.replace(cfg, warm_bounds=(293.0, 284.0))
     with pytest.raises(ParameterError):
         dataclasses.replace(cfg, q_d=-1.0)
-    for dt in (np.nan, 0.0, -1.0):
-        with pytest.raises(ParameterError, match="time step"):
-            dataclasses.replace(cfg, dt=dt)
 
 
-@pytest.mark.parametrize("kw", [dict(balance_hours=np.nan),
+@pytest.mark.parametrize("kw", [dict(q_d=np.nan),
                                 dict(warm_bounds=(np.nan, 293.0)),
                                 dict(cold_bounds=(273.15, np.nan)),
                                 dict(q_u=np.nan), dict(q_e=np.nan),
@@ -71,6 +69,21 @@ def test_config_validation(cfg):
 def test_config_rejects_nan(cfg, kw):
     with pytest.raises(ParameterError):
         dataclasses.replace(cfg, **kw)
+
+
+# The public constructors' checks are written so that a NaN fails them; an
+# empty block list is a config error, not a failure of ``min``.
+@pytest.mark.parametrize("build", [
+    lambda cfg, hx: build_grid(0.4, 60.0, 20, np.nan),
+    lambda cfg, hx: hx_outlet_temp(285.0, 0.01, np.nan, 274.0),
+    lambda cfg, hx: linearize_hx(285.0, np.nan, hx, "heating"),
+    lambda cfg, hx: linearize_hx(285.0, np.nan, hx, "cooling"),
+    lambda cfg, hx: dataclasses.replace(cfg, blocks=()),
+], ids=["grid_length", "hx_flow", "hx_expansion_heating",
+        "hx_expansion_cooling", "no_blocks"])
+def test_constructor_rejects_nan_and_empty(cfg, hx, build):
+    with pytest.raises(ParameterError):
+        build(cfg, hx)
 
 
 def test_state_bounds_layout(cfg):

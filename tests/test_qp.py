@@ -356,3 +356,67 @@ def test_kkt_residual_matches_its_definition(case, monkeypatch):
         assert res.kkt_residual == kkt_residual_written_out(qp, z, rows, lam)
         assert res.value == (0.5 * float(res.z_star @ H @ res.z_star)
                              + float(g @ res.z_star))
+
+
+# Two nearly opposite rows, their normals' cosine -1 + 1e-15, as a random
+# QP's rows copied with a sign and perturbed by 1e-12 to 1e-6 make them.
+# The unconstrained minimiser breaks row 1, which enters; entering row 0 then
+# moves z along a direction almost inside row 1's face, which drifts above
+# the feasibility tolerance (by 1.2e-8 and 2.2e-9 here).  Active rows are
+# masked out of the search for the next row to add, and z is moved back
+# onto them at the end.  Without the mask the drifted row is added again:
+# the first QP stalls at the iteration cap, the second takes 4 iterations.
+NEAR_OPPOSITE_ROW_QPS = {
+    "stall": (
+        [[4.620713566501337, -2.4738073775325384, 4.765775460468915,
+          3.326499320631616],
+         [-2.4738073775325384, 4.779048903401551, -2.944891737798614,
+          0.6930412267273963],
+         [4.765775460468915, -2.944891737798614, 6.548612203456292,
+          3.974479121472381],
+         [3.326499320631616, 0.6930412267273963, 3.974479121472381,
+          6.347241456679971]],
+        [3.404961613797736, -4.834002109977288, -0.09873337653073885,
+         0.3013964504669032],
+        [[0.7250853490759611, 0.09165973514345817, -0.395253877965436,
+          -0.7629216968461064],
+         [-0.7250853617188775, -0.09165972578881679, 0.395253865725962,
+          0.7629216540975889]],
+        [0.08576182342124959, -0.0857617568915649]),
+    "extra_iterations": (
+        [[3.4150935204950996, 1.2351594078953512, 1.0216193928167394,
+          -0.14884028362728471],
+         [1.2351594078953512, 4.188945796136605, -2.001197165579607,
+          -0.6167354569241168],
+         [1.0216193928167394, -2.001197165579607, 2.754879019992427,
+          0.01722103602204155],
+         [-0.14884028362728471, -0.6167354569241168, 0.01722103602204155,
+          7.839960774588865]],
+        [-0.5235889406024429, 2.9785936172410867, 1.5229494713182061,
+         -3.192220107267123],
+        [[0.1299235670624489, -0.7519075128312723, 1.9993563745046836,
+          0.8438075653786208],
+         [-0.12992364136553422, 0.7519067055494159, -1.9993560647940813,
+          -0.8438066234800691]],
+        [-0.7342073477453948, 0.7342070461296348]),
+}
+
+
+@pytest.mark.parametrize("case", list(NEAR_OPPOSITE_ROW_QPS))
+def test_drifted_active_row_is_not_added_again(case):
+    H, g, G, h = map(np.array, NEAR_OPPOSITE_ROW_QPS[case])
+    qp = Qp(H=H, g=g, G=G, h=h)
+    res = solve_qp(qp)
+    assert res.status == "optimal"
+    assert res.iterations == 2 and res.active_set == (0, 1)
+    assert res.kkt_residual <= 1e-8
+    assert np.all(G @ res.z_star <= h + 1e-9)
+    ref = minimize(lambda z: 0.5 * z @ H @ z + g @ z, np.zeros(4),
+                   jac=lambda z: H @ z + g,
+                   constraints=[{"type": "ineq", "fun": lambda z: h - G @ z,
+                                 "jac": lambda z: -G}],
+                   method="SLSQP", options={"maxiter": 500, "ftol": 1e-15})
+    assert ref.success
+    # SLSQP stops within about 1e-8 of the optimum on this thin slab.
+    assert np.allclose(res.z_star, ref.x, rtol=0.0, atol=1e-7)
+    assert res.value == pytest.approx(ref.fun, rel=1e-6)
