@@ -4,7 +4,7 @@ The dynamics seen by the filter are affine for any fixed applied flow, so the
 unscented transform is exact here and the filter coincides with a Kalman
 filter on each branch; the sigma-point machinery keeps the implementation
 independent of that structure.  The step function maps the whole row stack
-of sigma points in one call, so an affine step is one batched product.
+of sigma points in one call, so an affine step is one matrix product.
 State bounds are enforced by clipping the mean (estimate projection); the
 covariance is left as it is, so box-pinned states keep their uncertainty.
 ``predict`` and ``update`` only symmetrise the covariance; ``sigma_points``

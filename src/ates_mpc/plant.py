@@ -9,7 +9,10 @@ advection CFL inside their stability limits.
 Both aquifers share one padded array, row 0 warm and row 1 cold, each row
 holding its borehole entry, its fine cells and the hour's far-field
 temperature.  Each substep is one conservative upwind pass along the
-flattened array, whose padding columns keep the rows apart, and the optional
+flattened array, whose padding columns keep the rows apart: a three-point
+increment whose weights (conduction plus upwind advection) are fixed for
+the hour, so they are formed once per hour and each substep only takes the
+edge differences and adds their weighted sum.  The optional
 discrete-maximum-principle audit checks every new cell value against the
 envelope of its old three-point stencil on the same array.
 """
@@ -116,7 +119,8 @@ def init_truth(cfg: TruthConfig, coarse: RadialGrid, params: AquiferParams) -> T
         fields=np.full((2, grid.nu + 2), params.t_amb),
         lam_warm=lam_warm, lam_cold=lam_cold,
         k_edge=_conductances(np.stack([lam_warm, lam_cold]), grid),
-        # Any nonzero padding will do: truth_step zeroes the padding's rates.
+        # Any nonzero padding will do: the padding's increment
+        # coefficients are 0.
         heat_capacity=_interior(params.c_a * grid.volumes, pad=1.0),
         lam_max=float(max(lam_warm.max(), lam_cold.max())),
         sensor_cells=(0, far_cell),
@@ -174,17 +178,58 @@ def _conductances(lam: np.ndarray, grid: RadialGrid) -> np.ndarray:
     return k.ravel()[:-1]
 
 
+def _increment_coefficients(state: TruthState, u: float,
+                            dt_sub: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-edge weights of one substep over the interior of fields.ravel().
+
+    A substep adds ``c_out * d[1:] - c_in * d[:-1]`` to the interior, where
+    d is the fields' difference across each edge: conduction through each
+    cell's outer and inner edges, dt_sub k / (dr C), plus the upwind
+    advection weight (dt_sub / dr)(c_w / c_a)|v| on the edge the water comes
+    through, the outer one of the extracting row and the inner one of the
+    injecting row.  Both are 0 on the padding, which keeps its value.
+
+    The advection is conservative: the volume flow q is radius-free, so the
+    enthalpy flux through a face is c_w * q * T_upwind and cell gains
+    telescope exactly (V_i = 2 pi r_i dr l makes v_i / dr the same as
+    q / (c_a V_i) up to c_w).
+    """
+    p = state.params
+    grid = state.grid
+    nu, dr = grid.nu, grid.dr
+    k_edge, heat_capacity = state.k_edge, state.heat_capacity
+    c_out = k_edge[1:] * dt_sub / (dr * heat_capacity)
+    c_in = k_edge[:-1] * dt_sub / (dr * heat_capacity)
+    c_out[nu:nu + 2] = 0.0
+    c_in[nu:nu + 2] = 0.0
+    if u != 0.0:
+        # The water velocity is v = q / (2 pi r l) with q = (-u, u): inward
+        # (v < 0) in the extracting row, outward in the injecting one.
+        v = np.array([[-u], [u]]) / (2.0 * np.pi * grid.l * grid.midpoints)
+        w = _interior((dt_sub / dr) * (p.c_w / p.c_a) * v, pad=0.0)
+        c_out -= np.minimum(w, 0.0)
+        c_in += np.maximum(w, 0.0)
+    return c_out, c_in
+
+
 def truth_step(state: TruthState, u: float, hx: HxParams, dt: float,
                audit: bool = False) -> TruthState:
     """Advance both aquifers by one sampling period with explicit substeps.
 
-    The hour's work arrays and their views along fields.ravel() are built
-    once; each substep is a fixed sequence of in-place ufunc calls on them.
-    The boundary energy and the audit's worst excess accumulate in Python
-    floats and are stored once per hour.
+    The hour's increment coefficients (``_increment_coefficients``), work
+    arrays and their views along fields.ravel() are built once; each
+    substep is then five in-place ufunc calls on them and a zero fill of the
+    padding's increment, plus the heat-exchanger write and the audit.
+    Under the substep count's limits the coefficients are nonnegative and
+    sum to at most 1 per cell, so each new value is a convex combination of
+    its old stencil.  The boundary energy and the audit's worst excess
+    accumulate in Python floats and are stored once per hour.
     """
     if not math.isfinite(u):
         raise ParameterError(f"flow must be finite, got {u}")
+    # Written so that a NaN fails it too.
+    if not 0.0 < dt < math.inf:
+        raise ParameterError(f"time step must be positive and finite, got {dt}")
     cfg = state.cfg
     p = state.params
     grid = state.grid
@@ -197,27 +242,25 @@ def truth_step(state: TruthState, u: float, hx: HxParams, dt: float,
 
     n_sub = _substep_count(state, u, dt)
     dt_sub = dt / n_sub
+    c_out, c_in = _increment_coefficients(state, u, dt_sub)
     F = state.fields
     F[:, -1] = t_far
     flat = F.reshape(-1, copy=False)
     # left, mid and right are the interior and its two stencil neighbours;
-    # d is the fields' difference across each edge, the conduction flux (W,
-    # toward growing r) runs through every edge and rates is dT/dt over the
-    # interior, where the net gain of entry i is flux[i + 1] - flux[i].
+    # d is the fields' difference across each edge, d_out and d_in those
+    # across each interior entry's outer and inner edge.
     left, mid, right, upper, lower = (flat[:-2], flat[1:-1], flat[2:],
                                       flat[1:], flat[:-1])
     d = np.empty(flat.size - 1)
-    flux = np.empty(flat.size - 1)
-    flux_out, flux_in = flux[1:], flux[:-1]
-    rates = np.empty(flat.size - 2)
-    rates_pad = rates[nu:nu + 2]  # between the rows; its rate stays 0
-    k_edge, heat_capacity = state.k_edge, state.heat_capacity
+    d_out, d_in = d[1:], d[:-1]
+    inc, tmp = np.empty(mid.size), np.empty(mid.size)
+    inc_pad = inc[nu:nu + 2]  # between the rows
+    k_edge = state.k_edge
     # Heating (u > 0) extracts warm water and injects into the cold row,
-    # cooling the reverse; the water velocity is v = q / (2 pi r l) with
-    # q = (-u, u).  Only the injecting row's borehole face conducts, and
-    # zero-gradient borehole entries follow their first cell: synced here
-    # and after every substep, each substep starts with them in sync, so
-    # the flux through their faces is exactly 0.
+    # cooling the reverse.  Only the injecting row's borehole face conducts,
+    # and zero-gradient borehole entries follow their first cell: synced
+    # here and after every substep, each substep starts with them in sync,
+    # so the difference across their faces is exactly 0.
     inj = None if u == 0.0 else (1 if u > 0.0 else 0)
     if inj is None:
         entries, firsts = F[:, 0], F[:, 1]
@@ -225,16 +268,6 @@ def truth_step(state: TruthState, u: float, hx: HxParams, dt: float,
         ext = 1 - inj
         entries, firsts = F[ext, 0:1], F[ext, 1:2]
         t_b = hx.t_b("heating" if inj == 1 else "cooling")
-        v = np.array([[-u], [u]]) / (2.0 * np.pi * grid.l * grid.midpoints)
-        adv = _interior((p.c_w / p.c_a) * v, pad=0.0)
-        # Outward flow (injection) takes each cell's inner edge, the borehole
-        # face first; inward flow its outer edge, the far face last.
-        grad = np.empty(flat.size - 2)
-        upwind = []
-        for r in (0, 1):
-            cell = r * (nu + 1)
-            edge = cell + (r != inj)
-            upwind.append((d[edge:edge + nu + 1], grad[cell:cell + nu + 1]))
     entries[...] = firsts
     if audit:
         lo, hi = np.empty(mid.size), np.empty(mid.size)
@@ -242,7 +275,8 @@ def truth_step(state: TruthState, u: float, hx: HxParams, dt: float,
     # Enthalpy crosses each boundary face at its upwind temperature: the
     # borehole entry, and the last cell or t_far at the far face.  Per row r
     # with flow q = (-u, u)[r]: r, whether the last cell is upwind, c_w * q
-    # and whether r's borehole face conducts.
+    # and whether r's borehole face conducts.  The conduction flux (W,
+    # toward growing r) through edge e is (k_edge[e] * d[e]) / dr.
     faces = ((0, -u > 0.0, p.c_w * -u, inj == 0),
              (1, u > 0.0, p.c_w * u, inj == 1))
     energy = state.boundary_energy
@@ -255,20 +289,12 @@ def truth_step(state: TruthState, u: float, hx: HxParams, dt: float,
             F[inj, 0] = hx_outlet_temp(F.item(ext, 0), u, hx.q_b, t_b)
 
         np.subtract(upper, lower, out=d)
-        np.multiply(k_edge, d, out=flux)
-        np.divide(flux, dr, out=flux)
-        np.subtract(flux_out, flux_in, out=rates)
-        np.divide(rates, heat_capacity, out=rates)
-        if inj is not None:
-            # Conservative upwind advection: the volume flow q is radius-free,
-            # so the enthalpy flux through a face is c_w * q * T_upwind and
-            # cell gains telescope exactly (V_i = 2 pi r_i dr l makes v_i/dr
-            # the same as q / (c_a V_i) up to c_w).
-            for d_row, grad_row in upwind:
-                np.divide(d_row, dr, out=grad_row)
-            np.multiply(adv, grad, out=grad)
-            np.subtract(rates, grad, out=rates)
-        rates_pad.fill(0.0)
+        np.multiply(c_out, d_out, out=inc)
+        np.multiply(c_in, d_in, out=tmp)
+        np.subtract(inc, tmp, out=inc)
+        # The padding's coefficients are 0, but 0 * NaN is NaN: a non-finite
+        # value next to the padding must not cross into the other row.
+        inc_pad.fill(0.0)
         if audit:
             # Each new value must lie in the envelope of its old three-point
             # stencil (borehole entry and t_far included); the padding keeps
@@ -280,11 +306,11 @@ def truth_step(state: TruthState, u: float, hx: HxParams, dt: float,
         for r, last_upwind, cw_q, conducts in faces:
             t_out = F.item(r, nu) if last_upwind else t_far
             bh = r * (nu + 2)
-            cond_bh = -flux.item(bh) if conducts else 0.0
+            cond_bh = -(k_edge.item(bh) * d.item(bh) / dr) if conducts else 0.0
+            cond_far = k_edge.item(bh + nu) * d.item(bh + nu) / dr
             energy += dt_sub * (cw_q * (F.item(r, 0) - t_out)
-                                + flux.item(bh + nu) + cond_bh)
-        np.multiply(dt_sub, rates, out=rates)
-        np.add(mid, rates, out=mid)
+                                + cond_far + cond_bh)
+        np.add(mid, inc, out=mid)
         if audit:
             np.subtract(mid, hi, out=hi)
             np.subtract(lo, mid, out=lo)

@@ -23,6 +23,10 @@ from each regime's conduction rows and copied by each hourly ``build_pwa``.
 The flow scale and shell factors of the convection gains are built once per
 config too; each hour scales and divides its difference quotients by them in
 place.
+
+``pwa_step`` advances one state as ``A @ x`` and a row stack of states (the
+filter's sigma points) as one matrix product ``X @ A.T``; the stack's rows
+equal single-state steps only to dot-product rounding.
 """
 
 from __future__ import annotations
@@ -83,7 +87,9 @@ def pwa_step(model: PwaModel, x: np.ndarray, u: float) -> np.ndarray:
     """Advance the stacked state one sampling period along the branch of sign(u).
 
     ``x`` is one state ``(n,)`` or a row stack ``(m, n)`` of states, all
-    advanced under the same flow; shape and finiteness are checked once.
+    advanced under the same flow; shape and finiteness are checked once.  A
+    stack steps as one matrix product, ``x @ A.T``, whose rows agree with
+    single-state steps ``A @ row`` to dot-product rounding, not bit for bit.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != model.n:
@@ -94,9 +100,11 @@ def pwa_step(model: PwaModel, x: np.ndarray, u: float) -> np.ndarray:
     if not math.isfinite(u):
         raise ParameterError(f"flow must be finite, got {u}")
     # MODE_SIGNS is (1, 0, -1), so the branch of u sits at 1 - sign(u).
-    # ``np.matvec`` rounds each row like ``A @ row``; ``X @ A.T`` does not.
+    # A stack is one BLAS matrix product; it sums each row's terms in
+    # another order than ``A @ row``.
     i = 1 - (u > 0) + (u < 0)
-    x_next = np.matvec(model.A[i], x)
+    A = model.A[i]
+    x_next = x @ A.T if x.ndim == 2 else A @ x
     x_next += model.b[i] * u
     x_next += model.f[i]
     return x_next
@@ -112,9 +120,13 @@ def _conduction_stencil(grid: RadialGrid, params: AquiferParams, dt: float,
     Dirichlet contribution.  ``inner_coupled`` switches the conductive flux
     through the inner face of cell 1 (on during injection, off otherwise).
     The stencil depends only on its arguments, so it is built once per grid,
-    parameters and ``dt`` and shared read-only; so is the check that the
-    explicit step keeps the diffusion number below 1/2.
+    parameters and ``dt`` and shared read-only; so are the checks that
+    ``dt`` is positive and finite and that the explicit step keeps the
+    diffusion number below 1/2.
     """
+    # Written so that a NaN fails it too.
+    if not 0.0 < dt < math.inf:
+        raise ParameterError(f"time step must be positive and finite, got {dt}")
     nu = grid.nu
     dr = grid.dr
     lam = params.lam

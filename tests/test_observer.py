@@ -138,9 +138,10 @@ def test_predict_steps_all_sigma_points_in_one_call(grid, params, hx,
 
         pred = predict(est, step, cfg)
         assert shapes == [(85, 42)]
-        # Reference: the sigma points stepped one at a time.
+        # Reference: the sigma points stepped as one written-out product.
         points, weights = sigma_points(est)
-        propagated = np.stack([pwa_step(model, p, u) for p in points])
+        br = model.branch(u)
+        propagated = points @ br.A.T + br.b * u + br.f
         mean = weights @ propagated
         centered = propagated - mean
         cov = (centered.T * weights) @ centered + cfg.process_var * np.eye(42)

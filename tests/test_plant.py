@@ -340,6 +340,90 @@ def test_fused_step_matches_reference_over_random_flows(grid, params, hx,
     assert state.boundary_energy != 0.0
 
 
+def test_substep_adds_the_written_out_increment(grid, params, hx, reference,
+                                                monkeypatch):
+    """One substep of a single-spike field is mid + (c_out d[1:] - c_in d[:-1])
+    along the interior of fields.ravel(), its coefficients written out from
+    the conductances, heat capacities and velocities."""
+    state = init_truth(dataclasses.replace(reference.truth, t_amb_noise_amp=0.0),
+                       grid, params)
+    fine, p = state.grid, state.params
+    nu, dr = fine.nu, fine.dr
+    monkeypatch.setattr(plant, "_substep_count", lambda *args: 1)
+    for u in (U_MAX, 0.0, -U_MAX):
+        state.fields[...] = p.t_amb
+        state.warm[60] += 4.0
+        state.cold[90] -= 3.0
+        before = state.fields.copy()
+        if u != 0.0:
+            # The injecting row's borehole entry is the HX outlet temperature.
+            inj, mode = (1, "heating") if u > 0.0 else (0, "cooling")
+            before[inj, 0] = hx_outlet_temp(p.t_amb, u, hx.q_b, hx.t_b(mode))
+        flat = before.ravel()
+        d = flat[1:] - flat[:-1]
+        c_out = state.k_edge[1:] * DT / (dr * state.heat_capacity)
+        c_in = state.k_edge[:-1] * DT / (dr * state.heat_capacity)
+        c_out[nu:nu + 2] = c_in[nu:nu + 2] = 0.0
+        if u != 0.0:
+            weight = (DT / dr) * (p.c_w / p.c_a)
+            shell = 2.0 * np.pi * fine.l * fine.midpoints
+            # Water leaves the extracting row inward (v < 0), upwinded on
+            # the outer edge, and enters the injecting row outward.
+            for row, q in ((0, -u), (1, u)):
+                cells = slice(row * (nu + 2), row * (nu + 2) + nu)
+                v = q / shell
+                if q < 0.0:
+                    c_out[cells] -= weight * v
+                else:
+                    c_in[cells] += weight * v
+        expected = flat[1:-1] + (c_out * d[1:] - c_in * d[:-1])
+        truth_step(state, u, hx, DT)
+        new = state.fields.ravel()[1:-1]
+        assert np.array_equal(new[:nu], expected[:nu])
+        assert np.array_equal(new[nu + 2:], expected[nu + 2:])
+        assert new[nu] == p.t_amb  # the warm row's far-field padding
+
+
+def test_increment_coefficients_are_a_convex_stencil(grid, params, reference):
+    """At every substep count over [-u_max, u_max], at the largest flow of
+    each count, the coefficients are nonnegative, 0 on the padding and sum
+    to at most 1 per cell, so a substep is a convex combination of its old
+    three-point stencil: the discrete maximum principle the audit checks."""
+    state = init_truth(dataclasses.replace(reference.truth, seed=13), grid, params)
+    nu = state.grid.nu
+    flows = list(np.linspace(-U_MAX, U_MAX, 401))
+    counts = {plant._substep_count(state, u, DT) for u in flows}
+    assert counts == set(range(1, max(counts) + 1)) and len(counts) >= 8
+    # The last flow of each count below the top one, in both directions.
+    for n in sorted(counts)[1:]:
+        first = next(u for u in flows if u > 0.0
+                     and plant._substep_count(state, u, DT) == n)
+        below, above = _substep_change(state, first)
+        assert plant._substep_count(state, below, DT) == n - 1
+        flows += [below, above, -above, -below]
+    for u in flows:
+        n_sub = plant._substep_count(state, u, DT)
+        c_out, c_in = plant._increment_coefficients(state, u, DT / n_sub)
+        assert np.all(c_out >= 0.0) and np.all(c_in >= 0.0)
+        assert not c_out[nu:nu + 2].any() and not c_in[nu:nu + 2].any()
+        assert np.all(c_out + c_in <= 1.0)
+
+
+@pytest.mark.parametrize("dt", (-DT, 0.0, np.nan, np.inf, -np.inf))
+def test_step_rejects_a_bad_time_step(grid, params, hx, reference, dt):
+    """A negative step would run the hour backwards; the state is left as
+    it was."""
+    state = init_truth(reference.truth, grid, params)
+    state.warm[10] += 2.0
+    fields = state.fields.copy()
+    rng = copy.deepcopy(state.rng_t_amb.bit_generator.state)
+    with pytest.raises(ParameterError, match="time step"):
+        truth_step(state, U_MAX, hx, dt, audit=True)
+    assert np.array_equal(state.fields, fields)
+    assert state.rng_t_amb.bit_generator.state == rng
+    assert state.boundary_energy == 0.0 and state.dmp_violation == 0.0
+
+
 def test_fused_audit_reports_a_cfl_violation(grid, params, hx, reference,
                                              monkeypatch):
     state = init_truth(dataclasses.replace(reference.truth, seed=5), grid, params)
@@ -366,6 +450,18 @@ def test_audit_reports_a_non_finite_field(grid, params, hx):
     truth_step(state, -U_MAX, hx, DT, audit=True)
     assert np.isnan(state.warm).sum() > 1
     assert not np.isfinite(state.dmp_violation)
+
+
+def test_a_non_finite_value_stays_in_its_row(grid, params, hx):
+    """A NaN in the warm far cell reaches the warm far-field padding, but
+    not the cold row across it; under heating the heat exchanger couples
+    the rows only through the warm borehole entry, which stays finite."""
+    state = init_truth(quiet_config(), grid, params)
+    state.warm[-1] = np.nan
+    truth_step(state, U_MAX, hx, DT, audit=True)
+    assert not np.isfinite(state.dmp_violation)
+    assert np.isfinite(state.warm[0])
+    assert np.all(np.isfinite(state.cold))
 
 
 def test_writes_through_field_views_steer_the_step(grid, params, hx):

@@ -53,7 +53,7 @@ def test_step_follows_the_branch_of_the_sign_of_u(grid, params, hx):
     stack = params.t_amb + rng.standard_normal((5, 42))
     for u, i in ((1e-12, HEAT), (U_MAX, HEAT), (-1e-12, COOL), (-U_MAX, COOL),
                  (0.0, STORE), (-0.0, STORE)):
-        written_out = np.matvec(model.A[i], stack) + model.b[i] * u + model.f[i]
+        written_out = stack @ model.A[i].T + model.b[i] * u + model.f[i]
         assert np.array_equal(pwa_step(model, stack, u), written_out)
 
 
@@ -78,12 +78,22 @@ def test_cooling_step_writes_hx_output_to_warm_borehole(grid, params, hx, ambien
 
 
 def test_stacked_step_matches_row_by_row(model, ambient_state):
+    """A stack steps as one product, ``stack @ A.T``; each of its rows agrees
+    with the single-state step ``A @ row`` to dot-product rounding: two
+    orders of an n-term sum each lie within n eps sum |A| |x| of the exact
+    value (Higham, Accuracy and Stability of Numerical Algorithms, 3.1), so
+    they agree within twice that."""
     rng = np.random.default_rng(11)
     stack = ambient_state + rng.standard_normal((85, 42))
+    eps = np.finfo(float).eps
     for u in (U_MAX, 0.0, -U_MAX):
+        br = model.branch(u)
         batched = pwa_step(model, stack, u)
         assert batched.shape == stack.shape
-        assert np.array_equal(batched, np.stack([pwa_step(model, x, u) for x in stack]))
+        assert np.array_equal(batched, stack @ br.A.T + br.b * u + br.f)
+        for x, row in zip(stack, batched):
+            bound = 2 * model.n * eps * (np.abs(br.A) @ np.abs(x))
+            assert np.all(np.abs(row - pwa_step(model, x, u)) <= bound)
 
 
 def test_step_rejects_bad_shapes_and_non_finite(model, ambient_state):
@@ -296,6 +306,16 @@ def test_build_rejects_non_finite_expansion_flow(grid, params, hx,
                                                  ambient_state, u_ref):
     with pytest.raises(ParameterError, match="expansion flow must be finite"):
         build_pwa(grid, params, hx, DT, ambient_state, u_ref)
+
+
+@pytest.mark.parametrize("dt", (-DT, 0.0, -0.0, np.nan, np.inf, -np.inf))
+def test_builders_reject_a_bad_time_step(grid, params, hx, ambient_state, dt):
+    """A negative step would build a backwards model, a NaN one all NaN."""
+    for build in (build_extraction_system, build_injection_system):
+        with pytest.raises(ParameterError, match="time step"):
+            build(grid, params, dt)
+    with pytest.raises(ParameterError, match="time step"):
+        build_pwa(grid, params, hx, dt, ambient_state, 0.0)
 
 
 _KELVIN_OFFSET = st.floats(-5.0, 5.0, allow_subnormal=False)

@@ -9,7 +9,11 @@ mode flip.  Swapping the branch step's ``np.matvec`` for ``X @ A.T`` moved
 u by at most 2.6e-12 m^3/s and B_past by 4.6e-10 MWh.  Writing ``condense``
 in homogeneous coordinates (the affine terms summed as matrix products
 instead of running sums) moved u by at most 1.4e-16 m^3/s and B_past by
-4.3e-13 MWh.
+4.3e-13 MWh.  Stepping the filter's sigma-point stack as one ``X @ A.T``
+product and the plant's substeps from per-hour increment coefficients
+(against the ``np.matvec`` rows and the per-substep fluxes and rates)
+moved u by at most 1.5e-16 m^3/s and B_past by 6.8e-14 MWh, with no mode
+flip.
 
 Regenerate the reference (only for an intended change of behaviour) with
 ``PYTHONPATH=src python tests/test_regression.py``.
